@@ -477,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--theory", required=True)
     p.add_argument("--types")
-    p.add_argument("--workers", type=int,
-                   default=int(os.environ.get("PAVELKA_WORKERS", "1")))
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=cmd_omit)
 
     p = sub.add_parser("type-dist", help="distance between two type records")
@@ -516,8 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if os.environ.get("PAVELKA_WORKERS") and hasattr(args, "workers"):
-        args.workers = int(os.environ["PAVELKA_WORKERS"])
+    workers = os.environ.get("PAVELKA_WORKERS")
+    if workers is not None and hasattr(args, "workers"):
+        try:
+            args.workers = int(workers)
+        except ValueError:
+            print(f"error: PAVELKA_WORKERS must be an integer, got {workers!r}",
+                  file=sys.stderr)
+            return EXIT_ERROR
     try:
         return args.handler(args)
     except PavelkaError as exc:

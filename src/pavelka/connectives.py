@@ -89,24 +89,13 @@ def c_ominus(t: ConnectiveTerm, r: Fraction) -> ConnectiveTerm:
     return c_not(c_oplus(c_not(t), CConst(r)))
 
 
-def _walk_postorder(term: ConnectiveTerm):
-    """Yield each distinct node once, children before parents."""
-    seen = set()
-    out = []
-    stack = [(term, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            out.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        if isinstance(node, CImplies):
-            stack.append((node.rhs, False))
-            stack.append((node.lhs, False))
-    return out
+def _operands(node) -> tuple:
+    return (node.lhs, node.rhs) if isinstance(node, CImplies) else ()
+
+
+def _walk_postorder(term: ConnectiveTerm) -> list:
+    """Each distinct node once, children before parents."""
+    return syntax.postorder(term, _operands)
 
 
 def term_arity(term: ConnectiveTerm) -> Optional[int]:

@@ -9,6 +9,9 @@ Evaluation memoizes the values of shared subformulas per restriction of
 the assignment to their free variables; expansion of the derived
 connectives deliberately shares duplicated operands, so formulas that
 would blow up as trees evaluate in time linear in their DAG size.
+Preparation is linear in the DAG size too: expansion and one analysis
+pass (shared nodes, free variables, depth) each walk ``syntax.postorder``,
+which visits every distinct node once.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import EvaluationError, FormulaError
 from .rationals import ZERO, ONE
 from .syntax import (Atom, Const, Exists, Formula, Geq, Implies, Theory,
-                     Var, expand_abbreviations, free_variables)
+                     Var, children, expand_abbreviations, free_variables,
+                     postorder)
 
 # An assignment is a plain mapping from free-variable names to element ids.
 Assignment = Mapping[str, str]
@@ -58,11 +62,8 @@ class Evaluator:
     def __init__(self, structure):
         self.structure = structure
 
-    def _prepare(self, formula: Formula):
-        return _prepare(formula)
-
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
-        _, core, shared, fv_map, depth = self._prepare(formula)
+        _, core, shared, fv_map, depth = _prepare(formula)
         env = dict(assignment) if assignment else {}
         for name in fv_map[id(core)]:
             if name not in env:
@@ -157,73 +158,27 @@ class Evaluator:
                 f"operation {term.name!r} has no entry for {args}") from None
 
 
-def _kids(node):
-    if isinstance(node, Implies):
-        return (node.lhs, node.rhs)
-    if isinstance(node, Exists):
-        return (node.body,)
-    return ()
-
-
 def _analyze(core: Formula):
-    """Iterative passes: reference counts, per-node free variables, depth."""
-    counts: dict[int, int] = {}
-    stack = [core]
-    while stack:
-        node = stack.pop()
-        nid = id(node)
-        counts[nid] = counts.get(nid, 0) + 1
-        if counts[nid] == 1:
-            stack.extend(_kids(node))
-
-    # children-before-parents order, each distinct node once
-    order: list = []
-    seen: set[int] = set()
-    work = [(core, False)]
-    while work:
-        node, expanded = work.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        work.append((node, True))
-        for kid in _kids(node):
-            work.append((kid, False))
-
-    fv_map: dict[int, frozenset] = {}
-    depth_map: dict[int, int] = {}
-    for node in order:
-        nid = id(node)
-        if isinstance(node, Atom):
-            names = set()
-            for arg in node.args:
-                _collect_term_vars(arg, names)
-            fv_map[nid] = frozenset(names)
-            depth_map[nid] = 1
-        elif isinstance(node, Const):
-            fv_map[nid] = frozenset()
-            depth_map[nid] = 1
-        elif isinstance(node, Implies):
-            fv_map[nid] = fv_map[id(node.lhs)] | fv_map[id(node.rhs)]
-            depth_map[nid] = 1 + max(depth_map[id(node.lhs)],
-                                     depth_map[id(node.rhs)])
+    """One pass over the DAG: the shared nodes, the free variables of
+    each shared node and of the root, and the depth."""
+    refs: dict[int, int] = {}
+    free: dict[int, frozenset] = {}
+    depth: dict[int, int] = {}
+    for node in postorder(core):
+        kids = [id(kid) for kid in children(node)]
+        for kid in kids:
+            refs[kid] = refs.get(kid, 0) + 1
+        names = frozenset().union(*[free[kid] for kid in kids])
+        if isinstance(node, Var):
+            names = frozenset((node.name,))
         elif isinstance(node, Exists):
-            fv_map[nid] = fv_map[id(node.body)] - {node.var}
-            depth_map[nid] = 1 + depth_map[id(node.body)]
-        else:
-            raise FormulaError(f"evaluator got a non-core node: {node!r}")
-    shared = frozenset(nid for nid, c in counts.items() if c > 1)
-    return shared, fv_map, depth_map[id(core)]
-
-
-def _collect_term_vars(term, out):
-    if isinstance(term, Var):
-        out.add(term.name)
-    else:
-        for arg in term.args:
-            _collect_term_vars(arg, out)
+            names -= {node.var}
+        free[id(node)] = names
+        depth[id(node)] = 1 + max([depth[kid] for kid in kids], default=0)
+    shared = frozenset(nid for nid, count in refs.items() if count > 1)
+    fv_map = {nid: free[nid] for nid in shared}
+    fv_map[id(core)] = free[id(core)]
+    return shared, fv_map, depth[id(core)]
 
 
 def evaluate(structure, formula: Formula,
@@ -282,18 +237,25 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
         raise FormulaError(
             f"variable tuples differ: {gamma.variables} vs {sigma.variables}")
     names = tuple(gamma.variables)
+    for member, engine, tup in model_tuples(family, theory, len(names)):
+        env = dict(zip(names, tup))
+        if all(engine.value(f, env) == ONE for f in gamma.formulas):
+            for f in sigma.formulas:
+                value = engine.value(f, env)
+                if value != ONE:
+                    return EntailmentResult(False, member, tup, f, value)
+    return EntailmentResult(True)
+
+
+def model_tuples(family: Sequence, theory: Theory, n: int):
+    """``(member, engine, tuple)`` for each family member satisfying the
+    theory and each n-tuple of its universe, in canonical order."""
     for member in family:
         if not check_theory(member, theory).satisfied:
             continue
         engine = Evaluator(member)
-        for tup in itertools.product(member.universe, repeat=len(names)):
-            env = dict(zip(names, tup))
-            if all(engine.value(f, env) == ONE for f in gamma.formulas):
-                for f in sigma.formulas:
-                    value = engine.value(f, env)
-                    if value != ONE:
-                        return EntailmentResult(False, member, tup, f, value)
-    return EntailmentResult(True)
+        for tup in itertools.product(member.universe, repeat=n):
+            yield member, engine, tup
 
 
 @dataclass(frozen=True)

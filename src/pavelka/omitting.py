@@ -18,11 +18,12 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
-from .evaluator import EntailmentResult, Evaluator, check_theory, entails
+from .evaluator import EntailmentResult, Evaluator, entails, model_tuples
 from .rationals import ZERO, ONE, as_fraction
 from .structures import Structure
 from .syntax import (Atom, Const, Formula, Geq, Leq, Term, Theory, Var,
-                     Vocabulary, free_variables, substitute, term_variables)
+                     Vocabulary, children, free_variables, postorder,
+                     substitute, term_variables)
 from .transforms import thicken
 
 
@@ -77,31 +78,30 @@ class OmitsReport:
 def omits(structure: Structure, typeset: TypeSet) -> OmitsReport:
     """True iff no tuple realizes the type; the report carries, per
     tuple, a member formula with value < 1, or else the first realizer."""
-    engine = Evaluator(structure)
-    n = len(typeset.variables)
     witnesses = {}
-    for tup in itertools.product(structure.universe, repeat=n):
-        env = dict(zip(typeset.variables, tup))
-        violated = None
-        for phi in typeset.formulas:
-            value = engine.value(phi, env)
-            if value != ONE:
-                violated = (phi, value)
-                break
-        if violated is None:
-            return OmitsReport(False, {}, realizer=tup)
-        witnesses[tup] = violated
+    realizer = _first_realizer(Evaluator(structure), typeset, witnesses)
+    if realizer is not None:
+        return OmitsReport(False, {}, realizer=realizer)
     return OmitsReport(True, witnesses)
 
 
-def _is_omitted(structure: Structure, typeset: TypeSet,
-                engine: Evaluator) -> bool:
+def _first_realizer(engine: Evaluator, typeset: TypeSet,
+                    witnesses: Optional[dict] = None) -> Optional[tuple]:
+    """The canonically first tuple realizing the type, or None; each
+    tuple scanned before it gets its first member of value < 1 recorded
+    in ``witnesses`` when that is given."""
     n = len(typeset.variables)
-    for tup in itertools.product(structure.universe, repeat=n):
+    for tup in itertools.product(engine.structure.universe, repeat=n):
         env = dict(zip(typeset.variables, tup))
-        if all(engine.value(phi, env) == ONE for phi in typeset.formulas):
-            return False
-    return True
+        for phi in typeset.formulas:
+            value = engine.value(phi, env)
+            if value != ONE:
+                if witnesses is not None:
+                    witnesses[tup] = (phi, value)
+                break
+        else:
+            return tup
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +127,10 @@ def generator_check(family: Sequence[Structure], theory: Theory,
     if tuple(phi.variables) != tuple(sigma.variables):
         raise FormulaError(
             f"variable tuples differ: {phi.variables} vs {sigma.variables}")
-    witness = None
-    for member in family:
-        if not check_theory(member, theory).satisfied:
-            continue
-        engine = Evaluator(member)
-        for tup in itertools.product(member.universe,
-                                     repeat=len(phi.variables)):
-            if realizes(member, tup, phi, engine):
-                witness = (member, tup)
-                break
-        if witness:
-            break
+    witness = next(
+        ((member, tup) for member, engine, tup
+         in model_tuples(family, theory, len(phi.variables))
+         if realizes(member, tup, phi, engine)), None)
     if witness is None:
         return GeneratorReport(False, satisfied=False)
     result = entails(family, theory, phi, sigma)
@@ -240,9 +232,10 @@ class SearchSpace:
     """Finite enumeration space: universe sizes 1..max_size, predicate
     values on {0, 1/g, ..., 1}, distances on {1/m, ..., 1}.
 
-    ``seed`` is carried for reproducible corpus tooling but never
-    influences the search: enumeration order is canonical so that
-    "first model" is well defined.
+    ``seed`` never influences the search: enumeration order is canonical
+    so that "first model" is well defined.  It is kept for file-format
+    compatibility: ``storage.space_to_dict`` writes it and
+    ``storage.space_from_dict`` reads it back.
     """
 
     vocabulary: Vocabulary
@@ -336,25 +329,25 @@ def enumerate_structures(space: SearchSpace):
                                         operations, constants)
 
 
-def _constants_on_grid(theory: Theory, denominator: int) -> None:
-    def scan(node):
-        if isinstance(node, Const):
-            if (node.value * denominator).denominator != 1:
-                raise ResolutionError(
-                    f"constant {node.value} is not on the 1/{denominator} grid")
-        elif isinstance(node, (Leq, Geq)):
-            if (node.bound * denominator).denominator != 1:
-                raise ResolutionError(
-                    f"bound {node.bound} is not on the 1/{denominator} grid")
-            scan(node.body)
-        elif hasattr(node, "lhs"):
-            scan(node.lhs)
-            scan(node.rhs)
-        elif hasattr(node, "body"):
-            scan(node.body)
+def _off_grid(node, denominator: int) -> Optional[str]:
+    if isinstance(node, Const) and (node.value * denominator).denominator != 1:
+        return f"constant {node.value} is not on the 1/{denominator} grid"
+    if isinstance(node, (Leq, Geq)) and (node.bound * denominator).denominator != 1:
+        return f"bound {node.bound} is not on the 1/{denominator} grid"
+    return None
 
+
+def _constants_on_grid(theory: Theory, denominator: int) -> None:
+    """Raise on the first off-grid constant or bound, reading each
+    sentence node before its subformulas, left to right."""
     for sentence in theory.sentences:
-        scan(sentence)
+        first: dict[int, Optional[str]] = {}
+        for node in postorder(sentence):
+            found = [_off_grid(node, denominator)]
+            found.extend(first[id(kid)] for kid in children(node))
+            first[id(node)] = next(filter(None, found), None)
+        if first[id(sentence)] is not None:
+            raise ResolutionError(first[id(sentence)])
 
 
 def search_model(space: SearchSpace, theory: Theory,
@@ -373,7 +366,7 @@ def search_model(space: SearchSpace, theory: Theory,
         engine = Evaluator(candidate)
         if any(engine.value(s) != ONE for s in theory.sentences):
             return False
-        return all(_is_omitted(candidate, t, engine) for t in types)
+        return all(_first_realizer(engine, t) is None for t in types)
 
     generator = enumerate_structures(space)
     examined = 0
@@ -469,22 +462,17 @@ def type_distance(family: Sequence[Structure], theory: Theory,
         corpus = default_record_corpus(p.structure.vocabulary(), n)
     p_profile = p.profile(corpus)
     q_profile = q.profile(corpus)
-    best: Optional[Fraction] = None
-    for member in family:
-        if not check_theory(member, theory).satisfied:
-            continue
-        engine = Evaluator(member)
-        profiles = {}
-        for tup in itertools.product(member.universe, repeat=n):
-            profiles[tup] = CompleteTypeRecord(member, tup).profile(
-                corpus, engine)
-        p_tuples = [t for t, prof in profiles.items() if prof == p_profile]
-        q_tuples = [t for t, prof in profiles.items() if prof == q_profile]
-        for a in p_tuples:
-            for b in q_tuples:
-                gap = max(member.metric[(x, y)] for x, y in zip(a, b))
-                if best is None or gap < best:
-                    best = gap
+    found = {}  # id(member) -> (member, tuples realizing p, realizing q)
+    for member, engine, tup in model_tuples(family, theory, n):
+        profile = CompleteTypeRecord(member, tup).profile(corpus, engine)
+        _, p_tuples, q_tuples = found.setdefault(id(member), (member, [], []))
+        if profile == p_profile:
+            p_tuples.append(tup)
+        if profile == q_profile:
+            q_tuples.append(tup)
+    best = min((max(member.metric[(x, y)] for x, y in zip(a, b))
+                for member, p_tuples, q_tuples in found.values()
+                for a in p_tuples for b in q_tuples), default=None)
     if best is None:
         return TypeDistance(ONE, connected=False)
     return TypeDistance(best, connected=True)

@@ -146,22 +146,8 @@ class Structure:
     def predicate_value(self, name: str, args: tuple) -> Fraction:
         return self.predicates[name][args]
 
-    def operation_value(self, name: str, args: tuple) -> str:
-        return self.operations[name][args]
-
-    def constant_value(self, name: str) -> str:
-        return self.constants[name]
-
     def has_element(self, element: str) -> bool:
         return element in self._elements
-
-    def is_discrete_metric(self) -> bool:
-        return all(v == ONE for (a, b), v in self.metric.items() if a != b)
-
-    def with_label(self, label: str) -> "Structure":
-        out = Structure(self.universe, self.metric, self.predicates,
-                        self.operations, self.constants, label=label)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Structure):

@@ -28,6 +28,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter, is_
 from typing import Mapping
 
 from .errors import FormulaError, ParseError, VocabularyError
@@ -42,13 +44,6 @@ def _check_symbol_name(name: str) -> None:
         raise VocabularyError(f"bad symbol name: {name!r}")
     if name in RESERVED_NAMES:
         raise VocabularyError(f"symbol name {name!r} is reserved")
-
-
-def _check_variable_name(name: str) -> None:
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise FormulaError(f"bad variable name: {name!r}")
-    if name in RESERVED_NAMES:
-        raise FormulaError(f"variable name {name!r} is reserved")
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +144,6 @@ class Func(Term):
     args: tuple = ()
 
 
-def term_variables(term: Term) -> set[str]:
-    if isinstance(term, Var):
-        return {term.name}
-    out: set[str] = set()
-    for arg in term.args:
-        out |= term_variables(arg)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Formulas
 
@@ -251,9 +237,6 @@ class Forall(Formula):
     body: Formula
 
 
-CORE_KINDS = (Atom, Const, Implies, Exists)
-
-
 @dataclass(frozen=True)
 class Theory:
     """A named, ordered list of sentences (formulas with no free variables)."""
@@ -274,112 +257,123 @@ class Theory:
 
 # ---------------------------------------------------------------------------
 # Structural walks
+#
+# Formulas are DAGs: ``expand_abbreviations`` and the connective builders
+# share repeated operands.  Every walk is a pass over ``postorder``, which
+# lists each distinct node once by identity, with results keyed by
+# ``id(node)``; a walk therefore costs time linear in the DAG size and no
+# recursion depth.
+
+
+_CHILDREN = {
+    **dict.fromkeys((Var, Const), lambda node: ()),
+    **dict.fromkeys((Atom, Func), attrgetter("args")),
+    **dict.fromkeys((Implies, Or, And), attrgetter("lhs", "rhs")),
+    **dict.fromkeys((Not, Leq, Geq, Exists, Forall), lambda node: (node.body,)),
+}
+
+
+def children(node) -> tuple:
+    """The immediate subformulas, or argument terms, of a formula or term."""
+    try:
+        return _CHILDREN[type(node)](node)
+    except KeyError:
+        raise FormulaError(f"not a formula node: {node!r}") from None
+
+
+def postorder(root, kids=children) -> list:
+    """Each distinct node under ``root`` once, by identity, after all of
+    its children; ``kids(node)`` lists those, and they are taken left to
+    right.  Iterative, so a deep formula needs no recursion."""
+    seen = {id(root)}
+    order = []
+    stack = [(root, iter(kids(root)))]
+    while stack:
+        node, pending = stack[-1]
+        for kid in pending:
+            if id(kid) not in seen:
+                seen.add(id(kid))
+                below = kids(kid)
+                if below:
+                    stack.append((kid, iter(below)))
+                    break
+                order.append(kid)
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def _with_children(node, kids):
+    """``node`` over ``kids``; ``node`` itself when they are its children."""
+    if all(map(is_, kids, children(node))):
+        return node
+    if isinstance(node, Atom):
+        return Atom(node.pred, tuple(kids))
+    if isinstance(node, Func):
+        return Func(node.name, tuple(kids))
+    if isinstance(node, (Implies, Or, And)):
+        return type(node)(*kids)
+    if isinstance(node, Not):
+        return Not(kids[0])
+    if isinstance(node, (Leq, Geq)):
+        return type(node)(kids[0], node.bound)
+    return type(node)(node.var, kids[0])
+
+
+def rebuild(root, rewrite):
+    """Rewrite bottom-up: each distinct node, over its rebuilt children,
+    becomes ``rewrite(node)``.  Shared nodes stay shared, and a node that
+    ``rewrite`` leaves alone over unchanged children comes back as the
+    same object."""
+    done: dict[int, object] = {}
+    for node in postorder(root):
+        new = _with_children(node, [done[id(kid)] for kid in children(node)])
+        done[id(node)] = rewrite(new)
+    return done[id(root)]
 
 
 def free_variables(formula: Formula) -> tuple:
     """Free variables in order of first occurrence (left-to-right)."""
-    seen: dict[str, None] = {}
-
-    def walk(node, bound):
-        if isinstance(node, Atom):
-            for arg in node.args:
-                for v in _term_vars_ordered(arg):
-                    if v not in bound and v not in seen:
-                        seen[v] = None
-        elif isinstance(node, Const):
-            pass
-        elif isinstance(node, (Implies, Or, And)):
-            walk(node.lhs, bound)
-            walk(node.rhs, bound)
-        elif isinstance(node, (Not, Leq, Geq)):
-            walk(node.body, bound)
-        elif isinstance(node, (Exists, Forall)):
-            walk(node.body, bound | {node.var})
+    free: dict[int, tuple] = {}
+    for node in postorder(formula):
+        if isinstance(node, Var):
+            names = (node.name,)
         else:
-            raise FormulaError(f"not a formula node: {node!r}")
+            parts = [free[id(kid)] for kid in children(node)]
+            names = parts[0] if len(parts) == 1 else \
+                tuple(dict.fromkeys(chain.from_iterable(parts)))
+            if isinstance(node, (Exists, Forall)) and node.var in names:
+                names = tuple(name for name in names if name != node.var)
+        free[id(node)] = names
+    return free[id(formula)]
 
-    walk(formula, frozenset())
-    return tuple(seen)
 
-
-def _term_vars_ordered(term):
-    if isinstance(term, Var):
-        yield term.name
-    else:
-        for arg in term.args:
-            yield from _term_vars_ordered(arg)
+def term_variables(term: Term) -> set[str]:
+    return {node.name for node in postorder(term) if isinstance(node, Var)}
 
 
 def all_variables(formula: Formula) -> set[str]:
     """Every variable name occurring in the formula, bound or free."""
-    out: set[str] = set()
-
-    def walk(node):
-        if isinstance(node, Atom):
-            for arg in node.args:
-                out.update(term_variables(arg))
-        elif isinstance(node, Const):
-            pass
-        elif isinstance(node, (Implies, Or, And)):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, (Not, Leq, Geq)):
-            walk(node.body)
-        elif isinstance(node, (Exists, Forall)):
-            out.add(node.var)
-            walk(node.body)
-
-    walk(formula)
-    return out
+    return {node.name if isinstance(node, Var) else node.var
+            for node in postorder(formula)
+            if isinstance(node, (Var, Exists, Forall))}
 
 
 def formula_symbols(formula: Formula) -> set[str]:
     """Predicate and operation names occurring in the formula (``d`` excluded)."""
-    out: set[str] = set()
-
-    def walk_term(term):
-        if isinstance(term, Func):
-            out.add(term.name)
-            for arg in term.args:
-                walk_term(arg)
-
-    def walk(node):
-        if isinstance(node, Atom):
-            if node.pred != "d":
-                out.add(node.pred)
-            for arg in node.args:
-                walk_term(arg)
-        elif isinstance(node, (Implies, Or, And)):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, (Not, Leq, Geq)):
-            walk(node.body)
-        elif isinstance(node, (Exists, Forall)):
-            walk(node.body)
-
-    walk(formula)
-    return out
+    return {node.name if isinstance(node, Func) else node.pred
+            for node in postorder(formula)
+            if isinstance(node, Func)
+            or (isinstance(node, Atom) and node.pred != "d")}
 
 
-def formula_depth(formula: Formula) -> int:
-    if isinstance(formula, (Atom, Const)):
-        return 0
-    if isinstance(formula, (Implies, Or, And)):
-        return 1 + max(formula_depth(formula.lhs), formula_depth(formula.rhs))
-    if isinstance(formula, (Not, Leq, Geq)):
-        return 1 + formula_depth(formula.body)
-    return 1 + formula_depth(formula.body)
+_CORE_NODES = (Atom, Const, Implies, Exists, Var, Func)
 
 
 def is_core(formula: Formula) -> bool:
-    """True when no derived node occurs anywhere in the tree."""
-    if isinstance(formula, (Atom, Const)):
-        return True
-    if isinstance(formula, Implies):
-        return is_core(formula.lhs) and is_core(formula.rhs)
-    if isinstance(formula, Exists):
-        return is_core(formula.body)
-    return False
+    """True when no derived node occurs anywhere in the formula."""
+    return all(isinstance(node, _CORE_NODES) for node in postorder(formula))
 
 
 def expand_abbreviations(formula: Formula) -> Formula:
@@ -392,42 +386,30 @@ def expand_abbreviations(formula: Formula) -> Formula:
     Geq(p,r)    -> r -> p
     Forall(x,p) -> ~E x. ~p
 
-    Idempotent; subtrees are reused unchanged, and the expansions of
-    Or/And deliberately share their duplicated operand so that
-    evaluation can memoize it.
+    Idempotent; core subformulas are reused unchanged, shared nodes
+    stay shared, and the expansions of Or/And deliberately share their
+    duplicated operand so that evaluation can memoize it.
     """
     zero = Const(ZERO)
 
-    def expand(node):
-        if isinstance(node, (Atom, Const)):
+    def core(node):
+        if isinstance(node, _CORE_NODES):
             return node
-        if isinstance(node, Implies):
-            lhs, rhs = expand(node.lhs), expand(node.rhs)
-            if lhs is node.lhs and rhs is node.rhs:
-                return node
-            return Implies(lhs, rhs)
-        if isinstance(node, Exists):
-            body = expand(node.body)
-            return node if body is node.body else Exists(node.var, body)
         if isinstance(node, Not):
-            return Implies(expand(node.body), zero)
+            return Implies(node.body, zero)
         if isinstance(node, Or):
-            lhs, rhs = expand(node.lhs), expand(node.rhs)
-            return Implies(Implies(lhs, rhs), rhs)
+            return Implies(Implies(node.lhs, node.rhs), node.rhs)
         if isinstance(node, And):
-            nl = Implies(expand(node.lhs), zero)
-            nr = Implies(expand(node.rhs), zero)
+            nl = Implies(node.lhs, zero)
+            nr = Implies(node.rhs, zero)
             return Implies(Implies(Implies(nl, nr), nr), zero)
         if isinstance(node, Leq):
-            return Implies(expand(node.body), Const(node.bound))
+            return Implies(node.body, Const(node.bound))
         if isinstance(node, Geq):
-            return Implies(Const(node.bound), expand(node.body))
-        if isinstance(node, Forall):
-            inner = Implies(expand(node.body), zero)
-            return Implies(Exists(node.var, inner), zero)
-        raise FormulaError(f"not a formula node: {node!r}")
+            return Implies(Const(node.bound), node.body)
+        return Implies(Exists(node.var, Implies(node.body, zero)), zero)
 
-    return expand(formula)
+    return rebuild(formula, core)
 
 
 def fresh_variable(base: str, used) -> str:
@@ -447,40 +429,47 @@ def substitute(formula: Formula, mapping: Mapping[str, Term]) -> Formula:
     if not mapping:
         return formula
 
-    def sub_term(term, m):
-        if isinstance(term, Var):
-            return m.get(term.name, term)
-        return Func(term.name, tuple(sub_term(a, m) for a in term.args))
+    # What a node becomes depends on the mapping in force there, which a
+    # binder changes for its body; so the pass walks (node, mapping)
+    # pairs, one object per distinct pair.
+    pairs: dict[tuple, tuple] = {}
+    below: dict[int, tuple] = {}
 
-    def go(node, m):
-        if not m:
-            return node
-        if isinstance(node, Atom):
-            return Atom(node.pred, tuple(sub_term(a, m) for a in node.args))
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, (Implies, Or, And)):
-            return type(node)(go(node.lhs, m), go(node.rhs, m))
-        if isinstance(node, Not):
-            return Not(go(node.body, m))
-        if isinstance(node, Leq):
-            return Leq(go(node.body, m), node.bound)
-        if isinstance(node, Geq):
-            return Geq(go(node.body, m), node.bound)
-        if isinstance(node, (Exists, Forall)):
-            inner = {k: v for k, v in m.items() if k != node.var}
-            value_vars = set()
-            for t in inner.values():
-                value_vars |= term_variables(t)
-            if node.var in value_vars:
-                used = all_variables(node.body) | value_vars | set(inner)
-                new_var = fresh_variable(node.var, used)
-                inner[node.var] = Var(new_var)
-                return type(node)(new_var, go(node.body, inner))
-            return type(node)(node.var, go(node.body, inner))
-        raise FormulaError(f"not a formula node: {node!r}")
+    def pair(node, m):
+        return pairs.setdefault((id(node), id(m)), (node, m))
 
-    return go(formula, dict(mapping))
+    def kids(item):
+        found = below.get(id(item))
+        if found is None:
+            node, m = item
+            if not m:
+                found = ()
+            elif isinstance(node, (Exists, Forall)):
+                inner = {k: v for k, v in m.items() if k != node.var}
+                value_vars = set().union(*map(term_variables, inner.values()))
+                if node.var in value_vars:
+                    used = all_variables(node.body) | value_vars | set(inner)
+                    inner[node.var] = Var(fresh_variable(node.var, used))
+                found = (pair(node.body, inner),)
+            else:
+                found = tuple(pair(kid, m) for kid in children(node))
+            below[id(item)] = found
+        return found
+
+    done: dict[int, object] = {}
+    for item in postorder(pair(formula, mapping), kids):
+        node, m = item
+        if isinstance(node, Var):
+            done[id(item)] = m.get(node.name, node)
+            continue
+        inner = kids(item)
+        new = _with_children(node, [done[id(kid)] for kid in inner])
+        if inner and isinstance(node, (Exists, Forall)):
+            renamed = inner[0][1].get(node.var)
+            if renamed is not None:
+                new = type(node)(renamed.name, new.body)
+        done[id(item)] = new
+    return done[id(pair(formula, mapping))]
 
 
 def rename_symbols(formula: Formula, mapping: Mapping[str, str]) -> Formula:
@@ -488,31 +477,14 @@ def rename_symbols(formula: Formula, mapping: Mapping[str, str]) -> Formula:
     if "d" in mapping:
         raise VocabularyError("the metric symbol d cannot be renamed")
 
-    def ren_term(term):
-        if isinstance(term, Var):
-            return term
-        return Func(mapping.get(term.name, term.name),
-                    tuple(ren_term(a) for a in term.args))
+    def rename(node):
+        if isinstance(node, Func) and node.name in mapping:
+            return Func(mapping[node.name], node.args)
+        if isinstance(node, Atom) and node.pred in mapping:
+            return Atom(mapping[node.pred], node.args)
+        return node
 
-    def go(node):
-        if isinstance(node, Atom):
-            pred = node.pred if node.pred == "d" else mapping.get(node.pred, node.pred)
-            return Atom(pred, tuple(ren_term(a) for a in node.args))
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, (Implies, Or, And)):
-            return type(node)(go(node.lhs), go(node.rhs))
-        if isinstance(node, Not):
-            return Not(go(node.body))
-        if isinstance(node, Leq):
-            return Leq(go(node.body), node.bound)
-        if isinstance(node, Geq):
-            return Geq(go(node.body), node.bound)
-        if isinstance(node, (Exists, Forall)):
-            return type(node)(node.var, go(node.body))
-        raise FormulaError(f"not a formula node: {node!r}")
-
-    return go(formula)
+    return rebuild(formula, rename)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from typing import Optional
 from .errors import FormulaError, RestrictionError, VocabularyError
 from .rationals import ZERO, ONE, as_fraction
 from .structures import Structure
-from .syntax import (And, Atom, Const, Exists, Forall, Formula, Geq, Implies,
-                     Leq, Not, Or, Theory, Var, Vocabulary, all_variables,
+from .syntax import (And, Atom, Const, Exists, Forall, Formula, Leq, Not, Or,
+                     Theory, Var, Vocabulary, all_variables,
                      expand_abbreviations, formula_symbols, free_variables,
-                     fresh_variable, rename_symbols, substitute)
+                     fresh_variable, rebuild, rename_symbols, substitute)
 
 
 def discrete_macro(atom: Atom) -> Formula:
@@ -31,26 +31,16 @@ def discrete_macro(atom: Atom) -> Formula:
 
 
 def _relativize(formula: Formula, guard) -> Formula:
-    """Shared recursion: connectives commute, quantifiers get guarded."""
+    """Shared rewrite: connectives commute, quantifiers get guarded."""
 
-    def go(node):
-        if isinstance(node, (Atom, Const)):
-            return node
-        if isinstance(node, (Implies, Or, And)):
-            return type(node)(go(node.lhs), go(node.rhs))
-        if isinstance(node, Not):
-            return Not(go(node.body))
-        if isinstance(node, Leq):
-            return Leq(go(node.body), node.bound)
-        if isinstance(node, Geq):
-            return Geq(go(node.body), node.bound)
+    def guarded(node):
         if isinstance(node, Exists):
-            return Exists(node.var, And(guard(node.var), go(node.body)))
+            return Exists(node.var, And(guard(node.var), node.body))
         if isinstance(node, Forall):
-            return Forall(node.var, Or(Not(guard(node.var)), go(node.body)))
-        raise FormulaError(f"not a formula node: {node!r}")
+            return Forall(node.var, Or(Not(guard(node.var)), node.body))
+        return node
 
-    return go(formula)
+    return rebuild(formula, guarded)
 
 
 def relativize_monadic(formula: Formula, predicate: str) -> Formula:

@@ -81,3 +81,128 @@ def naive_omits(structure, typeset):
                for phi in typeset.formulas):
             return False
     return True
+
+
+# Reference structural walks: plain recursion over the formula as a tree,
+# one isinstance chain per walk, no traversal helper and no sharing.
+
+_BINARY = (syntax.Implies, syntax.Or, syntax.And)
+_UNARY = (syntax.Not, syntax.Leq, syntax.Geq)
+_BINDERS = (syntax.Exists, syntax.Forall)
+
+
+def naive_term_variables(term):
+    """Variables of a term in left-to-right order, repeats included."""
+    if isinstance(term, syntax.Var):
+        return [term.name]
+    return [v for arg in term.args for v in naive_term_variables(arg)]
+
+
+def naive_free_variables(formula, bound=frozenset()):
+    """Free variables in order of first occurrence."""
+    out = []
+    node = formula
+    if isinstance(node, syntax.Atom):
+        names = [v for arg in node.args for v in naive_term_variables(arg)]
+        out = [v for v in names if v not in bound]
+    elif isinstance(node, _BINARY):
+        out = naive_free_variables(node.lhs, bound) \
+            + naive_free_variables(node.rhs, bound)
+    elif isinstance(node, _UNARY):
+        out = naive_free_variables(node.body, bound)
+    elif isinstance(node, _BINDERS):
+        out = naive_free_variables(node.body, bound | {node.var})
+    return list(dict.fromkeys(out))
+
+
+def naive_all_variables(formula):
+    node = formula
+    if isinstance(node, syntax.Atom):
+        return {v for arg in node.args for v in naive_term_variables(arg)}
+    if isinstance(node, _BINARY):
+        return naive_all_variables(node.lhs) | naive_all_variables(node.rhs)
+    if isinstance(node, _UNARY):
+        return naive_all_variables(node.body)
+    if isinstance(node, _BINDERS):
+        return {node.var} | naive_all_variables(node.body)
+    return set()
+
+
+def _term_symbols(term):
+    if isinstance(term, syntax.Var):
+        return set()
+    return {term.name}.union(*(_term_symbols(a) for a in term.args))
+
+
+def naive_formula_symbols(formula):
+    node = formula
+    if isinstance(node, syntax.Atom):
+        own = set() if node.pred == "d" else {node.pred}
+        return own.union(*(_term_symbols(a) for a in node.args))
+    if isinstance(node, _BINARY):
+        return naive_formula_symbols(node.lhs) | naive_formula_symbols(node.rhs)
+    if isinstance(node, _UNARY + _BINDERS):
+        return naive_formula_symbols(node.body)
+    return set()
+
+
+def naive_is_core(formula):
+    node = formula
+    if isinstance(node, (syntax.Atom, syntax.Const)):
+        return True
+    if isinstance(node, syntax.Implies):
+        return naive_is_core(node.lhs) and naive_is_core(node.rhs)
+    if isinstance(node, syntax.Exists):
+        return naive_is_core(node.body)
+    return False
+
+
+def naive_expand(formula):
+    """The abbreviation laws applied top-down to a tree."""
+    node = formula
+    zero = syntax.Const(ZERO)
+    Imp = syntax.Implies
+    if isinstance(node, (syntax.Atom, syntax.Const)):
+        return node
+    if isinstance(node, syntax.Implies):
+        return Imp(naive_expand(node.lhs), naive_expand(node.rhs))
+    if isinstance(node, syntax.Exists):
+        return syntax.Exists(node.var, naive_expand(node.body))
+    if isinstance(node, syntax.Not):
+        return Imp(naive_expand(node.body), zero)
+    if isinstance(node, syntax.Or):
+        lhs, rhs = naive_expand(node.lhs), naive_expand(node.rhs)
+        return Imp(Imp(lhs, rhs), rhs)
+    if isinstance(node, syntax.And):
+        return naive_expand(syntax.Not(syntax.Or(syntax.Not(node.lhs),
+                                                 syntax.Not(node.rhs))))
+    if isinstance(node, syntax.Leq):
+        return Imp(naive_expand(node.body), syntax.Const(node.bound))
+    if isinstance(node, syntax.Geq):
+        return Imp(syntax.Const(node.bound), naive_expand(node.body))
+    return Imp(syntax.Exists(node.var, Imp(naive_expand(node.body), zero)),
+               zero)
+
+
+def naive_rename_symbols(formula, mapping):
+    def term(t):
+        if isinstance(t, syntax.Var):
+            return t
+        return syntax.Func(mapping.get(t.name, t.name),
+                           tuple(term(a) for a in t.args))
+
+    node = formula
+    if isinstance(node, syntax.Atom):
+        pred = node.pred if node.pred == "d" else mapping.get(node.pred,
+                                                              node.pred)
+        return syntax.Atom(pred, tuple(term(a) for a in node.args))
+    if isinstance(node, syntax.Const):
+        return node
+    if isinstance(node, _BINARY):
+        return type(node)(naive_rename_symbols(node.lhs, mapping),
+                          naive_rename_symbols(node.rhs, mapping))
+    if isinstance(node, (syntax.Leq, syntax.Geq)):
+        return type(node)(naive_rename_symbols(node.body, mapping), node.bound)
+    if isinstance(node, syntax.Not):
+        return syntax.Not(naive_rename_symbols(node.body, mapping))
+    return type(node)(node.var, naive_rename_symbols(node.body, mapping))

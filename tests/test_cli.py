@@ -167,6 +167,18 @@ class TestSearchAndTransforms:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("value", ["", "two"])
+    def test_bad_workers_variable(self, files, capsys, monkeypatch, value):
+        monkeypatch.setenv("PAVELKA_WORKERS", value)
+        code = main(["omit", "--space", files["space.json"],
+                     "--theory", files["loose.json"]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: PAVELKA_WORKERS")
+        # subcommands without --workers do not read the variable
+        code, out = run(capsys, "gen-order", "--pred", "P", "--lt", "LT")
+        assert code == 0 and len(json.loads(out)["sentences"]) == 7
+
     def test_relativize(self, files, capsys):
         code, out = run(capsys, "relativize", "--formula", files["phi.txt"],
                         "--vocab", files["vocab.json"], "--pred", "G")

@@ -1,0 +1,126 @@
+"""The shared formula traversal: DAG-sized work on shared connective
+terms, no recursion limit on deep ones, and agreement of every ported
+walk with the recursive reference walks in ``naive``."""
+
+import random
+from fractions import Fraction as F
+
+from pavelka import (Atom, Exists, Implies, Or, Var, Vocabulary, evaluate,
+                     expand_abbreviations, free_variables, rename_symbols,
+                     substitute)
+from pavelka.connectives import (apply_connective, dag_size, eval_term,
+                                 half_approx, scale_dyadic)
+from pavelka.omitting import TypeSet
+from pavelka.syntax import (all_variables, formula_symbols, is_core,
+                            postorder, term_variables)
+
+from genutil import random_formula, random_structure, random_term
+from naive import (naive_all_variables, naive_eval, naive_expand,
+                   naive_formula_symbols, naive_free_variables,
+                   naive_is_core, naive_rename_symbols, naive_term)
+
+VOCAB = Vocabulary({"P": 1, "R": 2}, {"c": 0, "f": 1, "g": 2})
+SCOPE = ["x1", "x2", "y"]
+
+
+def px():
+    return Atom("P", (Var("x"),))
+
+
+class TestSharedDag:
+    def test_every_walk_is_dag_sized(self, m2):
+        term = scale_dyadic(1, 6, 8)[0]
+        assert dag_size(term) == 430
+        phi = apply_connective(term, [px()])
+        nodes = len(postorder(phi))
+
+        core = expand_abbreviations(phi)
+        assert core is phi
+        assert free_variables(phi) == ("x",)
+        assert formula_symbols(phi) == {"P"}
+        moved = substitute(phi, {"x": Var("y")})
+        assert free_variables(moved) == ("y",)
+        assert len(postorder(moved)) == nodes
+        assert TypeSet("t", ("x",), (phi,)).formulas == (phi,)
+        for element, point in (("a", F(1, 3)), ("b", F(1))):
+            assert evaluate(m2, phi, {"x": element}) == eval_term(term, [point])
+
+    def test_derived_dag_expands_to_dag(self):
+        # a tree of about 2^12 nodes, a DAG of 17
+        phi = px()
+        for i in range(16):
+            phi = Exists("z", phi) if i % 5 == 0 else Or(phi, phi)
+        core = expand_abbreviations(phi)
+        assert is_core(core)
+        assert len(postorder(core)) <= 3 * len(postorder(phi))
+        assert free_variables(core) == ("x",)
+
+    def test_unchanged_nodes_come_back_as_themselves(self):
+        phi = apply_connective(half_approx(8), [px()])
+        assert expand_abbreviations(phi) is phi
+        assert rename_symbols(phi, {"Q": "R"}) is phi
+        assert substitute(phi, {"z": Var("y")}) is phi
+
+
+class TestDepth:
+    def test_deep_connective_evaluates_exactly(self, m2):
+        term = half_approx(2000)
+        phi = apply_connective(term, [px()])
+        assert evaluate(m2, phi, {"x": "a"}) == eval_term(term, [F(1, 3)])
+
+
+def _corpus(size=1000):
+    out = []
+    for seed in range(size):
+        rng = random.Random(seed)
+        m = random_structure(rng, VOCAB, max_size=3)
+        phi = random_formula(rng, VOCAB, SCOPE, depth=rng.randint(1, 4),
+                             quantifier_budget=2,
+                             allow_derived=rng.random() < 0.7)
+        if rng.random() < 0.3:
+            # identity-shared operands, as the builders produce them
+            phi = Implies(phi, phi) if rng.random() < 0.5 else Or(phi, phi)
+        env = {v: rng.choice(m.universe) for v in SCOPE}
+        out.append((seed, m, phi, env))
+    return out
+
+
+CORPUS = _corpus()
+
+
+class TestDifferential:
+    def test_variables_symbols_core(self):
+        for _, _, phi, _ in CORPUS:
+            assert list(free_variables(phi)) == naive_free_variables(phi)
+            assert all_variables(phi) == naive_all_variables(phi)
+            assert formula_symbols(phi) == naive_formula_symbols(phi)
+            assert is_core(phi) == naive_is_core(phi)
+
+    def test_expand(self):
+        for _, m, phi, env in CORPUS:
+            core = expand_abbreviations(phi)
+            assert core == naive_expand(phi)
+            assert naive_eval(m, core, env) == naive_eval(m, phi, env)
+
+    def test_rename(self):
+        mapping = {"P": "Q", "f": "h", "c": "k"}
+        for _, _, phi, _ in CORPUS:
+            assert rename_symbols(phi, mapping) == \
+                naive_rename_symbols(phi, mapping)
+
+    def test_substitution_lemma(self):
+        renamed = 0
+        for seed, m, phi, env in CORPUS:
+            rng = random.Random(-1 - seed)
+            # terms over the binder names x1, x2 force capture avoidance
+            targets = rng.sample(SCOPE, rng.randint(1, 2))
+            mapping = {v: random_term(rng, VOCAB, SCOPE, 1) for v in targets}
+            moved = substitute(phi, mapping)
+            shifted = dict(env)
+            for v, t in mapping.items():
+                shifted[v] = naive_term(m, t, env)
+            assert naive_eval(m, moved, env) == naive_eval(m, phi, shifted)
+            introduced = set().union(*map(term_variables, mapping.values()))
+            renamed += bool(all_variables(moved) - all_variables(phi)
+                            - introduced)
+        assert renamed > 0
