@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from . import connectives, omitting, storage, structures, transforms
+from . import connectives, storage, structures
 from .errors import PavelkaError, RestrictionError
 from .evaluator import check_theory, entails, evaluate, tarski_vaught_check
 from .omitting import (CompleteTypeRecord, OmegaCandidate, generator_check,
@@ -301,8 +300,7 @@ def cmd_omit(args):
     theory = storage.load_theory(args.theory, space.vocabulary)
     types = storage.load_typesets(args.types, space.vocabulary) \
         if args.types else []
-    workers = args.workers
-    outcome = search_model(space, theory, types, workers=workers)
+    outcome = search_model(space, theory, types)
     if outcome.exhausted:
         print(f"EXHAUSTED {outcome.examined}")
         return EXIT_FALSE
@@ -477,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--theory", required=True)
     p.add_argument("--types")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=cmd_omit)
 
     p = sub.add_parser("type-dist", help="distance between two type records")
@@ -515,14 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    workers = os.environ.get("PAVELKA_WORKERS")
-    if workers is not None and hasattr(args, "workers"):
-        try:
-            args.workers = int(workers)
-        except ValueError:
-            print(f"error: PAVELKA_WORKERS must be an integer, got {workers!r}",
-                  file=sys.stderr)
-            return EXIT_ERROR
     try:
         return args.handler(args)
     except PavelkaError as exc:

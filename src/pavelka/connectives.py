@@ -486,9 +486,10 @@ def _scale_term(magnitude: Fraction, n: int):
     return term, k == 0
 
 
-def approx_lattice(spec: PLSpec, n: int, spacing: Optional[Fraction] = None):
+def approx_lattice(spec: PLSpec, n: int):
     """Build a connective term approximating the lattice target, plus a
-    certified sup-error bound (0 when the construction is exact)."""
+    certified sup-error bound (0 when the construction is exact), taken
+    on the grid of spacing 1/(8n)."""
     if not isinstance(n, int) or n < 1:
         raise FormulaError(f"resolution must be a positive integer: {n!r}")
     exact = True
@@ -508,8 +509,8 @@ def approx_lattice(spec: PLSpec, n: int, spacing: Optional[Fraction] = None):
         term = c_or(term, g)
     if exact:
         return term, ZERO
-    spacing = as_fraction(spacing) if spacing is not None else Fraction(1, 8 * n)
-    bound = certify(term, spec.value, spec.arity, spacing, spec.lipschitz())
+    bound = certify(term, spec.value, spec.arity, Fraction(1, 8 * n),
+                    spec.lipschitz())
     return term, bound
 
 
@@ -545,13 +546,14 @@ def rendered_size(term: ConnectiveTerm) -> int:
     return sizes[id(term)]
 
 
-def render_connective(term: ConnectiveTerm, limit: int = 1_000_000) -> str:
+def render_connective(term: ConnectiveTerm) -> str:
     """Formula-grammar text with projections written x1, x2, ...
 
     Shared subterms are written out at each use, so the text of a heavily
-    shared DAG can be much larger than the term; ``limit`` guards that.
+    shared DAG can be much larger than the term; a term whose text would
+    exceed a million characters is refused.
     """
-    if rendered_size(term) > limit:
+    if rendered_size(term) > 1_000_000:
         raise FormulaError(
             f"term too large to render ({dag_size(term)} DAG nodes)")
     texts: dict[int, str] = {}

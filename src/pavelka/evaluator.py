@@ -5,26 +5,26 @@ Truth values are Fractions in [0,1].  The implication evaluates to
 existential quantifier to the maximum over the finite universe (the
 supremum is attained).  Satisfaction means value exactly 1.
 
-Evaluation memoizes the values of shared subformulas per restriction of
-the assignment to their free variables; expansion of the derived
-connectives deliberately shares duplicated operands, so formulas that
-would blow up as trees evaluate in time linear in their DAG size.
-Preparation is linear in the DAG size too: expansion and one analysis
-pass (shared nodes, free variables, depth) each walk ``syntax.postorder``,
-which visits every distinct node once.
+A formula is split into quantifier scopes, the root and each ``Exists``
+body, and a scope is evaluated by one loop over its nodes in postorder
+(``syntax.postorder`` stopping at ``Exists`` nodes), so an operand that
+expansion of the derived connectives shares is computed once per scope.
+Only an ``Exists`` recurses, once per element of the universe, and its
+value is memoized per restriction of the assignment to its free
+variables: the recursion depth is the quantifier nesting, never the
+connective or term depth.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EvaluationError, FormulaError
 from .rationals import ZERO, ONE
-from .syntax import (Atom, Const, Exists, Formula, Geq, Implies, Theory,
+from .syntax import (Atom, Const, Exists, Formula, Func, Geq, Implies, Theory,
                      Var, children, expand_abbreviations, free_variables,
                      postorder)
 
@@ -38,13 +38,26 @@ _PREP_CACHE: dict[int, tuple] = {}
 _PREP_CACHE_LIMIT = 65536
 
 
+def _scope_children(node) -> tuple:
+    """Children within one quantifier scope: an ``Exists`` body is a
+    scope of its own."""
+    return () if isinstance(node, Exists) else children(node)
+
+
 def _prepare(formula: Formula):
+    """``(formula, free, layer, scopes)``: the free variables of the
+    expanded formula in first-occurrence order, the nodes of its root
+    scope in postorder, and for each ``Exists`` node, by id, its free
+    variables and the nodes of its body's scope."""
     cached = _PREP_CACHE.get(id(formula))
     if cached is not None:
         return cached
     core = expand_abbreviations(formula)
-    shared, fv_map, depth = _analyze(core)
-    entry = (formula, core, shared, fv_map, depth)
+    scopes = {id(node): (free_variables(node),
+                         postorder(node.body, _scope_children))
+              for node in postorder(core) if isinstance(node, Exists)}
+    entry = (formula, free_variables(core),
+             postorder(core, _scope_children), scopes)
     if len(_PREP_CACHE) >= _PREP_CACHE_LIMIT:
         _PREP_CACHE.clear()
     _PREP_CACHE[id(formula)] = entry
@@ -54,7 +67,7 @@ def _prepare(formula: Formula):
 class Evaluator:
     """Reusable evaluation engine for one structure.
 
-    Per-formula preprocessing (expansion, shared-node detection, free
+    Per-formula preprocessing (expansion, quantifier scopes, free
     variables) is cached by formula identity, which makes repeated
     evaluation of one formula corpus against many structures cheap.
     """
@@ -63,59 +76,54 @@ class Evaluator:
         self.structure = structure
 
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
-        _, core, shared, fv_map, depth = _prepare(formula)
+        _, free, layer, scopes = _prepare(formula)
         env = dict(assignment) if assignment else {}
-        for name in fv_map[id(core)]:
+        for name in free:
             if name not in env:
                 raise EvaluationError(f"unassigned free variable {name!r}")
             if not self.structure.has_element(env[name]):
                 raise EvaluationError(
                     f"assignment sends {name!r} outside the universe: "
                     f"{env[name]!r}")
-        needed = 4 * depth + 64
-        limit = sys.getrecursionlimit()
-        if needed > limit:
-            sys.setrecursionlimit(needed)
-        try:
-            return self._run(core, env, shared, fv_map, {})
-        finally:
-            if needed > limit:
-                sys.setrecursionlimit(limit)
+        return self._run(layer, env, scopes, {})
 
-    def _run(self, node, env, shared, fv_map, memo):
-        key = None
-        if id(node) in shared:
-            key = (id(node), tuple(sorted(
-                (v, env[v]) for v in fv_map[id(node)])))
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-        if isinstance(node, Atom):
-            args = tuple(self._term(t, env) for t in node.args)
-            value = self._atom(node.pred, args)
-        elif isinstance(node, Const):
-            value = node.value
-        elif isinstance(node, Implies):
-            lhs = self._run(node.lhs, env, shared, fv_map, memo)
-            rhs = self._run(node.rhs, env, shared, fv_map, memo)
-            value = ONE - lhs + rhs
-            if value > ONE:
-                value = ONE
-        elif isinstance(node, Exists):
-            best = ZERO
-            inner = dict(env)
-            for element in self.structure.universe:
-                inner[node.var] = element
-                v = self._run(node.body, inner, shared, fv_map, memo)
-                if v > best:
-                    best = v
-                    if best == ONE:
-                        break
-            value = best
-        else:
-            raise FormulaError(f"evaluator got a non-core node: {node!r}")
-        if key is not None:
-            memo[key] = value
+    def _run(self, layer, env, scopes, memo):
+        """The value of the last node of ``layer`` under ``env``."""
+        values = {}
+        for node in layer:
+            kind = type(node)
+            if kind is Implies:
+                value = ONE - values[id(node.lhs)] + values[id(node.rhs)]
+                if value > ONE:
+                    value = ONE
+            elif kind is Atom:
+                value = self._atom(
+                    node.pred, tuple([values[id(t)] for t in node.args]))
+            elif kind is Var:
+                value = env[node.name]
+            elif kind is Const:
+                value = node.value
+            elif kind is Func:
+                value = self._func(
+                    node.name, tuple([values[id(t)] for t in node.args]))
+            elif kind is Exists:
+                free, body = scopes[id(node)]
+                key = (id(node), tuple([env[name] for name in free]))
+                value = memo.get(key)
+                if value is None:
+                    value = ZERO
+                    inner = dict(env)
+                    for element in self.structure.universe:
+                        inner[node.var] = element
+                        v = self._run(body, inner, scopes, memo)
+                        if v > value:
+                            value = v
+                            if value == ONE:
+                                break
+                    memo[key] = value
+            else:
+                raise FormulaError(f"evaluator got a non-core node: {node!r}")
+            values[id(node)] = value
         return value
 
     def _atom(self, pred, args):
@@ -132,53 +140,23 @@ class Evaluator:
             raise EvaluationError(
                 f"predicate {pred!r} has no entry for {args}") from None
 
-    def _term(self, term, env):
-        if isinstance(term, Var):
-            try:
-                return env[term.name]
-            except KeyError:
-                raise EvaluationError(
-                    f"unassigned free variable {term.name!r}") from None
+    def _func(self, name, args):
         structure = self.structure
-        if not term.args:
+        if not args:
             try:
-                return structure.constants[term.name]
+                return structure.constants[name]
             except KeyError:
                 raise EvaluationError(
-                    f"constant {term.name!r} missing from the structure") from None
-        table = structure.operations.get(term.name)
+                    f"constant {name!r} missing from the structure") from None
+        table = structure.operations.get(name)
         if table is None:
             raise EvaluationError(
-                f"operation {term.name!r} missing from the structure")
-        args = tuple(self._term(t, env) for t in term.args)
+                f"operation {name!r} missing from the structure")
         try:
             return table[args]
         except KeyError:
             raise EvaluationError(
-                f"operation {term.name!r} has no entry for {args}") from None
-
-
-def _analyze(core: Formula):
-    """One pass over the DAG: the shared nodes, the free variables of
-    each shared node and of the root, and the depth."""
-    refs: dict[int, int] = {}
-    free: dict[int, frozenset] = {}
-    depth: dict[int, int] = {}
-    for node in postorder(core):
-        kids = [id(kid) for kid in children(node)]
-        for kid in kids:
-            refs[kid] = refs.get(kid, 0) + 1
-        names = frozenset().union(*[free[kid] for kid in kids])
-        if isinstance(node, Var):
-            names = frozenset((node.name,))
-        elif isinstance(node, Exists):
-            names -= {node.var}
-        free[id(node)] = names
-        depth[id(node)] = 1 + max([depth[kid] for kid in kids], default=0)
-    shared = frozenset(nid for nid, count in refs.items() if count > 1)
-    fv_map = {nid: free[nid] for nid in shared}
-    fv_map[id(core)] = free[id(core)]
-    return shared, fv_map, depth[id(core)]
+                f"operation {name!r} has no entry for {args}") from None
 
 
 def evaluate(structure, formula: Formula,

@@ -12,7 +12,6 @@ positive verdict certifies the property over the supplied family only.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -351,43 +350,23 @@ def _constants_on_grid(theory: Theory, denominator: int) -> None:
 
 
 def search_model(space: SearchSpace, theory: Theory,
-                 types: Sequence[TypeSet], workers: int = 1) -> SearchOutcome:
+                 types: Sequence[TypeSet]) -> SearchOutcome:
     """Deterministically scan the space for the canonically first
     structure satisfying the theory and omitting every listed type.
 
-    The examined count is the candidate's 1-based canonical index (or
-    the total count when exhausted) and is independent of ``workers``;
-    worker parallelism only partitions the scan into blocks whose
-    results are reduced back in canonical order.
+    The scan is serial, in canonical order; the examined count is the
+    candidate's 1-based canonical index (or the total count when
+    exhausted).
     """
     _constants_on_grid(theory, space.truth_denominator)
-
-    def accepts(candidate: Structure) -> bool:
-        engine = Evaluator(candidate)
-        if any(engine.value(s) != ONE for s in theory.sentences):
-            return False
-        return all(_first_realizer(engine, t) is None for t in types)
-
-    generator = enumerate_structures(space)
     examined = 0
-    if workers <= 1:
-        for candidate in generator:
-            examined += 1
-            if accepts(candidate):
-                return SearchOutcome(candidate, examined)
-        return SearchOutcome(None, examined)
-
-    block_size = max(64, 16 * workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while True:
-            block = list(itertools.islice(generator, block_size))
-            if not block:
-                return SearchOutcome(None, examined)
-            verdicts = list(pool.map(accepts, block))
-            for candidate, ok in zip(block, verdicts):
-                examined += 1
-                if ok:
-                    return SearchOutcome(candidate, examined)
+    for candidate in enumerate_structures(space):
+        examined += 1
+        engine = Evaluator(candidate)
+        if all(engine.value(s) == ONE for s in theory.sentences) and \
+                all(_first_realizer(engine, t) is None for t in types):
+            return SearchOutcome(candidate, examined)
+    return SearchOutcome(None, examined)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +479,7 @@ class MetricPrincipalReport:
 
 def metrically_principal_check(family: Sequence[Structure], theory: Theory,
                                sigma: TypeSet, deltas: Sequence[Fraction],
-                               candidates: Mapping,
-                               max_conjunction: Optional[int] = None
-                               ) -> MetricPrincipalReport:
+                               candidates: Mapping) -> MetricPrincipalReport:
     """For each listed delta, thicken the type and test the supplied
     candidate: a ``GeneratorCandidate`` goes through the formula-set
     generator clause, an ``OmegaCandidate`` through the single-formula
@@ -513,7 +490,7 @@ def metrically_principal_check(family: Sequence[Structure], theory: Theory,
         candidate = candidates.get(delta)
         if candidate is None:
             raise FormulaError(f"no candidate supplied for delta = {delta}")
-        thick = thicken(sigma, delta, max_conjunction)
+        thick = thicken(sigma, delta)
         if isinstance(candidate, GeneratorCandidate):
             phi = TypeSet(name=f"candidate^{delta}", variables=sigma.variables,
                           formulas=candidate.formulas)

@@ -25,7 +25,7 @@ from .errors import ParseError
 from .omitting import SearchSpace, TypeSet
 from .rationals import format_rational, parse_rational
 from .structures import Structure
-from .syntax import (Formula, Signature, Theory, Vocabulary, parse_formula,
+from .syntax import (Signature, Theory, Vocabulary, parse_formula,
                      parse_vocabulary, render)
 
 

@@ -434,29 +434,33 @@ def _induced(structure: Structure, universe: tuple) -> Structure:
 # The combined structure
 
 
-def _tag_symbol(name: str, k: int, suffixes) -> str:
-    return f"{name}{suffixes[k]}"
+# The monadic predicates marking the two components.
+_MARKERS = ("P0", "P1")
 
 
-def combine(m0: Structure, m1: Structure, suffixes=("_0", "_1"),
-            markers=("P0", "P1")) -> Structure:
+def _tag_symbol(name: str, k: int) -> str:
+    """The name of symbol ``name`` of component ``k``."""
+    return f"{name}_{k}"
+
+
+def combine(m0: Structure, m1: Structure) -> Structure:
     """Disjoint-union structure over component-tagged symbols.
 
     Universes are tagged ``<id>.0`` / ``<id>.1`` and sit at distance 1
     from each other.  Each symbol ``s`` of the shared vocabulary yields
-    ``s<suffix_k>`` interpreted as in component ``k`` on that component's
+    ``s_k`` interpreted as in component ``k`` on that component's
     tuples; elsewhere predicates are 0 and operations return the first
-    element of the left component.  ``markers`` name the two fresh
-    monadic predicates holding the characteristic function of each part.
+    element of the left component.  The fresh monadic predicates ``P0``
+    and ``P1`` hold the characteristic function of each part.
     """
     vocab = m0.vocabulary()
     if vocab != m1.vocabulary():
         raise VocabularyError("combine needs structures over one vocabulary")
     tagged = [{e: f"{e}.0" for e in m0.universe},
               {e: f"{e}.1" for e in m1.universe}]
-    new_names = [_tag_symbol(n, k, suffixes)
+    new_names = [_tag_symbol(n, k)
                  for n in sorted(vocab.symbols()) for k in (0, 1)]
-    if len(set(new_names) | set(markers)) != len(new_names) + 2:
+    if len(set(new_names) | set(_MARKERS)) != len(new_names) + 2:
         raise VocabularyError("tagged symbol names clash with the markers")
 
     universe = tuple(tagged[0][e] for e in m0.universe) + \
@@ -473,8 +477,8 @@ def combine(m0: Structure, m1: Structure, suffixes=("_0", "_1"),
             metric[(a, b)] = ONE
             metric[(b, a)] = ONE
 
-    predicates = {markers[k]: {(e,): ONE if e in parts[k] else ZERO
-                               for e in universe} for k in (0, 1)}
+    predicates = {_MARKERS[k]: {(e,): ONE if e in parts[k] else ZERO
+                                for e in universe} for k in (0, 1)}
     operations: dict = {}
     constants: dict = {}
     sources = (m0, m1)
@@ -486,35 +490,34 @@ def combine(m0: Structure, m1: Structure, suffixes=("_0", "_1"),
                          for args in itertools.product(universe, repeat=arity)}
             for args, v in table.items():
                 new_table[tuple(tag[a] for a in args)] = v
-            predicates[_tag_symbol(name, k, suffixes)] = new_table
+            predicates[_tag_symbol(name, k)] = new_table
         for name, table in src.operations.items():
             arity = len(next(iter(table)))
             new_table = {args: designated
                          for args in itertools.product(universe, repeat=arity)}
             for args, out in table.items():
                 new_table[tuple(tag[a] for a in args)] = tag[out]
-            operations[_tag_symbol(name, k, suffixes)] = new_table
+            operations[_tag_symbol(name, k)] = new_table
         for name, e in src.constants.items():
-            constants[_tag_symbol(name, k, suffixes)] = tag[e]
+            constants[_tag_symbol(name, k)] = tag[e]
 
     return Structure(universe, metric, predicates, operations, constants)
 
 
-def combined_signature(signature: Signature, suffixes=("_0", "_1"),
-                       markers=("P0", "P1")) -> Signature:
+def combined_signature(signature: Signature) -> Signature:
     """Signature for ``combine``: tagged copies of the moduli plus the
     two marker predicates with empty (trivial) moduli tables."""
     vocab = signature.vocabulary
-    preds = {markers[0]: 1, markers[1]: 1}
+    preds = {_MARKERS[0]: 1, _MARKERS[1]: 1}
     ops = {}
     moduli = {}
     for k in (0, 1):
         for n, a in vocab.predicates.items():
-            preds[_tag_symbol(n, k, suffixes)] = a
+            preds[_tag_symbol(n, k)] = a
         for n, a in vocab.operations.items():
-            ops[_tag_symbol(n, k, suffixes)] = a
+            ops[_tag_symbol(n, k)] = a
         for n, pairs in signature.moduli.items():
-            moduli[_tag_symbol(n, k, suffixes)] = pairs
-    moduli[markers[0]] = ()
-    moduli[markers[1]] = ()
+            moduli[_tag_symbol(n, k)] = pairs
+    moduli[_MARKERS[0]] = ()
+    moduli[_MARKERS[1]] = ()
     return Signature(Vocabulary(preds, ops), moduli)

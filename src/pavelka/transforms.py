@@ -12,7 +12,7 @@ from typing import Optional
 
 from .errors import FormulaError, RestrictionError, VocabularyError
 from .rationals import ZERO, ONE, as_fraction
-from .structures import Structure
+from .structures import _MARKERS, Structure, _induced, _tag_symbol
 from .syntax import (And, Atom, Const, Exists, Forall, Formula, Leq, Not, Or,
                      Theory, Var, Vocabulary, all_variables,
                      expand_abbreviations, formula_symbols, free_variables,
@@ -110,33 +110,22 @@ def restrict_to_predicate(structure: Structure, predicate: str) -> Structure:
                     "not-closed",
                     f"operation {name!r} escapes the part at {args}")
 
-    metric = {(a, b): structure.metric[(a, b)] for a in part for b in part}
-    predicates = {}
-    for name, ptable in structure.predicates.items():
-        if name == predicate:
-            continue
-        arity = len(next(iter(ptable)))
-        predicates[name] = {args: ptable[args]
-                            for args in itertools.product(part, repeat=arity)}
-    operations = {}
-    for name, optable in structure.operations.items():
-        arity = len(next(iter(optable)))
-        operations[name] = {args: optable[args]
-                            for args in itertools.product(part, repeat=arity)}
-    return Structure(part, metric, predicates, operations,
-                     dict(structure.constants), label=structure.label)
+    sub = _induced(structure, part)
+    predicates = {name: ptable for name, ptable in sub.predicates.items()
+                  if name != predicate}
+    return Structure(part, sub.metric, predicates, sub.operations,
+                     sub.constants, label=sub.label)
 
 
-def component_sentence(sentence: Formula, k: int, suffixes=("_0", "_1"),
-                       markers=("P0", "P1")) -> Formula:
+def component_sentence(sentence: Formula, k: int) -> Formula:
     """The sentence about component ``k`` of a combined structure: rename
     every symbol with the component suffix, then relativize all
     quantifiers to the component's marker predicate."""
     if k not in (0, 1):
         raise FormulaError("component index must be 0 or 1")
-    mapping = {name: f"{name}{suffixes[k]}"
+    mapping = {name: _tag_symbol(name, k)
                for name in formula_symbols(sentence)}
-    return relativize_monadic(rename_symbols(sentence, mapping), markers[k])
+    return relativize_monadic(rename_symbols(sentence, mapping), _MARKERS[k])
 
 
 # ---------------------------------------------------------------------------

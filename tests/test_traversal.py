@@ -3,11 +3,12 @@ terms, no recursion limit on deep ones, and agreement of every ported
 walk with the recursive reference walks in ``naive``."""
 
 import random
+import sys
 from fractions import Fraction as F
 
-from pavelka import (Atom, Exists, Implies, Or, Var, Vocabulary, evaluate,
-                     expand_abbreviations, free_variables, rename_symbols,
-                     substitute)
+from pavelka import (Atom, Exists, Func, Implies, Or, Var, Vocabulary,
+                     evaluate, expand_abbreviations, free_variables,
+                     rename_symbols, substitute)
 from pavelka.connectives import (apply_connective, dag_size, eval_term,
                                  half_approx, scale_dyadic)
 from pavelka.omitting import TypeSet
@@ -68,6 +69,20 @@ class TestDepth:
         phi = apply_connective(term, [px()])
         assert evaluate(m2, phi, {"x": "a"}) == eval_term(term, [F(1, 3)])
 
+    def test_recursion_limit_left_alone(self, m2, mod3, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"recursion limit set to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        term = half_approx(2000)
+        phi = apply_connective(term, [px()])
+        assert evaluate(m2, phi, {"x": "a"}) == eval_term(term, [F(1, 3)])
+        deep = Var("x")
+        for _ in range(3000):
+            deep = Func("s", (deep,))
+        atom = Atom("d", (deep, Func("s", (Var("x"),))))
+        assert evaluate(mod3, atom, {"x": "e0"}) == 1
+
 
 def _corpus(size=1000):
     out = []
@@ -89,6 +104,10 @@ CORPUS = _corpus()
 
 
 class TestDifferential:
+    def test_evaluate(self):
+        for _, m, phi, env in CORPUS:
+            assert evaluate(m, phi, env) == naive_eval(m, phi, env)
+
     def test_variables_symbols_core(self):
         for _, _, phi, _ in CORPUS:
             assert list(free_variables(phi)) == naive_free_variables(phi)
