@@ -128,9 +128,8 @@ class Evaluator:
 
     def _atom(self, pred, args):
         structure = self.structure
-        if pred == "d":
-            return structure.metric[args]
-        table = structure.predicates.get(pred)
+        table = structure.metric if pred == "d" \
+            else structure.predicates.get(pred)
         if table is None:
             raise EvaluationError(
                 f"predicate {pred!r} missing from the structure")

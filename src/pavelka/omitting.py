@@ -21,8 +21,8 @@ from .evaluator import EntailmentResult, Evaluator, entails, model_tuples
 from .rationals import ZERO, ONE, as_fraction
 from .structures import Structure
 from .syntax import (Atom, Const, Formula, Geq, Leq, Term, Theory, Var,
-                     Vocabulary, children, free_variables, postorder,
-                     substitute, term_variables)
+                     Vocabulary, children, formula_symbols, free_variables,
+                     postorder, substitute, term_variables)
 from .transforms import thicken
 
 
@@ -283,49 +283,155 @@ def _metric_tables(universe, values):
             yield table
 
 
-def enumerate_structures(space: SearchSpace):
-    """All structures of the space in canonical order: universe size
-    ascending; then the metric table, predicate tables (symbols sorted,
-    argument tuples lexicographic), operation tables, and constants,
-    each in ascending grid order."""
+def _universe(size: int) -> tuple:
+    return tuple(f"e{i}" for i in range(1, size + 1))
+
+
+def _metric_values(space: SearchSpace) -> list:
+    return [Fraction(i, space.metric_denominator)
+            for i in range(1, space.metric_denominator + 1)]
+
+
+def _levels(space: SearchSpace, universe: tuple) -> list:
+    """The levels after the metric table, one per symbol: predicates
+    sorted by name, then operations, then constants, each as ``(name,
+    kind, argument tuples, values)``.  A level's tables are
+    ``product(values, repeat=len(argument tuples))``, the first argument
+    tuple most significant."""
     vocab = space.vocabulary
     truth_values = [Fraction(i, space.truth_denominator)
                     for i in range(space.truth_denominator + 1)]
-    metric_values = [Fraction(i, space.metric_denominator)
-                     for i in range(1, space.metric_denominator + 1)]
-    pred_names = sorted(vocab.predicates)
-    op_names = sorted(n for n, a in vocab.operations.items() if a > 0)
-    const_names = sorted(n for n, a in vocab.operations.items() if a == 0)
+    return ([(n, "predicates",
+              tuple(itertools.product(universe, repeat=vocab.predicates[n])),
+              truth_values) for n in sorted(vocab.predicates)]
+            + [(n, "operations",
+                tuple(itertools.product(universe, repeat=a)), universe)
+               for n, a in sorted(vocab.operations.items()) if a > 0]
+            + [(n, "constants", ((),), universe) for n in vocab.constants()])
+
+
+def _structure(universe: tuple, levels: list, prefix: list) -> Structure:
+    """The structure of the tables chosen so far: the metric table, then
+    one table per level of ``levels``, in order."""
+    parts: dict = {"predicates": {}, "operations": {}, "constants": {}}
+    for (name, kind, _, _), table in zip(levels, prefix[1:]):
+        parts[kind][name] = table[()] if kind == "constants" else table
+    return Structure(universe, prefix[0], **parts)
+
+
+def _formulas(check) -> tuple:
+    return check.formulas if isinstance(check, TypeSet) else (check,)
+
+
+def _passes(engine: Evaluator, check) -> bool:
+    """A sentence passes at value exactly 1, a type when it is omitted."""
+    if isinstance(check, TypeSet):
+        return _first_realizer(engine, check) is None
+    return engine.value(check) == ONE
+
+
+def _check_symbols(space: SearchSpace, checks: Sequence) -> None:
+    """Evaluate every check, in order, in the first structure of the
+    space on one element.  Every node gets evaluated there, so a symbol
+    outside the vocabulary or used at another arity raises the
+    evaluator's ``EvaluationError`` before the walk starts."""
+    universe = _universe(1)
+    levels = _levels(space, universe)
+    engine = Evaluator(_structure(universe, levels, [{}] + [
+        dict.fromkeys(slots, values[0]) for _, _, slots, values in levels]))
+    for check in checks:
+        if isinstance(check, TypeSet):
+            env = dict.fromkeys(check.variables, universe[0])
+            for phi in check.formulas:
+                engine.value(phi, env)
+        else:
+            engine.value(check)
+
+
+def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
+    """The structures of the space that pass every check, in canonical
+    order; with no checks, all of them.  A check is a sentence, which
+    passes at value exactly 1, or a ``TypeSet``, which passes when the
+    structure omits it.
+
+    The order is universe size ascending, then per size one level per
+    table, the first level most significant: the metric table, then the
+    predicate tables (names sorted), the operation tables and the
+    constants (names sorted).  A level's tables run through its argument
+    tuples in lexicographic order, the first one most significant, with
+    values in ascending grid order.  Each level is generated lazily.
+
+    A check belongs to the level of the last symbol it mentions, the
+    metric level when it mentions none, and is decided, in the order
+    given, on the structure of the tables chosen so far; a table that
+    fails one skips every structure that extends it.  ``search_model``
+    reports the canonical index of the first structure yielded, so the
+    skipped structures still count as examined.  A check that uses a
+    symbol outside the space's vocabulary, or at another arity, raises
+    ``EvaluationError`` before the first structure.
+    """
+    _check_symbols(space, checks)
+    depth = {name: k for k, (name, _, _, _) in
+             enumerate(_levels(space, _universe(1)), start=1)}
+    at_level: list = [[] for _ in range(len(depth) + 1)]
+    for check in checks:
+        mentioned = set().union(*map(formula_symbols, _formulas(check)))
+        at_level[max(map(depth.__getitem__, mentioned), default=0)].append(
+            check)
+    last = len(depth)
+    metric_values = _metric_values(space)
 
     for size in range(1, space.max_size + 1):
-        universe = tuple(f"e{i}" for i in range(1, size + 1))
-        pred_slots = []
-        for name in pred_names:
-            arity = vocab.predicates[name]
-            for args in itertools.product(universe, repeat=arity):
-                pred_slots.append((name, args))
-        op_slots = []
-        for name in op_names:
-            arity = vocab.operations[name]
-            for args in itertools.product(universe, repeat=arity):
-                op_slots.append((name, args))
+        universe = _universe(size)
+        levels = _levels(space, universe)
 
-        for metric in _metric_tables(universe, metric_values):
-            for pred_choice in itertools.product(truth_values,
-                                                 repeat=len(pred_slots)):
-                predicates: dict = {name: {} for name in pred_names}
-                for (name, args), value in zip(pred_slots, pred_choice):
-                    predicates[name][args] = value
-                for op_choice in itertools.product(universe,
-                                                   repeat=len(op_slots)):
-                    operations: dict = {name: {} for name in op_names}
-                    for (name, args), out in zip(op_slots, op_choice):
-                        operations[name][args] = out
-                    for const_choice in itertools.product(
-                            universe, repeat=len(const_names)):
-                        constants = dict(zip(const_names, const_choice))
-                        yield Structure(universe, metric, predicates,
-                                        operations, constants)
+        def descend(k, chosen):
+            if k:
+                _, _, slots, values = levels[k - 1]
+                tables = (dict(zip(slots, choice)) for choice in
+                          itertools.product(values, repeat=len(slots)))
+            else:
+                tables = _metric_tables(universe, metric_values)
+            for table in tables:
+                prefix = chosen + [table]
+                if at_level[k] or k == last:
+                    structure = _structure(universe, levels, prefix)
+                    engine = Evaluator(structure)
+                    if not all(_passes(engine, check)
+                               for check in at_level[k]):
+                        continue
+                if k < last:
+                    yield from descend(k + 1, prefix)
+                else:
+                    yield structure
+
+        yield from descend(0, [])
+
+
+def _count(space: SearchSpace, size: int) -> int:
+    """The number of structures of the space on ``size`` elements."""
+    universe = _universe(size)
+    count = sum(1 for _ in _metric_tables(universe, _metric_values(space)))
+    for _, _, slots, values in _levels(space, universe):
+        count *= len(values) ** len(slots)
+    return count
+
+
+def _index(space: SearchSpace, structure: Structure) -> int:
+    """The 1-based canonical index of a structure of the space: the
+    structures on fewer elements come first, then its tables are the
+    digits of one mixed-radix number, the metric table most
+    significant."""
+    universe = structure.universe
+    rank = next(i for i, table in enumerate(
+        _metric_tables(universe, _metric_values(space)))
+        if all(structure.metric[pair] == v for pair, v in table.items()))
+    for name, kind, slots, values in _levels(space, universe):
+        for args in slots:
+            value = structure.constants[name] if kind == "constants" \
+                else getattr(structure, kind)[name][args]
+            rank = rank * len(values) + values.index(value)
+    return sum(_count(space, n) for n in range(1, len(universe))) + rank + 1
 
 
 def _off_grid(node, denominator: int) -> Optional[str]:
@@ -354,19 +460,26 @@ def search_model(space: SearchSpace, theory: Theory,
     """Deterministically scan the space for the canonically first
     structure satisfying the theory and omitting every listed type.
 
-    The scan is serial, in canonical order; the examined count is the
-    candidate's 1-based canonical index (or the total count when
-    exhausted).
+    The scan is serial: the first structure that ``enumerate_structures``
+    yields with the theory's sentences and the types as its checks.
+    Each sentence and each type is decided once per prefix of tables,
+    at the level of the last symbol it mentions (the metric level when
+    it mentions none), and a prefix that fails one skips every structure
+    extending it.  The examined count is still the found structure's
+    1-based canonical index, or the size of the space when it is
+    exhausted, so skipped structures count.
+
+    Off-grid constants and bounds in the theory raise ``ResolutionError``,
+    and a symbol outside the space's vocabulary or at another arity
+    raises ``EvaluationError``, both before the scan starts.
     """
     _constants_on_grid(theory, space.truth_denominator)
-    examined = 0
-    for candidate in enumerate_structures(space):
-        examined += 1
-        engine = Evaluator(candidate)
-        if all(engine.value(s) == ONE for s in theory.sentences) and \
-                all(_first_realizer(engine, t) is None for t in types):
-            return SearchOutcome(candidate, examined)
-    return SearchOutcome(None, examined)
+    found = next(enumerate_structures(space, [*theory.sentences, *types]),
+                 None)
+    if found is None:
+        return SearchOutcome(None, sum(
+            _count(space, n) for n in range(1, space.max_size + 1)))
+    return SearchOutcome(found, _index(space, found))
 
 
 # ---------------------------------------------------------------------------

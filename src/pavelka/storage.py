@@ -219,13 +219,30 @@ def space_to_dict(space: SearchSpace) -> dict:
             "seed": space.seed}
 
 
+_SPACE_INTEGERS = ("max_size", "truth_denominator", "metric_denominator",
+                   "seed")
+
+
 def space_from_dict(data: Mapping) -> SearchSpace:
+    """A search space; its integer fields must be JSON integers, so
+    ``2.7``, ``true`` and ``"2"`` are refused rather than coerced."""
+    if not isinstance(data, Mapping):
+        raise ParseError("search space must be a JSON object")
+    fields = {"seed": 0, **data}
+    for key in ("vocabulary",) + _SPACE_INTEGERS:
+        if key not in fields:
+            raise ParseError(f"search space has no {key!r} field")
+    for key in _SPACE_INTEGERS:
+        value = fields[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(f"search space field {key!r} must be an "
+                             f"integer, got {json.dumps(value)}")
     return SearchSpace(
-        vocabulary=vocabulary_from_dict(data["vocabulary"]),
-        max_size=int(data["max_size"]),
-        truth_denominator=int(data["truth_denominator"]),
-        metric_denominator=int(data["metric_denominator"]),
-        seed=int(data.get("seed", 0)))
+        vocabulary=vocabulary_from_dict(fields["vocabulary"]),
+        max_size=fields["max_size"],
+        truth_denominator=fields["truth_denominator"],
+        metric_denominator=fields["metric_denominator"],
+        seed=fields["seed"])
 
 
 def load_space(path: str) -> SearchSpace:

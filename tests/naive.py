@@ -7,9 +7,10 @@ existential maximum never exits early.  Agreement with the engine
 therefore cross-checks both the evaluator and the abbreviation laws.
 """
 
+import itertools
 from fractions import Fraction
 
-from pavelka import syntax
+from pavelka import Structure, syntax
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -72,8 +73,6 @@ def naive_satisfies(structure, sentence):
 
 
 def naive_omits(structure, typeset):
-    import itertools
-
     n = len(typeset.variables)
     for tup in itertools.product(structure.universe, repeat=n):
         env = dict(zip(typeset.variables, tup))
@@ -81,6 +80,59 @@ def naive_omits(structure, typeset):
                for phi in typeset.formulas):
             return False
     return True
+
+
+def naive_search(space, theory, types):
+    """``(examined, structure)`` for the first structure of the space that
+    satisfies the theory and omits every type, or ``(size of the space,
+    None)``.  Every candidate is built in full and checked with
+    ``naive_eval``, in the documented order: universe size ascending, then
+    the metric table, the predicate tables (names sorted), the operation
+    tables and the constants (names sorted), one slot per argument tuple
+    in lexicographic order, values in ascending grid order."""
+    vocab = space.vocabulary
+    truth = [Fraction(i, space.truth_denominator)
+             for i in range(space.truth_denominator + 1)]
+    distances = [Fraction(i, space.metric_denominator)
+                 for i in range(1, space.metric_denominator + 1)]
+    preds = sorted(vocab.predicates)
+    ops = sorted(n for n, a in vocab.operations.items() if a > 0)
+    consts = sorted(n for n, a in vocab.operations.items() if a == 0)
+    examined = 0
+    for size in range(1, space.max_size + 1):
+        universe = tuple(f"e{i}" for i in range(1, size + 1))
+        pairs = list(itertools.combinations(universe, 2))
+        metrics = []
+        for values in itertools.product(distances, repeat=len(pairs)):
+            d = {(a, a): ZERO for a in universe}
+            for (a, b), value in zip(pairs, values):
+                d[(a, b)] = d[(b, a)] = value
+            if all(d[(a, c)] <= d[(a, b)] + d[(b, c)]
+                   for a, b, c in itertools.product(universe, repeat=3)):
+                metrics.append(dict(zip(pairs, values)))
+        pred_slots = [(name, args) for name in preds for args in
+                      itertools.product(universe,
+                                        repeat=vocab.predicates[name])]
+        op_slots = [(name, args) for name in ops for args in
+                    itertools.product(universe, repeat=vocab.operations[name])]
+        for metric, pred_values, op_values, const_values in itertools.product(
+                metrics,
+                itertools.product(truth, repeat=len(pred_slots)),
+                itertools.product(universe, repeat=len(op_slots)),
+                itertools.product(universe, repeat=len(consts))):
+            predicates = {name: {} for name in preds}
+            for (name, args), value in zip(pred_slots, pred_values):
+                predicates[name][args] = value
+            operations = {name: {} for name in ops}
+            for (name, args), value in zip(op_slots, op_values):
+                operations[name][args] = value
+            structure = Structure(universe, metric, predicates, operations,
+                                  dict(zip(consts, const_values)))
+            examined += 1
+            if all(naive_satisfies(structure, s) for s in theory.sentences) \
+                    and all(naive_omits(structure, t) for t in types):
+                return examined, structure
+    return examined, None
 
 
 # Reference structural walks: plain recursion over the formula as a tree,

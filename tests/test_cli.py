@@ -186,6 +186,28 @@ class TestSearchAndTransforms:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("change, message", [
+        ({"max_size": 2.7}, "search space field 'max_size' must be an "
+                            "integer, got 2.7"),
+        ({"truth_denominator": True}, "search space field "
+         "'truth_denominator' must be an integer, got true"),
+        ({"metric_denominator": "2"}, "search space field "
+         "'metric_denominator' must be an integer, got \"2\""),
+        ({"max_size": None}, "search space has no 'max_size' field"),
+    ])
+    def test_omit_bad_space_field(self, files, capsys, tmp_path, change,
+                                  message):
+        with open(files["space.json"], encoding="utf-8") as handle:
+            data = {**json.load(handle), **change}
+        data = {k: v for k, v in data.items() if v is not None}
+        bad = tmp_path / "bad-space.json"
+        bad.write_text(json.dumps(data))
+        code = main(["omit", "--space", str(bad),
+                     "--theory", files["loose.json"]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_relativize(self, files, capsys):
         code, out = run(capsys, "relativize", "--formula", files["phi.txt"],
                         "--vocab", files["vocab.json"], "--pred", "G")

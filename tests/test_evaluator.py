@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavelka import (And, Const, EvaluationError, Exists, Geq, Leq, Not, Or,
-                     Structure, Theory, TypeSet, Vocabulary, check_theory,
-                     entails, evaluate, parse_formula, satisfies,
-                     tarski_vaught_check)
+from pavelka import (And, Atom, Const, EvaluationError, Exists, Geq, Leq, Not,
+                     Or, Structure, Theory, TypeSet, Var, Vocabulary,
+                     check_theory, entails, evaluate, parse_formula,
+                     satisfies, tarski_vaught_check)
 from pavelka.errors import FormulaError
 
 from genutil import random_formula, random_sentence, random_structure
@@ -37,6 +37,11 @@ class TestEval:
     def test_unassigned_variable(self, m2, vocab_pc):
         with pytest.raises(EvaluationError):
             evaluate(m2, parse_formula("P(x)", vocab_pc))
+
+    def test_metric_atom_at_another_arity(self, m2):
+        with pytest.raises(EvaluationError,
+                           match=r"predicate 'd' has no entry for \('a',\)"):
+            evaluate(m2, Atom("d", (Var("x"),)), {"x": "a"})
 
     def test_missing_symbol(self, m2):
         other = Vocabulary({"Q": 1}, {})

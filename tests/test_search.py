@@ -1,0 +1,216 @@
+"""The prefix-pruned model search against an independent full scan.
+
+``search_model`` decides each sentence and type at the shortest symbol
+prefix it reads and skips whole index blocks; ``naive_search`` builds and
+checks every candidate.  Both must agree on the examined index and on
+the structure found.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from pavelka import (Atom, Const, EvaluationError, Exists, Forall, Func, Geq,
+                     Leq, SearchSpace, Theory, TypeSet, Var, Vocabulary,
+                     parse_formula, search_model, syntax)
+from pavelka.omitting import _index, enumerate_structures
+
+from genutil import random_atom, random_formula, random_sentence
+from naive import naive_omits, naive_satisfies, naive_search
+
+# (vocabulary, max size, truth grids): each space has at most a few
+# hundred candidates, so the full scan stays cheap.
+SPACES = (
+    (Vocabulary({"P": 1, "Q": 1}, {"c": 0}), 2, (1, 2)),
+    (Vocabulary({"R": 2}, {"f": 1, "c": 0}), 2, (1,)),
+    (Vocabulary({"P": 1}, {"f": 1, "a": 0, "b": 0}), 2, (1, 2)),
+    (Vocabulary({"P": 1}, {}), 3, (1, 2)),
+)
+# sentences that read only d, or no symbol at all
+FIXED = ("E x. E y. d(x,y) >= 1", "A x. A y. d(x,y) <= 1/2", "1", "0",
+         "E x. 1/2 -> 1/2", "A x. E y. d(x,y) >= 1/2")
+
+
+def on_grid(formula, denominator):
+    """True when every constant and bound is on the truth grid, as the
+    search requires of theory sentences."""
+    return all(((node.value if isinstance(node, Const) else node.bound)
+                * denominator).denominator == 1
+               for node in syntax.postorder(formula)
+               if isinstance(node, (Const, Geq, Leq)))
+
+
+def sub_vocabulary(rng, vocab):
+    """A random part of the vocabulary, so formulas read different
+    prefixes of the symbol order."""
+    keep = {s for s in vocab.symbols() if rng.random() < 0.5}
+    return Vocabulary(
+        {s: a for s, a in vocab.predicates.items() if s in keep},
+        {s: a for s, a in vocab.operations.items() if s in keep})
+
+
+def random_problem(rng):
+    vocab, max_size, grids = rng.choice(SPACES)
+    truth = rng.choice(grids)
+    space = SearchSpace(vocab, max_size, truth, rng.choice((1, 2)))
+    sentences = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.2:
+            text = rng.choice(FIXED)
+            if "1/2" in text and truth == 1:
+                text = "1"
+            sentences.append(parse_formula(text, vocab))
+            continue
+        if kind < 0.6:
+            # a quantified threshold on one atom: often satisfiable, but
+            # rarely by the first candidate
+            atom = random_atom(rng, sub_vocabulary(rng, vocab), ["x", "y"])
+            if rng.random() < 0.5:
+                body = Geq(atom, F(rng.randint(1, truth), truth))
+            else:
+                body = Leq(atom, F(rng.randint(0, truth - 1), truth))
+            quantifiers = rng.choice(((Exists, Exists), (Forall, Exists),
+                                      (Forall, Forall), (Exists, Forall)))
+            sentences.append(quantifiers[0]("x", quantifiers[1]("y", body)))
+            continue
+        while True:
+            phi = random_sentence(rng, sub_vocabulary(rng, vocab),
+                                  rng.randint(1, 3), 2, truth)
+            if on_grid(phi, truth):
+                break
+        sentences.append(phi)
+    types = []
+    for i in range(rng.randint(0, 2)):
+        variables = ("x",) if rng.random() < 0.6 else ("x", "y")
+        types.append(TypeSet(f"t{i}", variables, tuple(
+            random_formula(rng, sub_vocabulary(rng, vocab), list(variables),
+                           rng.randint(0, 2), 1, 2)
+            for _ in range(rng.randint(1, 2)))))
+    return space, Theory("t", tuple(sentences)), types
+
+
+class TestAgainstFullScan:
+    def test_random_corpus(self):
+        rng = random.Random(20260)
+        found = exhausted = skipped = 0
+        for _ in range(240):
+            space, theory, types = random_problem(rng)
+            outcome = search_model(space, theory, types)
+            examined, structure = naive_search(space, theory, types)
+            assert (outcome.examined, outcome.structure) == \
+                (examined, structure)
+            if structure is None:
+                exhausted += 1
+            else:
+                found += 1
+                skipped += examined > 1
+        assert found >= 100 and exhausted >= 100 and skipped >= 40
+
+    def test_types_reading_different_prefixes(self):
+        vocab = Vocabulary({"P": 1, "Q": 1}, {"c": 0})
+        space = SearchSpace(vocab, 2, 2, 2)
+        theory = Theory("t", (parse_formula("E x. Q(x) >= 1/2", vocab),))
+        types = [TypeSet("pq", ("x", "y"), (
+            parse_formula("P(x)", vocab), parse_formula("d(x,y) >= 1", vocab),
+            parse_formula("Q(y) <= 1/2", vocab))),
+            TypeSet("c", ("x",), (parse_formula("d(x,c) >= 1", vocab),))]
+        outcome = search_model(space, theory, types)
+        assert (outcome.examined, outcome.structure) == \
+            naive_search(space, theory, types)
+        assert outcome.examined > 1
+
+
+class TestLargeSpaces:
+    def test_exhausted_pq_space(self):
+        vocab = Vocabulary({"P": 1, "Q": 1}, {})
+        theory = Theory("t", (parse_formula("A x. Q(x) -> P(x)", vocab),
+                              parse_formula("E x. P(x) >= 1/2", vocab)))
+        types = [TypeSet("s", ("x",), (parse_formula("P(x) >= 1/2", vocab),))]
+        outcome = search_model(SearchSpace(vocab, 3, 4, 2), theory, types)
+        assert outcome.exhausted
+        assert outcome.examined == 126275
+
+    def test_levels_are_generated_lazily(self):
+        # size 4 alone has 4^16 R tables, 4^4 f tables and 4 choices of
+        # c: about 4.4 * 10^12 candidates
+        vocab = Vocabulary({"R": 2}, {"f": 1, "c": 0})
+        space = SearchSpace(vocab, 4, 3, 1)
+        assert search_model(space, Theory("t", ()), []).examined == 1
+        distinct = parse_formula(
+            "E x. E y. E z. E w. d(x,y) /\\ d(x,z) /\\ d(x,w) /\\ d(y,z) "
+            "/\\ d(y,w) /\\ d(z,w)", vocab)
+        outcome = search_model(space, Theory("t", (distinct,)), [])
+        below = sum(4 ** (n * n) * n ** n * n for n in (1, 2, 3))
+        assert outcome.examined == below + 1
+        assert outcome.structure.universe == ("e1", "e2", "e3", "e4")
+        assert set(outcome.structure.predicates["R"].values()) == {F(0)}
+
+    @pytest.mark.parametrize("vocab, size, truth, metric", [
+        (Vocabulary({"P": 1}, {"c": 0}), 3, 2, 2),
+        (Vocabulary({"R": 2}, {"f": 1}), 2, 1, 2),
+        (Vocabulary({"P": 1, "Z": 0}, {"a": 0, "b": 0}), 3, 1, 3),
+    ])
+    def test_enumeration_counts_the_exhausted_index(self, vocab, size, truth,
+                                                    metric):
+        space = SearchSpace(vocab, size, truth, metric)
+        never = Theory("t", (parse_formula("0", vocab),))
+        total = search_model(space, never, []).examined
+        assert sum(1 for _ in enumerate_structures(space)) == total
+        assert naive_search(space, never, [])[0] == total
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("vocab, size, truth, metric", [
+        (Vocabulary({"P": 1}, {"c": 0}), 3, 2, 2),
+        (Vocabulary({"R": 2}, {"f": 1, "c": 0}), 2, 1, 2),
+    ])
+    def test_index_is_the_position(self, vocab, size, truth, metric):
+        space = SearchSpace(vocab, size, truth, metric)
+        for position, structure in enumerate(enumerate_structures(space), 1):
+            assert _index(space, structure) == position
+
+    def test_checks_filter_the_enumeration(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            space, theory, types = random_problem(rng)
+            kept = [s for s in enumerate_structures(space)
+                    if all(naive_satisfies(s, phi) for phi in theory.sentences)
+                    and all(naive_omits(s, t) for t in types)]
+            assert list(enumerate_structures(
+                space, [*theory.sentences, *types])) == kept
+
+
+class TestIllFormedChecks:
+    """A check that the vocabulary cannot evaluate is refused before the
+    scan, even when an earlier check would reject every candidate."""
+
+    VOCAB = Vocabulary({"P": 1}, {"f": 1, "c": 0})
+
+    @pytest.mark.parametrize("bad, message", [
+        (Atom("X", (Var("x"),)), "predicate 'X' missing from the structure"),
+        (Atom("P", (Var("x"), Var("x"))),
+         "predicate 'P' has no entry for ('e1', 'e1')"),
+        (Atom("P", (Func("g", (Var("x"),)),)),
+         "operation 'g' missing from the structure"),
+        (Atom("P", (Func("f", (Var("x"), Var("x"))),)),
+         "operation 'f' has no entry for ('e1', 'e1')"),
+        (Atom("P", (Func("k"),)), "constant 'k' missing from the structure"),
+        (Atom("P", (Func("f"),)), "constant 'f' missing from the structure"),
+        (Atom("P", (Func("c", (Var("x"),)),)),
+         "operation 'c' missing from the structure"),
+        (Atom("f", (Var("x"),)), "predicate 'f' missing from the structure"),
+        (Atom("d", (Var("x"),)), "predicate 'd' has no entry for ('e1',)"),
+    ])
+    def test_unknown_symbol_or_arity(self, bad, message):
+        space = SearchSpace(self.VOCAB, 2, 2, 2)
+        never = parse_formula("0", self.VOCAB)
+        sentence = syntax.Exists("x", bad)
+        with pytest.raises(EvaluationError) as caught:
+            search_model(space, Theory("t", (never, sentence)), [])
+        assert str(caught.value) == message
+        with pytest.raises(EvaluationError) as caught:
+            search_model(space, Theory("t", (never,)),
+                         [TypeSet("s", ("x",), (bad,))])
+        assert str(caught.value) == message
