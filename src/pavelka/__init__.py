@@ -2,14 +2,16 @@
 Lukasiewicz implication, rational truth constants, and the existential
 quantifier over finite metric structures.
 
-All arithmetic is exact (``fractions.Fraction``); no floats anywhere.
+All arithmetic is exact: values are ``fractions.Fraction`` at the API
+and integers over one common denominator inside the evaluator; no floats
+anywhere.
 """
 
 from .errors import (EvaluationError, FormulaError, ParseError, PavelkaError,
                      ResolutionError, RestrictionError, StructureError,
                      VocabularyError)
-from .evaluator import (Evaluator, check_theory, entails, evaluate, satisfies,
-                        tarski_vaught_check)
+from .evaluator import (Evaluator, check_theory, compile_formula, entails,
+                        evaluate, satisfies, tarski_vaught_check)
 from .omitting import (CompleteTypeRecord, GeneratorCandidate, OmegaCandidate,
                        SearchOutcome, SearchSpace, TypeSet,
                        default_record_corpus, generator_check,

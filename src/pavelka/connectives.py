@@ -24,6 +24,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import FormulaError
+from .evaluator import IMP, Program, run
 from .rationals import ZERO, ONE, as_fraction, in_unit_interval, is_dyadic
 from . import syntax
 
@@ -107,13 +108,29 @@ def term_arity(term: ConnectiveTerm) -> Optional[int]:
     return arities.pop() if arities else None
 
 
-def term_constants(term: ConnectiveTerm) -> list:
-    return [node.value for node in _walk_postorder(term)
-            if isinstance(node, CConst)]
-
-
 def dag_size(term: ConnectiveTerm) -> int:
     return len(_walk_postorder(term))
+
+
+def _program(term: ConnectiveTerm, arity: int) -> Program:
+    """The term as an evaluator program: projection ``i`` reads slot
+    ``i - 1`` of the ``arity`` input slots, each constant a slot of its
+    own, each implication one instruction."""
+    slots = itertools.count(arity)
+    slot_of: dict[int, int] = {}
+    constants, code = [], []
+    for node in _walk_postorder(term):
+        if isinstance(node, Proj):
+            slot_of[id(node)] = node.index - 1
+            continue
+        slot = slot_of[id(node)] = next(slots)
+        if isinstance(node, CConst):
+            constants.append((slot, node.value))
+        else:
+            code.append((IMP, slot, slot_of[id(node.lhs)],
+                         slot_of[id(node.rhs)], None))
+    return Program(term, (), (), next(slots), ((code, slot_of[id(term)]),),
+                   constants)
 
 
 def eval_term(term: ConnectiveTerm, point: Sequence[Fraction]) -> Fraction:
@@ -126,49 +143,14 @@ def eval_term(term: ConnectiveTerm, point: Sequence[Fraction]) -> Fraction:
     if declared is not None and declared != len(point):
         raise FormulaError(
             f"term has arity {declared}, point has length {len(point)}")
-    values: dict[int, Fraction] = {}
-    for node in _walk_postorder(term):
-        if isinstance(node, Proj):
-            values[id(node)] = point[node.index - 1]
-        elif isinstance(node, CConst):
-            values[id(node)] = node.value
-        else:
-            v = ONE - values[id(node.lhs)] + values[id(node.rhs)]
-            values[id(node)] = v if v < ONE else ONE
-    return values[id(term)]
-
-
-def _compile_scaled(term: ConnectiveTerm, denominator: int) -> list:
-    """Flatten the DAG into (kind, a, b) slots over ``denominator``-scaled
-    integers: kind 0 loads a coordinate, 1 a pre-scaled constant, 2 an
-    implication of two earlier slots.  Exact whenever every constant and
-    coordinate is a multiple of ``1/denominator``; the Lukasiewicz
-    operations preserve that grid."""
-    slots: dict[int, int] = {}
-    program = []
-    for node in _walk_postorder(term):
-        if isinstance(node, Proj):
-            program.append((0, node.index - 1, 0))
-        elif isinstance(node, CConst):
-            program.append((1, int(node.value * denominator), 0))
-        else:
-            program.append((2, slots[id(node.lhs)], slots[id(node.rhs)]))
-        slots[id(node)] = len(program) - 1
-    return program
-
-
-def _run_scaled(program: list, point_ints: Sequence[int],
-                denominator: int) -> int:
-    values = [0] * len(program)
-    for i, (kind, a, b) in enumerate(program):
-        if kind == 2:
-            v = denominator - values[a] + values[b]
-            values[i] = v if v < denominator else denominator
-        elif kind == 0:
-            values[i] = point_ints[a]
-        else:
-            values[i] = a
-    return values[-1]
+    program = _program(term, len(point))
+    denominator = lcm(program.denominator, *(x.denominator for x in point))
+    registers = program.registers(denominator)
+    registers[:len(point)] = [x.numerator * (denominator // x.denominator)
+                              for x in point]
+    code, result = program.scopes[0]
+    run(code, registers, denominator)
+    return Fraction(registers[result], denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +223,18 @@ def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
         raise FormulaError(
             f"term arity {declared} does not match oracle arity {arity}")
     axis = grid_axis(spacing)
-    denominator = lcm(spacing.denominator,
-                      *(c.denominator for c in term_constants(term)), 1)
+    program = _program(term, arity)
+    denominator = lcm(spacing.denominator, program.denominator)
     axis_ints = [int(p * denominator) for p in axis]
-    program = _compile_scaled(term, denominator)
+    # Quantifier-free code writes every slot before reading it, so one
+    # set of registers serves every grid point.
+    registers = program.registers(denominator)
+    code, result = program.scopes[0]
     worst = ZERO
     for ints in itertools.product(axis_ints, repeat=arity):
-        approx = Fraction(_run_scaled(program, ints, denominator), denominator)
+        registers[:arity] = ints
+        run(code, registers, denominator)
+        approx = Fraction(registers[result], denominator)
         target = as_fraction(oracle(tuple(Fraction(i, denominator) for i in ints)))
         gap = abs(approx - target)
         if gap > worst:

@@ -1,18 +1,31 @@
 """Exact evaluation of formulas in finite structures.
 
-Truth values are Fractions in [0,1].  The implication evaluates to
+Truth values are rationals.  The implication evaluates to
 ``min(1 - lhs + rhs, 1)``, rational constants to themselves, and the
 existential quantifier to the maximum over the finite universe (the
 supremum is attained).  Satisfaction means value exactly 1.
 
-A formula is split into quantifier scopes, the root and each ``Exists``
-body, and a scope is evaluated by one loop over its nodes in postorder
-(``syntax.postorder`` stopping at ``Exists`` nodes), so an operand that
-expansion of the derived connectives shares is computed once per scope.
+Inside the engine every value is an integer over one denominator ``D``,
+the lcm of the denominators of the formula's constants and of the tables
+it reads: the implication, the constants and a finite maximum map the
+grid ``{k/D}`` into itself, so integer arithmetic is exact, and a
+``Fraction`` is built only for the value returned.  Python ints are
+unbounded, so a large ``D`` costs speed, never exactness.
+
+``compile_formula`` turns a formula into a ``Program``: the expanded
+formula split into quantifier scopes, the root and each ``Exists`` body,
+each a flat list of instructions over numbered slots in postorder, so an
+operand that expansion of the derived connectives shares is computed
+once per scope.  ``Evaluator.value`` takes a program or a formula, which
+it compiles on the spot; a caller that evaluates one formula many times
+compiles it once and passes the program.  An evaluator links each
+program it is given once, to the structure's tables lowered to integers;
+each table is lowered on first use and one lowered copy kept on the
+structure, whose tables are read-only.
 Only an ``Exists`` recurses, once per element of the universe, and its
 value is memoized per restriction of the assignment to its free
 variables: the recursion depth is the quantifier nesting, never the
-connective or term depth.
+connective or term depth.  No state outlives a call at module level.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EvaluationError, FormulaError
@@ -31,11 +45,128 @@ from .syntax import (Atom, Const, Exists, Formula, Func, Geq, Implies, Theory,
 # An assignment is a plain mapping from free-variable names to element ids.
 Assignment = Mapping[str, str]
 
+# An instruction is a tuple ``(op, slot, a, b, c)`` that writes ``slot``:
+#   IMP     a, b: the slots of the antecedent and the consequent
+#   LOOK0-2 a: the slot of a table; b, c: the slots of its arguments;
+#           the opcode is LOOK0 plus the number of arguments
+#   LOOKN   a: the slot of a table; b: the slots of its arguments
+#   EXISTS  a: the slot of the variable; b: the body, (code, result slot);
+#           c: the slots of its free variables, which key its memo, or
+#           None in the root scope, where it runs once
+#   FAIL    a: the error message, or its head when b lists the slots of
+#           the arguments; c: the universe, to name them
+# Slot 0 of a formula program holds the universe's positions.
+IMP, LOOK0, LOOK1, LOOK2, LOOKN, EXISTS, FAIL = range(7)
+_UNIVERSE = 0
 
-# Formula analysis depends only on the formula, so it is shared between
-# evaluators.  Entries hold the formula itself, which keeps ids stable.
-_PREP_CACHE: dict[int, tuple] = {}
-_PREP_CACHE_LIMIT = 65536
+_TERMS = (Var, Func)
+
+
+class Program:
+    """A compiled formula or connective term.
+
+    ``source`` is what was compiled.  ``free`` names the free variables
+    in first-occurrence order and ``free_slots`` gives their slots.
+    ``scopes`` lists ``(code, result slot)`` per quantifier scope, the
+    root first and each ``Exists`` body after the scope that holds it.
+    ``constants`` pairs slots with the rationals they hold, and
+    ``denominator`` is the lcm of their denominators.  ``symbols`` lists
+    ``(predicate?, name, arity, slot)`` for each symbol the code reads,
+    with the slot that holds its table once linked to a structure.
+    """
+
+    __slots__ = ("source", "free", "free_slots", "slots", "scopes",
+                 "constants", "denominator", "symbols")
+
+    def __init__(self, source, free, free_slots, slots, scopes, constants,
+                 symbols=()):
+        self.source = source
+        self.free = free
+        self.free_slots = free_slots
+        self.slots = slots
+        self.scopes = scopes
+        self.constants = constants
+        self.denominator = lcm(*(v.denominator for _, v in constants))
+        self.symbols = symbols
+
+    def registers(self, denominator: int) -> list:
+        """Fresh slots with the constants scaled by ``denominator``."""
+        registers = [0] * self.slots
+        for slot, value in self.constants:
+            registers[slot] = value.numerator * (denominator // value.denominator)
+        return registers
+
+
+def compile_formula(formula: Formula) -> Program:
+    """Compile a formula once, to evaluate it many times.  A formula
+    with derived connectives is compiled as its expansion."""
+    variables: dict[str, int] = {}  # every variable name -> its slot
+    tables: dict[tuple, int] = {}  # (predicate?, name, arity) -> its slot
+    constants, scopes = [], []
+    fresh = itertools.count(_UNIVERSE + 1)
+
+    def slot_for(mapping, key):
+        slot = mapping.get(key)
+        if slot is None:
+            slot = mapping[key] = next(fresh)
+        return slot
+
+    def scope(root, nested):
+        """Compile one scope and, depth first, the bodies below it;
+        returns its code and result slot and its free variables in
+        first-occurrence order (as dict keys)."""
+        _check_formula(root)
+        code, slot_of, free = [], {}, {}
+        for node in postorder(root, _scope_children):
+            kind = type(node)
+            if kind is Var:
+                free[node.name] = None
+                slot_of[id(node)] = slot_for(variables, node.name)
+                continue
+            slot = slot_of[id(node)] = next(fresh)
+            if kind is Implies:
+                _check_formula(node.lhs)
+                _check_formula(node.rhs)
+                code.append((IMP, slot, slot_of[id(node.lhs)],
+                             slot_of[id(node.rhs)], None))
+            elif kind is Const:
+                constants.append((slot, node.value))
+            elif kind is Atom or kind is Func:
+                for arg in node.args:
+                    if not isinstance(arg, _TERMS):
+                        raise FormulaError(
+                            f"evaluator got a non-core node: {arg!r}")
+                args = tuple([slot_of[id(t)] for t in node.args])
+                table = slot_for(tables, (kind is Atom, node.pred if kind
+                                          is Atom else node.name, len(args)))
+                if len(args) > 2:
+                    code.append((LOOKN, slot, table, args, None))
+                else:
+                    b, c = (*args, None, None)[:2]
+                    code.append((LOOK0 + len(args), slot, table, b, c))
+            elif kind is Exists:
+                var = slot_for(variables, node.var)
+                body, inner = scope(node.body, True)
+                inner.pop(node.var, None)
+                free.update(inner)
+                code.append((EXISTS, slot, var, body, tuple(
+                    map(variables.__getitem__, inner)) if nested else None))
+            else:
+                raise FormulaError(f"evaluator got a non-core node: {node!r}")
+        scopes.append((code, slot_of[id(root)]))
+        return scopes[-1], free
+
+    _, free = scope(expand_abbreviations(formula), False)
+    scopes.reverse()  # the root first, each body after its parent
+    return Program(formula, tuple(free), tuple(map(variables.__getitem__, free)),
+                   next(fresh), tuple(scopes), constants,
+                   tuple((*key, slot) for key, slot in tables.items()))
+
+
+def _check_formula(node) -> None:
+    """Refuse a term where a formula is expected."""
+    if isinstance(node, _TERMS):
+        raise FormulaError(f"evaluator got a non-core node: {node!r}")
 
 
 def _scope_children(node) -> tuple:
@@ -44,118 +175,228 @@ def _scope_children(node) -> tuple:
     return () if isinstance(node, Exists) else children(node)
 
 
-def _prepare(formula: Formula):
-    """``(formula, free, layer, scopes)``: the free variables of the
-    expanded formula in first-occurrence order, the nodes of its root
-    scope in postorder, and for each ``Exists`` node, by id, its free
-    variables and the nodes of its body's scope."""
-    cached = _PREP_CACHE.get(id(formula))
-    if cached is not None:
-        return cached
-    core = expand_abbreviations(formula)
-    scopes = {id(node): (free_variables(node),
-                         postorder(node.body, _scope_children))
-              for node in postorder(core) if isinstance(node, Exists)}
-    entry = (formula, free_variables(core),
-             postorder(core, _scope_children), scopes)
-    if len(_PREP_CACHE) >= _PREP_CACHE_LIMIT:
-        _PREP_CACHE.clear()
-    _PREP_CACHE[id(formula)] = entry
+def run(code: list, registers: list, denominator: int, memo=None) -> None:
+    """Execute one scope of code on ``registers``, in place.
+
+    This is the one interpreter loop: formulas and connective terms both
+    run here.  Truth values are integers over ``denominator``; elements
+    are their positions in the universe.
+    """
+    for op, slot, a, b, c in code:
+        if op == IMP:
+            value = denominator - registers[a] + registers[b]
+            registers[slot] = value if value < denominator else denominator
+        elif op == LOOK1:
+            registers[slot] = registers[a][registers[b]]
+        elif op == LOOK2:
+            registers[slot] = registers[a][registers[b]][registers[c]]
+        elif op == EXISTS:
+            if c is not None:
+                key = (slot, *[registers[r] for r in c])
+                best = memo.get(key)
+                if best is not None:
+                    registers[slot] = best
+                    continue
+            body, result = b
+            saved = registers[a]
+            best = 0
+            for element in registers[_UNIVERSE]:
+                registers[a] = element
+                run(body, registers, denominator, memo)
+                value = registers[result]
+                if value > best:
+                    best = value
+                    if best == denominator:
+                        break
+            registers[a] = saved
+            registers[slot] = best
+            if c is not None:
+                memo[key] = best
+        elif op == LOOK0:
+            registers[slot] = registers[a]
+        elif op == LOOKN:
+            table = registers[a]
+            for r in b:
+                table = table[registers[r]]
+            registers[slot] = table
+        else:  # FAIL
+            if b is None:
+                raise EvaluationError(a)
+            raise EvaluationError(
+                f"{a} has no entry for {tuple(c[registers[r]] for r in b)}")
+
+
+# ---------------------------------------------------------------------------
+# Structures lowered to integers
+
+
+class _Lowering:
+    """A structure's tables lowered for the interpreter, each on first
+    use: elements become their positions in the universe, an n-ary table
+    becomes n nested lists over those positions, and truth values become
+    integers over a common denominator.  One lowered copy of each table
+    is kept, over the denominator of the last link that read it."""
+
+    __slots__ = ("index", "positions", "tables")
+
+    def __init__(self, structure):
+        self.index = {e: i for i, e in enumerate(structure.universe)}
+        self.positions = range(len(structure.universe))
+        self.tables = {}  # (predicate?, name) -> _table's entry
+
+
+def _source(structure, predicate: bool, name: str):
+    """A predicate's or an operation's table, or None when missing."""
+    if not predicate:
+        return structure.operations.get(name)
+    return structure.metric if name == "d" else structure.predicates.get(name)
+
+
+def _table(structure, lowering: _Lowering, predicate: bool, name: str,
+           arity: int):
+    """``[width, lcm, denominator, values]`` for a symbol read with
+    ``arity`` arguments, or None when the structure lacks it: the number
+    of arguments its table takes, the lcm of its truth values'
+    denominators (1 for an operation), and, once ``_lowered`` has run,
+    the table lowered over ``denominator``.  A constant's entry holds
+    its element's position and is not kept."""
+    if not (predicate or arity):
+        element = structure.constants.get(name)
+        return None if element is None else [0, 1, 1, lowering.index[element]]
+    entry = lowering.tables.get((predicate, name))
+    if entry is None:
+        source = _source(structure, predicate, name)
+        if source is None:
+            return None
+        entry = lowering.tables[(predicate, name)] = [
+            len(next(iter(source))),
+            lcm(*{v.denominator for v in source.values()}) if predicate else 1,
+            None, None]
     return entry
+
+
+def _lowered(structure, lowering: _Lowering, predicate: bool, name: str,
+             entry: list, denominator: int):
+    """The table of ``_table``'s entry as nested lists over universe
+    positions (a 0-ary predicate's value itself), with truth values over
+    ``denominator``; lowered again only for another denominator."""
+    width, _, over, values = entry
+    if values is not None and (over == denominator or not predicate):
+        return values
+    source = _source(structure, predicate, name)
+    universe = structure.universe
+    if width == 1:
+        values = [source[(a,)] for a in universe]
+    elif width == 2:
+        values = [source[(a, b)] for a in universe for b in universe]
+    else:
+        values = list(map(source.__getitem__,
+                          itertools.product(universe, repeat=width)))
+    if predicate:
+        values = [v.numerator * (denominator // v.denominator) for v in values]
+    else:
+        values = list(map(lowering.index.__getitem__, values))
+    n = len(universe)
+    for _ in range(width - 1):
+        values = [values[i:i + n] for i in range(0, len(values), n)]
+    entry[2:] = denominator, values if width else values[0]
+    return entry[3]
+
+
+def _link(program: Program, structure) -> tuple:
+    """``(code, result, registers, denominator, index)``: the program's
+    root scope and its registers, holding the constants and the
+    structure's lowered tables, over the lcm of the denominators of the
+    program and of the tables it reads."""
+    lowering = structure._lowering
+    if lowering is None:
+        lowering = structure._lowering = _Lowering(structure)
+    denominator = program.denominator
+    entries = []
+    for predicate, name, arity, _ in program.symbols:
+        entry = _table(structure, lowering, predicate, name, arity)
+        if entry is not None:
+            denominator = lcm(denominator, entry[1])
+        entries.append(entry)
+    registers = program.registers(denominator)
+    registers[_UNIVERSE] = lowering.positions
+    broken = {}
+    for (predicate, name, arity, slot), entry in zip(program.symbols, entries):
+        if entry is not None and entry[0] == arity:
+            registers[slot] = _lowered(structure, lowering, predicate, name,
+                                       entry, denominator)
+            continue
+        what = "predicate" if predicate else "operation" if arity \
+            else "constant"
+        broken[slot] = (f"{what} {name!r}", True) if entry is not None \
+            else (f"{what} {name!r} missing from the structure", False)
+    code, result = program.scopes[0]
+    if broken:
+        code = _failing_code(program, broken, structure.universe)
+    return code, result, registers, denominator, lowering.index
+
+
+def _failing_code(program: Program, broken: dict, universe: tuple) -> list:
+    """The root scope's code with each read of a table the structure
+    lacks, or has at another arity, replaced by an instruction raising
+    the evaluator's error; it raises where the lookup would run."""
+    rebuilt = {}  # id(old code) -> new code
+    for code, _ in reversed(program.scopes):
+        out = []
+        for ins in code:
+            op, slot, a, b, c = ins
+            if op == EXISTS:
+                ins = (op, slot, a, (rebuilt[id(b[0])], b[1]), c)
+            elif op in (LOOK0, LOOK1, LOOK2, LOOKN) and a in broken:
+                message, lookup = broken[a]
+                args = b if op == LOOKN else (b, c)[:op - LOOK0]
+                ins = (FAIL, slot, message, args if lookup else None,
+                       universe)
+            out.append(ins)
+        rebuilt[id(code)] = out
+    return rebuilt[id(program.scopes[0][0])]
 
 
 class Evaluator:
     """Reusable evaluation engine for one structure.
 
-    Per-formula preprocessing (expansion, quantifier scopes, free
-    variables) is cached by formula identity, which makes repeated
-    evaluation of one formula corpus against many structures cheap.
+    Each program passed to ``value`` is linked to the structure once and
+    the link kept for the evaluator's lifetime; a formula passed instead
+    is compiled and linked for that call only.
     """
 
     def __init__(self, structure):
         self.structure = structure
+        self._links = {}
 
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
-        _, free, layer, scopes = _prepare(formula)
-        env = dict(assignment) if assignment else {}
-        for name in free:
-            if name not in env:
-                raise EvaluationError(f"unassigned free variable {name!r}")
-            if not self.structure.has_element(env[name]):
-                raise EvaluationError(
-                    f"assignment sends {name!r} outside the universe: "
-                    f"{env[name]!r}")
-        return self._run(layer, env, scopes, {})
-
-    def _run(self, layer, env, scopes, memo):
-        """The value of the last node of ``layer`` under ``env``."""
-        values = {}
-        for node in layer:
-            kind = type(node)
-            if kind is Implies:
-                value = ONE - values[id(node.lhs)] + values[id(node.rhs)]
-                if value > ONE:
-                    value = ONE
-            elif kind is Atom:
-                value = self._atom(
-                    node.pred, tuple([values[id(t)] for t in node.args]))
-            elif kind is Var:
-                value = env[node.name]
-            elif kind is Const:
-                value = node.value
-            elif kind is Func:
-                value = self._func(
-                    node.name, tuple([values[id(t)] for t in node.args]))
-            elif kind is Exists:
-                free, body = scopes[id(node)]
-                key = (id(node), tuple([env[name] for name in free]))
-                value = memo.get(key)
-                if value is None:
-                    value = ZERO
-                    inner = dict(env)
-                    for element in self.structure.universe:
-                        inner[node.var] = element
-                        v = self._run(body, inner, scopes, memo)
-                        if v > value:
-                            value = v
-                            if value == ONE:
-                                break
-                    memo[key] = value
-            else:
-                raise FormulaError(f"evaluator got a non-core node: {node!r}")
-            values[id(node)] = value
-        return value
-
-    def _atom(self, pred, args):
-        structure = self.structure
-        table = structure.metric if pred == "d" \
-            else structure.predicates.get(pred)
-        if table is None:
-            raise EvaluationError(
-                f"predicate {pred!r} missing from the structure")
-        try:
-            return table[args]
-        except KeyError:
-            raise EvaluationError(
-                f"predicate {pred!r} has no entry for {args}") from None
-
-    def _func(self, name, args):
-        structure = self.structure
-        if not args:
-            try:
-                return structure.constants[name]
-            except KeyError:
-                raise EvaluationError(
-                    f"constant {name!r} missing from the structure") from None
-        table = structure.operations.get(name)
-        if table is None:
-            raise EvaluationError(
-                f"operation {name!r} missing from the structure")
-        try:
-            return table[args]
-        except KeyError:
-            raise EvaluationError(
-                f"operation {name!r} has no entry for {args}") from None
+        """The exact value of a formula, or of a program that
+        ``compile_formula`` made, under the assignment."""
+        if isinstance(formula, Program):
+            program = formula
+            link = self._links.get(program)
+            if link is None:
+                link = self._links[program] = _link(program, self.structure)
+        else:
+            program = compile_formula(formula)
+            link = _link(program, self.structure)
+        code, result, registers, denominator, index = link
+        registers = registers[:]
+        if program.free:
+            env = assignment or {}
+            for slot, name in zip(program.free_slots, program.free):
+                if name not in env:
+                    raise EvaluationError(f"unassigned free variable {name!r}")
+                position = index.get(env[name])
+                if position is None:
+                    raise EvaluationError(
+                        f"assignment sends {name!r} outside the universe: "
+                        f"{env[name]!r}")
+                registers[slot] = position
+        run(code, registers, denominator, {})
+        value = registers[result]
+        return ONE if value == denominator else ZERO if value == 0 \
+            else Fraction(value, denominator)
 
 
 def evaluate(structure, formula: Formula,
@@ -214,23 +455,26 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
         raise FormulaError(
             f"variable tuples differ: {gamma.variables} vs {sigma.variables}")
     names = tuple(gamma.variables)
+    premises = [compile_formula(f) for f in gamma.formulas]
+    conclusions = [compile_formula(f) for f in sigma.formulas]
     for member, engine, tup in model_tuples(family, theory, len(names)):
         env = dict(zip(names, tup))
-        if all(engine.value(f, env) == ONE for f in gamma.formulas):
-            for f in sigma.formulas:
-                value = engine.value(f, env)
+        if all(engine.value(p, env) == ONE for p in premises):
+            for p in conclusions:
+                value = engine.value(p, env)
                 if value != ONE:
-                    return EntailmentResult(False, member, tup, f, value)
+                    return EntailmentResult(False, member, tup, p.source, value)
     return EntailmentResult(True)
 
 
 def model_tuples(family: Sequence, theory: Theory, n: int):
     """``(member, engine, tuple)`` for each family member satisfying the
     theory and each n-tuple of its universe, in canonical order."""
+    sentences = [compile_formula(s) for s in theory.sentences]
     for member in family:
-        if not check_theory(member, theory).satisfied:
-            continue
         engine = Evaluator(member)
+        if any(engine.value(s) != ONE for s in sentences):
+            continue
         for tup in itertools.product(member.universe, repeat=n):
             yield member, engine, tup
 
@@ -269,7 +513,7 @@ def tarski_vaught_check(structure, subset: Iterable[str],
         if engine.value(Exists(var, phi)) != ONE:
             continue
         for r in grid:
-            witness = Geq(phi, r)
+            witness = compile_formula(Geq(phi, r))
             if not any(engine.value(witness, {var: a}) == ONE for a in subset):
                 failures.append((phi, r))
     return TarskiVaughtReport(passed=not failures, failures=tuple(failures))

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
-from .evaluator import EntailmentResult, Evaluator, entails, model_tuples
+from .evaluator import (EntailmentResult, Evaluator, compile_formula, entails,
+                        model_tuples)
 from .rationals import ZERO, ONE, as_fraction
 from .structures import Structure
 from .syntax import (Atom, Const, Formula, Geq, Leq, Term, Theory, Var,
@@ -78,25 +79,27 @@ def omits(structure: Structure, typeset: TypeSet) -> OmitsReport:
     """True iff no tuple realizes the type; the report carries, per
     tuple, a member formula with value < 1, or else the first realizer."""
     witnesses = {}
-    realizer = _first_realizer(Evaluator(structure), typeset, witnesses)
+    realizer = _first_realizer(Evaluator(structure), typeset.variables,
+                               _compile(typeset), witnesses)
     if realizer is not None:
         return OmitsReport(False, {}, realizer=realizer)
     return OmitsReport(True, witnesses)
 
 
-def _first_realizer(engine: Evaluator, typeset: TypeSet,
+def _first_realizer(engine: Evaluator, variables: Sequence, programs: tuple,
                     witnesses: Optional[dict] = None) -> Optional[tuple]:
-    """The canonically first tuple realizing the type, or None; each
-    tuple scanned before it gets its first member of value < 1 recorded
-    in ``witnesses`` when that is given."""
-    n = len(typeset.variables)
-    for tup in itertools.product(engine.structure.universe, repeat=n):
-        env = dict(zip(typeset.variables, tup))
-        for phi in typeset.formulas:
-            value = engine.value(phi, env)
+    """The canonically first tuple realizing the type of ``variables``
+    and compiled formulas, or None; each tuple scanned before it gets
+    its first member of value < 1 recorded in ``witnesses`` when that is
+    given."""
+    for tup in itertools.product(engine.structure.universe,
+                                 repeat=len(variables)):
+        env = dict(zip(variables, tup))
+        for program in programs:
+            value = engine.value(program, env)
             if value != ONE:
                 if witnesses is not None:
-                    witnesses[tup] = (phi, value)
+                    witnesses[tup] = (program.source, value)
                 break
         else:
             return tup
@@ -126,11 +129,13 @@ def generator_check(family: Sequence[Structure], theory: Theory,
     if tuple(phi.variables) != tuple(sigma.variables):
         raise FormulaError(
             f"variable tuples differ: {phi.variables} vs {sigma.variables}")
-    witness = next(
-        ((member, tup) for member, engine, tup
-         in model_tuples(family, theory, len(phi.variables))
-         if realizes(member, tup, phi, engine)), None)
-    if witness is None:
+    programs = _compile(phi)
+    for member, engine, tup in model_tuples(family, theory, len(phi.variables)):
+        env = dict(zip(phi.variables, tup))
+        if all(engine.value(p, env) == ONE for p in programs):
+            witness = member, tup
+            break
+    else:
         return GeneratorReport(False, satisfied=False)
     result = entails(family, theory, phi, sigma)
     return GeneratorReport(result.holds, satisfied=True, witness=witness,
@@ -234,7 +239,8 @@ class SearchSpace:
     ``seed`` never influences the search: enumeration order is canonical
     so that "first model" is well defined.  It is kept for file-format
     compatibility: ``storage.space_to_dict`` writes it and
-    ``storage.space_from_dict`` reads it back.
+    ``storage.space_from_dict`` reads it back.  The sizes and the seed
+    must be ints, not bools, as in a search-space file.
     """
 
     vocabulary: Vocabulary
@@ -244,6 +250,13 @@ class SearchSpace:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_size", "truth_denominator", "metric_denominator",
+                     "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise FormulaError(
+                    f"search space field {name!r} must be an integer, "
+                    f"got {value!r}")
         if self.max_size < 1:
             raise FormulaError("max_size must be >= 1")
         if self.truth_denominator < 1 or self.metric_denominator < 1:
@@ -323,29 +336,34 @@ def _formulas(check) -> tuple:
     return check.formulas if isinstance(check, TypeSet) else (check,)
 
 
-def _passes(engine: Evaluator, check) -> bool:
-    """A sentence passes at value exactly 1, a type when it is omitted."""
+def _compile(check) -> tuple:
+    """The programs of a sentence, or of a type's formulas."""
+    return tuple(map(compile_formula, _formulas(check)))
+
+
+def _passes(engine: Evaluator, check, programs: tuple) -> bool:
+    """A sentence passes at value exactly 1, a type when it is omitted;
+    ``programs`` are their compiled formulas."""
     if isinstance(check, TypeSet):
-        return _first_realizer(engine, check) is None
-    return engine.value(check) == ONE
+        return _first_realizer(engine, check.variables, programs) is None
+    return engine.value(programs[0]) == ONE
 
 
 def _check_symbols(space: SearchSpace, checks: Sequence) -> None:
-    """Evaluate every check, in order, in the first structure of the
-    space on one element.  Every node gets evaluated there, so a symbol
-    outside the vocabulary or used at another arity raises the
-    evaluator's ``EvaluationError`` before the walk starts."""
+    """Evaluate every check, given with its programs, in order, in the
+    first structure of the space on one element.  Every node gets
+    evaluated there, so a symbol outside the vocabulary or used at
+    another arity raises the evaluator's ``EvaluationError`` before the
+    walk starts."""
     universe = _universe(1)
     levels = _levels(space, universe)
     engine = Evaluator(_structure(universe, levels, [{}] + [
         dict.fromkeys(slots, values[0]) for _, _, slots, values in levels]))
-    for check in checks:
-        if isinstance(check, TypeSet):
-            env = dict.fromkeys(check.variables, universe[0])
-            for phi in check.formulas:
-                engine.value(phi, env)
-        else:
-            engine.value(check)
+    for check, programs in checks:
+        env = dict.fromkeys(check.variables, universe[0]) \
+            if isinstance(check, TypeSet) else None
+        for program in programs:
+            engine.value(program, env)
 
 
 def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
@@ -368,16 +386,18 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     reports the canonical index of the first structure yielded, so the
     skipped structures still count as examined.  A check that uses a
     symbol outside the space's vocabulary, or at another arity, raises
-    ``EvaluationError`` before the first structure.
+    ``EvaluationError`` before the first structure.  Each check is
+    compiled once per call.
     """
-    _check_symbols(space, checks)
+    compiled = [(check, _compile(check)) for check in checks]
+    _check_symbols(space, compiled)
     depth = {name: k for k, (name, _, _, _) in
              enumerate(_levels(space, _universe(1)), start=1)}
     at_level: list = [[] for _ in range(len(depth) + 1)]
-    for check in checks:
+    for check, programs in compiled:
         mentioned = set().union(*map(formula_symbols, _formulas(check)))
         at_level[max(map(depth.__getitem__, mentioned), default=0)].append(
-            check)
+            (check, programs))
     last = len(depth)
     metric_values = _metric_values(space)
 
@@ -397,8 +417,8 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
                 if at_level[k] or k == last:
                     structure = _structure(universe, levels, prefix)
                     engine = Evaluator(structure)
-                    if not all(_passes(engine, check)
-                               for check in at_level[k]):
+                    if not all(_passes(engine, check, programs)
+                               for check, programs in at_level[k]):
                         continue
                 if k < last:
                     yield from descend(k + 1, prefix)
@@ -503,13 +523,20 @@ class CompleteTypeRecord:
 
     def profile(self, corpus: TypeSet,
                 engine: Optional[Evaluator] = None) -> tuple:
-        if len(corpus.variables) != len(self.elements):
-            raise FormulaError(
-                f"corpus has {len(corpus.variables)} variables, record has "
-                f"{len(self.elements)} elements")
-        env = dict(zip(corpus.variables, self.elements))
-        engine = engine or Evaluator(self.structure)
-        return tuple(engine.value(phi, env) for phi in corpus.formulas)
+        return _profile(engine or Evaluator(self.structure), self.elements,
+                        corpus.variables, corpus.formulas)
+
+
+def _profile(engine: Evaluator, elements: tuple, variables: tuple,
+             formulas) -> tuple:
+    """The values of the corpus formulas, or of their programs, at the
+    tuple."""
+    if len(variables) != len(elements):
+        raise FormulaError(
+            f"corpus has {len(variables)} variables, record has "
+            f"{len(elements)} elements")
+    env = dict(zip(variables, elements))
+    return tuple(engine.value(phi, env) for phi in formulas)
 
 
 def default_record_corpus(vocabulary: Vocabulary, n: int,
@@ -552,11 +579,14 @@ def type_distance(family: Sequence[Structure], theory: Theory,
         raise FormulaError("records have different tuple lengths")
     if corpus is None:
         corpus = default_record_corpus(p.structure.vocabulary(), n)
-    p_profile = p.profile(corpus)
-    q_profile = q.profile(corpus)
+    variables, programs = corpus.variables, _compile(corpus)
+    p_profile = _profile(Evaluator(p.structure), p.elements, variables,
+                         programs)
+    q_profile = _profile(Evaluator(q.structure), q.elements, variables,
+                         programs)
     found = {}  # id(member) -> (member, tuples realizing p, realizing q)
     for member, engine, tup in model_tuples(family, theory, n):
-        profile = CompleteTypeRecord(member, tup).profile(corpus, engine)
+        profile = _profile(engine, tup, variables, programs)
         _, p_tuples, q_tuples = found.setdefault(id(member), (member, [], []))
         if profile == p_profile:
             p_tuples.append(tup)

@@ -28,7 +28,10 @@ def format_rational(value: Fraction) -> str:
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an int or Fraction; reject floats (no silent rounding)."""
+    """Coerce an int or Fraction; reject floats (no silent rounding).  A
+    Fraction comes back as itself: it is immutable."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"exact rational required, got {type(value).__name__}")
     return Fraction(value)

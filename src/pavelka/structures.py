@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import StructureError, VocabularyError
@@ -36,10 +37,14 @@ class Structure:
     value, so ordinary symmetric tables need only one triangle.  An
     explicitly asymmetric table is kept as given (and will fail
     ``validate_structure``).
+
+    The metric, the symbol maps and every table are read-only mappings,
+    so the evaluator's integer lowering, built on first use and kept in
+    ``_lowering``, stays valid for the structure's lifetime.
     """
 
     __slots__ = ("universe", "metric", "predicates", "operations",
-                 "constants", "label", "_elements")
+                 "constants", "label", "_elements", "_lowering")
 
     def __init__(self, universe, metric, predicates=None, operations=None,
                  constants=None, label=None):
@@ -72,7 +77,7 @@ class Structure:
             table = {tuple(k): as_fraction(v) for k, v in dict(table).items()}
             arity = self._table_arity(name, table)
             self._check_domain(name, table, universe, arity)
-            preds[name] = table
+            preds[name] = MappingProxyType(table)
 
         ops: dict = {}
         for name, table in dict(operations or {}).items():
@@ -87,7 +92,7 @@ class Structure:
                 if value not in elements:
                     raise StructureError(
                         f"operation {name!r} maps {key} outside the universe")
-            ops[name] = table
+            ops[name] = MappingProxyType(table)
 
         consts: dict = {}
         for name, element in dict(constants or {}).items():
@@ -102,12 +107,13 @@ class Structure:
             raise StructureError("predicate/operation/constant name clash")
 
         self.universe = universe
-        self.metric = full_metric
-        self.predicates = preds
-        self.operations = ops
-        self.constants = consts
+        self.metric = MappingProxyType(full_metric)
+        self.predicates = MappingProxyType(preds)
+        self.operations = MappingProxyType(ops)
+        self.constants = MappingProxyType(consts)
         self.label = label
         self._elements = elements
+        self._lowering = None
 
     @staticmethod
     def _table_arity(name, table):

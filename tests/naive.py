@@ -68,6 +68,20 @@ def naive_eval(structure, formula, env=None):
     raise TypeError(f"unknown node {node!r}")
 
 
+def naive_connective(term, point):
+    """A connective term's value at a point, by recursion over the term
+    as a tree: projections read the point, implications truncate."""
+    # imported here, not at the top: perfbench/reference.py imports this
+    # module in every benchmark worker, and connectives is large
+    from pavelka import connectives
+    if isinstance(term, connectives.Proj):
+        return Fraction(point[term.index - 1])
+    if isinstance(term, connectives.CConst):
+        return term.value
+    return min(ONE, ONE - naive_connective(term.lhs, point)
+               + naive_connective(term.rhs, point))
+
+
 def naive_satisfies(structure, sentence):
     return naive_eval(structure, sentence) == ONE
 

@@ -7,8 +7,10 @@ import pytest
 from pavelka import connectives as cn
 from pavelka import evaluate, parse_formula, Vocabulary
 from pavelka.errors import FormulaError
+from pavelka.evaluator import run
 
 from genutil import random_connective_term, random_formula, random_structure
+from naive import naive_connective
 
 HALF = F(1, 2)
 
@@ -61,9 +63,13 @@ class TestEvalTerm:
             t = random_connective_term(rng, 2, 4, max_denominator=6)
             den = 60
             ints = (rng.randint(0, den), rng.randint(0, den))
-            program = cn._compile_scaled(t, den)
-            scaled = F(cn._run_scaled(program, ints, den), den)
-            exact = cn.eval_term(t, (F(ints[0], den), F(ints[1], den)))
+            program = cn._program(t, 2)
+            registers = program.registers(den)
+            registers[:2] = ints
+            code, result = program.scopes[0]
+            run(code, registers, den)
+            scaled = F(registers[result], den)
+            exact = naive_connective(t, (F(ints[0], den), F(ints[1], den)))
             assert scaled == exact
 
 

@@ -14,6 +14,7 @@ import pytest
 from pavelka import (Atom, Const, EvaluationError, Exists, Forall, Func, Geq,
                      Leq, SearchSpace, Theory, TypeSet, Var, Vocabulary,
                      parse_formula, search_model, syntax)
+from pavelka.errors import FormulaError
 from pavelka.omitting import _index, enumerate_structures
 
 from genutil import random_atom, random_formula, random_sentence
@@ -214,3 +215,24 @@ class TestIllFormedChecks:
             search_model(space, Theory("t", (never,)),
                          [TypeSet("s", ("x",), (bad,))])
         assert str(caught.value) == message
+
+
+class TestSpaceFields:
+    """The sizes and the seed follow the search-space file rule: ints,
+    not bools, floats or strings, refused with the field named."""
+
+    FIELDS = ("max_size", "truth_denominator", "metric_denominator", "seed")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_non_integer_refused(self, field, value):
+        fields = dict.fromkeys(self.FIELDS, 2)
+        fields[field] = value
+        with pytest.raises(FormulaError) as caught:
+            SearchSpace(Vocabulary({"P": 1}, {}), **fields)
+        assert str(caught.value) == \
+            f"search space field {field!r} must be an integer, got {value!r}"
+
+    def test_integers_accepted(self):
+        space = SearchSpace(Vocabulary({"P": 1}, {}), 2, 2, 2, seed=-3)
+        assert search_model(space, Theory("t", ()), []).examined == 1

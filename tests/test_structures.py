@@ -333,3 +333,55 @@ class TestDerivedStructuresStayValid:
             sub = generated_substructure(m, [m.universe[0]])
             assert validate_structure(sub, sig).passed
         assert checked > 0
+
+
+class TestReadOnlyTables:
+    """The tables are read-only, so a structure's evaluator lowering,
+    cached on it, can never go stale."""
+
+    @staticmethod
+    def structure():
+        return Structure(("a", "b"), {("a", "b"): F(1, 2)},
+                         {"P": {("a",): F(1, 3), ("b",): F(1)}},
+                         {"f": {("a",): "b", ("b",): "a"}}, {"c": "a"})
+
+    def test_item_assignment_raises(self):
+        m = self.structure()
+        writes = [
+            (m.metric, ("a", "b"), F(1)),
+            (m.predicates, "Q", {("a",): F(0)}),
+            (m.predicates["P"], ("a",), F(0)),
+            (m.operations, "g", {}),
+            (m.operations["f"], ("a",), "a"),
+            (m.constants, "c", "b"),
+        ]
+        for table, key, value in writes:
+            with pytest.raises(TypeError):
+                table[key] = value
+            with pytest.raises(TypeError):
+                del table[next(iter(table))]
+
+    def test_equality_hash_and_storage_unchanged(self):
+        from pavelka import storage
+        m, again = self.structure(), self.structure()
+        assert m == again and hash(m) == hash(again)
+        assert m.metric == {("a", "a"): 0, ("a", "b"): F(1, 2),
+                            ("b", "a"): F(1, 2), ("b", "b"): 0}
+        assert m.predicates == {"P": {("a",): F(1, 3), ("b",): F(1)}}
+        data = storage.structure_to_dict(m)
+        assert data == {
+            "universe": ["a", "b"], "metric": {"a,b": "1/2"},
+            "predicates": {"P": {"a": "1/3", "b": "1"}},
+            "operations": {"f": {"a": "b", "b": "a"}},
+            "constants": {"c": "a"}}
+        back = storage.structure_from_dict(data)
+        assert back == m and hash(back) == hash(m)
+        assert storage.structure_to_dict(back) == data
+
+    def test_constructions_accept_read_only_tables(self):
+        m = self.structure()
+        copy = Structure(m.universe, m.metric, m.predicates, m.operations,
+                         m.constants)
+        assert copy == m
+        assert rename(m, Renaming({"P": "Q", "f": "g", "c": "k"})) \
+            .predicates["Q"] == m.predicates["P"]
