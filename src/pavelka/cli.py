@@ -34,12 +34,6 @@ def _print(payload) -> None:
     sys.stdout.write(dump_json(payload))
 
 
-def _formula_arg(args, structure=None, vocabulary=None):
-    if vocabulary is None:
-        vocabulary = structure.vocabulary()
-    return parse_formula(args.formula, vocabulary)
-
-
 def _assignment_arg(text):
     if not text:
         return {}
@@ -74,7 +68,7 @@ def cmd_validate(args):
 
 def cmd_eval(args):
     structure = storage.load_structure(args.struct)
-    formula = _formula_arg(args, structure)
+    formula = parse_formula(args.formula, structure.vocabulary())
     value = evaluate(structure, formula, _assignment_arg(args.assign))
     print(format_rational(value))
     return EXIT_OK
@@ -102,14 +96,7 @@ def cmd_entails(args):
     gamma = storage.load_typesets(args.gamma, vocabulary)[0]
     sigma = storage.load_typesets(args.sigma, vocabulary)[0]
     result = entails(family, theory, gamma, sigma)
-    payload = {"holds": result.holds}
-    if not result.holds:
-        payload["counterexample"] = {
-            "structure": result.structure.label or "",
-            "tuple": list(result.assignment),
-            "formula": render(result.formula),
-            "value": format_rational(result.value)}
-    _print(payload)
+    _print(_entailment_payload(result))
     return EXIT_OK if result.holds else EXIT_FALSE
 
 

@@ -112,6 +112,22 @@ def dag_size(term: ConnectiveTerm) -> int:
     return len(_walk_postorder(term))
 
 
+def _fold(term: ConnectiveTerm, proj: Callable, const: Callable,
+          implies: Callable):
+    """Bottom-up over each distinct node once: a projection becomes
+    ``proj(node)``, a constant ``const(node)``, and an implication
+    ``implies`` of what its operands became."""
+    done: dict[int, object] = {}
+    for node in _walk_postorder(term):
+        if isinstance(node, Proj):
+            done[id(node)] = proj(node)
+        elif isinstance(node, CConst):
+            done[id(node)] = const(node)
+        else:
+            done[id(node)] = implies(done[id(node.lhs)], done[id(node.rhs)])
+    return done[id(term)]
+
+
 def _program(term: ConnectiveTerm, arity: int) -> Program:
     """The term as an evaluator program: projection ``i`` reads slot
     ``i - 1`` of the ``arity`` input slots, each constant a slot of its
@@ -286,19 +302,13 @@ def half_approx(n: int) -> ConnectiveTerm:
 def substitute_projections(term: ConnectiveTerm,
                            replacements: Sequence[ConnectiveTerm]) -> ConnectiveTerm:
     """Plug terms in for the projections, preserving DAG sharing."""
-    rebuilt: dict[int, ConnectiveTerm] = {}
-    for node in _walk_postorder(term):
-        if isinstance(node, Proj):
-            if node.index > len(replacements):
-                raise FormulaError(
-                    f"projection {node.index} exceeds {len(replacements)} replacements")
-            rebuilt[id(node)] = replacements[node.index - 1]
-        elif isinstance(node, CConst):
-            rebuilt[id(node)] = node
-        else:
-            rebuilt[id(node)] = CImplies(rebuilt[id(node.lhs)],
-                                         rebuilt[id(node.rhs)])
-    return rebuilt[id(term)]
+    def replace(node):
+        if node.index > len(replacements):
+            raise FormulaError(
+                f"projection {node.index} exceeds {len(replacements)} replacements")
+        return replacements[node.index - 1]
+
+    return _fold(term, replace, lambda node: node, CImplies)
 
 
 def scale_dyadic(p: int, k: int, n: int):
@@ -508,29 +518,15 @@ def apply_connective(term: ConnectiveTerm, formulas: Sequence) -> syntax.Formula
     if declared is not None and declared != len(formulas):
         raise FormulaError(
             f"term arity {declared} does not match {len(formulas)} formulas")
-    rebuilt: dict[int, syntax.Formula] = {}
-    for node in _walk_postorder(term):
-        if isinstance(node, Proj):
-            rebuilt[id(node)] = formulas[node.index - 1]
-        elif isinstance(node, CConst):
-            rebuilt[id(node)] = syntax.Const(node.value)
-        else:
-            rebuilt[id(node)] = syntax.Implies(rebuilt[id(node.lhs)],
-                                               rebuilt[id(node.rhs)])
-    return rebuilt[id(term)]
+    return _fold(term, lambda node: formulas[node.index - 1],
+                 lambda node: syntax.Const(node.value), syntax.Implies)
 
 
 def rendered_size(term: ConnectiveTerm) -> int:
     """Length of the rendered text, counting shared nodes once per use."""
-    sizes: dict[int, int] = {}
-    for node in _walk_postorder(term):
-        if isinstance(node, Proj):
-            sizes[id(node)] = len(f"x{node.index}")
-        elif isinstance(node, CConst):
-            sizes[id(node)] = len(str(node.value))
-        else:
-            sizes[id(node)] = sizes[id(node.lhs)] + sizes[id(node.rhs)] + 8
-    return sizes[id(term)]
+    return _fold(term, lambda node: len(f"x{node.index}"),
+                 lambda node: len(str(node.value)),
+                 lambda lhs, rhs: lhs + rhs + 8)
 
 
 def render_connective(term: ConnectiveTerm) -> str:
@@ -543,15 +539,6 @@ def render_connective(term: ConnectiveTerm) -> str:
     if rendered_size(term) > 1_000_000:
         raise FormulaError(
             f"term too large to render ({dag_size(term)} DAG nodes)")
-    texts: dict[int, str] = {}
-    for node in _walk_postorder(term):
-        if isinstance(node, Proj):
-            texts[id(node)] = f"x{node.index}"
-        elif isinstance(node, CConst):
-            texts[id(node)] = str(node.value)
-        else:
-            lhs = texts[id(node.lhs)]
-            if isinstance(node.lhs, CImplies):
-                lhs = f"({lhs})"
-            texts[id(node)] = f"{lhs} -> {texts[id(node.rhs)]}"
-    return texts[id(term)]
+    formula = _fold(term, lambda node: syntax.Atom(f"x{node.index}", ()),
+                    lambda node: syntax.Const(node.value), syntax.Implies)
+    return syntax.render(formula)

@@ -53,15 +53,15 @@ class TypeSet:
         object.__setattr__(self, "formulas", formulas)
 
 
-def realizes(structure: Structure, elements: Sequence[str], typeset: TypeSet,
-             engine: Optional[Evaluator] = None) -> bool:
+def realizes(structure: Structure, elements: Sequence[str],
+             typeset: TypeSet) -> bool:
     """True iff every member formula evaluates to exactly 1 at the tuple."""
     elements = tuple(elements)
     if len(elements) != len(typeset.variables):
         raise FormulaError(
             f"tuple length {len(elements)} != {len(typeset.variables)} variables")
     env = dict(zip(typeset.variables, elements))
-    engine = engine or Evaluator(structure)
+    engine = Evaluator(structure)
     return all(engine.value(phi, env) == ONE for phi in typeset.formulas)
 
 
@@ -520,11 +520,6 @@ class CompleteTypeRecord:
             if not self.structure.has_element(e):
                 raise FormulaError(f"record element {e!r} not in the universe")
         object.__setattr__(self, "elements", elements)
-
-    def profile(self, corpus: TypeSet,
-                engine: Optional[Evaluator] = None) -> tuple:
-        return _profile(engine or Evaluator(self.structure), self.elements,
-                        corpus.variables, corpus.formulas)
 
 
 def _profile(engine: Evaluator, elements: tuple, variables: tuple,

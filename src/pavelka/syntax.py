@@ -26,6 +26,7 @@ Vocabulary files use one declaration per line::
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -719,51 +720,57 @@ _PREC_UNARY = 5
 _PREC_ATOM = 6
 
 
+# How each connective is written: its text with one ``{}`` per operand,
+# its own precedence, and the least precedence each operand slot takes
+# without parentheses.
+_LAYOUT = {
+    Implies: ("{} -> {}", _PREC_IMPLIES, (_PREC_COMPARE, _PREC_IMPLIES)),
+    Leq: ("{} <= {node.bound}", _PREC_COMPARE, (_PREC_OR,)),
+    Geq: ("{} >= {node.bound}", _PREC_COMPARE, (_PREC_OR,)),
+    Or: ("{} \\/ {}", _PREC_OR, (_PREC_OR, _PREC_AND)),
+    And: ("{} /\\ {}", _PREC_AND, (_PREC_AND, _PREC_UNARY)),
+    Not: ("~{}", _PREC_UNARY, (_PREC_UNARY,)),
+    Exists: ("E {node.var}. {}", _PREC_QUANT, (_PREC_QUANT,)),
+    Forall: ("A {node.var}. {}", _PREC_QUANT, (_PREC_QUANT,)),
+}
+
+
 def render_term(term: Term) -> str:
-    if isinstance(term, Var):
-        return term.name
-    if not term.args:
-        return term.name
-    return f"{term.name}({','.join(render_term(a) for a in term.args)})"
+    return render(term)
 
 
 def render(formula: Formula) -> str:
-    """Text form that reparses to a structurally equal tree."""
+    """Text form that reparses to a structurally equal tree.
 
-    def go(node, min_prec):
-        if isinstance(node, Atom):
-            text, prec = f"{node.pred}({','.join(render_term(a) for a in node.args)})" \
-                if node.args else node.pred, _PREC_ATOM
+    One pass over ``postorder`` keeps ``(text, precedence)`` per distinct
+    node and drops it once its last parent has read it, so a deep or
+    heavily shared DAG needs no recursion and no copy of every prefix.
+    """
+    order = postorder(formula)
+    uses = Counter(id(kid) for node in order for kid in children(node))
+    done: dict[int, tuple] = {}
+
+    def operand(kid, need=_PREC_QUANT):
+        text, prec = done[id(kid)]
+        uses[id(kid)] -= 1
+        if not uses[id(kid)]:
+            del done[id(kid)]
+        return f"({text})" if prec < need else text
+
+    for node in order:
+        layout = _LAYOUT.get(type(node))
+        if layout is not None:
+            form, prec, needs = layout
+            text = form.format(*map(operand, children(node), needs), node=node)
         elif isinstance(node, Const):
             text, prec = str(node.value), _PREC_ATOM
-        elif isinstance(node, Implies):
-            text = f"{go(node.lhs, _PREC_COMPARE)} -> {go(node.rhs, _PREC_IMPLIES)}"
-            prec = _PREC_IMPLIES
-        elif isinstance(node, Leq):
-            text = f"{go(node.body, _PREC_OR)} <= {node.bound}"
-            prec = _PREC_COMPARE
-        elif isinstance(node, Geq):
-            text = f"{go(node.body, _PREC_OR)} >= {node.bound}"
-            prec = _PREC_COMPARE
-        elif isinstance(node, Or):
-            text = f"{go(node.lhs, _PREC_OR)} \\/ {go(node.rhs, _PREC_AND)}"
-            prec = _PREC_OR
-        elif isinstance(node, And):
-            text = f"{go(node.lhs, _PREC_AND)} /\\ {go(node.rhs, _PREC_UNARY)}"
-            prec = _PREC_AND
-        elif isinstance(node, Not):
-            text, prec = f"~{go(node.body, _PREC_UNARY)}", _PREC_UNARY
-        elif isinstance(node, Exists):
-            text, prec = f"E {node.var}. {go(node.body, _PREC_QUANT)}", _PREC_QUANT
-        elif isinstance(node, Forall):
-            text, prec = f"A {node.var}. {go(node.body, _PREC_QUANT)}", _PREC_QUANT
         else:
-            raise FormulaError(f"not a formula node: {node!r}")
-        if prec < min_prec:
-            return f"({text})"
-        return text
-
-    return go(formula, _PREC_QUANT)
+            head = node.pred if isinstance(node, Atom) else node.name
+            args = [operand(kid) for kid in children(node)]
+            text = f"{head}({','.join(args)})" if args else head
+            prec = _PREC_ATOM
+        done[id(node)] = text, prec
+    return done[id(formula)][0]
 
 
 # ---------------------------------------------------------------------------

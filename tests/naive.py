@@ -82,6 +82,60 @@ def naive_connective(term, point):
                + naive_connective(term.rhs, point))
 
 
+def naive_render_term(term):
+    if isinstance(term, syntax.Var) or not term.args:
+        return term.name
+    return f"{term.name}({','.join(naive_render_term(a) for a in term.args)})"
+
+
+def naive_render(node, min_prec=0):
+    """A formula's text, by recursion over it as a tree; precedences run
+    from quantifiers (0) through ->, comparisons, \\/, /\\ and ~ to
+    atoms (6), and an operand below its slot's precedence is bracketed."""
+    if isinstance(node, syntax.Atom):
+        args = ",".join(naive_render_term(a) for a in node.args)
+        text, prec = (f"{node.pred}({args})" if node.args else node.pred), 6
+    elif isinstance(node, syntax.Const):
+        text, prec = str(node.value), 6
+    elif isinstance(node, syntax.Implies):
+        text = f"{naive_render(node.lhs, 2)} -> {naive_render(node.rhs, 1)}"
+        prec = 1
+    elif isinstance(node, syntax.Leq):
+        text, prec = f"{naive_render(node.body, 3)} <= {node.bound}", 2
+    elif isinstance(node, syntax.Geq):
+        text, prec = f"{naive_render(node.body, 3)} >= {node.bound}", 2
+    elif isinstance(node, syntax.Or):
+        text = f"{naive_render(node.lhs, 3)} \\/ {naive_render(node.rhs, 4)}"
+        prec = 3
+    elif isinstance(node, syntax.And):
+        text = f"{naive_render(node.lhs, 4)} /\\ {naive_render(node.rhs, 5)}"
+        prec = 4
+    elif isinstance(node, syntax.Not):
+        text, prec = f"~{naive_render(node.body, 5)}", 5
+    elif isinstance(node, syntax.Exists):
+        text, prec = f"E {node.var}. {naive_render(node.body, 0)}", 0
+    elif isinstance(node, syntax.Forall):
+        text, prec = f"A {node.var}. {naive_render(node.body, 0)}", 0
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    return f"({text})" if prec < min_prec else text
+
+
+def naive_render_connective(term):
+    """A connective term's text, by recursion over it as a tree:
+    projections are ``x1, x2, ...``, and only a left operand that is an
+    implication is bracketed."""
+    from pavelka import connectives
+    if isinstance(term, connectives.Proj):
+        return f"x{term.index}"
+    if isinstance(term, connectives.CConst):
+        return str(term.value)
+    lhs = naive_render_connective(term.lhs)
+    if isinstance(term.lhs, connectives.CImplies):
+        lhs = f"({lhs})"
+    return f"{lhs} -> {naive_render_connective(term.rhs)}"
+
+
 def naive_satisfies(structure, sentence):
     return naive_eval(structure, sentence) == ONE
 

@@ -45,7 +45,7 @@ def on_grid(formula, denominator):
 def sub_vocabulary(rng, vocab):
     """A random part of the vocabulary, so formulas read different
     prefixes of the symbol order."""
-    keep = {s for s in vocab.symbols() if rng.random() < 0.5}
+    keep = {s for s in sorted(vocab.symbols()) if rng.random() < 0.5}
     return Vocabulary(
         {s: a for s, a in vocab.predicates.items() if s in keep},
         {s: a for s, a in vocab.operations.items() if s in keep})

@@ -1,24 +1,28 @@
 """The shared formula traversal: DAG-sized work on shared connective
 terms, no recursion limit on deep ones, and agreement of every ported
-walk with the recursive reference walks in ``naive``."""
+walk, the renderers included, with the recursive reference walks in
+``naive``."""
 
 import random
 import sys
 from fractions import Fraction as F
 
 from pavelka import (Atom, Exists, Func, Implies, Or, Var, Vocabulary,
-                     evaluate, expand_abbreviations, free_variables,
-                     rename_symbols, substitute)
-from pavelka.connectives import (apply_connective, dag_size, eval_term,
-                                 half_approx, scale_dyadic)
+                     evaluate, expand_abbreviations, free_variables, render,
+                     render_term, rename_symbols, substitute)
+from pavelka.connectives import (CImplies, Proj, apply_connective, c_or,
+                                 dag_size, eval_term, half_approx,
+                                 render_connective, scale_dyadic)
 from pavelka.omitting import TypeSet
 from pavelka.syntax import (all_variables, formula_symbols, is_core,
                             postorder, term_variables)
 
-from genutil import random_formula, random_structure, random_term
+from genutil import (random_connective_term, random_formula,
+                     random_structure, random_term)
 from naive import (naive_all_variables, naive_eval, naive_expand,
                    naive_formula_symbols, naive_free_variables,
-                   naive_is_core, naive_rename_symbols, naive_term)
+                   naive_is_core, naive_render, naive_render_connective,
+                   naive_render_term, naive_rename_symbols, naive_term)
 
 VOCAB = Vocabulary({"P": 1, "R": 2}, {"c": 0, "f": 1, "g": 2})
 SCOPE = ["x1", "x2", "y"]
@@ -83,6 +87,20 @@ class TestDepth:
         atom = Atom("d", (deep, Func("s", (Var("x"),))))
         assert evaluate(mod3, atom, {"x": "e0"}) == 1
 
+    def test_deep_formulas_render(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"recursion limit set to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        term = half_approx(2000)
+        text = render(apply_connective(term, [px()]))
+        assert len(text) == 385_332
+        assert text == render_connective(term).replace("x1", "P(x)")
+        deep = Var("x")
+        for _ in range(3000):
+            deep = Func("s", (deep,))
+        assert render_term(deep) == "s(" * 3000 + "x" + ")" * 3000
+
 
 def _corpus(size=1000):
     out = []
@@ -120,6 +138,23 @@ class TestDifferential:
             core = expand_abbreviations(phi)
             assert core == naive_expand(phi)
             assert naive_eval(m, core, env) == naive_eval(m, phi, env)
+
+    def test_render(self):
+        for seed, _, phi, _ in CORPUS:
+            assert render(phi) == naive_render(phi)
+            term = random_term(random.Random(seed), VOCAB, SCOPE, 3)
+            assert render_term(term) == naive_render_term(term)
+
+    def test_render_connective(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            arity = rng.randint(0, 3)
+            term = random_connective_term(rng, arity, rng.randint(0, 6))
+            if rng.random() < 0.3:
+                term = c_or(term, term)  # a shared operand
+            if rng.random() < 0.2:
+                term = CImplies(Proj(1, arity + 1), term)  # mixed arities
+            assert render_connective(term) == naive_render_connective(term)
 
     def test_rename(self):
         mapping = {"P": "Q", "f": "h", "c": "k"}
