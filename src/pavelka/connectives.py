@@ -325,17 +325,8 @@ def scale_dyadic(p: int, k: int, n: int):
         raise FormulaError(f"need integers p >= 0, k >= 0: p={p!r} k={k!r}")
     if not isinstance(n, int) or n < 1:
         raise FormulaError(f"resolution must be a positive integer: {n!r}")
-    if p == 0:
-        return _CZERO, ZERO
-    base: ConnectiveTerm = Proj(1, 1)
-    if k > 0:
-        halver = half_approx(n)
-        for _ in range(k):
-            base = substitute_projections(halver, [base])
-    term = base
-    for _ in range(p - 1):
-        term = c_oplus(term, base)
-    if k == 0:
+    term = _scaled_term(p, k, n)
+    if p == 0 or k == 0:
         return term, ZERO
     ratio = Fraction(p, 2 ** k)
 
@@ -344,6 +335,21 @@ def scale_dyadic(p: int, k: int, n: int):
 
     bound = certify(term, target, 1, Fraction(1, 8 * n), ratio)
     return term, bound
+
+
+def _scaled_term(p: int, k: int, n: int) -> ConnectiveTerm:
+    """``scale_dyadic``'s term, without its certificate."""
+    if p == 0:
+        return _CZERO
+    base: ConnectiveTerm = Proj(1, 1)
+    if k > 0:
+        halver = half_approx(n)
+        for _ in range(k):
+            base = substitute_projections(halver, [base])
+    term = base
+    for _ in range(p - 1):
+        term = c_oplus(term, base)
+    return term
 
 
 @dataclass(frozen=True)
@@ -478,9 +484,7 @@ def _scale_term(magnitude: Fraction, n: int):
     if magnitude == 0:
         return _CZERO, True
     k = magnitude.denominator.bit_length() - 1
-    p = magnitude.numerator
-    term, _ = scale_dyadic(p, k, n)
-    return term, k == 0
+    return _scaled_term(magnitude.numerator, k, n), k == 0
 
 
 def approx_lattice(spec: PLSpec, n: int):
@@ -523,10 +527,14 @@ def apply_connective(term: ConnectiveTerm, formulas: Sequence) -> syntax.Formula
 
 
 def rendered_size(term: ConnectiveTerm) -> int:
-    """Length of the rendered text, counting shared nodes once per use."""
-    return _fold(term, lambda node: len(f"x{node.index}"),
-                 lambda node: len(str(node.value)),
-                 lambda lhs, rhs: lhs + rhs + 8)
+    """Length of the rendered text, counting shared nodes once per use:
+    `` -> `` joins two operands, and a left operand that is itself an
+    implication is bracketed."""
+    # each node folds to (length, brackets it needs as a left operand)
+    size, _ = _fold(term, lambda node: (len(f"x{node.index}"), 0),
+                    lambda node: (len(str(node.value)), 0),
+                    lambda lhs, rhs: (sum(lhs) + rhs[0] + 4, 2))
+    return size
 
 
 def render_connective(term: ConnectiveTerm) -> str:

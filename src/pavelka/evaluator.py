@@ -19,9 +19,11 @@ operand that expansion of the derived connectives shares is computed
 once per scope.  ``Evaluator.value`` takes a program or a formula, which
 it compiles on the spot; a caller that evaluates one formula many times
 compiles it once and passes the program.  An evaluator links each
-program it is given once, to the structure's tables lowered to integers;
-each table is lowered on first use and one lowered copy kept on the
-structure, whose tables are read-only.
+program it is given once, to the structure's tables lowered to integers.
+The structure's tables are read-only, so each is lowered once, on first
+use, over the lcm of its own denominators, and kept on the structure; a
+link over a larger ``D`` gets its own scaled copy and never replaces the
+kept one.
 Only an ``Exists`` recurses, once per element of the universe, and its
 value is memoized per restriction of the assignment to its free
 variables: the recursion depth is the quantifier nesting, never the
@@ -231,11 +233,12 @@ def run(code: list, registers: list, denominator: int, memo=None) -> None:
 
 
 class _Lowering:
-    """A structure's tables lowered for the interpreter, each on first
-    use: elements become their positions in the universe, an n-ary table
-    becomes n nested lists over those positions, and truth values become
-    integers over a common denominator.  One lowered copy of each table
-    is kept, over the denominator of the last link that read it."""
+    """A structure's tables lowered for the interpreter, each once, on
+    first use: elements become their positions in the universe, an n-ary
+    table becomes n nested tuples over those positions, and the truth
+    values of a predicate table become integers over the lcm of that
+    table's own denominators.  A lowered table never changes: a link over
+    a multiple of its lcm reads a scaled copy of it."""
 
     __slots__ = ("index", "positions", "tables")
 
@@ -245,46 +248,27 @@ class _Lowering:
         self.tables = {}  # (predicate?, name) -> _table's entry
 
 
-def _source(structure, predicate: bool, name: str):
-    """A predicate's or an operation's table, or None when missing."""
-    if not predicate:
-        return structure.operations.get(name)
-    return structure.metric if name == "d" else structure.predicates.get(name)
-
-
 def _table(structure, lowering: _Lowering, predicate: bool, name: str,
            arity: int):
-    """``[width, lcm, denominator, values]`` for a symbol read with
-    ``arity`` arguments, or None when the structure lacks it: the number
-    of arguments its table takes, the lcm of its truth values'
-    denominators (1 for an operation), and, once ``_lowered`` has run,
-    the table lowered over ``denominator``.  A constant's entry holds
-    its element's position and is not kept."""
+    """``(width, lcm, values)`` for a symbol read with ``arity``
+    arguments, or None when the structure lacks it: the number of
+    arguments its table takes, the lcm of its truth values' denominators
+    (1 for an operation), and the table as nested tuples over universe
+    positions (a 0-ary predicate's value itself), truth values over that
+    lcm.  Lowered on first use and kept; a constant's entry holds its
+    element's position and is not kept."""
     if not (predicate or arity):
         element = structure.constants.get(name)
-        return None if element is None else [0, 1, 1, lowering.index[element]]
+        return None if element is None else (0, 1, lowering.index[element])
     entry = lowering.tables.get((predicate, name))
-    if entry is None:
-        source = _source(structure, predicate, name)
-        if source is None:
-            return None
-        entry = lowering.tables[(predicate, name)] = [
-            len(next(iter(source))),
-            lcm(*{v.denominator for v in source.values()}) if predicate else 1,
-            None, None]
-    return entry
-
-
-def _lowered(structure, lowering: _Lowering, predicate: bool, name: str,
-             entry: list, denominator: int):
-    """The table of ``_table``'s entry as nested lists over universe
-    positions (a 0-ary predicate's value itself), with truth values over
-    ``denominator``; lowered again only for another denominator."""
-    width, _, over, values = entry
-    if values is not None and (over == denominator or not predicate):
-        return values
-    source = _source(structure, predicate, name)
+    if entry is not None:
+        return entry
+    source = structure.metric if predicate and name == "d" else (
+        structure.predicates if predicate else structure.operations).get(name)
+    if source is None:
+        return None
     universe = structure.universe
+    width = len(next(iter(source)))
     if width == 1:
         values = [source[(a,)] for a in universe]
     elif width == 2:
@@ -293,21 +277,32 @@ def _lowered(structure, lowering: _Lowering, predicate: bool, name: str,
         values = list(map(source.__getitem__,
                           itertools.product(universe, repeat=width)))
     if predicate:
-        values = [v.numerator * (denominator // v.denominator) for v in values]
+        over = lcm(*{v.denominator for v in values})
+        values = tuple([v.numerator * (over // v.denominator) for v in values])
     else:
-        values = list(map(lowering.index.__getitem__, values))
+        over = 1
+        values = tuple(map(lowering.index.__getitem__, values))
     n = len(universe)
     for _ in range(width - 1):
-        values = [values[i:i + n] for i in range(0, len(values), n)]
-    entry[2:] = denominator, values if width else values[0]
-    return entry[3]
+        values = tuple([values[i:i + n] for i in range(0, len(values), n)])
+    entry = lowering.tables[(predicate, name)] = (
+        width, over, values if width else values[0])
+    return entry
+
+
+def _scaled(values, width: int, factor: int):
+    """A lowered truth table with every value multiplied by ``factor``."""
+    if width > 1:
+        return [_scaled(row, width - 1, factor) for row in values]
+    return [v * factor for v in values] if width else values * factor
 
 
 def _link(program: Program, structure) -> tuple:
     """``(code, result, registers, denominator, index)``: the program's
     root scope and its registers, holding the constants and the
     structure's lowered tables, over the lcm of the denominators of the
-    program and of the tables it reads."""
+    program and of the tables it reads.  A truth table lowered over a
+    smaller lcm is scaled up in the registers, never in the structure."""
     lowering = structure._lowering
     if lowering is None:
         lowering = structure._lowering = _Lowering(structure)
@@ -323,8 +318,9 @@ def _link(program: Program, structure) -> tuple:
     broken = {}
     for (predicate, name, arity, slot), entry in zip(program.symbols, entries):
         if entry is not None and entry[0] == arity:
-            registers[slot] = _lowered(structure, lowering, predicate, name,
-                                       entry, denominator)
+            width, over, values = entry
+            registers[slot] = values if over == denominator or not predicate \
+                else _scaled(values, width, denominator // over)
             continue
         what = "predicate" if predicate else "operation" if arity \
             else "constant"

@@ -15,7 +15,10 @@ ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q``, a decimal with finite expansion, or an integer."""
+    """Parse ``p/q``, a decimal with finite expansion, or an integer,
+    written as a string."""
+    if not isinstance(text, str):
+        raise ParseError(f"not a rational: {text!r} is not a string")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

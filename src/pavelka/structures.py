@@ -39,8 +39,9 @@ class Structure:
     ``validate_structure``).
 
     The metric, the symbol maps and every table are read-only mappings,
-    so the evaluator's integer lowering, built on first use and kept in
-    ``_lowering``, stays valid for the structure's lifetime.
+    so the evaluator lowers each table to integers once, on first use,
+    over the lcm of that table's own denominators, and keeps it in
+    ``_lowering`` unchanged for the structure's lifetime.
     """
 
     __slots__ = ("universe", "metric", "predicates", "operations",
@@ -406,34 +407,21 @@ def generated_substructure(structure: Structure, seeds: Iterable[str]) -> Struct
                     closed.add(out)
                     changed = True
     universe = tuple(e for e in structure.universe if e in closed)
-    return _induced(structure, universe)
+    return Structure(universe, *_induced(structure, universe),
+                     structure.constants, label=structure.label)
 
 
-def _induced(structure: Structure, universe: tuple) -> Structure:
-    inside = set(universe)
-    metric = {(a, b): structure.metric[(a, b)]
-              for a in universe for b in universe}
-    preds = {}
-    for name, table in structure.predicates.items():
+def _induced(structure: Structure, universe: tuple) -> tuple:
+    """The metric, predicate and operation tables restricted to
+    ``universe``, which the caller has checked holds every constant and
+    is closed under the operations."""
+    def restrict(table):
         arity = len(next(iter(table)))
-        preds[name] = {k: table[k]
-                       for k in itertools.product(universe, repeat=arity)}
-    ops = {}
-    for name, table in structure.operations.items():
-        arity = len(next(iter(table)))
-        sub = {}
-        for k in itertools.product(universe, repeat=arity):
-            out = table[k]
-            if out not in inside:
-                raise StructureError(
-                    f"operation {name!r} escapes the subset at {k}")
-            sub[k] = out
-        ops[name] = sub
-    for name, e in structure.constants.items():
-        if e not in inside:
-            raise StructureError(f"constant {name!r} outside the subset")
-    return Structure(universe, metric, preds, ops, dict(structure.constants),
-                     label=structure.label)
+        return {k: table[k] for k in itertools.product(universe, repeat=arity)}
+
+    return (restrict(structure.metric),
+            {name: restrict(t) for name, t in structure.predicates.items()},
+            {name: restrict(t) for name, t in structure.operations.items()})
 
 
 # ---------------------------------------------------------------------------

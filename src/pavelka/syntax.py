@@ -548,10 +548,6 @@ class _Parser:
             raise ParseError(f"expected {what}, found {tok[1]!r}", tok[2])
         return tok
 
-    def fail(self, message):
-        tok = self.peek()
-        raise ParseError(message, tok[2])
-
     # grammar levels -------------------------------------------------------
 
     def formula(self):

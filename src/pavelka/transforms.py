@@ -110,11 +110,10 @@ def restrict_to_predicate(structure: Structure, predicate: str) -> Structure:
                     "not-closed",
                     f"operation {name!r} escapes the part at {args}")
 
-    sub = _induced(structure, part)
-    predicates = {name: ptable for name, ptable in sub.predicates.items()
-                  if name != predicate}
-    return Structure(part, sub.metric, predicates, sub.operations,
-                     sub.constants, label=sub.label)
+    metric, predicates, operations = _induced(structure, part)
+    del predicates[predicate]
+    return Structure(part, metric, predicates, operations,
+                     structure.constants, label=structure.label)
 
 
 def component_sentence(sentence: Formula, k: int) -> Formula:

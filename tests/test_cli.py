@@ -99,6 +99,28 @@ class TestEvalCheckValidate:
                       "--formula", "P(")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["eval", "validate", "approx"])
+    def test_non_string_rational_exits_two(self, files, tmp_path, capsys,
+                                           command):
+        # a JSON number where the file format wants a rational string
+        path = str(tmp_path / "numeric.json")
+        if command == "eval":
+            payload = {"universe": ["a", "b"], "metric": {"a,b": 1}}
+            argv = ["eval", "--struct", path, "--formula", "1/2"]
+        elif command == "validate":
+            payload = {"vocabulary": {"predicates": {"P": 1}},
+                       "moduli": {"P": [[1, "1/2"]]}}
+            argv = ["validate", "--sig", path, "--struct", files["m2.json"]]
+        else:
+            payload = {"arity": 1, "groups": [[{"coefficients": [0.75]}]]}
+            argv = ["approx", "--target", "lattice", "--spec", path]
+        pathlib.Path(path).write_text(storage.dump_json(payload))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: not a rational")
+
     def test_missing_file_exits_two(self, files, capsys):
         code, _ = run(capsys, "eval", "--struct", files["tmp"] + "/nope.json",
                       "--formula", "P(c)")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -255,6 +256,23 @@ class TestApproxLattice:
         term, bound = cn.approx_lattice(spec, 16)
         fine = cn.grid_max_error(term, spec.value, 1, F(1, 512))
         assert fine <= bound
+
+    def test_inexact_spec_sweeps_the_grid_once(self, monkeypatch):
+        # the scaled pieces are built without certificates of their own;
+        # term and bound are those the three-sweep construction gave
+        sweeps = []
+        sweep = cn.grid_max_error
+        monkeypatch.setattr(cn, "grid_max_error",
+                            lambda *args: sweeps.append(args) or sweep(*args))
+        spec = cn.PLSpec(1, ((cn.AffinePiece((F(3, 4),), F(0)),),
+                             (cn.AffinePiece((F(-1, 2),), F(1, 2)),)))
+        term, bound = cn.approx_lattice(spec, 8)
+        assert len(sweeps) == 1
+        assert bound == F(159, 512)
+        text = cn.render_connective(term)
+        assert (len(text), cn.dag_size(term)) == (111_323, 236)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e2bcb913fa9c31277d2b6884aaab04fcfcb4dafbc6821ccdf9a21dd332a11938")
 
 
 class TestApplyConnective:

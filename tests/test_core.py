@@ -234,3 +234,32 @@ class TestNoGlobalState:
                 assert evaluate(m2, phi) == naive_eval(m2, phi, {})
         assert len(primes) > 70
         assert sorted(m2._lowering.tables) == [(True, "P"), (True, "d")]
+
+    def test_lowered_tables_never_change(self, m2):
+        # each table is lowered once, over the lcm of its own
+        # denominators; links over other denominators read scaled copies
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        evaluate(m2, parse_formula("E x. d(x, c) /\\ P(x)", vocab))
+        kept = dict(m2._lowering.tables)
+        assert kept == {(True, "P"): (1, 3, (1, 3)),
+                        (True, "d"): (2, 1, ((0, 1), (1, 0)))}
+        values = {key: entry[-1] for key, entry in kept.items()}
+        for p in (2, 5, 6, 7, 9):
+            phi = parse_formula(f"E x. d(x, c) -> P(x) /\\ 1/{p}", vocab)
+            assert evaluate(m2, phi) == naive_eval(m2, phi, {})
+        for key, entry in kept.items():
+            assert m2._lowering.tables[key] is entry
+            assert entry[-1] is values[key]
+
+    def test_evaluators_link_one_structure_at_different_denominators(self, m2):
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        texts = ("E x. d(x, c) -> P(x)", "P(c) -> 2/5", "E x. P(x) /\\ 3/7",
+                 "P(x) -> d(x, c) /\\ 5/6")
+        programs = [compile_formula(parse_formula(t, vocab)) for t in texts]
+        first, second = Evaluator(m2), Evaluator(m2)
+        for engine, order in ((first, programs), (second, programs[::-1]),
+                              (first, programs[::-1]), (second, programs)):
+            for program in order:
+                for x in m2.universe:
+                    assert engine.value(program, {"x": x}) == \
+                        naive_eval(m2, program.source, {"x": x})

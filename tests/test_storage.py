@@ -5,7 +5,18 @@ import pytest
 
 from pavelka import ParseError, SearchSpace, Structure, Theory, TypeSet, Vocabulary
 from pavelka import storage
+from pavelka.rationals import parse_rational
 from pavelka.syntax import Signature, parse_formula
+
+
+class TestRationals:
+    def test_non_string_refused(self):
+        assert parse_rational(" 3/6 ") == F(1, 2)
+        for value in (1, 0.5, None, ["1/2"]):
+            with pytest.raises(ParseError) as caught:
+                parse_rational(value)
+            assert str(caught.value) == \
+                f"not a rational: {value!r} is not a string"
 
 
 class TestStructureFiles:

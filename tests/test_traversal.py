@@ -12,7 +12,8 @@ from pavelka import (Atom, Exists, Func, Implies, Or, Var, Vocabulary,
                      render_term, rename_symbols, substitute)
 from pavelka.connectives import (CImplies, Proj, apply_connective, c_or,
                                  dag_size, eval_term, half_approx,
-                                 render_connective, scale_dyadic)
+                                 render_connective, rendered_size,
+                                 scale_dyadic)
 from pavelka.omitting import TypeSet
 from pavelka.syntax import (all_variables, formula_symbols, is_core,
                             postorder, term_variables)
@@ -155,6 +156,20 @@ class TestDifferential:
             if rng.random() < 0.2:
                 term = CImplies(Proj(1, arity + 1), term)  # mixed arities
             assert render_connective(term) == naive_render_connective(term)
+
+    def test_rendered_size_is_exact(self):
+        for n in (1, 16, 256, 2000):
+            term = half_approx(n)
+            assert rendered_size(term) == len(render_connective(term))
+        for seed in range(300):
+            rng = random.Random(seed)
+            arity = rng.randint(0, 3)
+            term = random_connective_term(rng, arity, rng.randint(0, 6))
+            if rng.random() < 0.3:
+                term = c_or(term, term)
+            if rng.random() < 0.2:
+                term = CImplies(Proj(1, arity + 1), term)
+            assert rendered_size(term) == len(render_connective(term))
 
     def test_rename(self):
         mapping = {"P": "Q", "f": "h", "c": "k"}
