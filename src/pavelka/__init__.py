@@ -13,17 +13,17 @@ from .errors import (EvaluationError, FormulaError, ParseError, PavelkaError,
 from .evaluator import (Evaluator, check_theory, compile_formula, entails,
                         evaluate, satisfies, tarski_vaught_check)
 from .omitting import (CompleteTypeRecord, GeneratorCandidate, OmegaCandidate,
-                       SearchOutcome, SearchSpace, TypeSet,
-                       default_record_corpus, generator_check,
-                       metrically_principal_check, omega_principal_check,
-                       omits, realizes, search_model, type_distance)
+                       SearchOutcome, SearchSpace, default_record_corpus,
+                       generator_check, metrically_principal_check,
+                       omega_principal_check, omits, realizes, search_model,
+                       type_distance)
 from .structures import (Renaming, Structure, ValidationReport, Violation,
                          combine, combined_signature, generated_substructure,
                          lipschitz_check, reduct, reduct_signature, rename,
                          rename_signature, similarity_view, validate_structure)
 from .syntax import (And, Atom, Const, Exists, Forall, Formula, Func, Geq,
-                     Implies, Leq, Not, Or, Signature, Term, Theory, Var,
-                     Vocabulary, expand_abbreviations, free_variables,
+                     Implies, Leq, Not, Or, Signature, Term, Theory, TypeSet,
+                     Var, Vocabulary, expand_abbreviations, free_variables,
                      parse_formula, parse_term, parse_vocabulary, render,
                      render_term, rename_symbols, substitute)
 from .transforms import (OrderTheorySpec, component_sentence, discrete_macro,

@@ -14,43 +14,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
 from .evaluator import (EntailmentResult, Evaluator, compile_formula, entails,
                         model_tuples)
 from .rationals import ZERO, ONE, as_fraction
 from .structures import Structure
-from .syntax import (Atom, Const, Formula, Geq, Leq, Term, Theory, Var,
-                     Vocabulary, children, formula_symbols, free_variables,
-                     postorder, substitute, term_variables)
+from .syntax import (Atom, Const, Formula, Geq, Leq, Term, Theory, TypeSet,
+                     Var, Vocabulary, children, formula_symbols,
+                     free_variables, postorder, substitute, term_variables)
 from .transforms import thicken
-
-
-@dataclass(frozen=True)
-class TypeSet:
-    """A named finite set of formulas in fixed free variables x1..xn."""
-
-    name: str
-    variables: tuple
-    formulas: tuple
-
-    def __post_init__(self):
-        variables = tuple(self.variables)
-        formulas = tuple(self.formulas)
-        if not variables:
-            raise FormulaError("a type needs at least one variable")
-        if len(set(variables)) != len(variables):
-            raise FormulaError("type variables must be distinct")
-        allowed = set(variables)
-        for phi in formulas:
-            extra = set(free_variables(phi)) - allowed
-            if extra:
-                raise FormulaError(
-                    f"type {self.name!r} has formula with stray free "
-                    f"variables {sorted(extra)}")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "formulas", formulas)
 
 
 def realizes(structure: Structure, elements: Sequence[str],
@@ -462,17 +436,17 @@ def _off_grid(node, denominator: int) -> Optional[str]:
     return None
 
 
-def _constants_on_grid(theory: Theory, denominator: int) -> None:
-    """Raise on the first off-grid constant or bound, reading each
-    sentence node before its subformulas, left to right."""
-    for sentence in theory.sentences:
+def _constants_on_grid(formulas: Iterable[Formula], denominator: int) -> None:
+    """Raise on the first off-grid constant or bound, formula by formula
+    in order, reading each node before its subformulas, left to right."""
+    for formula in formulas:
         first: dict[int, Optional[str]] = {}
-        for node in postorder(sentence):
+        for node in postorder(formula):
             found = [_off_grid(node, denominator)]
             found.extend(first[id(kid)] for kid in children(node))
             first[id(node)] = next(filter(None, found), None)
-        if first[id(sentence)] is not None:
-            raise ResolutionError(first[id(sentence)])
+        if first[id(formula)] is not None:
+            raise ResolutionError(first[id(formula)])
 
 
 def search_model(space: SearchSpace, theory: Theory,
@@ -489,13 +463,15 @@ def search_model(space: SearchSpace, theory: Theory,
     1-based canonical index, or the size of the space when it is
     exhausted, so skipped structures count.
 
-    Off-grid constants and bounds in the theory raise ``ResolutionError``,
-    and a symbol outside the space's vocabulary or at another arity
-    raises ``EvaluationError``, both before the scan starts.
+    Off-grid constants and bounds, in the theory's sentences and then in
+    the types' formulas, raise ``ResolutionError``, and a symbol outside
+    the space's vocabulary or at another arity raises
+    ``EvaluationError``, both before the scan starts.
     """
-    _constants_on_grid(theory, space.truth_denominator)
-    found = next(enumerate_structures(space, [*theory.sentences, *types]),
-                 None)
+    checks = [*theory.sentences, *types]
+    _constants_on_grid(itertools.chain.from_iterable(map(_formulas, checks)),
+                       space.truth_denominator)
+    found = next(enumerate_structures(space, checks), None)
     if found is None:
         return SearchOutcome(None, sum(
             _count(space, n) for n in range(1, space.max_size + 1)))

@@ -22,10 +22,10 @@ import os
 from typing import Mapping, Optional
 
 from .errors import ParseError
-from .omitting import SearchSpace, TypeSet
+from .omitting import SearchSpace
 from .rationals import format_rational, parse_rational
 from .structures import Structure
-from .syntax import (Signature, Theory, Vocabulary, parse_formula,
+from .syntax import (Signature, Theory, TypeSet, Vocabulary, parse_formula,
                      parse_vocabulary, render)
 
 

@@ -12,6 +12,7 @@ axioms, value ranges, and continuity samples are checked by
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -22,15 +23,50 @@ from .rationals import ZERO, ONE, as_fraction, in_unit_interval
 from .syntax import Signature, Vocabulary, _check_symbol_name
 
 
+# A nonempty id without commas or whitespace; ``\s`` matches exactly the
+# characters ``str.isspace`` accepts.
+_ELEMENT_RE = re.compile(r"[^,\s]+\Z")
+
+
 def _check_element_id(element) -> str:
-    if not isinstance(element, str) or not element or "," in element \
-            or any(ch.isspace() for ch in element):
+    if not isinstance(element, str) or not _ELEMENT_RE.match(element):
         raise StructureError(f"bad element id: {element!r}")
     return element
 
 
+def _checked_table(name, table, convert, elements):
+    """The table of symbol ``name``, read-only, with tuple keys and
+    ``convert``ed values, and its arity.  The name must be a symbol name
+    and the table total on the universe ``elements``: keys of one arity,
+    ``len(elements) ** arity`` of them, each inside ``elements``."""
+    _check_symbol_name(name)
+    table = {tuple(k): convert(v) for k, v in dict(table).items()}
+    if not table:
+        raise StructureError(f"empty table for {name!r}")
+    arities = set(map(len, table))
+    if len(arities) != 1:
+        raise StructureError(f"mixed-arity table for {name!r}")
+    arity = arities.pop()
+    expected = len(elements) ** arity
+    if len(table) != expected:
+        raise StructureError(
+            f"table for {name!r} has {len(table)} entries, "
+            f"needs {expected}")
+    if not elements.issuperset(itertools.chain.from_iterable(table)):
+        key = next(k for k in table if not elements.issuperset(k))
+        raise StructureError(
+            f"table for {name!r} keyed by unknown element: {key}")
+    return MappingProxyType(table), arity
+
+
 class Structure:
     """Immutable finite metric structure.
+
+    Construction checks shape only, raising on the first fault: distinct
+    element ids without commas or whitespace, a metric on every pair,
+    valid unshared symbol names, each table keyed by exactly the tuples
+    of one arity over the universe, operations of positive arity, and
+    outputs and constants inside the universe.
 
     ``metric`` may be given sparsely: missing diagonal entries default
     to 0 and a missing ``(b, a)`` defaults to the provided ``(a, b)``
@@ -74,26 +110,21 @@ class Structure:
 
         preds: dict = {}
         for name, table in dict(predicates or {}).items():
-            _check_symbol_name(name)
-            table = {tuple(k): as_fraction(v) for k, v in dict(table).items()}
-            arity = self._table_arity(name, table)
-            self._check_domain(name, table, universe, arity)
-            preds[name] = MappingProxyType(table)
+            preds[name], _ = _checked_table(name, table, as_fraction,
+                                            elements)
 
         ops: dict = {}
         for name, table in dict(operations or {}).items():
-            _check_symbol_name(name)
-            table = {tuple(k): v for k, v in dict(table).items()}
-            arity = self._table_arity(name, table)
+            ops[name], arity = _checked_table(name, table, lambda out: out,
+                                              elements)
             if arity == 0:
                 raise StructureError(
                     f"nullary operation {name!r} belongs in constants")
-            self._check_domain(name, table, universe, arity)
-            for key, value in table.items():
-                if value not in elements:
-                    raise StructureError(
-                        f"operation {name!r} maps {key} outside the universe")
-            ops[name] = MappingProxyType(table)
+            if not elements.issuperset(ops[name].values()):
+                key = next(k for k, out in ops[name].items()
+                           if out not in elements)
+                raise StructureError(
+                    f"operation {name!r} maps {key} outside the universe")
 
         consts: dict = {}
         for name, element in dict(constants or {}).items():
@@ -115,28 +146,6 @@ class Structure:
         self.label = label
         self._elements = elements
         self._lowering = None
-
-    @staticmethod
-    def _table_arity(name, table):
-        if not table:
-            raise StructureError(f"empty table for {name!r}")
-        arities = {len(k) for k in table}
-        if len(arities) != 1:
-            raise StructureError(f"mixed-arity table for {name!r}")
-        return arities.pop()
-
-    @staticmethod
-    def _check_domain(name, table, universe, arity):
-        expected = len(universe) ** arity
-        if len(table) != expected:
-            raise StructureError(
-                f"table for {name!r} has {len(table)} entries, "
-                f"needs {expected}")
-        elements = set(universe)
-        for key in table:
-            if any(e not in elements for e in key):
-                raise StructureError(
-                    f"table for {name!r} keyed by unknown element: {key}")
 
     # ------------------------------------------------------------------
 
@@ -198,6 +207,25 @@ class ValidationReport:
         return cls(passed=not violations, violations=violations)
 
 
+def _pairs(structure: Structure, name: str):
+    """``(xs, ys, diff, gap)`` for each pair of argument tuples of the
+    predicate or operation ``name``, in ``itertools.product`` order: the
+    distance ``diff`` between its values at ``xs`` and ``ys``, and the
+    max-metric ``gap`` between the tuples, 0 for a 0-ary symbol."""
+    metric = structure.metric
+    is_predicate = name in structure.predicates
+    table = (structure.predicates if is_predicate
+             else structure.operations)[name]
+    tuples = list(itertools.product(structure.universe,
+                                    repeat=len(next(iter(table)))))
+    for xs in tuples:
+        for ys in tuples:
+            gap = max((metric[pair] for pair in zip(xs, ys)), default=ZERO)
+            diff = abs(table[xs] - table[ys]) if is_predicate \
+                else metric[(table[xs], table[ys])]
+            yield xs, ys, diff, gap
+
+
 def validate_structure(structure: Structure, signature: Signature) -> ValidationReport:
     """Check metric axioms, value ranges, and the sampled continuity moduli.
 
@@ -248,28 +276,11 @@ def validate_structure(structure: Structure, signature: Signature) -> Validation
         pairs = signature.moduli[name]
         if not pairs:
             continue
-        if name in structure.predicates:
-            table = structure.predicates[name]
-            arity = len(next(iter(table)))
-            metric_gap = None
-        else:
-            table = structure.operations[name]
-            arity = len(next(iter(table)))
-            metric_gap = metric
-        tuples = list(itertools.product(universe, repeat=arity))
-        for xs in tuples:
-            for ys in tuples:
-                gap = max(metric[(x, y)] for x, y in zip(xs, ys)) \
-                    if arity else ZERO
-                if metric_gap is None:
-                    diff = abs(table[xs] - table[ys])
-                else:
-                    diff = metric[(table[xs], table[ys])]
-                for eps, delta in pairs:
-                    if gap < delta and diff > eps:
-                        violations.append(Violation(
-                            "modulus", (name, eps, delta, xs, ys),
-                            (diff, gap)))
+        for xs, ys, diff, gap in _pairs(structure, name):
+            for eps, delta in pairs:
+                if gap < delta and diff > eps:
+                    violations.append(Violation(
+                        "modulus", (name, eps, delta, xs, ys), (diff, gap)))
 
     return ValidationReport.from_violations(violations)
 
@@ -277,28 +288,11 @@ def validate_structure(structure: Structure, signature: Signature) -> Validation
 def lipschitz_check(structure: Structure) -> ValidationReport:
     """Pass iff every predicate and operation is 1-Lipschitz for the
     max metric on tuples; failures carry the offending tuple pair."""
-    violations: list[Violation] = []
-    universe = structure.universe
-    metric = structure.metric
-
-    def scan(name, table, is_predicate):
-        arity = len(next(iter(table)))
-        if arity == 0:
-            return
-        tuples = list(itertools.product(universe, repeat=arity))
-        for xs in tuples:
-            for ys in tuples:
-                gap = max(metric[(x, y)] for x, y in zip(xs, ys))
-                diff = abs(table[xs] - table[ys]) if is_predicate \
-                    else metric[(table[xs], table[ys])]
-                if diff > gap:
-                    violations.append(
-                        Violation("lipschitz", (name, xs, ys), (diff, gap)))
-
-    for name in sorted(structure.predicates):
-        scan(name, structure.predicates[name], True)
-    for name in sorted(structure.operations):
-        scan(name, structure.operations[name], False)
+    violations = [Violation("lipschitz", (name, xs, ys), (diff, gap))
+                  for name in [*sorted(structure.predicates),
+                               *sorted(structure.operations)]
+                  for xs, ys, diff, gap in _pairs(structure, name)
+                  if diff > gap]
     return ValidationReport.from_violations(violations)
 
 

@@ -256,6 +256,32 @@ class Theory:
         object.__setattr__(self, "sentences", sentences)
 
 
+@dataclass(frozen=True)
+class TypeSet:
+    """A named finite set of formulas in fixed free variables x1..xn."""
+
+    name: str
+    variables: tuple
+    formulas: tuple
+
+    def __post_init__(self):
+        variables = tuple(self.variables)
+        formulas = tuple(self.formulas)
+        if not variables:
+            raise FormulaError("a type needs at least one variable")
+        if len(set(variables)) != len(variables):
+            raise FormulaError("type variables must be distinct")
+        allowed = set(variables)
+        for phi in formulas:
+            extra = set(free_variables(phi)) - allowed
+            if extra:
+                raise FormulaError(
+                    f"type {self.name!r} has formula with stray free "
+                    f"variables {sorted(extra)}")
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "formulas", formulas)
+
+
 # ---------------------------------------------------------------------------
 # Structural walks
 #
@@ -527,6 +553,8 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, vocabulary: Vocabulary):
+        if not isinstance(text, str):
+            raise ParseError(f"not formula text: {text!r} is not a string")
         self.text = text
         self.vocab = vocabulary
         self.tokens = _tokenize(text)

@@ -14,7 +14,7 @@ from .errors import FormulaError, RestrictionError, VocabularyError
 from .rationals import ZERO, ONE, as_fraction
 from .structures import _MARKERS, Structure, _induced, _tag_symbol
 from .syntax import (And, Atom, Const, Exists, Forall, Formula, Leq, Not, Or,
-                     Theory, Var, Vocabulary, all_variables,
+                     Theory, TypeSet, Var, Vocabulary, all_variables,
                      expand_abbreviations, formula_symbols, free_variables,
                      fresh_variable, rebuild, rename_symbols, substitute)
 
@@ -215,8 +215,6 @@ def thicken(typeset, delta: Fraction, max_conjunction: Optional[int] = None):
     with fresh witness variables.  The bound defaults to the full size;
     over finite structures the full conjunction dominates the rest.
     """
-    from .omitting import TypeSet  # local import to keep layering acyclic
-
     delta = as_fraction(delta)
     if not (ZERO <= delta <= ONE):
         raise FormulaError(f"delta outside [0,1]: {delta}")

@@ -121,6 +121,26 @@ class TestEvalCheckValidate:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: not a rational")
 
+    @pytest.mark.parametrize("command", ["check", "thicken"])
+    def test_non_string_formula_exits_two(self, files, tmp_path, capsys,
+                                          command):
+        # a JSON number or list where the file format wants formula text
+        path = str(tmp_path / "numeric.json")
+        if command == "check":
+            payload = {"name": "t", "sentences": [1]}
+            argv = ["check", "--struct", files["m2.json"], "--theory", path]
+        else:
+            payload = {"name": "s", "variables": ["x"],
+                       "formulas": [["P(x)"]]}
+            argv = ["thicken", "--types", path, "--vocab",
+                    files["vocab.json"], "--delta", "1/2"]
+        pathlib.Path(path).write_text(storage.dump_json(payload))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_missing_file_exits_two(self, files, capsys):
         code, _ = run(capsys, "eval", "--struct", files["tmp"] + "/nope.json",
                       "--formula", "P(c)")
@@ -312,3 +332,23 @@ class TestStructureOps:
                             "--theory", files["box.json"])
             runs.append(out)
         assert runs[0] == runs[1]
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).with_name("cli_golden.json"))
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"],
+                         ids=[f"{i:02d}-{case['argv'][0]}"
+                              for i, case in enumerate(GOLDEN["cases"])])
+def test_golden_bytes(files, capsys, monkeypatch, case):
+    """Exit code, stdout and stderr of each recorded invocation, run in
+    the fixture directory with relative paths; a change that alters CLI
+    bytes on purpose updates ``cli_golden.json``."""
+    monkeypatch.chdir(files["tmp"])
+    for name, text in GOLDEN["files"].items():
+        pathlib.Path(name).write_text(text, encoding="utf-8")
+    code = main(case["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == \
+        (case["exit"], case["stdout"], case["stderr"])

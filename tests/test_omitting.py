@@ -256,6 +256,13 @@ class TestSearchModel:
         with pytest.raises(ResolutionError):
             search_model(self.search_space(), theory, [])
 
+    def test_off_grid_type_bound_rejected(self, vocab_pc):
+        types = [TypeSet("s", ("x",),
+                         (parse_formula("P(x) >= 1/3", vocab_pc),))]
+        with pytest.raises(ResolutionError,
+                           match="^bound 1/3 is not on the 1/2 grid$"):
+            search_model(self.search_space(), Theory("t", ()), types)
+
     def test_enumeration_is_canonical(self):
         space = SearchSpace(Vocabulary({"P": 1}, {}), max_size=1,
                             truth_denominator=2, metric_denominator=1)

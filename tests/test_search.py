@@ -12,8 +12,8 @@ from fractions import Fraction as F
 import pytest
 
 from pavelka import (Atom, Const, EvaluationError, Exists, Forall, Func, Geq,
-                     Leq, SearchSpace, Theory, TypeSet, Var, Vocabulary,
-                     parse_formula, search_model, syntax)
+                     Leq, ResolutionError, SearchSpace, Theory, TypeSet, Var,
+                     Vocabulary, parse_formula, search_model, syntax)
 from pavelka.errors import FormulaError
 from pavelka.omitting import _index, enumerate_structures
 
@@ -35,7 +35,7 @@ FIXED = ("E x. E y. d(x,y) >= 1", "A x. A y. d(x,y) <= 1/2", "1", "0",
 
 def on_grid(formula, denominator):
     """True when every constant and bound is on the truth grid, as the
-    search requires of theory sentences."""
+    search requires of theory sentences and type formulas."""
     return all(((node.value if isinstance(node, Const) else node.bound)
                 * denominator).denominator == 1
                for node in syntax.postorder(formula)
@@ -95,9 +95,15 @@ def random_problem(rng):
 class TestAgainstFullScan:
     def test_random_corpus(self):
         rng = random.Random(20260)
-        found = exhausted = skipped = 0
+        found = exhausted = skipped = off_grid = 0
         for _ in range(240):
             space, theory, types = random_problem(rng)
+            if not all(on_grid(phi, space.truth_denominator)
+                       for t in types for phi in t.formulas):
+                with pytest.raises(ResolutionError):
+                    search_model(space, theory, types)
+                off_grid += 1
+                continue
             outcome = search_model(space, theory, types)
             examined, structure = naive_search(space, theory, types)
             assert (outcome.examined, outcome.structure) == \
@@ -108,6 +114,7 @@ class TestAgainstFullScan:
                 found += 1
                 skipped += examined > 1
         assert found >= 100 and exhausted >= 100 and skipped >= 40
+        assert off_grid >= 10
 
     def test_types_reading_different_prefixes(self):
         vocab = Vocabulary({"P": 1, "Q": 1}, {"c": 0})

@@ -48,6 +48,106 @@ class TestConstruction:
         assert m.vocabulary().predicates["Z"] == 0
 
 
+# Each constructor fault, with the exact error it raises; the inputs
+# with two faults pin which check comes first.
+_U = ("a", "b")
+_M = {("a", "b"): F(1)}
+_P = {("a",): F(1), ("b",): F(0)}
+CONSTRUCTION_FAULTS = {
+    "id not a string": (((1,), {}), StructureError,
+                        "bad element id: 1"),
+    "empty id": ((("",), {}), StructureError, "bad element id: ''"),
+    "comma in id": ((("a,b",), {}), StructureError,
+                    "bad element id: 'a,b'"),
+    "space in id": ((("a b",), {}), StructureError,
+                    "bad element id: 'a b'"),
+    "tab in id": ((("a\tb",), {}), StructureError,
+                  "bad element id: 'a\\tb'"),
+    "ideographic space in id": ((("a\u3000",), {}), StructureError,
+                                "bad element id: 'a\\u3000'"),
+    "empty universe": (((), {}), StructureError,
+                       "universe must be nonempty"),
+    "duplicate ids": ((("a", "a"), {}), StructureError,
+                      "universe ids must be distinct"),
+    "unknown metric pair": ((_U, {("a", "z"): F(1)}), StructureError,
+                            "metric entry for unknown pair ('a', 'z')"),
+    "missing metric pair": ((_U, {}), StructureError,
+                            "metric missing pair (a,b)"),
+    "empty table": ((_U, _M, {"P": {}}), StructureError,
+                    "empty table for 'P'"),
+    "mixed-arity table": ((_U, _M, {"P": {("a",): F(1), ("a", "b"): F(1)}}),
+                          StructureError, "mixed-arity table for 'P'"),
+    "wrong entry count": ((_U, _M, {"P": {("a",): F(1)}}),
+                          StructureError,
+                          "table for 'P' has 1 entries, needs 2"),
+    "unknown key": ((_U, _M, {"P": {("a",): F(1), ("z",): F(1)}}),
+                    StructureError,
+                    "table for 'P' keyed by unknown element: ('z',)"),
+    "first unknown key in table order": (
+        (_U, _M, {"R": {("a", "a"): F(1), ("z", "b"): F(1),
+                        ("b", "z"): F(1), ("b", "b"): F(1)}}),
+        StructureError, "table for 'R' keyed by unknown element: ('z', 'b')"),
+    "bad symbol name": ((_U, _M, {"1P": _P}), VocabularyError,
+                        "bad symbol name: '1P'"),
+    "reserved symbol name": ((_U, _M, {"d": _P}), VocabularyError,
+                             "symbol name 'd' is reserved"),
+    "float truth value": ((_U, _M, {"P": {("a",): 0.5, ("b",): F(0)}}),
+                          TypeError, "exact rational required, got float"),
+    "nullary operation": ((_U, _M, {}, {"f": {(): "a"}}), StructureError,
+                          "nullary operation 'f' belongs in constants"),
+    "operation output outside": (
+        (_U, _M, {}, {"f": {("a",): "a", ("b",): "z"}}), StructureError,
+        "operation 'f' maps ('b',) outside the universe"),
+    "bad operation name": ((_U, _M, {}, {"f-": {("a",): "a"}}),
+                           VocabularyError, "bad symbol name: 'f-'"),
+    "constant outside": ((_U, _M, {}, {}, {"c": "z"}), StructureError,
+                         "constant 'c' interpreted outside the universe"),
+    "bad constant name": ((_U, _M, {}, {}, {"c c": "a"}),
+                          VocabularyError, "bad symbol name: 'c c'"),
+    "name clash": ((_U, _M, {"P": _P}, {}, {"P": "a"}), StructureError,
+                   "predicate/operation/constant name clash"),
+    "bad id and duplicate": ((("a b", "a b"), {}), StructureError,
+                             "bad element id: 'a b'"),
+    "entry count and unknown key": ((_U, _M, {"P": {("z",): F(1)}}),
+                                    StructureError,
+                                    "table for 'P' has 1 entries, needs 2"),
+    "mixed arity and entry count": (
+        (_U, _M, {"P": {("a",): F(1), ("a", "b"): F(1), ("b",): F(0)}}),
+        StructureError, "mixed-arity table for 'P'"),
+    "bad name and empty table": ((_U, _M, {"1P": {}}), VocabularyError,
+                                 "bad symbol name: '1P'"),
+    "bad name and float value": ((_U, _M, {"1P": {("a",): 0.5}}),
+                                 VocabularyError, "bad symbol name: '1P'"),
+    "float value and entry count": ((_U, _M, {"P": {("a",): 0.5}}),
+                                    TypeError,
+                                    "exact rational required, got float"),
+    "metric and table": ((_U, {}, {"P": {}}), StructureError,
+                         "metric missing pair (a,b)"),
+    "predicate before operation": ((_U, _M, {"P": {}}, {"f": {(): "a"}}),
+                                   StructureError, "empty table for 'P'"),
+    "nullary operation and output": ((_U, _M, {}, {"f": {(): "z"}}),
+                                     StructureError,
+                                     "nullary operation 'f' belongs in "
+                                     "constants"),
+    "unknown key and output": (
+        (_U, _M, {}, {"f": {("a",): "z", ("z",): "a"}}), StructureError,
+        "table for 'f' keyed by unknown element: ('z',)"),
+    "constant outside and clash": ((_U, _M, {"P": _P}, {}, {"P": "z"}),
+                                   StructureError,
+                                   "constant 'P' interpreted outside the "
+                                   "universe"),
+}
+
+
+@pytest.mark.parametrize("args, error, message",
+                         CONSTRUCTION_FAULTS.values(),
+                         ids=CONSTRUCTION_FAULTS.keys())
+def test_construction_error_text(args, error, message):
+    with pytest.raises(error) as caught:
+        Structure(*args)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 class TestValidate:
     def test_singleton_passes(self):
         m = Structure(("a",), {}, {"P": {("a",): F(1, 3)}}, {}, {})
