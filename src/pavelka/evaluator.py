@@ -18,12 +18,21 @@ each a flat list of instructions over numbered slots in postorder, so an
 operand that expansion of the derived connectives shares is computed
 once per scope.  ``Evaluator.value`` takes a program or a formula, which
 it compiles on the spot; a caller that evaluates one formula many times
-compiles it once and passes the program.  An evaluator links each
-program it is given once, to the structure's tables lowered to integers.
-The structure's tables are read-only, so each is lowered once, on first
-use, over the lcm of its own denominators, and kept on the structure; a
-link over a larger ``D`` gets its own scaled copy and never replaces the
-kept one.
+compiles it once and passes the program.
+
+A lowered table is ``(width, lcm, values)``: its arity, the
+denominator its truth values are integers over (1 for an operation),
+and nested tuples over universe positions.  ``_link`` is the one
+linking rule: it puts a program's constants and lowered tables into
+registers over one ``D``, whoever lowered the tables.  An evaluator
+links each program it is given once, to its structure's tables; they
+are read-only, so each is lowered once, on first use, over the lcm of
+its own denominators, and kept on the structure, and a link over a
+larger ``D`` gets its own scaled copy and never replaces the kept one.
+The model search links each check once per universe size to tables it
+lowers itself, over one denominator for its grids and checks, and
+writes each candidate table into the registers before ``run``.
+
 Only an ``Exists`` recurses, once per element of the universe, and its
 value is memoized per restriction of the assignment to its free
 variables: the recursion depth is the quantifier nesting, never the
@@ -32,6 +41,7 @@ connective or term depth.  No state outlives a call at module level.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -229,7 +239,16 @@ def run(code: list, registers: list, denominator: int, memo=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Structures lowered to integers
+# Lowered tables and links
+
+
+def nested(values, width: int, n: int):
+    """A table given as its ``n ** width`` values in argument-tuple order,
+    as ``width`` nested tuples over ``n`` positions; a 0-ary table is its
+    one value."""
+    for _ in range(width - 1):
+        values = tuple([values[i:i + n] for i in range(0, len(values), n)])
+    return values if width else values[0]
 
 
 class _Lowering:
@@ -240,11 +259,10 @@ class _Lowering:
     table's own denominators.  A lowered table never changes: a link over
     a multiple of its lcm reads a scaled copy of it."""
 
-    __slots__ = ("index", "positions", "tables")
+    __slots__ = ("index", "tables")
 
     def __init__(self, structure):
         self.index = {e: i for i, e in enumerate(structure.universe)}
-        self.positions = range(len(structure.universe))
         self.tables = {}  # (predicate?, name) -> _table's entry
 
 
@@ -282,11 +300,8 @@ def _table(structure, lowering: _Lowering, predicate: bool, name: str,
     else:
         over = 1
         values = tuple(map(lowering.index.__getitem__, values))
-    n = len(universe)
-    for _ in range(width - 1):
-        values = tuple([values[i:i + n] for i in range(0, len(values), n)])
     entry = lowering.tables[(predicate, name)] = (
-        width, over, values if width else values[0])
+        width, over, nested(values, width, len(universe)))
     return entry
 
 
@@ -297,24 +312,28 @@ def _scaled(values, width: int, factor: int):
     return [v * factor for v in values] if width else values * factor
 
 
-def _link(program: Program, structure) -> tuple:
-    """``(code, result, registers, denominator, index)``: the program's
-    root scope and its registers, holding the constants and the
-    structure's lowered tables, over the lcm of the denominators of the
-    program and of the tables it reads.  A truth table lowered over a
-    smaller lcm is scaled up in the registers, never in the structure."""
-    lowering = structure._lowering
-    if lowering is None:
-        lowering = structure._lowering = _Lowering(structure)
+def _link(program: Program, table, universe: tuple) -> tuple:
+    """``(code, result, registers, denominator)``: the program's root
+    scope and its registers, holding the constants and the lowered
+    tables, over the lcm of the denominators of the program and of the
+    tables it reads.
+
+    ``table(predicate?, name, arity)`` gives the lowered table of each
+    symbol the program reads, as ``(width, lcm, values)`` over the
+    positions of ``universe``, or None when there is none.  A truth
+    table lowered over a smaller lcm is scaled up in the registers,
+    never where ``table`` keeps it.  A read of a missing table, or of
+    one at another arity, becomes an instruction raising the
+    evaluator's error where the lookup would run."""
     denominator = program.denominator
     entries = []
     for predicate, name, arity, _ in program.symbols:
-        entry = _table(structure, lowering, predicate, name, arity)
+        entry = table(predicate, name, arity)
         if entry is not None:
             denominator = lcm(denominator, entry[1])
         entries.append(entry)
     registers = program.registers(denominator)
-    registers[_UNIVERSE] = lowering.positions
+    registers[_UNIVERSE] = range(len(universe))
     broken = {}
     for (predicate, name, arity, slot), entry in zip(program.symbols, entries):
         if entry is not None and entry[0] == arity:
@@ -328,8 +347,8 @@ def _link(program: Program, structure) -> tuple:
             else (f"{what} {name!r} missing from the structure", False)
     code, result = program.scopes[0]
     if broken:
-        code = _failing_code(program, broken, structure.universe)
-    return code, result, registers, denominator, lowering.index
+        code = _failing_code(program, broken, universe)
+    return code, result, registers, denominator
 
 
 def _failing_code(program: Program, broken: dict, universe: tuple) -> list:
@@ -356,34 +375,41 @@ def _failing_code(program: Program, broken: dict, universe: tuple) -> list:
 class Evaluator:
     """Reusable evaluation engine for one structure.
 
-    Each program passed to ``value`` is linked to the structure once and
-    the link kept for the evaluator's lifetime; a formula passed instead
-    is compiled and linked for that call only.
+    Each program passed to ``value`` is linked to the structure's
+    lowered tables once and the link kept for the evaluator's lifetime;
+    a formula passed instead is compiled and linked for that call only.
     """
 
     def __init__(self, structure):
         self.structure = structure
         self._links = {}
+        lowering = structure._lowering
+        if lowering is None:
+            lowering = structure._lowering = _Lowering(structure)
+        self._index = lowering.index
+        self._table = functools.partial(_table, structure, lowering)
 
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
         """The exact value of a formula, or of a program that
         ``compile_formula`` made, under the assignment."""
+        universe = self.structure.universe
         if isinstance(formula, Program):
             program = formula
             link = self._links.get(program)
             if link is None:
-                link = self._links[program] = _link(program, self.structure)
+                link = self._links[program] = _link(program, self._table,
+                                                    universe)
         else:
             program = compile_formula(formula)
-            link = _link(program, self.structure)
-        code, result, registers, denominator, index = link
+            link = _link(program, self._table, universe)
+        code, result, registers, denominator = link
         registers = registers[:]
         if program.free:
             env = assignment or {}
             for slot, name in zip(program.free_slots, program.free):
                 if name not in env:
                     raise EvaluationError(f"unassigned free variable {name!r}")
-                position = index.get(env[name])
+                position = self._index.get(env[name])
                 if position is None:
                     raise EvaluationError(
                         f"assignment sends {name!r} outside the universe: "

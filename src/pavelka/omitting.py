@@ -11,14 +11,16 @@ positive verdict certifies the property over the supplied family only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
-from .evaluator import (EntailmentResult, Evaluator, compile_formula, entails,
-                        model_tuples)
+from .evaluator import (EntailmentResult, Evaluator, _link, compile_formula,
+                        entails, model_tuples, nested, run)
 from .rationals import ZERO, ONE, as_fraction
 from .structures import Structure
 from .syntax import (Atom, Const, Formula, Geq, Leq, Term, Theory, TypeSet,
@@ -247,26 +249,20 @@ class SearchOutcome:
         return self.structure is None
 
 
-def _metric_tables(universe, values):
-    pairs = list(itertools.combinations(universe, 2))
-    if not pairs:
-        yield {}
-        return
-    for combo in itertools.product(values, repeat=len(pairs)):
-        table = dict(zip(pairs, combo))
-
-        def dist(a, b):
-            if a == b:
-                return ZERO
-            value = table.get((a, b))
-            return value if value is not None else table[(b, a)]
-
-        ok = True
-        for a, b, c in itertools.permutations(universe, 3):
-            if dist(a, c) > dist(a, b) + dist(b, c):
-                ok = False
-                break
-        if ok:
+def _metrics(size: int, distances: Sequence):
+    """The metric tables on ``size`` elements with distances from
+    ``distances`` (ascending), in canonical order.  A table is the tuple
+    of the distances of the position pairs ``(i, j)``, ``i < j``, in
+    ``itertools.combinations`` order, the first pair most significant,
+    and is kept when the triangle inequality holds."""
+    pairs = list(itertools.combinations(range(size), 2))
+    at = {pair: k for k, pair in enumerate(pairs)}
+    at.update({(j, i): k for (i, j), k in at.items()})
+    triangles = [(at[(a, c)], at[(a, b)], at[(b, c)])
+                 for a, b, c in itertools.permutations(range(size), 3)]
+    for table in itertools.product(distances, repeat=len(pairs)):
+        if all(table[ac] <= table[ab] + table[bc]
+               for ac, ab, bc in triangles):
             yield table
 
 
@@ -315,14 +311,6 @@ def _compile(check) -> tuple:
     return tuple(map(compile_formula, _formulas(check)))
 
 
-def _passes(engine: Evaluator, check, programs: tuple) -> bool:
-    """A sentence passes at value exactly 1, a type when it is omitted;
-    ``programs`` are their compiled formulas."""
-    if isinstance(check, TypeSet):
-        return _first_realizer(engine, check.variables, programs) is None
-    return engine.value(programs[0]) == ONE
-
-
 def _check_symbols(space: SearchSpace, checks: Sequence) -> None:
     """Evaluate every check, given with its programs, in order, in the
     first structure of the space on one element.  Every node gets
@@ -355,58 +343,148 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
 
     A check belongs to the level of the last symbol it mentions, the
     metric level when it mentions none, and is decided, in the order
-    given, on the structure of the tables chosen so far; a table that
-    fails one skips every structure that extends it.  ``search_model``
-    reports the canonical index of the first structure yielded, so the
-    skipped structures still count as examined.  A check that uses a
-    symbol outside the space's vocabulary, or at another arity, raises
-    ``EvaluationError`` before the first structure.  Each check is
-    compiled once per call.
+    given, on the tables chosen so far; a table that fails one skips
+    every structure that extends it.  ``search_model`` reports the
+    canonical index of the first structure yielded, so the skipped
+    structures still count as examined.  A check that uses a symbol
+    outside the space's vocabulary, or at another arity, raises
+    ``EvaluationError`` before the first structure.
+
+    The walk runs on lowered tables, as the evaluator does: truth values
+    and distances are integers over one denominator, the lcm of both
+    grids and of the checks' constants, and elements are positions.
+    Each check is compiled once per call and linked once per universe
+    size; choosing a table writes it into the registers of every check
+    that reads it, so sibling tables share the whole prefix and a check
+    only runs.  A ``Structure`` is built only for a structure yielded.
     """
     compiled = [(check, _compile(check)) for check in checks]
     _check_symbols(space, compiled)
-    depth = {name: k for k, (name, _, _, _) in
-             enumerate(_levels(space, _universe(1)), start=1)}
-    at_level: list = [[] for _ in range(len(depth) + 1)]
+    depth = {"d": 0}  # symbol -> its level
+    depth.update((name, k) for k, (name, _, _, _) in
+                 enumerate(_levels(space, _universe(1)), start=1))
+    at_level: list = [[] for _ in depth]
     for check, programs in compiled:
         mentioned = set().union(*map(formula_symbols, _formulas(check)))
         at_level[max(map(depth.__getitem__, mentioned), default=0)].append(
             (check, programs))
-    last = len(depth)
-    metric_values = _metric_values(space)
-
+    denominator = lcm(space.truth_denominator, space.metric_denominator,
+                      *(program.denominator for _, programs in compiled
+                        for program in programs))
     for size in range(1, space.max_size + 1):
-        universe = _universe(size)
-        levels = _levels(space, universe)
+        yield from _walk(space, size, depth, at_level, denominator)
 
-        def descend(k, chosen):
-            if k:
-                _, _, slots, values = levels[k - 1]
-                tables = (dict(zip(slots, choice)) for choice in
-                          itertools.product(values, repeat=len(slots)))
+
+def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
+          denominator: int):
+    """The structures on ``size`` elements that pass the checks of
+    ``at_level``, in canonical order, walked in lowered tables over
+    ``denominator``."""
+    universe = _universe(size)
+    levels = _levels(space, universe)
+
+    def lowered(values):
+        return [v.numerator * (denominator // v.denominator) for v in values]
+
+    # per level: the keys of its entries, its width, its tables as
+    # entry tuples in canonical order, the lowered table of an entry
+    # tuple, and the grid value or element of a lowered entry
+    distances = _metric_values(space)
+    walk = [(list(itertools.combinations(universe, 2)), 2,
+             functools.partial(_metrics, size, lowered(distances)),
+             functools.partial(_matrix, size=size),
+             dict(zip(lowered(distances), distances)).__getitem__)]
+    for _, kind, slots, values in levels:
+        entries = lowered(values) if kind == "predicates" else range(size)
+        width = len(slots[0])
+        walk.append((
+            slots, width,
+            functools.partial(itertools.product, entries, repeat=len(slots)),
+            functools.partial(nested, width=width, n=size),
+            dict(zip(entries, values)).__getitem__))
+
+    def table(predicate, name, arity):
+        # ``_check_symbols`` has read every symbol at its arity, and
+        # the walk writes a table into the registers before it is read
+        return walk[depth[name]][1], denominator if predicate else 1, None
+
+    sinks: list = [[] for _ in walk]  # level -> (registers, slot) reading it
+    deciders: list = [[] for _ in walk]
+    for k, checks in enumerate(at_level):
+        for check, programs in checks:
+            links = [_link(program, table, universe) for program in programs]
+            for program, (_, _, registers, _) in zip(programs, links):
+                for _, name, _, slot in program.symbols:
+                    sinks[depth[name]].append((registers, slot))
+            deciders[k].append(_decider(check, programs, links, size))
+    chosen = [None] * len(walk)
+    last = len(walk) - 1
+
+    def descend(k):
+        _, _, tables, lower, _ = walk[k]
+        for entries in tables():
+            value = lower(entries)
+            for registers, slot in sinks[k]:
+                registers[slot] = value
+            chosen[k] = entries
+            for passes in deciders[k]:
+                if not passes():
+                    break
             else:
-                tables = _metric_tables(universe, metric_values)
-            for table in tables:
-                prefix = chosen + [table]
-                if at_level[k] or k == last:
-                    structure = _structure(universe, levels, prefix)
-                    engine = Evaluator(structure)
-                    if not all(_passes(engine, check, programs)
-                               for check, programs in at_level[k]):
-                        continue
                 if k < last:
-                    yield from descend(k + 1, prefix)
+                    yield from descend(k + 1)
                 else:
-                    yield structure
+                    yield _structure(universe, levels, [
+                        dict(zip(keys, map(decode, entries)))
+                        for (keys, _, _, _, decode), entries
+                        in zip(walk, chosen)])
 
-        yield from descend(0, [])
+    yield from descend(0)
+
+
+def _matrix(table: tuple, size: int) -> tuple:
+    """A metric table of ``_metrics`` as rows over element positions,
+    with 0 on the diagonal."""
+    rows = [[0] * size for _ in range(size)]
+    for (i, j), value in zip(itertools.combinations(range(size), 2), table):
+        rows[i][j] = rows[j][i] = value
+    return tuple(map(tuple, rows))
+
+
+def _decider(check, programs: tuple, links: list, size: int):
+    """A function telling whether the tables in the linked registers
+    pass the check: a sentence at value exactly 1, a type when no tuple
+    of positions gives every one of its formulas that value."""
+    if not isinstance(check, TypeSet):
+        (code, result, registers, denominator), = links
+
+        def satisfied():
+            run(code, registers, denominator, {})
+            return registers[result] == denominator
+        return satisfied
+    variables = check.variables
+    runs = [(*link, tuple(zip(program.free_slots,
+                              map(variables.index, program.free))))
+            for program, link in zip(programs, links)]
+
+    def omitted():
+        for tup in itertools.product(range(size), repeat=len(variables)):
+            for code, result, registers, denominator, assign in runs:
+                for slot, i in assign:
+                    registers[slot] = tup[i]
+                run(code, registers, denominator, {})
+                if registers[result] != denominator:
+                    break
+            else:
+                return False
+        return True
+    return omitted
 
 
 def _count(space: SearchSpace, size: int) -> int:
     """The number of structures of the space on ``size`` elements."""
-    universe = _universe(size)
-    count = sum(1 for _ in _metric_tables(universe, _metric_values(space)))
-    for _, _, slots, values in _levels(space, universe):
+    count = sum(1 for _ in _metrics(size, _metric_values(space)))
+    for _, _, slots, values in _levels(space, _universe(size)):
         count *= len(values) ** len(slots)
     return count
 
@@ -417,9 +495,10 @@ def _index(space: SearchSpace, structure: Structure) -> int:
     digits of one mixed-radix number, the metric table most
     significant."""
     universe = structure.universe
+    metric = tuple(map(structure.metric.__getitem__,
+                       itertools.combinations(universe, 2)))
     rank = next(i for i, table in enumerate(
-        _metric_tables(universe, _metric_values(space)))
-        if all(structure.metric[pair] == v for pair, v in table.items()))
+        _metrics(len(universe), _metric_values(space))) if table == metric)
     for name, kind, slots, values in _levels(space, universe):
         for args in slots:
             value = structure.constants[name] if kind == "constants" \

@@ -113,18 +113,44 @@ def structure_to_dict(structure: Structure) -> dict:
     }
 
 
+def _object(value, what: str) -> Mapping:
+    """``value`` when it is a JSON object, else ``ParseError``."""
+    if not isinstance(value, Mapping):
+        raise ParseError(f"{what} must be a JSON object, got "
+                         f"{json.dumps(value)}")
+    return value
+
+
+def _metric_key(key: str) -> tuple:
+    pair = _parse_tuple_key(key)
+    if len(pair) != 2:
+        raise ParseError(f"metric key {key!r} must name two elements")
+    return pair
+
+
 def structure_from_dict(data: Mapping, label: Optional[str] = None) -> Structure:
-    metric = {_parse_tuple_key(k): parse_rational(v)
-              for k, v in data.get("metric", {}).items()}
+    """A structure; the universe must be a JSON list, each table and
+    the metric a JSON object, and each metric key a pair."""
+    data = _object(data, "structure")
+    universe = data["universe"]
+    if not isinstance(universe, list):
+        raise ParseError(f"structure universe must be a JSON list, got "
+                         f"{json.dumps(universe)}")
+    metric = {_metric_key(k): parse_rational(v) for k, v in
+              _object(data.get("metric", {}), "structure metric").items()}
     predicates = {
         name: {_parse_tuple_key(k): parse_rational(v)
-               for k, v in table.items()}
-        for name, table in data.get("predicates", {}).items()}
+               for k, v in _object(table, f"table for {name!r}").items()}
+        for name, table in _object(data.get("predicates", {}),
+                                   "structure predicates").items()}
     operations = {
-        name: {_parse_tuple_key(k): v for k, v in table.items()}
-        for name, table in data.get("operations", {}).items()}
-    return Structure(tuple(data["universe"]), metric, predicates, operations,
-                     dict(data.get("constants", {})), label=label)
+        name: {_parse_tuple_key(k): v
+               for k, v in _object(table, f"table for {name!r}").items()}
+        for name, table in _object(data.get("operations", {}),
+                                   "structure operations").items()}
+    constants = _object(data.get("constants", {}), "structure constants")
+    return Structure(tuple(universe), metric, predicates, operations,
+                     dict(constants), label=label)
 
 
 def load_structure(path: str) -> Structure:

@@ -120,16 +120,18 @@ class Structure:
             if arity == 0:
                 raise StructureError(
                     f"nullary operation {name!r} belongs in constants")
-            if not elements.issuperset(ops[name].values()):
+            outputs = ops[name].values()
+            if not (all(isinstance(out, str) for out in outputs)
+                    and elements.issuperset(outputs)):
                 key = next(k for k, out in ops[name].items()
-                           if out not in elements)
+                           if not isinstance(out, str) or out not in elements)
                 raise StructureError(
                     f"operation {name!r} maps {key} outside the universe")
 
         consts: dict = {}
         for name, element in dict(constants or {}).items():
             _check_symbol_name(name)
-            if element not in elements:
+            if not isinstance(element, str) or element not in elements:
                 raise StructureError(
                     f"constant {name!r} interpreted outside the universe")
             consts[name] = element

@@ -141,6 +141,30 @@ class TestEvalCheckValidate:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"universe": "ab", "metric": {"a,b": "1"}},
+         'structure universe must be a JSON list, got "ab"'),
+        ({"universe": ["a"], "predicates": {"P": ["a"]}},
+         "table for 'P' must be a JSON object, got [\"a\"]"),
+        ({"universe": ["a"], "operations": {"f": "a"}},
+         "table for 'f' must be a JSON object, got \"a\""),
+        ({"universe": ["a", "b"], "metric": {"a": "1"}},
+         "metric key 'a' must name two elements"),
+        ({"universe": ["a", "b"], "metric": {"a,b,a": "1"}},
+         "metric key 'a,b,a' must name two elements"),
+        ({"universe": ["a"], "operations": {"f": {"a": ["a"]}}},
+         "operation 'f' maps ('a',) outside the universe"),
+    ], ids=["string-universe", "list-table", "string-table", "short-key",
+            "long-key", "list-output"])
+    def test_malformed_structure_file_exits_two(self, tmp_path, capsys,
+                                                payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code = main(["lipschitz", "--struct", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"error: {message}\n")
+
     def test_missing_file_exits_two(self, files, capsys):
         code, _ = run(capsys, "eval", "--struct", files["tmp"] + "/nope.json",
                       "--formula", "P(c)")

@@ -1,9 +1,9 @@
 """The prefix-pruned model search against an independent full scan.
 
 ``search_model`` decides each sentence and type at the shortest symbol
-prefix it reads and skips whole index blocks; ``naive_search`` builds and
-checks every candidate.  Both must agree on the examined index and on
-the structure found.
+prefix it reads and skips whole index blocks, walking lowered tables;
+``naive_search`` builds and checks every candidate.  Both must agree on
+the examined index and on the structure found.
 """
 
 import random
@@ -12,21 +12,32 @@ from fractions import Fraction as F
 import pytest
 
 from pavelka import (Atom, Const, EvaluationError, Exists, Forall, Func, Geq,
-                     Leq, ResolutionError, SearchSpace, Theory, TypeSet, Var,
-                     Vocabulary, parse_formula, search_model, syntax)
+                     Leq, ResolutionError, SearchSpace, Structure, Theory,
+                     TypeSet, Var, Vocabulary, omitting, parse_formula,
+                     search_model, syntax)
 from pavelka.errors import FormulaError
 from pavelka.omitting import _index, enumerate_structures
 
 from genutil import random_atom, random_formula, random_sentence
 from naive import naive_omits, naive_satisfies, naive_search
 
-# (vocabulary, max size, truth grids): each space has at most a few
-# hundred candidates, so the full scan stays cheap.
+# (vocabulary, max size, truth grids, metric grids): each space has at
+# most a few hundred candidates, so the full scan stays cheap.
 SPACES = (
-    (Vocabulary({"P": 1, "Q": 1}, {"c": 0}), 2, (1, 2)),
-    (Vocabulary({"R": 2}, {"f": 1, "c": 0}), 2, (1,)),
-    (Vocabulary({"P": 1}, {"f": 1, "a": 0, "b": 0}), 2, (1, 2)),
-    (Vocabulary({"P": 1}, {}), 3, (1, 2)),
+    (Vocabulary({"P": 1, "Q": 1}, {"c": 0}), 2, (1, 2), (1, 2)),
+    (Vocabulary({"R": 2}, {"f": 1, "c": 0}), 2, (1,), (1, 2)),
+    (Vocabulary({"P": 1}, {"f": 1, "a": 0, "b": 0}), 2, (1, 2), (1, 2)),
+    (Vocabulary({"P": 1}, {}), 3, (1, 2), (1, 2)),
+)
+# Spaces that grids of 1 and 2 alone cannot tell apart: coprime truth
+# and metric grids, so that the search's one denominator is neither
+# grid, a ternary predicate and a binary operation.  Up to about 1,600
+# candidates each.
+WIDE_SPACES = (
+    (Vocabulary({"P": 1, "Q": 1}, {}), 2, (3,), (2,)),
+    (Vocabulary({"P": 1}, {"c": 0}), 3, (2,), (3,)),
+    (Vocabulary({"T": 3}, {"c": 0}), 2, (1,), (2, 3)),
+    (Vocabulary({"P": 1}, {"g": 2}), 2, (1, 3), (2,)),
 )
 # sentences that read only d, or no symbol at all
 FIXED = ("E x. E y. d(x,y) >= 1", "A x. A y. d(x,y) <= 1/2", "1", "0",
@@ -51,16 +62,16 @@ def sub_vocabulary(rng, vocab):
         {s: a for s, a in vocab.operations.items() if s in keep})
 
 
-def random_problem(rng):
-    vocab, max_size, grids = rng.choice(SPACES)
+def random_problem(rng, spaces=SPACES):
+    vocab, max_size, grids, metric_grids = rng.choice(spaces)
     truth = rng.choice(grids)
-    space = SearchSpace(vocab, max_size, truth, rng.choice((1, 2)))
+    space = SearchSpace(vocab, max_size, truth, rng.choice(metric_grids))
     sentences = []
     for _ in range(rng.randint(1, 3)):
         kind = rng.random()
         if kind < 0.2:
             text = rng.choice(FIXED)
-            if "1/2" in text and truth == 1:
+            if "1/2" in text and truth % 2:
                 text = "1"
             sentences.append(parse_formula(text, vocab))
             continue
@@ -116,6 +127,30 @@ class TestAgainstFullScan:
         assert found >= 100 and exhausted >= 100 and skipped >= 40
         assert off_grid >= 10
 
+    @pytest.mark.parametrize("spaces", [WIDE_SPACES[i:i + 1] for i in
+                                        range(len(WIDE_SPACES))],
+                             ids=["coprime-3-2", "coprime-2-3", "ternary",
+                                  "binary-operation"])
+    def test_wide_grid_corpus(self, spaces):
+        rng = random.Random(20261)
+        outcomes = []
+        for _ in range(30):
+            space, theory, types = random_problem(rng, spaces)
+            if not all(on_grid(phi, space.truth_denominator)
+                       for t in types for phi in t.formulas):
+                with pytest.raises(ResolutionError):
+                    search_model(space, theory, types)
+                continue
+            outcome = search_model(space, theory, types)
+            examined, structure = naive_search(space, theory, types)
+            assert (outcome.examined, outcome.structure) == \
+                (examined, structure)
+            outcomes.append((examined, structure is None))
+        assert sum(1 for _, none in outcomes if not none) >= 10
+        assert sum(1 for _, none in outcomes if none) >= 10
+        assert sum(1 for examined, none in outcomes
+                   if examined > 1 and not none) >= 4
+
     def test_types_reading_different_prefixes(self):
         vocab = Vocabulary({"P": 1, "Q": 1}, {"c": 0})
         space = SearchSpace(vocab, 2, 2, 2)
@@ -169,6 +204,49 @@ class TestLargeSpaces:
         assert naive_search(space, never, [])[0] == total
 
 
+class TestStructuresBuilt:
+    """The walk runs on lowered tables: a search builds a ``Structure``
+    for the symbol check before the walk and one for the model it
+    yields, never one per candidate."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        universes = []
+
+        class Counting(Structure):
+            __slots__ = ()
+
+            def __init__(self, universe, *args, **kwargs):
+                universes.append(tuple(universe))
+                super().__init__(universe, *args, **kwargs)
+
+        monkeypatch.setattr(omitting, "Structure", Counting)
+        return universes
+
+    def test_exhausted_search_builds_only_the_symbol_check(self, built):
+        # every check reads R, the last level, so no prefix is pruned
+        vocab = Vocabulary({"R": 2}, {})
+        theory = Theory("t", (parse_formula("A x. ~R(x,x)", vocab),
+                              parse_formula("E x. E y. R(x,y)", vocab)))
+        types = [TypeSet("s", ("x",), (parse_formula("E y. R(x,y)", vocab),))]
+        outcome = search_model(SearchSpace(vocab, 2, 2, 2), theory, types)
+        assert (outcome.exhausted, outcome.examined) == (True, 165)
+        assert built == [("e1",)]
+
+    def test_found_search_builds_the_model_it_yields(self, built):
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        theory = Theory("t", (
+            parse_formula("A x. P(x) -> d(x,c) <= 0", vocab),
+            parse_formula("E x. (d(x,c) >= 1) /\\ ~P(x)", vocab)))
+        types = [TypeSet("s", ("x",), (parse_formula("P(x) >= 1/2", vocab),
+                                        parse_formula("d(x,c) >= 1", vocab)))]
+        space = SearchSpace(vocab, 3, 2, 2)
+        outcome = search_model(space, theory, types)
+        assert (outcome.examined, outcome.structure) == \
+            naive_search(space, theory, types)
+        assert built == [("e1",), outcome.structure.universe]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("vocab, size, truth, metric", [
         (Vocabulary({"P": 1}, {"c": 0}), 3, 2, 2),
@@ -188,6 +266,23 @@ class TestEnumeration:
                     and all(naive_omits(s, t) for t in types)]
             assert list(enumerate_structures(
                 space, [*theory.sentences, *types])) == kept
+
+
+    def test_checks_off_both_grids(self):
+        # search_model refuses them; the enumeration evaluates them
+        # exactly, over a denominator that neither grid has
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        space = SearchSpace(vocab, 2, 2, 2)
+        checks = [parse_formula("A x. P(x) >= 1/3", vocab),
+                  parse_formula("E x. d(x,c) -> 2/5 -> P(x)", vocab),
+                  TypeSet("s", ("x",), (parse_formula("P(x) <= 3/7", vocab),
+                                        parse_formula("d(x,c) >= 1/3",
+                                                      vocab)))]
+        kept = [s for s in enumerate_structures(space)
+                if all(naive_satisfies(s, phi) for phi in checks[:2])
+                and naive_omits(s, checks[2])]
+        assert 0 < len(kept) < _index(space, kept[-1])
+        assert list(enumerate_structures(space, checks)) == kept
 
 
 class TestIllFormedChecks:

@@ -98,10 +98,15 @@ CONSTRUCTION_FAULTS = {
     "operation output outside": (
         (_U, _M, {}, {"f": {("a",): "a", ("b",): "z"}}), StructureError,
         "operation 'f' maps ('b',) outside the universe"),
+    "unhashable operation output": (
+        (_U, _M, {}, {"f": {("a",): "a", ("b",): ["a"]}}), StructureError,
+        "operation 'f' maps ('b',) outside the universe"),
     "bad operation name": ((_U, _M, {}, {"f-": {("a",): "a"}}),
                            VocabularyError, "bad symbol name: 'f-'"),
     "constant outside": ((_U, _M, {}, {}, {"c": "z"}), StructureError,
                          "constant 'c' interpreted outside the universe"),
+    "unhashable constant": ((_U, _M, {}, {}, {"c": ["a"]}), StructureError,
+                            "constant 'c' interpreted outside the universe"),
     "bad constant name": ((_U, _M, {}, {}, {"c c": "a"}),
                           VocabularyError, "bad symbol name: 'c c'"),
     "name clash": ((_U, _M, {"P": _P}, {}, {"P": "a"}), StructureError,
