@@ -10,8 +10,9 @@ anywhere.
 from .errors import (EvaluationError, FormulaError, ParseError, PavelkaError,
                      ResolutionError, RestrictionError, StructureError,
                      VocabularyError)
-from .evaluator import (Evaluator, check_theory, compile_formula, entails,
-                        evaluate, satisfies, tarski_vaught_check)
+from .evaluator import (Evaluator, check_theory, compile_formula,
+                        compile_formulas, entails, evaluate, satisfies,
+                        tarski_vaught_check)
 from .omitting import (CompleteTypeRecord, GeneratorCandidate, OmegaCandidate,
                        SearchOutcome, SearchSpace, default_record_corpus,
                        generator_check, metrically_principal_check,

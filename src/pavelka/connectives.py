@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import FormulaError
@@ -231,13 +231,28 @@ def grid_axis(spacing: Fraction) -> list:
     return points
 
 
+# The most grid points times DAG nodes one sweep may evaluate: about
+# five times ``certify --target halfx --n 256`` (2,049 points over 2,560
+# nodes), and several seconds of work.
+SWEEP_LIMIT = 25_000_000
+
+
 def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
                    spacing: Fraction) -> Fraction:
-    """max over the grid of |term - oracle|, computed exactly."""
+    """max over the grid of |term - oracle|, computed exactly.  A grid
+    whose points times the term's DAG nodes exceed ``SWEEP_LIMIT`` is
+    refused before the sweep starts."""
     declared = term_arity(term)
     if declared is not None and declared != arity:
         raise FormulaError(
             f"term arity {declared} does not match oracle arity {arity}")
+    if ZERO < spacing <= ONE:  # else grid_axis refuses the spacing
+        points = (ceil(ONE / spacing) + 1) ** arity
+        nodes = dag_size(term)
+        if points * nodes > SWEEP_LIMIT:
+            raise FormulaError(
+                f"grid sweep too large: {points} points over {nodes} DAG "
+                f"nodes exceeds {SWEEP_LIMIT} node evaluations")
     axis = grid_axis(spacing)
     program = _program(term, arity)
     denominator = lcm(spacing.denominator, program.denominator)

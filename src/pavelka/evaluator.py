@@ -12,13 +12,19 @@ grid ``{k/D}`` into itself, so integer arithmetic is exact, and a
 ``Fraction`` is built only for the value returned.  Python ints are
 unbounded, so a large ``D`` costs speed, never exactness.
 
-``compile_formula`` turns a formula into a ``Program``: the expanded
-formula split into quantifier scopes, the root and each ``Exists`` body,
-each a flat list of instructions over numbered slots in postorder, so an
-operand that expansion of the derived connectives shares is computed
-once per scope.  ``Evaluator.value`` takes a program or a formula, which
-it compiles on the spot; a caller that evaluates one formula many times
-compiles it once and passes the program.
+``compile_formulas`` turns formulas into one ``Program``: the expanded
+formulas split into quantifier scopes, the root and each ``Exists``
+body, each a flat list of instructions over numbered slots in
+postorder, so an operand that the formulas, or expansion of the derived
+connectives, share is computed once per scope.  The root scope computes
+every formula, in order, and ``Program.results`` lists the slot of
+each one's value; ``compile_formula`` is the one-formula case.
+``Evaluator.value`` takes a one-formula program or a formula, which it
+compiles on the spot; a caller that evaluates one formula many times
+compiles it once and passes the program.  ``Evaluator.rows`` scans a
+program over tuples of the universe: one ``run`` per tuple computes
+every formula's value there, on one copy of the registers and one memo
+for the whole scan.
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
@@ -75,23 +81,27 @@ _TERMS = (Var, Func)
 
 
 class Program:
-    """A compiled formula or connective term.
+    """A compiled formula, several formulas, or a connective term.
 
-    ``source`` is what was compiled.  ``free`` names the free variables
-    in first-occurrence order and ``free_slots`` gives their slots.
-    ``scopes`` lists ``(code, result slot)`` per quantifier scope, the
-    root first and each ``Exists`` body after the scope that holds it.
-    ``constants`` pairs slots with the rationals they hold, and
-    ``denominator`` is the lcm of their denominators.  ``symbols`` lists
-    ``(predicate?, name, arity, slot)`` for each symbol the code reads,
-    with the slot that holds its table once linked to a structure.
+    ``source`` is what was compiled: the formula, the tuple of formulas
+    or the term.  ``free`` names the free variables in first-occurrence
+    order and ``free_slots`` gives their slots.  ``scopes`` lists
+    ``(code, result slot)`` per quantifier scope, the root first and
+    each ``Exists`` body after the scope that holds it.  The root scope
+    computes every formula, in order, and ``results`` lists the slot of
+    each formula's value; the root's own result slot is the first
+    formula's.  ``constants`` pairs slots with the rationals they hold,
+    and ``denominator`` is the lcm of their denominators.  ``symbols``
+    lists ``(predicate?, name, arity, slot)`` for each symbol the code
+    reads, with the slot that holds its table once linked to a
+    structure.
     """
 
     __slots__ = ("source", "free", "free_slots", "slots", "scopes",
-                 "constants", "denominator", "symbols")
+                 "constants", "denominator", "symbols", "results")
 
     def __init__(self, source, free, free_slots, slots, scopes, constants,
-                 symbols=()):
+                 symbols=(), results=None):
         self.source = source
         self.free = free
         self.free_slots = free_slots
@@ -100,6 +110,7 @@ class Program:
         self.constants = constants
         self.denominator = lcm(*(v.denominator for _, v in constants))
         self.symbols = symbols
+        self.results = (scopes[0][1],) if results is None else results
 
     def registers(self, denominator: int) -> list:
         """Fresh slots with the constants scaled by ``denominator``."""
@@ -110,8 +121,24 @@ class Program:
 
 
 def compile_formula(formula: Formula) -> Program:
-    """Compile a formula once, to evaluate it many times.  A formula
-    with derived connectives is compiled as its expansion."""
+    """Compile a formula once, to evaluate it many times: the
+    one-formula case of ``compile_formulas``, with the formula itself as
+    the program's source."""
+    program = compile_formulas((formula,))
+    program.source = formula
+    return program
+
+
+def compile_formulas(formulas: Sequence[Formula]) -> Program:
+    """Compile formulas into one program whose root scope computes each
+    of them, in order, into the slot ``results`` lists for it.
+
+    A formula with derived connectives is compiled as its expansion, and
+    a node the expanded formulas share by identity is computed once.
+    Expansion leaves a core node, such as an atom, as it is, so the
+    formulas keep sharing it; a derived node they share is expanded once
+    per formula that holds it."""
+    formulas = tuple(formulas)
     variables: dict[str, int] = {}  # every variable name -> its slot
     tables: dict[tuple, int] = {}  # (predicate?, name, arity) -> its slot
     constants, scopes = [], []
@@ -123,13 +150,15 @@ def compile_formula(formula: Formula) -> Program:
             slot = mapping[key] = next(fresh)
         return slot
 
-    def scope(root, nested):
-        """Compile one scope and, depth first, the bodies below it;
-        returns its code and result slot and its free variables in
-        first-occurrence order (as dict keys)."""
-        _check_formula(root)
+    def scope(roots, nested):
+        """Compile one scope computing each of ``roots`` and, depth
+        first, the bodies below it; returns its code and result slots
+        and its free variables in first-occurrence order (as dict
+        keys)."""
         code, slot_of, free = [], {}, {}
-        for node in postorder(root, _scope_children):
+        for node in _scope_nodes(roots):
+            if id(node) in slot_of:  # shared with an earlier root
+                continue
             kind = type(node)
             if kind is Var:
                 free[node.name] = None
@@ -158,27 +187,41 @@ def compile_formula(formula: Formula) -> Program:
                     code.append((LOOK0 + len(args), slot, table, b, c))
             elif kind is Exists:
                 var = slot_for(variables, node.var)
-                body, inner = scope(node.body, True)
+                body, _, inner = scope((node.body,), True)
                 inner.pop(node.var, None)
                 free.update(inner)
                 code.append((EXISTS, slot, var, body, tuple(
                     map(variables.__getitem__, inner)) if nested else None))
             else:
                 raise FormulaError(f"evaluator got a non-core node: {node!r}")
-        scopes.append((code, slot_of[id(root)]))
-        return scopes[-1], free
+        results = tuple([slot_of[id(root)] for root in roots])
+        scopes.append((code, results[0] if results else None))
+        return scopes[-1], results, free
 
-    _, free = scope(expand_abbreviations(formula), False)
+    # the expansions are held until the end, so no id in a slot map is
+    # reused by a later node
+    expanded = [expand_abbreviations(formula) for formula in formulas]
+    _, results, free = scope(expanded, False)
     scopes.reverse()  # the root first, each body after its parent
-    return Program(formula, tuple(free), tuple(map(variables.__getitem__, free)),
-                   next(fresh), tuple(scopes), constants,
-                   tuple((*key, slot) for key, slot in tables.items()))
+    return Program(formulas, tuple(free),
+                   tuple(map(variables.__getitem__, free)), next(fresh),
+                   tuple(scopes), constants,
+                   tuple((*key, slot) for key, slot in tables.items()),
+                   results)
 
 
 def _check_formula(node) -> None:
     """Refuse a term where a formula is expected."""
     if isinstance(node, _TERMS):
         raise FormulaError(f"evaluator got a non-core node: {node!r}")
+
+
+def _scope_nodes(roots) -> Iterable:
+    """Each root, refused if it is a term, then the nodes of its scope
+    in postorder."""
+    for root in roots:
+        _check_formula(root)
+        yield from postorder(root, _scope_children)
 
 
 def _scope_children(node) -> tuple:
@@ -375,9 +418,10 @@ def _failing_code(program: Program, broken: dict, universe: tuple) -> list:
 class Evaluator:
     """Reusable evaluation engine for one structure.
 
-    Each program passed to ``value`` is linked to the structure's
-    lowered tables once and the link kept for the evaluator's lifetime;
-    a formula passed instead is compiled and linked for that call only.
+    Each program passed to ``value`` or ``rows`` is linked to the
+    structure's lowered tables once and the link kept for the
+    evaluator's lifetime; a formula passed to ``value`` instead is
+    compiled and linked for that call only.
     """
 
     def __init__(self, structure):
@@ -389,19 +433,21 @@ class Evaluator:
         self._index = lowering.index
         self._table = functools.partial(_table, structure, lowering)
 
+    def _keep_link(self, program: Program) -> tuple:
+        """Link the program to the structure and keep the link."""
+        self._links[program] = link = _link(program, self._table,
+                                            self.structure.universe)
+        return link
+
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
         """The exact value of a formula, or of a program that
         ``compile_formula`` made, under the assignment."""
-        universe = self.structure.universe
         if isinstance(formula, Program):
             program = formula
-            link = self._links.get(program)
-            if link is None:
-                link = self._links[program] = _link(program, self._table,
-                                                    universe)
+            link = self._links.get(program) or self._keep_link(program)
         else:
             program = compile_formula(formula)
-            link = _link(program, self._table, universe)
+            link = _link(program, self._table, self.structure.universe)
         code, result, registers, denominator = link
         registers = registers[:]
         if program.free:
@@ -411,14 +457,60 @@ class Evaluator:
                     raise EvaluationError(f"unassigned free variable {name!r}")
                 position = self._index.get(env[name])
                 if position is None:
-                    raise EvaluationError(
-                        f"assignment sends {name!r} outside the universe: "
-                        f"{env[name]!r}")
+                    raise _outside(name, env[name])
                 registers[slot] = position
         run(code, registers, denominator, {})
         value = registers[result]
         return ONE if value == denominator else ZERO if value == 0 \
             else Fraction(value, denominator)
+
+    def rows(self, program: Program, variables: Sequence[str],
+             tuples: Optional[Iterable] = None):
+        """``(tuple, values)`` for each tuple of elements assigned to
+        ``variables``, in order, with the values of the program's
+        formulas there, in the order ``compile_formulas`` was given them;
+        by default every tuple of the universe of that length, in
+        canonical order.
+
+        One ``run`` per tuple computes the whole row, on one copy of the
+        registers and one memo for the whole scan: a nested ``Exists``
+        is memoized by the positions of its free variables, whatever
+        tuple it was met at.  Each distinct value is made a ``Fraction``
+        once per scan."""
+        variables = tuple(variables)
+        for name in program.free:
+            if name not in variables:
+                raise EvaluationError(f"unassigned free variable {name!r}")
+        assign = tuple(zip(program.free_slots,
+                           map(variables.index, program.free)))
+        code, _, registers, denominator = self._links.get(program) or \
+            self._keep_link(program)
+        registers, memo = registers[:], {}
+        fractions = {0: ZERO, denominator: ONE}
+        if tuples is None:
+            tuples = itertools.product(self.structure.universe,
+                                       repeat=len(variables))
+        index = self._index
+        for tup in tuples:
+            for slot, i in assign:
+                position = index.get(tup[i])
+                if position is None:
+                    raise _outside(variables[i], tup[i])
+                registers[slot] = position
+            run(code, registers, denominator, memo)
+            row = []
+            for slot in program.results:
+                value = registers[slot]
+                fraction = fractions.get(value)
+                if fraction is None:
+                    fraction = fractions[value] = Fraction(value, denominator)
+                row.append(fraction)
+            yield tup, tuple(row)
+
+
+def _outside(name: str, element) -> EvaluationError:
+    return EvaluationError(
+        f"assignment sends {name!r} outside the universe: {element!r}")
 
 
 def evaluate(structure, formula: Formula,
@@ -489,14 +581,20 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
     return EntailmentResult(True)
 
 
-def model_tuples(family: Sequence, theory: Theory, n: int):
-    """``(member, engine, tuple)`` for each family member satisfying the
-    theory and each n-tuple of its universe, in canonical order."""
+def models(family: Sequence, theory: Theory):
+    """``(member, engine)`` for each family member satisfying the
+    theory, in order."""
     sentences = [compile_formula(s) for s in theory.sentences]
     for member in family:
         engine = Evaluator(member)
-        if any(engine.value(s) != ONE for s in sentences):
-            continue
+        if all(engine.value(s) == ONE for s in sentences):
+            yield member, engine
+
+
+def model_tuples(family: Sequence, theory: Theory, n: int):
+    """``(member, engine, tuple)`` for each family member satisfying the
+    theory and each n-tuple of its universe, in canonical order."""
+    for member, engine in models(family, theory):
         for tup in itertools.product(member.universe, repeat=n):
             yield member, engine, tup
 

@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
 from .evaluator import (EntailmentResult, Evaluator, _link, compile_formula,
-                        entails, model_tuples, nested, run)
+                        compile_formulas, entails, model_tuples, models,
+                        nested, run)
 from .rationals import ZERO, ONE, as_fraction
 from .structures import Structure
 from .syntax import (Atom, Const, Formula, Geq, Leq, Term, Theory, TypeSet,
@@ -577,18 +578,6 @@ class CompleteTypeRecord:
         object.__setattr__(self, "elements", elements)
 
 
-def _profile(engine: Evaluator, elements: tuple, variables: tuple,
-             formulas) -> tuple:
-    """The values of the corpus formulas, or of their programs, at the
-    tuple."""
-    if len(variables) != len(elements):
-        raise FormulaError(
-            f"corpus has {len(variables)} variables, record has "
-            f"{len(elements)} elements")
-    env = dict(zip(variables, elements))
-    return tuple(engine.value(phi, env) for phi in formulas)
-
-
 def default_record_corpus(vocabulary: Vocabulary, n: int,
                           denominator: int = 4) -> TypeSet:
     """Atomic formulas over the record variables together with their
@@ -623,28 +612,38 @@ def type_distance(family: Sequence[Structure], theory: Theory,
                   p: CompleteTypeRecord, q: CompleteTypeRecord,
                   corpus: Optional[TypeSet] = None) -> TypeDistance:
     """Minimum over family models of the theory, and over tuples
-    realizing the two records there, of the maximal coordinate distance."""
+    realizing the two records there, of the maximal coordinate distance.
+
+    A tuple realizes a record when every corpus formula takes the same
+    value there as at the record's own tuple.  The corpus is compiled
+    once, into one program, and ``Evaluator.rows`` gives each profile,
+    the row of corpus values at a tuple, in one run."""
     n = len(p.elements)
     if len(q.elements) != n:
         raise FormulaError("records have different tuple lengths")
     if corpus is None:
         corpus = default_record_corpus(p.structure.vocabulary(), n)
-    variables, programs = corpus.variables, _compile(corpus)
-    p_profile = _profile(Evaluator(p.structure), p.elements, variables,
-                         programs)
-    q_profile = _profile(Evaluator(q.structure), q.elements, variables,
-                         programs)
-    found = {}  # id(member) -> (member, tuples realizing p, realizing q)
-    for member, engine, tup in model_tuples(family, theory, n):
-        profile = _profile(engine, tup, variables, programs)
-        _, p_tuples, q_tuples = found.setdefault(id(member), (member, [], []))
-        if profile == p_profile:
-            p_tuples.append(tup)
-        if profile == q_profile:
-            q_tuples.append(tup)
-    best = min((max(member.metric[(x, y)] for x, y in zip(a, b))
-                for member, p_tuples, q_tuples in found.values()
-                for a in p_tuples for b in q_tuples), default=None)
+    variables, program = corpus.variables, compile_formulas(corpus.formulas)
+    if len(variables) != n:
+        raise FormulaError(
+            f"corpus has {len(variables)} variables, record has {n} elements")
+    (_, p_row), = Evaluator(p.structure).rows(program, variables,
+                                              [p.elements])
+    (_, q_row), = Evaluator(q.structure).rows(program, variables,
+                                              [q.elements])
+    best = None
+    for member, engine in models(family, theory):
+        p_tuples, q_tuples = [], []
+        for tup, row in engine.rows(program, variables):
+            if row == p_row:
+                p_tuples.append(tup)
+            if row == q_row:
+                q_tuples.append(tup)
+        for a in p_tuples:
+            for b in q_tuples:
+                gap = max(member.metric[(x, y)] for x, y in zip(a, b))
+                if best is None or gap < best:
+                    best = gap
     if best is None:
         return TypeDistance(ONE, connected=False)
     return TypeDistance(best, connected=True)

@@ -121,6 +121,15 @@ def _object(value, what: str) -> Mapping:
     return value
 
 
+def _list(value, what: str) -> list:
+    """``value`` when it is a JSON list, else ``ParseError``: a string
+    is refused, not read as a list of its characters."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON list, got "
+                         f"{json.dumps(value)}")
+    return value
+
+
 def _metric_key(key: str) -> tuple:
     pair = _parse_tuple_key(key)
     if len(pair) != 2:
@@ -132,10 +141,7 @@ def structure_from_dict(data: Mapping, label: Optional[str] = None) -> Structure
     """A structure; the universe must be a JSON list, each table and
     the metric a JSON object, and each metric key a pair."""
     data = _object(data, "structure")
-    universe = data["universe"]
-    if not isinstance(universe, list):
-        raise ParseError(f"structure universe must be a JSON list, got "
-                         f"{json.dumps(universe)}")
+    universe = _list(data["universe"], "structure universe")
     metric = {_metric_key(k): parse_rational(v) for k, v in
               _object(data.get("metric", {}), "structure metric").items()}
     predicates = {
@@ -186,12 +192,13 @@ def theory_to_dict(theory: Theory) -> dict:
 
 def theory_from_dict(data: Mapping,
                      vocabulary: Optional[Vocabulary] = None) -> Theory:
+    """A theory; its sentences must be a JSON list."""
     if vocabulary is None:
         if "vocabulary" not in data:
             raise ParseError("theory needs a vocabulary (embedded or given)")
         vocabulary = vocabulary_from_dict(data["vocabulary"])
-    sentences = tuple(parse_formula(text, vocabulary)
-                      for text in data.get("sentences", []))
+    sentences = tuple(parse_formula(text, vocabulary) for text in
+                      _list(data.get("sentences", []), "theory sentences"))
     return Theory(data.get("name", "theory"), sentences)
 
 
@@ -208,15 +215,16 @@ def typeset_to_dict(typeset: TypeSet) -> dict:
 
 def typeset_from_dict(data: Mapping,
                       vocabulary: Optional[Vocabulary] = None) -> TypeSet:
+    """A type set; its variables and formulas must be JSON lists."""
     if vocabulary is None:
         if "vocabulary" not in data:
             raise ParseError("type set needs a vocabulary (embedded or given)")
         vocabulary = vocabulary_from_dict(data["vocabulary"])
     return TypeSet(
         name=data.get("name", "type"),
-        variables=tuple(data["variables"]),
-        formulas=tuple(parse_formula(text, vocabulary)
-                       for text in data.get("formulas", [])))
+        variables=tuple(_list(data["variables"], "type variables")),
+        formulas=tuple(parse_formula(text, vocabulary) for text in
+                       _list(data.get("formulas", []), "type formulas")))
 
 
 def load_typesets(path: str,

@@ -150,6 +150,34 @@ def naive_omits(structure, typeset):
     return True
 
 
+def naive_type_distance(family, theory, p, q, corpus):
+    """``(value, connected)`` for the records ``p`` and ``q``: the least,
+    over family members satisfying the theory and over tuples there
+    whose corpus values equal ``p``'s and ``q``'s, of the largest
+    coordinate distance; ``(1, False)`` when no member has both.  Every
+    value is a fresh ``naive_eval`` of one corpus formula."""
+    def profile(structure, elements):
+        env = dict(zip(corpus.variables, elements))
+        return [naive_eval(structure, phi, env) for phi in corpus.formulas]
+
+    want_p = profile(p.structure, p.elements)
+    want_q = profile(q.structure, q.elements)
+    best = None
+    for member in family:
+        if not all(naive_satisfies(member, s) for s in theory.sentences):
+            continue
+        tuples = list(itertools.product(member.universe,
+                                        repeat=len(corpus.variables)))
+        profiles = [profile(member, t) for t in tuples]
+        for a, pa in zip(tuples, profiles):
+            for b, pb in zip(tuples, profiles):
+                if pa == want_p and pb == want_q:
+                    gap = max(member.metric[(x, y)] for x, y in zip(a, b))
+                    if best is None or gap < best:
+                        best = gap
+    return (ONE, False) if best is None else (best, True)
+
+
 def naive_search(space, theory, types):
     """``(examined, structure)`` for the first structure of the space that
     satisfies the theory and omits every type, or ``(size of the space,

@@ -225,6 +225,51 @@ class TestFamilyVerdicts:
         assert code == 0 and payload["distance"] == "1"
 
 
+class TestStringFieldsRefused:
+    """A JSON string where a list belongs exits 2, naming the field,
+    instead of being read as a list of its characters."""
+
+    def check(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"error: {message}\n")
+
+    def write(self, files, name, payload):
+        path = pathlib.Path(files["tmp"]) / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_check_theory_sentences(self, files, capsys):
+        theory = self.write(files, "one.json", {"name": "t",
+                                                "sentences": "1"})
+        self.check(capsys, ["check", "--struct", files["m2.json"],
+                            "--theory", theory],
+                   'theory sentences must be a JSON list, got "1"')
+
+    def test_omits_type_variables(self, files, capsys):
+        typeset = self.write(files, "xy.json", {"name": "t",
+                                                "variables": "xy",
+                                                "formulas": ["P(x)"]})
+        self.check(capsys, ["omits", "--struct", files["m2.json"],
+                            "--type", typeset],
+                   'type variables must be a JSON list, got "xy"')
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"variables": "v1", "formulas": ["P(v1)"]},
+         'type variables must be a JSON list, got "v1"'),
+        ({"variables": ["v1"], "formulas": "P(v1)"},
+         'type formulas must be a JSON list, got "P(v1)"'),
+    ], ids=["variables", "formulas"])
+    def test_type_dist_corpus(self, files, capsys, payload, message):
+        corpus = self.write(files, "corpus.json", payload)
+        self.check(capsys, ["type-dist", "--family", files["family"],
+                            "--theory", files["box.json"],
+                            "--struct1", files["m2.json"], "--tuple1", "a",
+                            "--struct2", files["m2.json"], "--tuple2", "b",
+                            "--corpus", corpus], message)
+
+
 class TestSearchAndTransforms:
     def test_omit_found(self, files, capsys):
         code, out = run(capsys, "omit", "--space", files["space.json"],
@@ -314,6 +359,21 @@ class TestSearchAndTransforms:
                         "--grid", "9/10")
         payload = json.loads(out)
         assert code == 1 and payload["failures"][0]["threshold"] == "9/10"
+
+
+class TestSweepLimit:
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--target", "halfx", "--n", "8000"],
+        ["certify", "--target", "halfx", "--n", "8", "--h", "1/100000000"],
+    ], ids=["approx", "certify-spacing"])
+    def test_oversized_sweep_exits_two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        points, nodes = ("64001", "80000") if argv[0] == "approx" \
+            else ("100000001", "80")
+        assert (code, captured.out, captured.err) == (
+            2, "", f"error: grid sweep too large: {points} points over "
+            f"{nodes} DAG nodes exceeds 25000000 node evaluations\n")
 
 
 class TestStructureOps:

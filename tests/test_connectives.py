@@ -151,6 +151,30 @@ class TestCertify:
         with pytest.raises(FormulaError):
             cn.certify(cn.Proj(1, 1), half_oracle, 1, F(0), F(1))
 
+    def test_sweep_sized_before_it_starts(self, monkeypatch):
+        # 4,801 points over 6,000 nodes is past the limit; 1/(8n) at
+        # n = 256 is the largest sweep the benchmark and goldens run
+        with pytest.raises(FormulaError) as caught:
+            cn.certify(cn.half_approx(600), half_oracle, 1, F(1, 4800), HALF)
+        assert str(caught.value) == (
+            "grid sweep too large: 4801 points over 6000 DAG nodes "
+            "exceeds 25000000 node evaluations")
+        assert 2049 * cn.dag_size(cn.half_approx(256)) <= cn.SWEEP_LIMIT
+        # no grid is built for a refused spacing
+        monkeypatch.setattr(cn, "grid_axis", None)
+        with pytest.raises(FormulaError) as caught:
+            cn.grid_max_error(cn.Proj(1, 2), lambda p: p[0], 2, F(1, 5000))
+        assert str(caught.value) == (
+            "grid sweep too large: 25010001 points over 1 DAG nodes "
+            "exceeds 25000000 node evaluations")
+
+    def test_bad_spacing_refused_before_sizing(self):
+        for spacing in (F(0), F(-1, 3), F(3, 2)):
+            with pytest.raises(FormulaError) as caught:
+                cn.grid_max_error(cn.Proj(1, 1), half_oracle, 1, spacing)
+            assert str(caught.value) == \
+                f"grid spacing outside (0,1]: {spacing}"
+
     def test_certified_bounds_survive_finer_sweep(self):
         rng = random.Random(33)
         for _ in range(15):

@@ -3,13 +3,15 @@ integer programs over one denominator, checked against the recursive
 reference in ``naive``, with its error texts and its lack of any state
 kept between calls."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from pavelka import (Atom, Const, EvaluationError, Evaluator, Exists, Func,
-                     Implies, Not, Structure, Var, Vocabulary, compile_formula,
+from pavelka import (And, Atom, Const, EvaluationError, Evaluator, Exists,
+                     Func, Implies, Not, Or, Structure, Var, Vocabulary,
+                     compile_formula, compile_formulas, default_record_corpus,
                      evaluate, parse_formula)
 from pavelka import connectives, evaluator
 from pavelka.connectives import CConst, CImplies, Proj
@@ -263,3 +265,155 @@ class TestNoGlobalState:
                 for x in m2.universe:
                     assert engine.value(program, {"x": x}) == \
                         naive_eval(m2, program.source, {"x": x})
+
+
+def code_length(program):
+    return sum(len(code) for code, _ in program.scopes)
+
+
+def lookups(program):
+    return sum(op in (evaluator.LOOK0, evaluator.LOOK1, evaluator.LOOK2,
+                      evaluator.LOOKN)
+               for code, _ in program.scopes for op, *_ in code)
+
+
+def shared_formulas(rng, count):
+    """Random formulas over ``SCOPE``, then lattice combinations of them
+    that share their operands by identity, and one repeated."""
+    pool = [random_formula(rng, VOCAB, SCOPE, depth=rng.randint(1, 3),
+                           quantifier_budget=2, max_denominator=13)
+            for _ in range(count)]
+    mixed = [rng.choice((Or, And))(rng.choice(pool), rng.choice(pool))
+             for _ in range(count)]
+    return pool + mixed + [pool[0]]
+
+
+def traversal_formulas():
+    """The shared DAGs of the traversal tests: connective terms applied
+    to ``P(u)``, and a chain of disjunctions and quantifiers."""
+    pu = Atom("P", (Var("u"),))
+    chain = pu
+    for i in range(12):
+        chain = Exists("v", chain) if i % 5 == 0 else Or(chain, chain)
+    return [connectives.apply_connective(connectives.half_approx(8), [pu]),
+            connectives.apply_connective(
+                connectives.scale_dyadic(3, 2, 4)[0], [pu]),
+            chain, pu, Or(pu, Atom("R", (Var("u"), Var("v"))))]
+
+
+class TestSeveralFormulas:
+    """``compile_formulas`` and ``Evaluator.rows``: every formula's value
+    at every tuple equals its own program's and the reference's."""
+
+    def check(self, m, formulas):
+        program = compile_formulas(formulas)
+        assert program.source == tuple(formulas)
+        assert len(program.results) == len(formulas)
+        engine = Evaluator(m)
+        singles = [compile_formula(f) for f in formulas]
+        rows = list(engine.rows(program, SCOPE))
+        assert [tup for tup, _ in rows] == \
+            list(itertools.product(m.universe, repeat=len(SCOPE)))
+        for tup, row in rows:
+            env = dict(zip(SCOPE, tup))
+            assert list(row) == [engine.value(p, env) for p in singles]
+            assert list(row) == [naive_eval(m, f, env) for f in formulas]
+
+    def test_genutil_corpus(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            m = regraded(rng, random_structure(rng, VOCAB, max_size=3),
+                         (3, 4, 7))
+            self.check(m, shared_formulas(rng, rng.randint(1, 5)))
+
+    def test_traversal_corpus(self, m2):
+        rng = random.Random(14)
+        vocab = Vocabulary({"P": 1, "R": 2}, {})
+        for m in [Structure(m2.universe, m2.metric, {
+                "P": m2.predicates["P"],
+                "R": {(a, b): F(1, 2) for a in "ab" for b in "ab"}}, {}, {})] \
+                + [regraded(rng, random_structure(rng, vocab, max_size=3),
+                            (2, 5)) for _ in range(4)]:
+            self.check(m, traversal_formulas())
+
+    def test_one_formula_case(self):
+        rng = random.Random(15)
+        for _ in range(50):
+            phi = random_formula(rng, VOCAB, SCOPE, depth=3,
+                                 quantifier_budget=2)
+            one, several = compile_formula(phi), compile_formulas([phi])
+            assert one.source is phi and several.source == (phi,)
+            for name in ("free", "free_slots", "slots", "scopes",
+                         "constants", "denominator", "symbols", "results"):
+                assert getattr(one, name) == getattr(several, name)
+            assert one.results == (one.scopes[0][1],)
+
+    def test_shared_atom_compiled_once(self):
+        vocab = Vocabulary({"P": 1, "R": 2}, {})
+        corpus = default_record_corpus(vocab, 2)
+        program = compile_formulas(corpus.formulas)
+        singles = [compile_formula(f) for f in corpus.formulas]
+        assert len(corpus.formulas) == 77
+        # d(v1,v2), P(v1), P(v2) and the four R atoms, each read once
+        assert lookups(program) == 7
+        assert sum(map(lookups, singles)) == 77
+        assert code_length(program) < sum(map(code_length, singles))
+
+    def test_shared_core_formula_shares_its_result(self, m2):
+        # expansion leaves a core formula as it is, so the formulas
+        # still share it, and its one result slot
+        phi = parse_formula("E x. P(x) -> P(u)", Vocabulary({"P": 1}, {}))
+        program = compile_formulas([phi, Not(phi), phi])
+        assert program.results[0] == program.results[2]
+        assert code_length(program) == code_length(compile_formula(phi)) + 1
+        for _, (a, b, c) in Evaluator(m2).rows(program, ["u"]):
+            assert a == c and b == 1 - a
+
+    def test_empty_program(self, m2):
+        program = compile_formulas([])
+        assert program.results == ()
+        assert list(Evaluator(m2).rows(program, ["u"])) == \
+            [(("a",), ()), (("b",), ())]
+
+    def test_given_tuples_in_given_order(self, m2):
+        phi = parse_formula("P(u) -> d(u, v)", Vocabulary({"P": 1}, {}))
+        program = compile_formulas([phi])
+        tuples = [("b", "a"), ("a", "a"), ("b", "a")]
+        rows = list(Evaluator(m2).rows(program, ("v", "u"), tuples))
+        assert [tup for tup, _ in rows] == tuples
+        assert [row for _, row in rows] == [
+            (naive_eval(m2, phi, {"v": v, "u": u}),) for v, u in tuples]
+
+    def test_memo_starts_fresh_per_scan(self):
+        # the two programs give their inner quantifiers the same slot
+        vocab = Vocabulary({"Q": 2, "R": 2}, {})
+        m = Structure(("a", "b"), {("a", "b"): F(1)}, {
+            "Q": {(x, y): F(1, 3) for x in "ab" for y in "ab"},
+            "R": {(x, y): F(2, 3) for x in "ab" for y in "ab"}}, {}, {})
+        engine = Evaluator(m)
+        for text, want in (("E x. E y. R(x, y)", F(2, 3)),
+                           ("E x. E y. Q(x, y)", F(1, 3)),
+                           ("E x. E y. R(x, y)", F(2, 3))):
+            program = compile_formulas([parse_formula(text, vocab)])
+            assert [row for _, row in engine.rows(program, SCOPE)] == \
+                [(want,)] * 4
+
+    def test_error_texts(self, m2):
+        vocab = Vocabulary({"P": 1, "Q": 1}, {})
+        program = compile_formulas([parse_formula("P(u)", vocab),
+                                    parse_formula("P(z) -> P(u)", vocab)])
+        engine = Evaluator(m2)
+        with pytest.raises(EvaluationError) as caught:
+            list(engine.rows(program, ["u"]))
+        assert str(caught.value) == "unassigned free variable 'z'"
+        with pytest.raises(EvaluationError) as caught:
+            list(engine.rows(program, ["u", "z"], [("a", "zz")]))
+        assert str(caught.value) == \
+            "assignment sends 'z' outside the universe: 'zz'"
+        # the first formula, in order, to read a missing table raises
+        program = compile_formulas([parse_formula("P(u)", vocab),
+                                    parse_formula("Q(u) -> 1/2", vocab)])
+        rows = engine.rows(program, ["u"])
+        with pytest.raises(EvaluationError) as caught:
+            next(rows)
+        assert str(caught.value) == "predicate 'Q' missing from the structure"
