@@ -35,9 +35,10 @@ links each program it is given once, to its structure's tables; they
 are read-only, so each is lowered once, on first use, over the lcm of
 its own denominators, and kept on the structure, and a link over a
 larger ``D`` gets its own scaled copy and never replaces the kept one.
-The model search links each check once per universe size to tables it
+The model search compiles each check as one sentence, a type as its
+existential closure, links it once per universe size to tables it
 lowers itself, over one denominator for its grids and checks, and
-writes each candidate table into the registers before ``run``.
+writes each candidate table into the registers before one ``run``.
 
 Only an ``Exists`` recurses, once per element of the universe, and its
 value is memoized per restriction of the assignment to its free

@@ -20,12 +20,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
 from .evaluator import (EntailmentResult, Evaluator, _link, compile_formula,
-                        compile_formulas, entails, model_tuples, models,
-                        nested, run)
+                        compile_formulas, entails, models, nested, run)
 from .rationals import ZERO, ONE, as_fraction
 from .structures import Structure
-from .syntax import (Atom, Const, Formula, Geq, Leq, Term, Theory, TypeSet,
-                     Var, Vocabulary, children, formula_symbols,
+from .syntax import (And, Atom, Const, Exists, Formula, Geq, Leq, Term,
+                     Theory, TypeSet, Var, Vocabulary, children,
                      free_variables, postorder, substitute, term_variables)
 from .transforms import thicken
 
@@ -107,9 +106,9 @@ def generator_check(family: Sequence[Structure], theory: Theory,
         raise FormulaError(
             f"variable tuples differ: {phi.variables} vs {sigma.variables}")
     programs = _compile(phi)
-    for member, engine, tup in model_tuples(family, theory, len(phi.variables)):
-        env = dict(zip(phi.variables, tup))
-        if all(engine.value(p, env) == ONE for p in programs):
+    for member, engine in models(family, theory):
+        tup = _first_realizer(engine, phi.variables, programs)
+        if tup is not None:
             witness = member, tup
             break
     else:
@@ -303,37 +302,49 @@ def _structure(universe: tuple, levels: list, prefix: list) -> Structure:
     return Structure(universe, prefix[0], **parts)
 
 
-def _formulas(check) -> tuple:
-    return check.formulas if isinstance(check, TypeSet) else (check,)
+def _compile(typeset: TypeSet) -> tuple:
+    """The programs of a type's formulas."""
+    return tuple(map(compile_formula, typeset.formulas))
 
 
-def _compile(check) -> tuple:
-    """The programs of a sentence, or of a type's formulas."""
-    return tuple(map(compile_formula, _formulas(check)))
+def _sentence(check) -> Formula:
+    """A sentence as it is; a type ``p(x1..xk) = {f1..fm}`` as the
+    sentence ``E x1. ... E xk. f1 /\\ ... /\\ fm``.  In a finite structure
+    ``E`` is an attained max and ``/\\`` the minimum, so that sentence has
+    value 1 exactly when some tuple realizes the type; an empty type is
+    realized by every tuple, and becomes the constant 1."""
+    if not isinstance(check, TypeSet):
+        return check
+    if not check.formulas:
+        return Const(ONE)
+    sentence = functools.reduce(And, check.formulas)
+    for variable in reversed(check.variables):
+        sentence = Exists(variable, sentence)
+    return sentence
 
 
-def _check_symbols(space: SearchSpace, checks: Sequence) -> None:
-    """Evaluate every check, given with its programs, in order, in the
-    first structure of the space on one element.  Every node gets
-    evaluated there, so a symbol outside the vocabulary or used at
-    another arity raises the evaluator's ``EvaluationError`` before the
-    walk starts."""
+def _check_symbols(space: SearchSpace, programs: Sequence) -> None:
+    """Evaluate every program, in order, in the first structure of the
+    space on one element.  Every node gets evaluated there, so a symbol
+    outside the vocabulary or used at another arity raises the
+    evaluator's ``EvaluationError`` before the walk starts."""
     universe = _universe(1)
     levels = _levels(space, universe)
     engine = Evaluator(_structure(universe, levels, [{}] + [
         dict.fromkeys(slots, values[0]) for _, _, slots, values in levels]))
-    for check, programs in checks:
-        env = dict.fromkeys(check.variables, universe[0]) \
-            if isinstance(check, TypeSet) else None
-        for program in programs:
-            engine.value(program, env)
+    for program in programs:
+        engine.value(program)
 
 
 def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     """The structures of the space that pass every check, in canonical
     order; with no checks, all of them.  A check is a sentence, which
     passes at value exactly 1, or a ``TypeSet``, which passes when the
-    structure omits it.
+    structure omits it.  Each check is one sentence program: a type
+    ``p(x1..xk) = {f1..fm}`` is compiled as its closure
+    ``E x1. ... E xk. f1 /\\ ... /\\ fm``, which has value 1 exactly when
+    some tuple realizes the type, so the type passes when that value is
+    below 1.
 
     The order is universe size ascending, then per size one level per
     table, the first level most significant: the metric table, then the
@@ -354,24 +365,24 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     The walk runs on lowered tables, as the evaluator does: truth values
     and distances are integers over one denominator, the lcm of both
     grids and of the checks' constants, and elements are positions.
-    Each check is compiled once per call and linked once per universe
-    size; choosing a table writes it into the registers of every check
-    that reads it, so sibling tables share the whole prefix and a check
-    only runs.  A ``Structure`` is built only for a structure yielded.
+    Each check's program is compiled once per call and linked once per
+    universe size; choosing a table writes it into the registers of
+    every check that reads it, so sibling tables share the whole prefix
+    and deciding a check is one ``run`` of its program.  A ``Structure``
+    is built only for a structure yielded.
     """
-    compiled = [(check, _compile(check)) for check in checks]
-    _check_symbols(space, compiled)
+    compiled = [(compile_formula(_sentence(check)),
+                 not isinstance(check, TypeSet)) for check in checks]
+    _check_symbols(space, [program for program, _ in compiled])
     depth = {"d": 0}  # symbol -> its level
     depth.update((name, k) for k, (name, _, _, _) in
                  enumerate(_levels(space, _universe(1)), start=1))
     at_level: list = [[] for _ in depth]
-    for check, programs in compiled:
-        mentioned = set().union(*map(formula_symbols, _formulas(check)))
-        at_level[max(map(depth.__getitem__, mentioned), default=0)].append(
-            (check, programs))
+    for program, sentence in compiled:
+        at_level[max((depth[name] for _, name, _, _ in program.symbols),
+                     default=0)].append((program, sentence))
     denominator = lcm(space.truth_denominator, space.metric_denominator,
-                      *(program.denominator for _, programs in compiled
-                        for program in programs))
+                      *(program.denominator for program, _ in compiled))
     for size in range(1, space.max_size + 1):
         yield from _walk(space, size, depth, at_level, denominator)
 
@@ -412,12 +423,11 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
     sinks: list = [[] for _ in walk]  # level -> (registers, slot) reading it
     deciders: list = [[] for _ in walk]
     for k, checks in enumerate(at_level):
-        for check, programs in checks:
-            links = [_link(program, table, universe) for program in programs]
-            for program, (_, _, registers, _) in zip(programs, links):
-                for _, name, _, slot in program.symbols:
-                    sinks[depth[name]].append((registers, slot))
-            deciders[k].append(_decider(check, programs, links, size))
+        for program, sentence in checks:
+            code, result, registers, top = _link(program, table, universe)
+            for _, name, _, slot in program.symbols:
+                sinks[depth[name]].append((registers, slot))
+            deciders[k].append((code, result, registers, top, sentence))
     chosen = [None] * len(walk)
     last = len(walk) - 1
 
@@ -428,8 +438,9 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
             for registers, slot in sinks[k]:
                 registers[slot] = value
             chosen[k] = entries
-            for passes in deciders[k]:
-                if not passes():
+            for code, result, registers, top, sentence in deciders[k]:
+                run(code, registers, top, {})
+                if (registers[result] == top) != sentence:
                     break
             else:
                 if k < last:
@@ -450,36 +461,6 @@ def _matrix(table: tuple, size: int) -> tuple:
     for (i, j), value in zip(itertools.combinations(range(size), 2), table):
         rows[i][j] = rows[j][i] = value
     return tuple(map(tuple, rows))
-
-
-def _decider(check, programs: tuple, links: list, size: int):
-    """A function telling whether the tables in the linked registers
-    pass the check: a sentence at value exactly 1, a type when no tuple
-    of positions gives every one of its formulas that value."""
-    if not isinstance(check, TypeSet):
-        (code, result, registers, denominator), = links
-
-        def satisfied():
-            run(code, registers, denominator, {})
-            return registers[result] == denominator
-        return satisfied
-    variables = check.variables
-    runs = [(*link, tuple(zip(program.free_slots,
-                              map(variables.index, program.free))))
-            for program, link in zip(programs, links)]
-
-    def omitted():
-        for tup in itertools.product(range(size), repeat=len(variables)):
-            for code, result, registers, denominator, assign in runs:
-                for slot, i in assign:
-                    registers[slot] = tup[i]
-                run(code, registers, denominator, {})
-                if registers[result] != denominator:
-                    break
-            else:
-                return False
-        return True
-    return omitted
 
 
 def _count(space: SearchSpace, size: int) -> int:
@@ -536,22 +517,25 @@ def search_model(space: SearchSpace, theory: Theory,
 
     The scan is serial: the first structure that ``enumerate_structures``
     yields with the theory's sentences and the types as its checks.
-    Each sentence and each type is decided once per prefix of tables,
-    at the level of the last symbol it mentions (the metric level when
-    it mentions none), and a prefix that fails one skips every structure
-    extending it.  The examined count is still the found structure's
-    1-based canonical index, or the size of the space when it is
-    exhausted, so skipped structures count.
+    Each check is one sentence program: a sentence passes at value 1,
+    and a type, compiled as its existential closure, at a value below
+    1.  Each is decided once per prefix of tables, at the level of the
+    last symbol it mentions (the metric level when it mentions none),
+    and a prefix that fails one skips every structure extending it.  The
+    examined count is still the found structure's 1-based canonical
+    index, or the size of the space when it is exhausted, so skipped
+    structures count.
 
     Off-grid constants and bounds, in the theory's sentences and then in
     the types' formulas, raise ``ResolutionError``, and a symbol outside
     the space's vocabulary or at another arity raises
     ``EvaluationError``, both before the scan starts.
     """
-    checks = [*theory.sentences, *types]
-    _constants_on_grid(itertools.chain.from_iterable(map(_formulas, checks)),
+    _constants_on_grid([*theory.sentences, *(phi for typeset in types
+                                             for phi in typeset.formulas)],
                        space.truth_denominator)
-    found = next(enumerate_structures(space, checks), None)
+    found = next(enumerate_structures(space, [*theory.sentences, *types]),
+                 None)
     if found is None:
         return SearchOutcome(None, sum(
             _count(space, n) for n in range(1, space.max_size + 1)))

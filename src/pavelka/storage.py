@@ -130,6 +130,15 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _strings(value, what: str) -> list:
+    """``value`` when it is a JSON list of strings, else ``ParseError``."""
+    for entry in _list(value, what):
+        if not isinstance(entry, str):
+            raise ParseError(f"{what} must be JSON strings, got "
+                             f"{json.dumps(entry)}")
+    return value
+
+
 def _metric_key(key: str) -> tuple:
     pair = _parse_tuple_key(key)
     if len(pair) != 2:
@@ -215,14 +224,15 @@ def typeset_to_dict(typeset: TypeSet) -> dict:
 
 def typeset_from_dict(data: Mapping,
                       vocabulary: Optional[Vocabulary] = None) -> TypeSet:
-    """A type set; its variables and formulas must be JSON lists."""
+    """A type set; its variables must be a JSON list of strings and its
+    formulas a JSON list."""
     if vocabulary is None:
         if "vocabulary" not in data:
             raise ParseError("type set needs a vocabulary (embedded or given)")
         vocabulary = vocabulary_from_dict(data["vocabulary"])
     return TypeSet(
         name=data.get("name", "type"),
-        variables=tuple(_list(data["variables"], "type variables")),
+        variables=tuple(_strings(data["variables"], "type variables")),
         formulas=tuple(parse_formula(text, vocabulary) for text in
                        _list(data.get("formulas", []), "type formulas")))
 

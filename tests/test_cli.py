@@ -255,6 +255,27 @@ class TestStringFieldsRefused:
                             "--type", typeset],
                    'type variables must be a JSON list, got "xy"')
 
+    @pytest.mark.parametrize("variables, message", [
+        ([1], "type variables must be JSON strings, got 1"),
+        ([["x"]], 'type variables must be JSON strings, got ["x"]'),
+    ], ids=["number", "list"])
+    def test_omits_non_string_type_variables(self, files, capsys, variables,
+                                             message):
+        typeset = self.write(files, "odd.json", {"name": "t",
+                                                 "variables": variables,
+                                                 "formulas": ["P(c)"]})
+        self.check(capsys, ["omits", "--struct", files["m2.json"],
+                            "--type", typeset], message)
+
+    def test_omit_non_string_type_variables(self, files, capsys):
+        typeset = self.write(files, "odd.json", {"name": "t",
+                                                 "variables": [1],
+                                                 "formulas": ["P(c)"]})
+        self.check(capsys, ["omit", "--space", files["space.json"],
+                            "--theory", files["loose.json"],
+                            "--types", typeset],
+                   "type variables must be JSON strings, got 1")
+
     @pytest.mark.parametrize("payload, message", [
         ({"variables": "v1", "formulas": ["P(v1)"]},
          'type variables must be a JSON list, got "v1"'),

@@ -6,6 +6,7 @@ prefix it reads and skips whole index blocks, walking lowered tables;
 the examined index and on the structure found.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -165,6 +166,135 @@ class TestAgainstFullScan:
         assert outcome.examined > 1
 
 
+PQC = Vocabulary({"P": 1, "Q": 1}, {"c": 0})
+R = Vocabulary({"R": 2}, {})
+# (vocabulary, max size, truth grid, metric grid, theory, types): the
+# kinds of type that ``random_problem`` draws rarely or never.  The P,Q
+# space has 333 candidates, the R space 530 (4,130 with metric grid 2).
+TYPE_CASES = {
+    "empty": (PQC, 2, 2, 2, [], [(("x",), [])]),
+    "empty-beside-others": (PQC, 2, 2, 2, ["E x. P(x) >= 1/2"], [
+        (("x",), ["P(x)"]), (("x", "y"), [])]),
+    "three-formulas": (PQC, 2, 2, 2, ["E x. Q(x) >= 1/2"], [
+        (("x",), ["P(x) >= 1/2", "Q(x) <= 1/2", "d(x,c) >= 1/2"])]),
+    "four-formulas-two-variables": (PQC, 2, 2, 2, ["E x. P(x)"], [
+        (("x", "y"), ["P(x)", "Q(y)", "d(x,y) >= 1", "P(c) -> Q(x)"])]),
+    "five-formulas": (PQC, 2, 2, 2, [], [
+        (("x", "y"), ["P(x) >= 1/2", "P(y) <= 1/2", "Q(x) <= 1/2",
+                      "Q(y) >= 1/2", "d(x,y) <= 1/2"])]),
+    "rebound": (PQC, 2, 2, 2, ["E x. P(x)"], [
+        (("x",), ["P(x) /\\ E x. Q(x)"])]),
+    "rebound-apart": (PQC, 2, 2, 2, ["E x. P(x)"], [
+        (("x",), ["P(x)", "E x. Q(x)"])]),
+    "rebound-second": (R, 3, 1, 1, ["E x. E y. R(x,y)"], [
+        (("x", "y"), ["R(x,y)", "A x. ~R(y,x)"])]),
+    "unused-variable": (PQC, 2, 2, 2, [], [
+        (("x", "y"), ["P(x) >= 1/2"]), (("x",), ["Q(c)"])]),
+    "unused-variables-only": (PQC, 2, 2, 2, ["E x. Q(x) >= 1/2"], [
+        (("x", "y", "z"), ["E w. P(w)"])]),
+    "binary-cycle": (R, 3, 1, 1, ["A x. ~R(x,x)", "E x. E y. R(x,y)"], [
+        (("x", "y"), ["R(x,y)", "R(y,x)"]),
+        (("x", "y"), ["R(x,y)", "A z. ~R(y,z)"])]),
+    "binary-exhausted": (R, 3, 1, 1, ["E x. E y. R(x,y)"], [
+        (("x", "y"), ["R(x,y)", "d(x,y) <= 1"])]),
+    "binary-metric": (R, 3, 1, 2, ["E x. E y. R(x,y) /\\ ~R(y,x)"], [
+        (("x", "y"), ["R(x,y)", "d(x,y) >= 1"]),
+        (("x", "y"), ["R(x,y)", "R(y,x)", "E z. R(z,z)"])]),
+}
+
+
+def type_problem(vocab, max_size, truth, metric, theory, types):
+    return (SearchSpace(vocab, max_size, truth, metric),
+            Theory("t", tuple(parse_formula(text, vocab) for text in theory)),
+            [TypeSet(f"t{i}", variables, tuple(parse_formula(text, vocab)
+                                               for text in texts))
+             for i, (variables, texts) in enumerate(types)])
+
+
+def random_type_problem(rng):
+    """A problem with one to three types of 0-4 formulas, in variables
+    ``x1``, ``x2`` (and ``x3``) that the formulas' own quantifiers may
+    bind again, and that a formula need not use."""
+    vocab, max_size, truth = rng.choice(((PQC, 2, 2), (R, 3, 1)))
+    space = SearchSpace(vocab, max_size, truth, 1)
+
+    def draw(scope):
+        while True:
+            phi = random_formula(rng, vocab, scope, rng.randint(0, 2), 1,
+                                 max_denominator=truth)
+            if on_grid(phi, truth):
+                return phi
+    sentences = []
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.5:
+            # a quantified threshold on one atom, so that the first
+            # candidate rarely passes
+            body = Geq(random_atom(rng, vocab, ["x", "y"]), F(1))
+            quantifiers = rng.choice(((Exists, Exists), (Forall, Exists)))
+            sentences.append(quantifiers[0]("x", quantifiers[1]("y", body)))
+            continue
+        phi = draw([])
+        for var in reversed(syntax.free_variables(phi)):
+            phi = Exists(var, phi)
+        sentences.append(phi)
+    types = []
+    for i in range(rng.randint(1, 3)):
+        variables = ("x1", "x2", "x3")[:rng.randint(1, 2 if vocab is R
+                                                    else 3)]
+        used = list(variables[:rng.randint(1, len(variables))])
+        types.append(TypeSet(f"t{i}", variables, tuple(
+            draw(used) for _ in range(rng.randint(0, 4)))))
+    return space, Theory("t", tuple(sentences)), types
+
+
+def passing(space, theory, types):
+    """The structures of the space passing every check, by the oracle."""
+    return [s for s in enumerate_structures(space)
+            if all(naive_satisfies(s, phi) for phi in theory.sentences)
+            and all(naive_omits(s, t) for t in types)]
+
+
+class TestTypeChecks:
+    """A type is decided as its closure ``E x1. ... E xk. f1 /\\ ... /\\
+    fm``, which it passes below 1; the oracle scans its tuples."""
+
+    @pytest.mark.parametrize("case", sorted(TYPE_CASES))
+    def test_type_corpus(self, case):
+        space, theory, types = type_problem(*TYPE_CASES[case])
+        outcome = search_model(space, theory, types)
+        assert (outcome.examined, outcome.structure) == \
+            naive_search(space, theory, types)
+        kept = passing(space, theory, types)
+        assert list(enumerate_structures(
+            space, [*theory.sentences, *types])) == kept
+        if case.startswith(("empty", "binary-exhausted")):
+            assert outcome.exhausted and kept == []
+        else:
+            assert not outcome.exhausted
+        if case == "binary-cycle":  # a model only at size 3: a 3-cycle
+            assert len(outcome.structure.universe) == 3
+
+    def test_random_type_corpus(self):
+        rng = random.Random(20262)
+        found = exhausted = skipped = empty = 0
+        for _ in range(40):
+            space, theory, types = random_type_problem(rng)
+            outcome = search_model(space, theory, types)
+            assert (outcome.examined, outcome.structure) == \
+                naive_search(space, theory, types)
+            assert list(enumerate_structures(
+                space, [*theory.sentences, *types])) == \
+                passing(space, theory, types)
+            if outcome.exhausted:
+                exhausted += 1
+            else:
+                found += 1
+                skipped += outcome.examined > 1
+            empty += any(not t.formulas for t in types)
+        assert found >= 10 and exhausted >= 10 and skipped >= 5
+        assert empty >= 5
+
+
 class TestLargeSpaces:
     def test_exhausted_pq_space(self):
         vocab = Vocabulary({"P": 1, "Q": 1}, {})
@@ -317,6 +447,32 @@ class TestIllFormedChecks:
             search_model(space, Theory("t", (never,)),
                          [TypeSet("s", ("x",), (bad,))])
         assert str(caught.value) == message
+
+
+    BAD = {"missing": (Atom("X", (Var("x"),)),
+                       "predicate 'X' missing from the structure"),
+           "arity": (Atom("P", (Var("x"), Var("y"))),
+                     "predicate 'P' has no entry for ('e1', 'e1')"),
+           "operation": (Atom("P", (Func("g", (Var("y"),)),)),
+                         "operation 'g' missing from the structure")}
+
+    @pytest.mark.parametrize("first, second",
+                             list(itertools.permutations(sorted(BAD), 2)))
+    def test_first_formula_of_a_type_reports_first(self, first, second):
+        # a type is checked as one closure sentence, whose conjunction
+        # reads its formulas in order
+        space = SearchSpace(self.VOCAB, 2, 2, 2)
+        good = parse_formula("P(x) >= 1/2", self.VOCAB)
+        (bad1, message), (bad2, _) = self.BAD[first], self.BAD[second]
+        for formulas in ((bad1, bad2), (good, bad1, bad2),
+                         (bad1, good, bad2)):
+            typeset = TypeSet("s", ("x", "y"), formulas)
+            with pytest.raises(EvaluationError) as caught:
+                search_model(space, Theory("t", ()), [typeset])
+            assert str(caught.value) == message
+            with pytest.raises(EvaluationError) as caught:
+                next(enumerate_structures(space, [typeset]))
+            assert str(caught.value) == message
 
 
 class TestSpaceFields:

@@ -127,6 +127,19 @@ class TestTypesetFiles:
         assert len(storage.load_typesets(str(wrapped), vocab_pc)) == 2
         assert len(storage.load_typesets(str(bare), vocab_pc)) == 1
 
+    @pytest.mark.parametrize("variables, shown", [
+        ([1], "1"), (["x", ["y"]], '["y"]'), ([None], "null"),
+        (["x", True], "true"), ([{"x": 1}], '{"x": 1}')],
+        ids=["number", "list", "null", "bool", "object"])
+    def test_non_string_variables_refused(self, vocab_pc, variables, shown):
+        # a type variable becomes a binder of the type's closure
+        # sentence in the model search, so it must be a name
+        data = {"name": "s", "variables": variables, "formulas": ["P(c)"]}
+        with pytest.raises(ParseError) as caught:
+            storage.typeset_from_dict(data, vocab_pc)
+        assert str(caught.value) == \
+            f"type variables must be JSON strings, got {shown}"
+
 
 class TestSignatureAndSpace:
     def test_signature_round_trip(self):
