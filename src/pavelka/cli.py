@@ -117,6 +117,10 @@ def cmd_tv_test(args):
 
 def _built_target(args):
     if args.target == "halfx":
+        if args.n >= 1:  # else half_approx refuses the resolution
+            # size the sweep below before building a term too large for it
+            connectives.check_sweep(8 * args.n + 1,
+                                    connectives.half_approx_size(args.n))
         term = connectives.half_approx(args.n)
         oracle = lambda point: point[0] / 2
         bound = connectives.certify(term, oracle, 1,

@@ -237,6 +237,15 @@ def grid_axis(spacing: Fraction) -> list:
 SWEEP_LIMIT = 25_000_000
 
 
+def check_sweep(points: int, nodes: int) -> None:
+    """Refuse a sweep of ``points`` grid points over ``nodes`` DAG nodes
+    when it would exceed ``SWEEP_LIMIT`` node evaluations."""
+    if points * nodes > SWEEP_LIMIT:
+        raise FormulaError(
+            f"grid sweep too large: {points} points over {nodes} DAG "
+            f"nodes exceeds {SWEEP_LIMIT} node evaluations")
+
+
 def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
                    spacing: Fraction) -> Fraction:
     """max over the grid of |term - oracle|, computed exactly.  A grid
@@ -247,12 +256,7 @@ def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
         raise FormulaError(
             f"term arity {declared} does not match oracle arity {arity}")
     if ZERO < spacing <= ONE:  # else grid_axis refuses the spacing
-        points = (ceil(ONE / spacing) + 1) ** arity
-        nodes = dag_size(term)
-        if points * nodes > SWEEP_LIMIT:
-            raise FormulaError(
-                f"grid sweep too large: {points} points over {nodes} DAG "
-                f"nodes exceeds {SWEEP_LIMIT} node evaluations")
+        check_sweep((ceil(ONE / spacing) + 1) ** arity, dag_size(term))
     axis = grid_axis(spacing)
     program = _program(term, arity)
     denominator = lcm(spacing.denominator, program.denominator)
@@ -301,7 +305,8 @@ def half_approx(n: int) -> ConnectiveTerm:
     The term is ``OR_{i=1..n} ( i/n AND ~(x -> i/n) )`` with the lattice
     connectives expanded into implications; it evaluates to
     ``max_i min(i/n, max(x - i/n, 0))`` and satisfies
-    ``|value - x/2| <= 1/n`` on all of [0,1].
+    ``|value - x/2| <= 1/n`` on all of [0,1].  Its DAG has
+    ``half_approx_size(n)`` nodes.
     """
     if not isinstance(n, int) or n < 1:
         raise FormulaError(f"resolution must be a positive integer: {n!r}")
@@ -312,6 +317,14 @@ def half_approx(n: int) -> ConnectiveTerm:
         disjunct = c_and(level, c_not(CImplies(x, level)))
         term = disjunct if term is None else c_or(term, disjunct)
     return term
+
+
+def half_approx_size(n: int) -> int:
+    """``dag_size(half_approx(n))``, without building the term: ten
+    nodes per level, eight for its disjunct and two more, which join it
+    to the levels before or, at the first level, are the projection and
+    the zero that every level shares."""
+    return 10 * n
 
 
 def substitute_projections(term: ConnectiveTerm,

@@ -21,10 +21,22 @@ every formula, in order, and ``Program.results`` lists the slot of
 each one's value; ``compile_formula`` is the one-formula case.
 ``Evaluator.value`` takes a one-formula program or a formula, which it
 compiles on the spot; a caller that evaluates one formula many times
-compiles it once and passes the program.  ``Evaluator.rows`` scans a
-program over tuples of the universe: one ``run`` per tuple computes
-every formula's value there, on one copy of the registers and one memo
-for the whole scan.
+compiles it once and passes the program.
+
+Formulas over tuples are evaluated a table at a time, the relational
+strategy for finite model checking (Vardi, STOC 1982): a scan assigns
+each tuple in turn and runs the program there, on one copy of the
+registers and one memo for the whole scan, and builds nothing per tuple
+but what it reports.  There are two scans.  ``Evaluator.rows`` runs one
+program of several formulas per tuple and reports every value, as rows
+of ``Fraction``s made once per distinct row.
+``Evaluator.first_failures`` runs one program per formula, in order,
+stops a tuple at the first value below 1, and reports only that
+formula and value.  Both take the per-tuple step (the assignment, its
+outside-universe check and the ``run``) from ``Evaluator._runner``.
+Type realization, omission, entailment and the Tarski-Vaught test are
+``first_failures`` scans, and a ``Theory`` keeps its compiled sentence
+programs for its lifetime.
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
@@ -53,6 +65,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EvaluationError, FormulaError
@@ -301,13 +314,15 @@ class _Lowering:
     table becomes n nested tuples over those positions, and the truth
     values of a predicate table become integers over the lcm of that
     table's own denominators.  A lowered table never changes: a link over
-    a multiple of its lcm reads a scaled copy of it."""
+    a multiple of its lcm reads a scaled copy of it.  ``programs`` keeps
+    what ``Evaluator.kept`` makes for the structure."""
 
-    __slots__ = ("index", "tables")
+    __slots__ = ("index", "tables", "programs")
 
     def __init__(self, structure):
         self.index = {e: i for i, e in enumerate(structure.universe)}
         self.tables = {}  # (predicate?, name) -> _table's entry
+        self.programs = {}  # key -> what ``Evaluator.kept`` made for it
 
 
 def _table(structure, lowering: _Lowering, predicate: bool, name: str,
@@ -419,10 +434,10 @@ def _failing_code(program: Program, broken: dict, universe: tuple) -> list:
 class Evaluator:
     """Reusable evaluation engine for one structure.
 
-    Each program passed to ``value`` or ``rows`` is linked to the
-    structure's lowered tables once and the link kept for the
-    evaluator's lifetime; a formula passed to ``value`` instead is
-    compiled and linked for that call only.
+    Each program passed to ``value``, ``rows`` or ``first_failures`` is
+    linked to the structure's lowered tables once and the link kept for
+    the evaluator's lifetime; a formula passed instead is compiled and
+    linked for that use only.
     """
 
     def __init__(self, structure):
@@ -431,25 +446,39 @@ class Evaluator:
         lowering = structure._lowering
         if lowering is None:
             lowering = structure._lowering = _Lowering(structure)
+        self._lowering = lowering
         self._index = lowering.index
         self._table = functools.partial(_table, structure, lowering)
 
-    def _keep_link(self, program: Program) -> tuple:
-        """Link the program to the structure and keep the link."""
-        self._links[program] = link = _link(program, self._table,
-                                            self.structure.universe)
-        return link
+    def _linked(self, formula) -> tuple:
+        """``(program, link)`` for a program, linked once and the link
+        kept, or for a formula, compiled and linked for this use only."""
+        if not isinstance(formula, Program):
+            program = compile_formula(formula)
+            return program, _link(program, self._table,
+                                  self.structure.universe)
+        link = self._links.get(formula)
+        if link is None:
+            link = self._links[formula] = _link(formula, self._table,
+                                                self.structure.universe)
+        return formula, link
+
+    def kept(self, key, make):
+        """``make()``, made once per ``key`` and kept with the
+        structure's lowered tables for the structure's lifetime: for a
+        program that depends on nothing but the structure's vocabulary
+        and the key, such as ``type_distance``'s default corpus."""
+        programs = self._lowering.programs
+        made = programs.get(key)
+        if made is None:
+            made = programs[key] = make()
+        return made
 
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
         """The exact value of a formula, or of a program that
         ``compile_formula`` made, under the assignment."""
-        if isinstance(formula, Program):
-            program = formula
-            link = self._links.get(program) or self._keep_link(program)
-        else:
-            program = compile_formula(formula)
-            link = _link(program, self._table, self.structure.universe)
-        code, result, registers, denominator = link
+        program, (code, result, registers, denominator) = \
+            self._linked(formula)
         registers = registers[:]
         if program.free:
             env = assignment or {}
@@ -465,6 +494,36 @@ class Evaluator:
         return ONE if value == denominator else ZERO if value == 0 \
             else Fraction(value, denominator)
 
+    def _runner(self, formula, variables: tuple) -> tuple:
+        """``(program, at, denominator)``: ``at(tup)`` assigns the
+        elements of ``tup`` to ``variables``, runs the program there and
+        returns its registers.  Every call of ``at`` shares one copy of
+        the registers and one memo: a nested ``Exists`` is memoized by
+        the positions of its free variables, whatever tuple it was met
+        at.  Raises when a free variable of the program is not among
+        ``variables``."""
+        program, (code, _, registers, denominator) = self._linked(formula)
+        for name in program.free:
+            if name not in variables:
+                raise EvaluationError(f"unassigned free variable {name!r}")
+        assign = tuple(zip(program.free_slots,
+                           map(variables.index, program.free)))
+        registers, memo, index = registers[:], {}, self._index
+
+        def at(tup):
+            for slot, i in assign:
+                position = index.get(tup[i])
+                if position is None:
+                    raise _outside(variables[i], tup[i])
+                registers[slot] = position
+            run(code, registers, denominator, memo)
+            return registers
+        return program, at, denominator
+
+    def _universe_tuples(self, variables: tuple) -> Iterable:
+        return itertools.product(self.structure.universe,
+                                 repeat=len(variables))
+
     def rows(self, program: Program, variables: Sequence[str],
              tuples: Optional[Iterable] = None):
         """``(tuple, values)`` for each tuple of elements assigned to
@@ -474,39 +533,76 @@ class Evaluator:
         canonical order.
 
         One ``run`` per tuple computes the whole row, on one copy of the
-        registers and one memo for the whole scan: a nested ``Exists``
-        is memoized by the positions of its free variables, whatever
-        tuple it was met at.  Each distinct value is made a ``Fraction``
-        once per scan."""
+        registers and one memo for the whole scan.  Rows are keyed by
+        their integer values: each distinct row of ``Fraction``s, and
+        each distinct value in it, is made once per scan."""
         variables = tuple(variables)
-        for name in program.free:
-            if name not in variables:
-                raise EvaluationError(f"unassigned free variable {name!r}")
-        assign = tuple(zip(program.free_slots,
-                           map(variables.index, program.free)))
-        code, _, registers, denominator = self._links.get(program) or \
-            self._keep_link(program)
-        registers, memo = registers[:], {}
-        fractions = {0: ZERO, denominator: ONE}
+        program, at, denominator = self._runner(program, variables)
+        results = program.results
+        # itemgetter gives a tuple for two or more slots only
+        key = itemgetter(*results) if len(results) > 1 else \
+            lambda registers: tuple([registers[slot] for slot in results])
+        fraction, made = _Fractions(denominator).__getitem__, {}
         if tuples is None:
-            tuples = itertools.product(self.structure.universe,
-                                       repeat=len(variables))
-        index = self._index
+            tuples = self._universe_tuples(variables)
         for tup in tuples:
-            for slot, i in assign:
-                position = index.get(tup[i])
-                if position is None:
-                    raise _outside(variables[i], tup[i])
-                registers[slot] = position
-            run(code, registers, denominator, memo)
-            row = []
-            for slot in program.results:
-                value = registers[slot]
-                fraction = fractions.get(value)
-                if fraction is None:
-                    fraction = fractions[value] = Fraction(value, denominator)
-                row.append(fraction)
-            yield tup, tuple(row)
+            values = key(at(tup))
+            row = made.get(values)
+            if row is None:
+                row = made[values] = tuple(map(fraction, values))
+            yield tup, row
+
+    def first_failures(self, formulas: Sequence, variables: Sequence[str],
+                       tuples: Optional[Iterable] = None):
+        """``(tuple, failure)`` for each tuple of elements assigned to
+        ``variables``, in order (by default every tuple of the universe
+        of that length, in canonical order): ``failure`` is None when
+        every formula has value 1 there, and otherwise ``(program,
+        value)`` for the first one, in order, whose value is below 1.
+
+        The formulas are programs, or formulas compiled at their first
+        run.  At each tuple the programs run in order, each on its own
+        copy of the registers and its own memo for the whole scan, and
+        the tuple stops at the first value below 1: a later program
+        never runs there.  A program is linked, and its free variables
+        checked against ``variables``, at its first run, so its errors
+        surface exactly where ``value`` calls in the same order would
+        raise them.  Values are compared as integers, and each distinct
+        value reported is made a ``Fraction`` once per scan."""
+        variables = tuple(variables)
+        runners = [None] * len(formulas)
+        if tuples is None:
+            tuples = self._universe_tuples(variables)
+        for tup in tuples:
+            for k, runner in enumerate(runners):
+                if runner is None:
+                    program, at, denominator = self._runner(formulas[k],
+                                                            variables)
+                    runner = runners[k] = (program, at, program.results[0],
+                                           denominator,
+                                           _Fractions(denominator))
+                program, at, result, denominator, fractions = runner
+                value = at(tup)[result]
+                if value != denominator:
+                    yield tup, (program, fractions[value])
+                    break
+            else:
+                yield tup, None
+
+
+class _Fractions(dict):
+    """Integer values over one denominator, each mapped to its
+    ``Fraction``, made on its first lookup."""
+
+    __slots__ = ("denominator",)
+
+    def __init__(self, denominator: int):
+        super().__init__({0: ZERO, denominator: ONE})
+        self.denominator = denominator
+
+    def __missing__(self, value: int) -> Fraction:
+        made = self[value] = Fraction(value, self.denominator)
+        return made
 
 
 def _outside(name: str, element) -> EvaluationError:
@@ -538,10 +634,10 @@ def check_theory(structure, theory: Theory) -> TheoryReport:
     """Evaluate every sentence; report each one with value < 1."""
     engine = Evaluator(structure)
     failing = []
-    for sentence in theory.sentences:
-        value = engine.value(sentence)
+    for program in theory.programs:
+        value = engine.value(program)
         if value != ONE:
-            failing.append((sentence, value))
+            failing.append((program.source, value))
     return TheoryReport(satisfied=not failing, failing=tuple(failing))
 
 
@@ -565,6 +661,11 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
     ``gamma`` and ``sigma`` carry ``variables`` and ``formulas`` and must
     share their variable tuple.  A false verdict returns the first
     counterexample in canonical order.
+
+    Each model is two chained scans: the premises' scan passes on the
+    tuples realizing ``gamma``, one at a time, and the conclusions run
+    on those tuples only, so every formula runs where, and in the order,
+    a tuple-by-tuple check would run it.
     """
     if tuple(gamma.variables) != tuple(sigma.variables):
         raise FormulaError(
@@ -572,32 +673,28 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
     names = tuple(gamma.variables)
     premises = [compile_formula(f) for f in gamma.formulas]
     conclusions = [compile_formula(f) for f in sigma.formulas]
-    for member, engine, tup in model_tuples(family, theory, len(names)):
-        env = dict(zip(names, tup))
-        if all(engine.value(p, env) == ONE for p in premises):
-            for p in conclusions:
-                value = engine.value(p, env)
-                if value != ONE:
-                    return EntailmentResult(False, member, tup, p.source, value)
+    for member, engine in models(family, theory):
+        realizing = (tup for tup, failure
+                     in engine.first_failures(premises, names)
+                     if failure is None)
+        for tup, failure in engine.first_failures(conclusions, names,
+                                                  realizing):
+            if failure is not None:
+                program, value = failure
+                return EntailmentResult(False, member, tup, program.source,
+                                        value)
     return EntailmentResult(True)
 
 
 def models(family: Sequence, theory: Theory):
     """``(member, engine)`` for each family member satisfying the
-    theory, in order."""
-    sentences = [compile_formula(s) for s in theory.sentences]
+    theory, in order; the theory's sentences are compiled once for its
+    lifetime (``Theory.programs``)."""
+    sentences = theory.programs
     for member in family:
         engine = Evaluator(member)
         if all(engine.value(s) == ONE for s in sentences):
             yield member, engine
-
-
-def model_tuples(family: Sequence, theory: Theory, n: int):
-    """``(member, engine, tuple)`` for each family member satisfying the
-    theory and each n-tuple of its universe, in canonical order."""
-    for member, engine in models(family, theory):
-        for tup in itertools.product(member.universe, repeat=n):
-            yield member, engine, tup
 
 
 @dataclass(frozen=True)
@@ -634,7 +731,9 @@ def tarski_vaught_check(structure, subset: Iterable[str],
         if engine.value(Exists(var, phi)) != ONE:
             continue
         for r in grid:
-            witness = compile_formula(Geq(phi, r))
-            if not any(engine.value(witness, {var: a}) == ONE for a in subset):
+            witnesses = engine.first_failures(
+                [compile_formula(Geq(phi, r))], (var,),
+                [(a,) for a in subset])
+            if not any(failure is None for _, failure in witnesses):
                 failures.append((phi, r))
     return TarskiVaughtReport(passed=not failures, failures=tuple(failures))

@@ -36,9 +36,9 @@ def realizes(structure: Structure, elements: Sequence[str],
     if len(elements) != len(typeset.variables):
         raise FormulaError(
             f"tuple length {len(elements)} != {len(typeset.variables)} variables")
-    env = dict(zip(typeset.variables, elements))
-    engine = Evaluator(structure)
-    return all(engine.value(phi, env) == ONE for phi in typeset.formulas)
+    (_, failure), = Evaluator(structure).first_failures(
+        typeset.formulas, typeset.variables, [elements])
+    return failure is None
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,12 @@ def _first_realizer(engine: Evaluator, variables: Sequence, programs: tuple,
     and compiled formulas, or None; each tuple scanned before it gets
     its first member of value < 1 recorded in ``witnesses`` when that is
     given."""
-    for tup in itertools.product(engine.structure.universe,
-                                 repeat=len(variables)):
-        env = dict(zip(variables, tup))
-        for program in programs:
-            value = engine.value(program, env)
-            if value != ONE:
-                if witnesses is not None:
-                    witnesses[tup] = (program.source, value)
-                break
-        else:
+    for tup, failure in engine.first_failures(programs, variables):
+        if failure is None:
             return tup
+        if witnesses is not None:
+            program, value = failure
+            witnesses[tup] = (program.source, value)
     return None
 
 
@@ -566,6 +561,13 @@ def default_record_corpus(vocabulary: Vocabulary, n: int,
                           denominator: int = 4) -> TypeSet:
     """Atomic formulas over the record variables together with their
     threshold closures on the 1/denominator grid."""
+    return TypeSet("record_corpus", *_record_corpus(vocabulary, n,
+                                                    denominator))
+
+
+def _record_corpus(vocabulary: Vocabulary, n: int, denominator: int = 4):
+    """The variables and the formulas of ``default_record_corpus``; they
+    are free in those variables alone by construction."""
     variables = tuple(f"v{i}" for i in range(1, n + 1))
     atoms = []
     for i, j in itertools.combinations(range(n), 2):
@@ -580,7 +582,7 @@ def default_record_corpus(vocabulary: Vocabulary, n: int,
         for r in grid:
             formulas.append(Leq(atom, r))
             formulas.append(Geq(atom, r))
-    return TypeSet("record_corpus", variables, tuple(formulas))
+    return variables, tuple(formulas)
 
 
 @dataclass(frozen=True)
@@ -600,19 +602,31 @@ def type_distance(family: Sequence[Structure], theory: Theory,
 
     A tuple realizes a record when every corpus formula takes the same
     value there as at the record's own tuple.  The corpus is compiled
-    once, into one program, and ``Evaluator.rows`` gives each profile,
-    the row of corpus values at a tuple, in one run."""
+    into one program, and ``Evaluator.rows`` gives each profile, the row
+    of corpus values at a tuple, in one run.  A given corpus is compiled
+    per call.  The default corpus, ``default_record_corpus`` of ``p``'s
+    vocabulary, depends on nothing but ``p``'s structure and ``n``, so
+    it is compiled once per structure and ``n`` and kept with that
+    structure's lowered tables."""
     n = len(p.elements)
     if len(q.elements) != n:
         raise FormulaError("records have different tuple lengths")
+    p_engine = Evaluator(p.structure)
+
+    def compile_default():
+        variables, formulas = _record_corpus(p.structure.vocabulary(), n)
+        return variables, compile_formulas(formulas)
+
     if corpus is None:
-        corpus = default_record_corpus(p.structure.vocabulary(), n)
-    variables, program = corpus.variables, compile_formulas(corpus.formulas)
+        variables, program = p_engine.kept(("record corpus", n),
+                                           compile_default)
+    else:
+        variables, program = corpus.variables, \
+            compile_formulas(corpus.formulas)
     if len(variables) != n:
         raise FormulaError(
             f"corpus has {len(variables)} variables, record has {n} elements")
-    (_, p_row), = Evaluator(p.structure).rows(program, variables,
-                                              [p.elements])
+    (_, p_row), = p_engine.rows(program, variables, [p.elements])
     (_, q_row), = Evaluator(q.structure).rows(program, variables,
                                               [q.elements])
     best = None

@@ -41,7 +41,8 @@ def as_fraction(value) -> Fraction:
 
 
 def in_unit_interval(value: Fraction) -> bool:
-    return ZERO <= value <= ONE
+    """For a ``Fraction``, whose denominator is positive."""
+    return 0 <= value.numerator <= value.denominator
 
 
 def is_dyadic(value: Fraction) -> bool:

@@ -77,7 +77,9 @@ class Structure:
     The metric, the symbol maps and every table are read-only mappings,
     so the evaluator lowers each table to integers once, on first use,
     over the lcm of that table's own denominators, and keeps it in
-    ``_lowering`` unchanged for the structure's lifetime.
+    ``_lowering`` unchanged for the structure's lifetime, along with any
+    program compiled from the structure's vocabulary alone
+    (``Evaluator.kept``).
     """
 
     __slots__ = ("universe", "metric", "predicates", "operations",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, is_
@@ -254,6 +255,14 @@ class Theory:
                     f"theory {self.name!r} contains a non-sentence "
                     f"(free variables {fv}): {render(phi)}")
         object.__setattr__(self, "sentences", sentences)
+
+    @cached_property
+    def programs(self) -> tuple:
+        """The sentences compiled for the evaluator, in order: compiled
+        on first use and kept for the theory's lifetime, since the
+        theory never changes."""
+        from .evaluator import compile_formula  # the evaluator imports syntax
+        return tuple(map(compile_formula, self.sentences))
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ def random_formula(rng, vocabulary, scope, depth, quantifier_budget=3,
     if depth <= 0:
         if rng.random() < 0.15:
             return syntax.Const(random_rational(rng, max_denominator))
-        return random_atom(rng, vocabulary, scope)
+        return random_atom(rng, vocabulary, scope, max_denominator)
     kinds = ["implies", "implies", "atom"]
     if allow_derived:
         kinds += ["not", "or", "and", "leq", "geq"]

@@ -150,6 +150,54 @@ def naive_omits(structure, typeset):
     return True
 
 
+def naive_models(family, theory):
+    """The family members satisfying every sentence of the theory."""
+    return [member for member in family
+            if all(naive_satisfies(member, s) for s in theory.sentences)]
+
+
+def naive_first_failure(structure, variables, formulas, tup):
+    """``(formula, value)`` for the first formula, in order, whose value
+    at the tuple is below 1, or None when every one is 1 there."""
+    env = dict(zip(variables, tup))
+    for phi in formulas:
+        value = naive_eval(structure, phi, env)
+        if value != ONE:
+            return phi, value
+    return None
+
+
+def naive_omits_report(structure, typeset):
+    """``(witnesses, realizer)``: each tuple before the canonically first
+    realizer, or every tuple when there is none, mapped to its first
+    formula below 1 and that value; and the realizer, or None."""
+    witnesses = {}
+    for tup in itertools.product(structure.universe,
+                                 repeat=len(typeset.variables)):
+        failure = naive_first_failure(structure, typeset.variables,
+                                      typeset.formulas, tup)
+        if failure is None:
+            return {}, tup
+        witnesses[tup] = failure
+    return witnesses, None
+
+
+def naive_entails(family, theory, gamma, sigma):
+    """None when every tuple realizing ``gamma`` in a model of the theory
+    realizes ``sigma``; otherwise the first counterexample in canonical
+    order, as ``(member, tuple, formula, value)``."""
+    for member in naive_models(family, theory):
+        for tup in itertools.product(member.universe,
+                                     repeat=len(gamma.variables)):
+            if naive_first_failure(member, gamma.variables, gamma.formulas,
+                                   tup) is None:
+                failure = naive_first_failure(member, sigma.variables,
+                                              sigma.formulas, tup)
+                if failure is not None:
+                    return (member, tup, *failure)
+    return None
+
+
 def naive_type_distance(family, theory, p, q, corpus):
     """``(value, connected)`` for the records ``p`` and ``q``: the least,
     over family members satisfying the theory and over tuples there

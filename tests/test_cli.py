@@ -397,6 +397,36 @@ class TestSweepLimit:
             f"{nodes} DAG nodes exceeds 25000000 node evaluations\n")
 
 
+class TestHalfxSizedFromN:
+    """``--target halfx`` is refused from ``n`` alone, before
+    ``half_approx(n)`` builds its term, with the text the built term's
+    sweep would refuse it with."""
+
+    @pytest.mark.parametrize("n", [559, 600, 8000])
+    @pytest.mark.parametrize("command", ["approx", "certify"])
+    def test_refused_before_the_term_is_built(self, capsys, monkeypatch,
+                                              command, n):
+        half_approx = pavelka.connectives.half_approx
+        with pytest.raises(pavelka.FormulaError) as caught:
+            pavelka.connectives.certify(half_approx(n), lambda p: p[0] / 2,
+                                        1, F(1, 8 * n), F(1, 2))
+        built = []
+        monkeypatch.setattr(pavelka.connectives, "half_approx",
+                            lambda n: (built.append(n), half_approx(n))[1])
+        code = main([command, "--target", "halfx", "--n", str(n)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"error: {caught.value}\n")
+        assert built == []
+
+    def test_resolution_refused_by_half_approx(self, capsys):
+        for n in ("0", "-3"):
+            code = main(["approx", "--target", "halfx", "--n", n])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (
+                2, "", f"error: resolution must be a positive integer: {n}\n")
+
+
 class TestStructureOps:
     def test_combine(self, files, capsys):
         code, out = run(capsys, "combine", "--left", files["m2.json"],

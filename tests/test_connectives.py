@@ -168,6 +168,11 @@ class TestCertify:
             "grid sweep too large: 25010001 points over 1 DAG nodes "
             "exceeds 25000000 node evaluations")
 
+    def test_half_approx_size_without_building(self):
+        for n in itertools.chain(range(1, 80), (128, 255, 256, 559)):
+            assert cn.half_approx_size(n) == \
+                cn.dag_size(cn.half_approx(n)) == 10 * n
+
     def test_bad_spacing_refused_before_sizing(self):
         for spacing in (F(0), F(-1, 3), F(3, 2)):
             with pytest.raises(FormulaError) as caught:

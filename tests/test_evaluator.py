@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import prod
@@ -8,12 +9,15 @@ from hypothesis import strategies as st
 
 from pavelka import (And, Atom, Const, EvaluationError, Exists, Geq, Leq, Not,
                      Or, Structure, Theory, TypeSet, Var, Vocabulary,
-                     check_theory, entails, evaluate, parse_formula,
-                     satisfies, tarski_vaught_check)
+                     check_theory, entails, evaluate, generator_check, omits,
+                     parse_formula, realizes, satisfies, tarski_vaught_check)
+from pavelka import evaluator
 from pavelka.errors import FormulaError
+from pavelka.evaluator import models
 
 from genutil import random_formula, random_sentence, random_structure
-from naive import naive_eval
+from naive import (naive_entails, naive_eval, naive_first_failure,
+                   naive_models, naive_omits_report)
 
 VOCAB = Vocabulary({"P": 1}, {"c": 0})
 
@@ -266,3 +270,170 @@ class TestTarskiVaught:
         phi = parse_formula("P(x)", vocab_pc)
         # E x. P(x) = 1/2 < 1, so no witness is demanded at all
         assert tarski_vaught_check(m, ["a"], [phi], [F(9, 10)]).passed
+
+
+SCAN_VOCAB = Vocabulary({"P": 1, "R": 2}, {"c": 0})
+NAMES = ("x", "y")
+
+
+def scan_case(rng):
+    """A family of three structures, a theory that some of them may
+    fail, and a maker of formula sets over ``NAMES``.  Each formula is a
+    threshold ``f >= r``, so it has value 1 at some tuples and not at
+    others."""
+    family = [random_structure(rng, SCAN_VOCAB, max_size=3)
+              for _ in range(3)]
+    theory = Theory("t", tuple(
+        Geq(random_sentence(rng, SCAN_VOCAB, depth=2), F(rng.randint(0, 4), 4))
+        for _ in range(rng.randint(0, 2))))
+
+    def formulas(count):
+        return tuple(
+            Geq(random_formula(rng, SCAN_VOCAB, list(NAMES), depth=2,
+                               quantifier_budget=2), F(rng.randint(0, 4), 4))
+            for _ in range(count))
+    return family, theory, formulas
+
+
+class TestTupleScans:
+    """``entails``, ``omits``, ``realizes`` and ``generator_check`` scan
+    tuples through ``Evaluator.first_failures``, and report exactly what
+    a formula-by-formula, tuple-by-tuple reference reports: the same
+    first counterexample, witnesses, realizer and witness."""
+
+    def test_entails_first_counterexample(self):
+        rng = random.Random(31)
+        holds = fails = 0
+        for _ in range(120):
+            family, theory, formulas = scan_case(rng)
+            gamma = TypeSet("g", NAMES, formulas(rng.randint(0, 2)))
+            sigma = TypeSet("s", NAMES, formulas(rng.randint(1, 3)))
+            result = entails(family, theory, gamma, sigma)
+            want = naive_entails(family, theory, gamma, sigma)
+            if want is None:
+                assert result.holds
+                holds += 1
+                continue
+            member, tup, phi, value = want
+            assert not result.holds
+            assert result.structure is member and result.assignment == tup
+            assert result.formula is phi and result.value == value
+            fails += 1
+        assert holds >= 20 and fails >= 20
+
+    def test_omits_witnesses_and_realizer(self):
+        rng = random.Random(32)
+        realized = 0
+        for _ in range(150):
+            family, _, formulas = scan_case(rng)
+            typeset = TypeSet("t", NAMES, formulas(rng.randint(1, 3)))
+            m = rng.choice(family)
+            report = omits(m, typeset)
+            witnesses, realizer = naive_omits_report(m, typeset)
+            assert report.omitted == (realizer is None)
+            assert report.realizer == realizer
+            assert report.witnesses == witnesses
+            for tup, (phi, _) in witnesses.items():
+                assert report.witnesses[tup][0] is phi
+            for tup in itertools.product(m.universe, repeat=len(NAMES)):
+                assert realizes(m, tup, typeset) == (naive_first_failure(
+                    m, NAMES, typeset.formulas, tup) is None)
+            realized += realizer is not None
+        assert 30 <= realized <= 120
+
+    def test_generator_check_witness(self):
+        rng = random.Random(33)
+        satisfied = generates = 0
+        for _ in range(100):
+            family, theory, formulas = scan_case(rng)
+            phi = TypeSet("phi", NAMES, formulas(rng.randint(1, 2)))
+            sigma = TypeSet("s", NAMES, formulas(rng.randint(1, 2)))
+            report = generator_check(family, theory, phi, sigma)
+            witness = next((
+                (m, tup) for m in naive_models(family, theory)
+                for tup in itertools.product(m.universe, repeat=len(NAMES))
+                if naive_first_failure(m, NAMES, phi.formulas, tup) is None),
+                None)
+            assert report.satisfied == (witness is not None)
+            if witness is None:
+                assert not report.generates
+                assert report.witness is None and report.entailment is None
+                continue
+            satisfied += 1
+            assert report.witness[0] is witness[0]
+            assert report.witness[1] == witness[1]
+            want = naive_entails(family, theory, phi, sigma)
+            assert report.generates == report.entailment.holds == \
+                (want is None)
+            if want is not None:
+                member, tup, formula, value = want
+                counter = report.entailment
+                assert counter.structure is member
+                assert counter.assignment == tup
+                assert counter.formula is formula and counter.value == value
+            generates += report.generates
+        assert satisfied >= 30 and 5 <= generates < satisfied
+
+    def test_memo_per_program(self):
+        # the two programs give their inner quantifiers the same slot
+        # and key; a memo shared between them would read R's value, 1
+        # over 1, as Q's, 1/3 over 3
+        vocab = Vocabulary({"Q": 2, "R": 2}, {})
+        m = Structure(("a",), {}, {"Q": {("a", "a"): F(2, 3)},
+                                   "R": {("a", "a"): F(1)}}, {}, {})
+        first, second = (parse_formula(f"E x. E y. {p}(x, y) /\\ {p}(u, x)",
+                                       vocab) for p in "RQ")
+        report = omits(m, TypeSet("t", ("u",), (first, second)))
+        assert report.omitted
+        assert report.witnesses == {("a",): (second, F(2, 3))}
+
+    def test_missing_predicate_read_only_where_gamma_is_realized(self):
+        # sigma reads Q, which ``bare`` lacks: entails raises only when a
+        # tuple of ``bare`` realizes gamma, and only if no member before
+        # it gave a counterexample
+        vocab = Vocabulary({"P": 1, "Q": 1}, {})
+        gamma = TypeSet("g", ("x",), (parse_formula("P(x)", vocab),))
+        sigma = TypeSet("s", ("x",), (parse_formula("Q(x)", vocab),))
+        theory = Theory("e", ())
+
+        def full(q):
+            return Structure(("a", "b"), {("a", "b"): F(1)}, {
+                "P": {("a",): F(1), ("b",): F(1, 2)},
+                "Q": {("a",): q, ("b",): F(0)}}, {}, {})
+
+        def bare(p):
+            return Structure(("a", "b"), {("a", "b"): F(1)}, {
+                "P": {("a",): F(1, 3), ("b",): p}}, {}, {})
+
+        assert entails([full(F(1)), bare(F(1, 2))], theory, gamma,
+                       sigma).holds
+        with pytest.raises(EvaluationError) as caught:
+            entails([full(F(1)), bare(F(1))], theory, gamma, sigma)
+        assert str(caught.value) == "predicate 'Q' missing from the structure"
+        first = full(F(1, 2))
+        result = entails([first, bare(F(1))], theory, gamma, sigma)
+        assert not result.holds and result.structure is first
+        assert result.assignment == ("a",) and result.value == F(1, 2)
+
+
+class TestCompiledOnce:
+    def test_theory_compiles_once_across_models_calls(self, monkeypatch):
+        rng = random.Random(34)
+        family = [random_structure(rng, VOCAB, max_size=3) for _ in range(6)]
+        theory = Theory("t", (parse_formula("E x. P(x) >= 1/2", VOCAB),
+                              parse_formula("P(c) -> 1/2", VOCAB)))
+        compiled = []
+        compile_formula = evaluator.compile_formula
+        monkeypatch.setattr(evaluator, "compile_formula", lambda phi: (
+            compiled.append(phi), compile_formula(phi))[1])
+        want = naive_models(family, theory)
+        assert 0 < len(want) < len(family)
+        for _ in range(2):
+            assert [m for m, _ in models(family, theory)] == want
+        for m in family:
+            assert check_theory(m, theory).satisfied == (m in want)
+        assert compiled == list(theory.sentences)
+        # a theory equal to it is another owner, compiled on its own
+        assert [m for m, _ in models(family, Theory("t", theory.sentences))] \
+            == want
+        assert compiled == list(theory.sentences) * 2

@@ -11,6 +11,7 @@ from pavelka import (And, Atom, CompleteTypeRecord, Const, EvaluationError,
                      Exists, Forall, FormulaError, Func, Geq, Implies, Leq,
                      Or, Structure, Theory, TypeSet, Var, Vocabulary,
                      default_record_corpus, type_distance)
+from pavelka import omitting
 
 from genutil import random_formula, random_sentence, random_structure
 from naive import naive_type_distance
@@ -232,3 +233,42 @@ class TestErrorOrder:
                                                F(1, 2))),))
         got = type_distance([m2, binary_p], near, p, p, corpus)
         assert (got.value, got.connected) == (0, True)
+
+
+class TestDefaultCorpusKept:
+    def test_compiled_once_per_structure_and_length(self, monkeypatch):
+        rng = random.Random(6)
+        family = [random_structure(rng, VOCAB, max_size=3) for _ in range(3)]
+        theory = Theory("e", ())
+        compiled = []
+        compile_formulas = omitting.compile_formulas
+        monkeypatch.setattr(omitting, "compile_formulas", lambda formulas: (
+            compiled.append(len(formulas)), compile_formulas(formulas))[1])
+
+        def check(home, n, corpus=None):
+            p = random_record(rng, family[home], n)
+            q = random_record(rng, family[-1], n)
+            got = type_distance(family, theory, p, q, corpus)
+            given = corpus or default_record_corpus(
+                p.structure.vocabulary(), n)
+            assert (got.value, got.connected) == \
+                naive_type_distance(family, theory, p, q, given)
+
+        for _ in range(3):
+            check(0, 2)
+        assert len(compiled) == 1
+        for _ in range(3):
+            check(0, 1)
+            check(1, 2)
+        assert len(compiled) == 3
+        # a given corpus, even the default one, is compiled per call
+        corpus = default_record_corpus(VOCAB, 2)
+        for _ in range(2):
+            check(0, 2, corpus)
+        assert len(compiled) == 5
+        # a copy of a structure seen before is another owner
+        seen = family[0]
+        family[0] = Structure(seen.universe, seen.metric, seen.predicates,
+                              seen.operations, seen.constants)
+        check(0, 2)
+        assert len(compiled) == 6
