@@ -36,7 +36,7 @@ formula and value.  Both take the per-tuple step (the assignment, its
 outside-universe check and the ``run``) from ``Evaluator._runner``.
 Type realization, omission, entailment and the Tarski-Vaught test are
 ``first_failures`` scans, and a ``Theory`` keeps its compiled sentence
-programs for its lifetime.
+programs for its lifetime; ``models`` links them once per structure.
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
@@ -50,7 +50,10 @@ larger ``D`` gets its own scaled copy and never replaces the kept one.
 The model search compiles each check as one sentence, a type as its
 existential closure, links it once per universe size to tables it
 lowers itself, over one denominator for its grids and checks, and
-writes each candidate table into the registers before one ``run``.
+writes each candidate table into the registers before one ``run``.  A
+level whose symbol no check reads is walked past its first table only
+when that table yields a model: its other tables would decide every
+check the same way.
 
 Only an ``Exists`` recurses, once per element of the universe, and its
 value is memoized per restriction of the assignment to its free
@@ -315,7 +318,8 @@ class _Lowering:
     values of a predicate table become integers over the lcm of that
     table's own denominators.  A lowered table never changes: a link over
     a multiple of its lcm reads a scaled copy of it.  ``programs`` keeps
-    what ``Evaluator.kept`` makes for the structure."""
+    what ``Evaluator.kept`` makes for the structure, and the links
+    ``Evaluator.keep_links`` keeps."""
 
     __slots__ = ("index", "tables", "programs")
 
@@ -473,6 +477,16 @@ class Evaluator:
         if made is None:
             made = programs[key] = make()
         return made
+
+    def keep_links(self, programs: Sequence[Program]) -> None:
+        """Link each program once per structure, not once per evaluator:
+        the link is kept with the structure's lowered tables, keyed by
+        the program, and every evaluator of the structure reuses it.  For
+        programs that outlive any one evaluator, such as a theory's
+        sentences (``Theory.programs``)."""
+        for program in programs:
+            self._links[program] = self.kept(program, functools.partial(
+                _link, program, self._table, self.structure.universe))
 
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
         """The exact value of a formula, or of a program that
@@ -689,10 +703,12 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
 def models(family: Sequence, theory: Theory):
     """``(member, engine)`` for each family member satisfying the
     theory, in order; the theory's sentences are compiled once for its
-    lifetime (``Theory.programs``)."""
+    lifetime (``Theory.programs``) and linked once per member
+    (``Evaluator.keep_links``)."""
     sentences = theory.programs
     for member in family:
         engine = Evaluator(member)
+        engine.keep_links(sentences)
         if all(engine.value(s) == ONE for s in sentences):
             yield member, engine
 

@@ -233,6 +233,15 @@ class SearchSpace:
         if self.truth_denominator < 1 or self.metric_denominator < 1:
             raise FormulaError("grid denominators must be >= 1")
 
+    @functools.cached_property
+    def _made(self) -> dict:
+        """What the search derives from the space alone, by key: its
+        grids, and its levels and structure count per universe size.
+        Each is made on first use (``_derived``) and kept for the
+        space's lifetime, as ``Theory.programs`` is, since the space never
+        changes."""
+        return {}
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -261,31 +270,46 @@ def _metrics(size: int, distances: Sequence):
             yield table
 
 
+def _derived(space: SearchSpace, key, make):
+    """``make()``, made once per ``key`` and kept with the space."""
+    kept = space._made
+    made = kept.get(key)
+    if made is None:
+        made = kept[key] = make()
+    return made
+
+
 def _universe(size: int) -> tuple:
     return tuple(f"e{i}" for i in range(1, size + 1))
 
 
 def _metric_values(space: SearchSpace) -> list:
-    return [Fraction(i, space.metric_denominator)
-            for i in range(1, space.metric_denominator + 1)]
+    return _derived(space, "distances", lambda: [
+        Fraction(i, space.metric_denominator)
+        for i in range(1, space.metric_denominator + 1)])
 
 
-def _levels(space: SearchSpace, universe: tuple) -> list:
-    """The levels after the metric table, one per symbol: predicates
-    sorted by name, then operations, then constants, each as ``(name,
-    kind, argument tuples, values)``.  A level's tables are
-    ``product(values, repeat=len(argument tuples))``, the first argument
-    tuple most significant."""
-    vocab = space.vocabulary
-    truth_values = [Fraction(i, space.truth_denominator)
-                    for i in range(space.truth_denominator + 1)]
-    return ([(n, "predicates",
-              tuple(itertools.product(universe, repeat=vocab.predicates[n])),
-              truth_values) for n in sorted(vocab.predicates)]
-            + [(n, "operations",
-                tuple(itertools.product(universe, repeat=a)), universe)
-               for n, a in sorted(vocab.operations.items()) if a > 0]
-            + [(n, "constants", ((),), universe) for n in vocab.constants()])
+def _levels(space: SearchSpace, size: int) -> list:
+    """The levels after the metric table on ``size`` elements, one per
+    symbol: predicates sorted by name, then operations, then constants,
+    each as ``(name, kind, argument tuples, values)``.  A level's tables
+    are ``product(values, repeat=len(argument tuples))``, the first
+    argument tuple most significant.  Made once per space and size."""
+    def make():
+        vocab, universe = space.vocabulary, _universe(size)
+        truth_values = _derived(space, "truth values", lambda: [
+            Fraction(i, space.truth_denominator)
+            for i in range(space.truth_denominator + 1)])
+        return ([(n, "predicates",
+                  tuple(itertools.product(universe,
+                                          repeat=vocab.predicates[n])),
+                  truth_values) for n in sorted(vocab.predicates)]
+                + [(n, "operations",
+                    tuple(itertools.product(universe, repeat=a)), universe)
+                   for n, a in sorted(vocab.operations.items()) if a > 0]
+                + [(n, "constants", ((),), universe)
+                   for n in vocab.constants()])
+    return _derived(space, ("levels", size), make)
 
 
 def _structure(universe: tuple, levels: list, prefix: list) -> Structure:
@@ -323,9 +347,8 @@ def _check_symbols(space: SearchSpace, programs: Sequence) -> None:
     space on one element.  Every node gets evaluated there, so a symbol
     outside the vocabulary or used at another arity raises the
     evaluator's ``EvaluationError`` before the walk starts."""
-    universe = _universe(1)
-    levels = _levels(space, universe)
-    engine = Evaluator(_structure(universe, levels, [{}] + [
+    levels = _levels(space, 1)
+    engine = Evaluator(_structure(_universe(1), levels, [{}] + [
         dict.fromkeys(slots, values[0]) for _, _, slots, values in levels]))
     for program in programs:
         engine.value(program)
@@ -351,11 +374,15 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     A check belongs to the level of the last symbol it mentions, the
     metric level when it mentions none, and is decided, in the order
     given, on the tables chosen so far; a table that fails one skips
-    every structure that extends it.  ``search_model`` reports the
-    canonical index of the first structure yielded, so the skipped
-    structures still count as examined.  A check that uses a symbol
-    outside the space's vocabulary, or at another arity, raises
-    ``EvaluationError`` before the first structure.
+    every structure that extends it.  A level that no check reads, a
+    symbol no check names or the metric when no check reads ``d``,
+    cannot change a decision: each of its tables meets the same checks,
+    with the same results, at its level and below.  So once its first
+    table has yielded nothing, its other tables are skipped.
+    ``search_model`` reports the canonical index of the first structure
+    yielded, so the skipped structures still count as examined.  A check
+    that uses a symbol outside the space's vocabulary, or at another
+    arity, raises ``EvaluationError`` before the first structure.
 
     The walk runs on lowered tables, as the evaluator does: truth values
     and distances are integers over one denominator, the lcm of both
@@ -364,14 +391,15 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     universe size; choosing a table writes it into the registers of
     every check that reads it, so sibling tables share the whole prefix
     and deciding a check is one ``run`` of its program.  A ``Structure``
-    is built only for a structure yielded.
+    is built only for a structure yielded.  The grids, and each universe
+    size's levels, are made once per space and kept with it.
     """
     compiled = [(compile_formula(_sentence(check)),
                  not isinstance(check, TypeSet)) for check in checks]
     _check_symbols(space, [program for program, _ in compiled])
     depth = {"d": 0}  # symbol -> its level
     depth.update((name, k) for k, (name, _, _, _) in
-                 enumerate(_levels(space, _universe(1)), start=1))
+                 enumerate(_levels(space, 1), start=1))
     at_level: list = [[] for _ in depth]
     for program, sentence in compiled:
         at_level[max((depth[name] for _, name, _, _ in program.symbols),
@@ -388,7 +416,7 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
     ``at_level``, in canonical order, walked in lowered tables over
     ``denominator``."""
     universe = _universe(size)
-    levels = _levels(space, universe)
+    levels = _levels(space, size)
 
     def lowered(values):
         return [v.numerator * (denominator // v.denominator) for v in values]
@@ -433,18 +461,27 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
             for registers, slot in sinks[k]:
                 registers[slot] = value
             chosen[k] = entries
+            found = False
             for code, result, registers, top, sentence in deciders[k]:
                 run(code, registers, top, {})
                 if (registers[result] == top) != sentence:
                     break
             else:
                 if k < last:
-                    yield from descend(k + 1)
+                    for structure in descend(k + 1):
+                        found = True
+                        yield structure
                 else:
+                    found = True
                     yield _structure(universe, levels, [
                         dict(zip(keys, map(decode, entries)))
                         for (keys, _, _, _, decode), entries
                         in zip(walk, chosen)])
+            if not (found or sinks[k]):
+                # no check reads this level, so each of its other tables
+                # leaves every register as this one did: every check
+                # decides as it did here, and nothing passes below them
+                return
 
     yield from descend(0)
 
@@ -459,11 +496,14 @@ def _matrix(table: tuple, size: int) -> tuple:
 
 
 def _count(space: SearchSpace, size: int) -> int:
-    """The number of structures of the space on ``size`` elements."""
-    count = sum(1 for _ in _metrics(size, _metric_values(space)))
-    for _, _, slots, values in _levels(space, _universe(size)):
-        count *= len(values) ** len(slots)
-    return count
+    """The number of structures of the space on ``size`` elements, made
+    once per space and size."""
+    def make():
+        count = sum(1 for _ in _metrics(size, _metric_values(space)))
+        for _, _, slots, values in _levels(space, size):
+            count *= len(values) ** len(slots)
+        return count
+    return _derived(space, ("count", size), make)
 
 
 def _index(space: SearchSpace, structure: Structure) -> int:
@@ -476,7 +516,7 @@ def _index(space: SearchSpace, structure: Structure) -> int:
                        itertools.combinations(universe, 2)))
     rank = next(i for i, table in enumerate(
         _metrics(len(universe), _metric_values(space))) if table == metric)
-    for name, kind, slots, values in _levels(space, universe):
+    for name, kind, slots, values in _levels(space, len(universe)):
         for args in slots:
             value = structure.constants[name] if kind == "constants" \
                 else getattr(structure, kind)[name][args]
@@ -516,10 +556,12 @@ def search_model(space: SearchSpace, theory: Theory,
     and a type, compiled as its existential closure, at a value below
     1.  Each is decided once per prefix of tables, at the level of the
     last symbol it mentions (the metric level when it mentions none),
-    and a prefix that fails one skips every structure extending it.  The
-    examined count is still the found structure's 1-based canonical
-    index, or the size of the space when it is exhausted, so skipped
-    structures count.
+    and a prefix that fails one skips every structure extending it.  A
+    level that no check reads is walked past its first table only when
+    that table yields a structure, since its other tables would meet
+    the same checks with the same results.  The examined count is still
+    the found structure's 1-based canonical index, or the size of the
+    space when it is exhausted, so skipped structures count.
 
     Off-grid constants and bounds, in the theory's sentences and then in
     the types' formulas, raise ``ResolutionError``, and a symbol outside

@@ -10,10 +10,11 @@ from fractions import Fraction as F
 import pytest
 
 from pavelka import (And, Atom, Const, EvaluationError, Evaluator, Exists,
-                     Func, Implies, Not, Or, Structure, Var, Vocabulary,
-                     compile_formula, compile_formulas, default_record_corpus,
-                     evaluate, parse_formula)
-from pavelka import connectives, evaluator
+                     Func, Implies, Not, Or, SearchSpace, Structure, Theory,
+                     Var, Vocabulary, compile_formula, compile_formulas,
+                     default_record_corpus, evaluate, parse_formula,
+                     search_model)
+from pavelka import connectives, evaluator, omitting
 from pavelka.connectives import CConst, CImplies, Proj
 from pavelka.errors import FormulaError
 
@@ -204,7 +205,7 @@ class TestErrorTexts:
 def module_containers():
     """Sizes of every module-level dict, list and set of the core."""
     return {(module.__name__, name): len(value)
-            for module in (evaluator, connectives)
+            for module in (evaluator, connectives, omitting)
             for name, value in vars(module).items()
             if isinstance(value, (dict, list, set))}
 
@@ -222,6 +223,9 @@ class TestNoGlobalState:
             connectives.eval_term(
                 connectives.c_or(Proj(1, 1), CConst(F(i % 5, 5))),
                 (F(1, 3),))
+            # a fresh space and theory: per-search set-up dies with them
+            search_model(SearchSpace(vocab, 1 + i % 2, 2, 2), Theory(
+                "t", (parse_formula(f"P(c) -> {i % 3}/2", vocab),)), [])
         assert module_containers() == before
 
     def test_structure_keeps_one_lowered_copy_per_table(self, m2):

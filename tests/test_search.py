@@ -1,9 +1,11 @@
 """The prefix-pruned model search against an independent full scan.
 
 ``search_model`` decides each sentence and type at the shortest symbol
-prefix it reads and skips whole index blocks, walking lowered tables;
-``naive_search`` builds and checks every candidate.  Both must agree on
-the examined index and on the structure found.
+prefix it reads and skips whole index blocks, walking lowered tables,
+and walks a level that no check reads past its first table only when
+that table yields a structure; ``naive_search`` builds and checks every
+candidate.  Both must agree on the examined index and on the structure
+found.
 """
 
 import itertools
@@ -295,6 +297,107 @@ class TestTypeChecks:
         assert empty >= 5
 
 
+PF = Vocabulary({"P": 1}, {"f": 1, "c": 0})
+PAB = Vocabulary({"P": 1}, {"a": 0, "b": 0})
+# (vocabulary, max size, truth grid, metric grid, theory, types), each
+# with a level that no check reads: the walk goes past its first table
+# only when that table yields a structure.  The suffix names the
+# outcome.
+UNREAD_CASES = {
+    # no check reads d
+    "metric-found": (R, 2, 1, 2, ["A x. ~R(x,x)", "E x. E y. R(x,y)"], []),
+    "metric-exhausted": (R, 2, 2, 2, ["A x. ~R(x,x)", "E x. E y. R(x,y)"],
+                         [(("x",), ["E y. R(x,y)"])]),
+    # P, the first predicate, and c, the last level, are unread
+    "predicate-found": (PQC, 2, 2, 2, ["E x. Q(x) >= 1/2",
+                                       "A x. A y. d(x,y) <= 1/2"], []),
+    "predicate-exhausted": (PQC, 2, 2, 2, ["E x. Q(x) >= 1/2"],
+                            [(("x",), ["Q(x) >= 1/2"])]),
+    # f, the operation between P and c, is unread
+    "operation-found": (PF, 2, 2, 2, ["P(c) >= 1/2", "E x. P(x) <= 0"], []),
+    "operation-exhausted": (PF, 2, 2, 2, ["P(c) >= 1/2"],
+                            [(("x",), ["P(x) >= 1/2"])]),
+    # a, the constant before b, is unread
+    "constant-found": (PAB, 2, 2, 1, ["P(b) <= 0", "E x. P(x)"], []),
+    "constant-exhausted": (PAB, 3, 2, 1, ["P(b)"],
+                           [(("x",), ["P(x) >= 1/2", "d(x,b) <= 0"])]),
+    # checks that read no symbol: every level is unread
+    "no-symbol-found": (PQC, 2, 2, 2, ["1", "E x. 1/2 -> 1/2"],
+                        [(("x",), ["1/2"])]),
+    "no-symbol-exhausted": (PQC, 2, 2, 2, ["E x. 1/2 -> 1/2", "0"], []),
+    "no-symbol-type-exhausted": (PQC, 2, 2, 2, ["1"], [(("x",), ["1"])]),
+    # a check that reads no symbol beside ones that read Q
+    "no-symbol-beside-found": (PQC, 2, 2, 2,
+                               ["E x. 1/2 -> 1/2", "A x. Q(x) >= 1/2"],
+                               [(("x",), ["1/2", "Q(x) <= 0"])]),
+    "no-symbol-beside-exhausted": (PQC, 2, 2, 2,
+                                   ["E x. 1/2 -> 1/2", "E x. Q(x)"],
+                                   [(("x",), ["Q(x) >= 1/2"])]),
+}
+
+
+class TestUnreadLevels:
+    """A level that no check reads cannot change a decision, so after
+    its first table yields nothing the walk skips its other tables; the
+    examined index and every structure passing are unchanged."""
+
+    @pytest.mark.parametrize("case", sorted(UNREAD_CASES))
+    def test_unread_corpus(self, case):
+        space, theory, types = type_problem(*UNREAD_CASES[case])
+        outcome = search_model(space, theory, types)
+        assert (outcome.examined, outcome.structure) == \
+            naive_search(space, theory, types)
+        assert outcome.exhausted == case.endswith("exhausted")
+        kept = passing(space, theory, types)
+        assert list(enumerate_structures(
+            space, [*theory.sentences, *types])) == kept
+        if not outcome.exhausted:
+            # the unread levels vary among the structures passing
+            assert len(kept) > 1
+
+    def test_no_checks_yields_every_structure(self):
+        for vocab, size, truth, metric in ((PQC, 2, 2, 2), (PF, 2, 1, 2),
+                                           (R, 2, 1, 2)):
+            space = SearchSpace(vocab, size, truth, metric)
+            structures = list(enumerate_structures(space))
+            assert [_index(space, s) for s in structures] == \
+                list(range(1, len(structures) + 1))
+            never = Theory("t", (parse_formula("0", vocab),))
+            assert search_model(space, never, []).examined == \
+                len(structures)
+
+
+class TestWork:
+    """The checks a search runs, counted by wrapping ``omitting.run``:
+    each call is one check decided on one prefix of tables.  In both
+    spaces no check reads ``d``, so each universe size walks its first
+    metric table only."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        count = [0]
+
+        def counting(*args):
+            count[0] += 1
+            return run(*args)
+        run = omitting.run
+        monkeypatch.setattr(omitting, "run", counting)
+        return count
+
+    @pytest.mark.parametrize("vocab, space, theory, types, examined, calls", [
+        (R, (3, 2, 2), ["A x. ~R(x,x)", "E x. E y. R(x,y)"],
+         [(("x",), ["E y. R(x,y)"])], 157629, 21176),
+        (Vocabulary({"P": 1, "Q": 1}, {}), (3, 4, 2),
+         ["A x. Q(x) -> P(x)", "E x. P(x) >= 1/2"],
+         [(("x",), ["P(x) >= 1/2"])], 126275, 296),
+    ], ids=["binary", "pq"])
+    def test_exhausted_search_runs(self, runs, vocab, space, theory, types,
+                                   examined, calls):
+        outcome = search_model(*type_problem(vocab, *space, theory, types))
+        assert (outcome.exhausted, outcome.examined) == (True, examined)
+        assert runs[0] == calls
+
+
 class TestLargeSpaces:
     def test_exhausted_pq_space(self):
         vocab = Vocabulary({"P": 1, "Q": 1}, {})
@@ -354,7 +457,9 @@ class TestStructuresBuilt:
         return universes
 
     def test_exhausted_search_builds_only_the_symbol_check(self, built):
-        # every check reads R, the last level, so no prefix is pruned
+        # every check reads R, the last level, so no check prunes a
+        # prefix; none reads d, so each size walks its first metric
+        # table only
         vocab = Vocabulary({"R": 2}, {})
         theory = Theory("t", (parse_formula("A x. ~R(x,x)", vocab),
                               parse_formula("E x. E y. R(x,y)", vocab)))
