@@ -24,7 +24,7 @@ from math import ceil, lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import FormulaError
-from .evaluator import IMP, Program, run
+from .evaluator import IMP, Lanes, Program, run
 from .rationals import ZERO, ONE, as_fraction, in_unit_interval, is_dyadic
 from . import syntax
 
@@ -233,7 +233,10 @@ def grid_axis(spacing: Fraction) -> list:
 
 # The most grid points times DAG nodes one sweep may evaluate: about
 # five times ``certify --target halfx --n 256`` (2,049 points over 2,560
-# nodes), and several seconds of work.
+# nodes).  Run in lanes, the sweep of ``half_approx(558)`` just below it
+# takes about 0.2 s (2.6 s one point at a time, on a 2-CPU x86-64
+# machine under Python 3.11); comparing each point with the oracle,
+# about 20 us a point there, is not counted in the limit.
 SWEEP_LIMIT = 25_000_000
 
 
@@ -246,11 +249,19 @@ def check_sweep(points: int, nodes: int) -> None:
             f"nodes exceeds {SWEEP_LIMIT} node evaluations")
 
 
+# Grid points per run of the lane kernel.  The ``certify`` sweeps of
+# ``half_approx(64)`` and ``(256)`` take about as long with blocks of
+# 512 to 4,096 points, and a block's registers grow with its size.
+_BLOCK = 1024
+
+
 def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
                    spacing: Fraction) -> Fraction:
     """max over the grid of |term - oracle|, computed exactly.  A grid
     whose points times the term's DAG nodes exceed ``SWEEP_LIMIT`` is
-    refused before the sweep starts."""
+    refused before the sweep starts.  The term runs over ``_BLOCK``
+    grid points at a time (``evaluator.Lanes``), in the grid's order,
+    and each point is compared with the oracle as it comes."""
     declared = term_arity(term)
     if declared is not None and declared != arity:
         raise FormulaError(
@@ -261,19 +272,17 @@ def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
     program = _program(term, arity)
     denominator = lcm(spacing.denominator, program.denominator)
     axis_ints = [int(p * denominator) for p in axis]
-    # Quantifier-free code writes every slot before reading it, so one
-    # set of registers serves every grid point.
-    registers = program.registers(denominator)
-    code, result = program.scopes[0]
+    lanes = Lanes(program, denominator)
+    points = itertools.product(axis_ints, repeat=arity)
     worst = ZERO
-    for ints in itertools.product(axis_ints, repeat=arity):
-        registers[:arity] = ints
-        run(code, registers, denominator)
-        approx = Fraction(registers[result], denominator)
-        target = as_fraction(oracle(tuple(Fraction(i, denominator) for i in ints)))
-        gap = abs(approx - target)
-        if gap > worst:
-            worst = gap
+    while block := list(itertools.islice(points, _BLOCK)):
+        for ints, value in zip(block, lanes.run(block)):
+            approx = Fraction(value, denominator)
+            target = as_fraction(
+                oracle(tuple(Fraction(i, denominator) for i in ints)))
+            gap = abs(approx - target)
+            if gap > worst:
+                worst = gap
     return worst
 
 

@@ -23,6 +23,13 @@ each one's value; ``compile_formula`` is the one-formula case.
 compiles on the spot; a caller that evaluates one formula many times
 compiles it once and passes the program.
 
+A connective term compiles to straight-line ``IMP`` code over its
+projections and constants.  ``run`` executes it at one point;
+``Lanes`` executes it over a block of points at once, each register
+one int that packs the block's values in fixed-width lanes, so a grid
+sweep costs a few whole-int operations per implication and block, not
+one interpreted instruction per implication and point.
+
 Formulas over tuples are evaluated a table at a time, the relational
 strategy for finite model checking (Vardi, STOC 1982): a scan assigns
 each tuple in turn and runs the program there, on one copy of the
@@ -250,9 +257,10 @@ def _scope_children(node) -> tuple:
 def run(code: list, registers: list, denominator: int, memo=None) -> None:
     """Execute one scope of code on ``registers``, in place.
 
-    This is the one interpreter loop: formulas and connective terms both
-    run here.  Truth values are integers over ``denominator``; elements
-    are their positions in the universe.
+    This is the one-point interpreter loop: every formula runs here, and
+    a connective term runs here at one point (``Lanes`` runs a term's
+    code over a block of points).  Truth values are integers over
+    ``denominator``; elements are their positions in the universe.
     """
     for op, slot, a, b, c in code:
         if op == IMP:
@@ -296,6 +304,94 @@ def run(code: list, registers: list, denominator: int, memo=None) -> None:
                 raise EvaluationError(a)
             raise EvaluationError(
                 f"{a} has no entry for {tuple(c[registers[r]] for r in b)}")
+
+
+class Lanes:
+    """A connective term's program (straight-line ``IMP`` code, one
+    scope) run over a block of points at once: SIMD within a register
+    (Fisher and Dietz, LCPC 1998) on Python's exact integers.
+
+    A register is one int that packs the block's values, one per lane of
+    ``width`` bits, the first point in the lowest lane.  With ``Dp`` the
+    packed ``D`` (``denominator``), an implication is ``s = Dp + B - A``
+    followed by a clamp of the lanes where ``s > D``, a few whole-int
+    operations for the whole block.
+
+    Lane bound.  ``width`` is ``D.bit_length() + 1`` rounded up to whole
+    bytes: room for a value and one guard bit above it, so
+    ``2^(w-1) > D`` for ``w = width``.  Every lane read holds a value in
+    ``[0, D]``.  Then:
+      * ``Dp + B`` has lanes ``D + b <= 2D < 2^w``: no carry crosses a
+        lane;
+      * subtracting ``A`` leaves lanes ``s = D + b - a >= 0``: no borrow
+        crosses a lane, and ``s`` lies in ``[0, 2D]``;
+      * adding ``2^(w-1) - 1 - D >= 0`` to every lane gives lanes in
+        ``[0, 2^(w-1) - 1 + D]``, below ``2^w``, so again no carry, and a
+        lane's top bit (its guard) is set exactly when ``s >= D + 1``;
+      * with ``g`` the set guards, ``m = (g << 1) - (g >> (w-1))`` fills
+        each of their lanes with ones, and ``s ^ ((s ^ Dp) & m)`` takes
+        ``D`` in those lanes and ``s`` in the others: ``min(D, s)``,
+        back in ``[0, D]``.
+    So every lane computes exactly what ``run`` computes at its point.
+
+    The read plan is made once per program: a constant is packed at its
+    first read, and each register is dropped after its last read, so a
+    block holds only the registers still to be read.
+    """
+
+    __slots__ = ("denominator", "width", "_slots", "_plan", "_result")
+
+    def __init__(self, program: Program, denominator: int):
+        (code, result), = program.scopes
+        self.denominator = denominator
+        self.width = 8 * -(-(denominator.bit_length() + 1) // 8)
+        self._slots = program.slots
+        constants = {slot: value.numerator * (denominator // value.denominator)
+                     for slot, value in program.constants}
+        # going backwards, a slot's first read is its last; the result
+        # is never dropped
+        seen, dead = {result}, []
+        for _, _, a, b, _ in reversed(code):
+            operands = dict.fromkeys((a, b))
+            dead.append(tuple(r for r in operands if r not in seen))
+            seen.update(operands)
+        self._plan = []
+        for (_, slot, a, b, _), free in zip(code, reversed(dead)):
+            load = tuple((r, constants.pop(r)) for r in dict.fromkeys((a, b))
+                         if r in constants)
+            self._plan.append((slot, a, b, load, free))
+        # a constant root has no code, and is packed for the result only
+        self._result = result, constants.get(result)
+
+    def run(self, points: Sequence[Sequence[int]]) -> list:
+        """The term's value at each point, in order; a point gives the
+        term's inputs, one per input slot, as integers over
+        ``denominator``."""
+        width, count = self.width, len(points)
+        size = width // 8
+        ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
+        full = self.denominator * ones
+        bias = ((1 << width - 1) - 1 - self.denominator) * ones
+        guards = ones << width - 1
+        registers = [None] * self._slots
+        for slot in range(len(points[0])):
+            registers[slot] = int.from_bytes(
+                b"".join([point[slot].to_bytes(size, "little")
+                          for point in points]), "little")
+        for slot, a, b, load, dead in self._plan:
+            for read, value in load:
+                registers[read] = value * ones
+            s = full + registers[b] - registers[a]
+            over = (s + bias) & guards
+            registers[slot] = s ^ ((s ^ full) & ((over << 1)
+                                                 - (over >> width - 1)))
+            for read in dead:
+                registers[read] = None
+        result, root = self._result
+        packed = registers[result] if root is None else root * ones
+        out = packed.to_bytes(count * size, "little")
+        return [int.from_bytes(out[i:i + size], "little")
+                for i in range(0, len(out), size)]
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +780,16 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
     if tuple(gamma.variables) != tuple(sigma.variables):
         raise FormulaError(
             f"variable tuples differ: {gamma.variables} vs {sigma.variables}")
-    names = tuple(gamma.variables)
-    premises = [compile_formula(f) for f in gamma.formulas]
-    conclusions = [compile_formula(f) for f in sigma.formulas]
+    return _entailment(family, theory, tuple(gamma.variables),
+                       [compile_formula(f) for f in gamma.formulas],
+                       [compile_formula(f) for f in sigma.formulas])
+
+
+def _entailment(family: Sequence, theory: Theory, names: tuple,
+                premises: Sequence[Program],
+                conclusions: Sequence[Program]) -> EntailmentResult:
+    """``entails`` over compiled premises and conclusions in the
+    variables ``names``."""
     for member, engine in models(family, theory):
         realizing = (tup for tup, failure
                      in engine.first_failures(premises, names)

@@ -19,8 +19,9 @@ from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
-from .evaluator import (EntailmentResult, Evaluator, _link, compile_formula,
-                        compile_formulas, entails, models, nested, run)
+from .evaluator import (EntailmentResult, Evaluator, _entailment, _link,
+                        compile_formula, compile_formulas, entails, models,
+                        nested, run)
 from .rationals import ZERO, ONE, as_fraction
 from .structures import Structure
 from .syntax import (And, Atom, Const, Exists, Formula, Geq, Leq, Term,
@@ -108,7 +109,8 @@ def generator_check(family: Sequence[Structure], theory: Theory,
             break
     else:
         return GeneratorReport(False, satisfied=False)
-    result = entails(family, theory, phi, sigma)
+    result = _entailment(family, theory, tuple(phi.variables), programs,
+                         _compile(sigma))
     return GeneratorReport(result.holds, satisfied=True, witness=witness,
                            entailment=result)
 

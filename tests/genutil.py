@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from pavelka import Structure, syntax
-from pavelka.connectives import CConst, CImplies, Proj
+from pavelka.connectives import CConst, CImplies, Proj, c_and, c_oplus, c_or
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -179,6 +179,16 @@ def random_connective_term(rng, arity, depth, max_denominator=6):
     return CImplies(
         random_connective_term(rng, arity, depth - 1, max_denominator),
         random_connective_term(rng, arity, depth - 1, max_denominator))
+
+
+def random_dag(rng, arity, size):
+    """A connective DAG: random terms combined by the lattice builders,
+    which share their operands."""
+    pool = [random_connective_term(rng, arity, 3) for _ in range(3)]
+    builders = (c_or, c_and, c_oplus, CImplies)
+    for _ in range(size):
+        pool.append(rng.choice(builders)(rng.choice(pool), rng.choice(pool)))
+    return pool[-1]
 
 
 def structure_with_guard(rng, vocabulary, guard, max_size=4):

@@ -1,16 +1,19 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from pavelka import connectives as cn
 from pavelka import evaluate, parse_formula, Vocabulary
 from pavelka.errors import FormulaError
-from pavelka.evaluator import run
+from pavelka.evaluator import Lanes, run
 
-from genutil import random_connective_term, random_formula, random_structure
+from genutil import (random_connective_term, random_dag, random_formula,
+                     random_structure)
 from naive import naive_connective
 
 HALF = F(1, 2)
@@ -344,3 +347,134 @@ class TestRenderConnective:
         with pytest.raises(FormulaError):
             cn.render_connective(term)
         assert cn.dag_size(term) < 200  # the DAG itself stays small
+
+
+def run_each(program, arity, denominator, points):
+    """The program's value at each point, one ``run`` per point."""
+    registers = program.registers(denominator)
+    code, result = program.scopes[0]
+    values = []
+    for point in points:
+        registers[:arity] = point
+        run(code, registers, denominator)
+        values.append(registers[result])
+    return values
+
+
+def lanes_agree(term, arity, denominator, points):
+    """Check the lane kernel against ``run`` at every point; returns the
+    kernel."""
+    program = cn._program(term, arity)
+    lanes = Lanes(program, denominator)
+    assert lanes.run(points) == run_each(program, arity, denominator, points)
+    return lanes
+
+
+def random_points(rng, arity, denominator, count):
+    """Points on the grid over ``denominator``, with 0 and 1 frequent."""
+    return [tuple(rng.choice((0, denominator, rng.randint(0, denominator)))
+                  for _ in range(arity)) for _ in range(count)]
+
+
+class TestLanes:
+    """``evaluator.Lanes`` runs a term over a block of points and gives,
+    lane by lane, what ``run`` gives point by point."""
+
+    def test_random_terms(self):
+        rng = random.Random(41)
+        widths = set()
+        for _ in range(300):
+            arity = rng.randint(1, 3)
+            if rng.random() < 0.5:
+                term = random_connective_term(rng, arity, 5)
+            else:
+                term = random_dag(rng, arity, rng.randint(1, 12))
+            scale = rng.choice((1, 7, 100, 127, 255, 40_000, 3 ** 15))
+            denominator = lcm(cn._program(term, arity).denominator, scale)
+            points = random_points(rng, arity, denominator,
+                                   rng.randint(1, 70))
+            widths.add(lanes_agree(term, arity, denominator, points).width)
+        assert {8, 16, 24, 32} <= widths
+
+    def test_constructions(self):
+        spec = cn.PLSpec(2, ((cn.AffinePiece((F(1, 2), F(1, 4)), F(1, 8)),
+                              cn.AffinePiece((F(-1, 2), F(1)), F(1, 2))),
+                             (cn.AffinePiece((F(3, 4), F(0)), F(0)),)))
+        cases = ((cn.half_approx(16), 1, F(1, 128)),
+                 (cn.scale_dyadic(3, 2, 4)[0], 1, F(1, 32)),
+                 (cn.approx_lattice(spec, 2)[0], 2, F(1, 16)))
+        for term, arity, spacing in cases:
+            denominator = lcm(spacing.denominator,
+                              cn._program(term, arity).denominator)
+            axis = [int(p * denominator) for p in cn.grid_axis(spacing)]
+            lanes_agree(term, arity, denominator,
+                        list(itertools.product(axis, repeat=arity)))
+
+    def test_root_projection_or_constant(self):
+        rng = random.Random(42)
+        for term, arity in ((cn.Proj(2, 3), 3), (cn.Proj(1, 1), 1),
+                            (cn.CConst(F(2, 7)), 2), (cn.CConst(F(0)), 1),
+                            (cn.CConst(F(1)), 0)):
+            assert cn._program(term, arity).scopes[0][0] == []
+            for count in (1, 5):
+                lanes_agree(term, arity, 14,
+                            random_points(rng, arity, 14, count))
+
+    def test_lanes_wider_than_16_bits(self):
+        # D needs one bit for the guard above its own; a D whose length
+        # is a whole number of bytes gets one more byte
+        rng = random.Random(43)
+        term = random_dag(rng, 2, 15)
+        for denominator, width in ((120, 8), (240, 16), (32_760, 16),
+                                   (65_520, 24), (2 ** 23 * 15, 32),
+                                   (3 ** 40 * 5 * 4, 72)):
+            denominator = lcm(denominator, cn._program(term, 2).denominator)
+            lanes = lanes_agree(term, 2, denominator,
+                                random_points(rng, 2, denominator, 300))
+            assert lanes.width == width
+
+    def test_blocks_of_the_sweep(self, monkeypatch):
+        # grids one point short of, at, and past whole blocks, in one
+        # and two dimensions: the sweep is the per-point maximum
+        rng = random.Random(44)
+        blocks = []
+
+        class Counted(Lanes):
+            __slots__ = ()
+
+            def run(self, points):
+                blocks.append(len(points))
+                return Lanes.run(self, points)
+
+        monkeypatch.setattr(cn, "Lanes", Counted)
+        oracle = lambda point: point[0] * point[-1]
+        for arity, spacing, sizes in ((1, F(1, 1022), [1023]),
+                                      (1, F(1, 1023), [1024]),
+                                      (1, F(1, 1024), [1024, 1]),
+                                      (1, F(1, 2048), [1024, 1024, 1]),
+                                      (2, F(1, 31), [1024]),
+                                      (2, F(1, 32), [1024, 65])):
+            term = random_dag(rng, arity, 10)
+            program = cn._program(term, arity)
+            denominator = lcm(spacing.denominator, program.denominator)
+            axis = [int(p * denominator) for p in cn.grid_axis(spacing)]
+            points = list(itertools.product(axis, repeat=arity))
+            want = max(abs(F(value, denominator) - oracle(
+                tuple(F(i, denominator) for i in point))) for point, value
+                in zip(points, run_each(program, arity, denominator, points)))
+            blocks.clear()
+            assert cn.grid_max_error(term, oracle, arity, spacing) == want
+            assert blocks == sizes
+
+    def test_sweep_memory(self):
+        # each packed register is dropped after its last read and each
+        # constant packed at its first: holding every register of this
+        # sweep peaks near 7 MB, packing every constant up front near 2 MB
+        term = cn.half_approx(256)
+        tracemalloc.start()
+        try:
+            cn.grid_max_error(term, half_oracle, 1, F(1, 2048))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_600_000

@@ -15,10 +15,10 @@ from pavelka import (And, Atom, Const, EvaluationError, Evaluator, Exists,
                      default_record_corpus, evaluate, parse_formula,
                      search_model)
 from pavelka import connectives, evaluator, omitting
-from pavelka.connectives import CConst, CImplies, Proj
+from pavelka.connectives import CConst, Proj
 from pavelka.errors import FormulaError
 
-from genutil import (random_connective_term, random_formula, random_rational,
+from genutil import (random_dag, random_formula, random_rational,
                      random_structure)
 from naive import naive_connective, naive_eval
 
@@ -103,17 +103,6 @@ class TestAgainstNaive:
         with pytest.raises(EvaluationError):
             Evaluator(lacking).value(program)
         assert Evaluator(having).value(program) == F(1, 2)
-
-
-def random_dag(rng, arity, size):
-    """A connective DAG: random terms combined by the lattice builders,
-    which share their operands."""
-    pool = [random_connective_term(rng, arity, 3) for _ in range(3)]
-    builders = (connectives.c_or, connectives.c_and, connectives.c_oplus,
-                CImplies)
-    for _ in range(size):
-        pool.append(rng.choice(builders)(rng.choice(pool), rng.choice(pool)))
-    return pool[-1]
 
 
 class TestConnectives:
@@ -269,6 +258,19 @@ class TestNoGlobalState:
                 for x in m2.universe:
                     assert engine.value(program, {"x": x}) == \
                         naive_eval(m2, program.source, {"x": x})
+
+    def test_grid_sweeps_leave_no_trace(self):
+        # a lane kernel and its read plan live for one sweep only
+        connectives.certify(connectives.half_approx(2), lambda p: p[0] / 2,
+                            1, F(1, 16), F(1, 2))
+        before = module_containers()
+        for n in range(1, 20):
+            spacing = F(1, 8 * n + n % 5)
+            connectives.certify(connectives.half_approx(n),
+                                lambda p: p[0] / 2, 1, spacing, F(1, 2))
+            connectives.grid_max_error(connectives.c_and(
+                Proj(1, 2), Proj(2, 2)), min, 2, F(1, n))
+        assert module_containers() == before
 
 
 def code_length(program):

@@ -437,3 +437,28 @@ class TestCompiledOnce:
         assert [m for m, _ in models(family, Theory("t", theory.sentences))] \
             == want
         assert compiled == list(theory.sentences) * 2
+
+    def test_generator_check_compiles_each_formula_once(self, monkeypatch):
+        # phi is compiled once for its realizer scan and the entailment,
+        # and sigma once, only after a realizer of phi is found
+        from pavelka import omitting
+        rng = random.Random(35)
+        compiled = []
+        for module in (evaluator, omitting):
+            monkeypatch.setattr(module, "compile_formula", lambda phi, make=(
+                module.compile_formula): (compiled.append(phi), make(phi))[1])
+        satisfied = 0
+        for _ in range(40):
+            family, theory, formulas = scan_case(rng)
+            phi = TypeSet("phi", NAMES, formulas(rng.randint(1, 2)))
+            sigma = TypeSet("s", NAMES, formulas(rng.randint(1, 2)))
+            theory.programs  # compiled once for the theory's lifetime
+            compiled.clear()
+            report = generator_check(family, theory, phi, sigma)
+            if not report.satisfied:
+                assert compiled == list(phi.formulas)
+                continue
+            satisfied += 1
+            assert compiled == list(phi.formulas) + list(sigma.formulas)
+            assert report.entailment == entails(family, theory, phi, sigma)
+        assert satisfied >= 10
