@@ -101,8 +101,12 @@ def _walk_postorder(term: ConnectiveTerm) -> list:
 
 def term_arity(term: ConnectiveTerm) -> Optional[int]:
     """The shared arity of all projections, or None for constant terms."""
-    arities = {node.arity for node in _walk_postorder(term)
-               if isinstance(node, Proj)}
+    return _arity(_walk_postorder(term))
+
+
+def _arity(nodes: Sequence[ConnectiveTerm]) -> Optional[int]:
+    """``term_arity`` of a term walked into ``nodes``."""
+    arities = {node.arity for node in nodes if isinstance(node, Proj)}
     if len(arities) > 1:
         raise FormulaError(f"mixed projection arities: {sorted(arities)}")
     return arities.pop() if arities else None
@@ -128,14 +132,16 @@ def _fold(term: ConnectiveTerm, proj: Callable, const: Callable,
     return done[id(term)]
 
 
-def _program(term: ConnectiveTerm, arity: int) -> Program:
+def _program(term: ConnectiveTerm, arity: int,
+             nodes: Optional[Sequence[ConnectiveTerm]] = None) -> Program:
     """The term as an evaluator program: projection ``i`` reads slot
     ``i - 1`` of the ``arity`` input slots, each constant a slot of its
-    own, each implication one instruction."""
+    own, each implication one instruction.  ``nodes`` is the term's
+    walk (``_walk_postorder``), when the caller has already made it."""
     slots = itertools.count(arity)
     slot_of: dict[int, int] = {}
     constants, code = [], []
-    for node in _walk_postorder(term):
+    for node in nodes or _walk_postorder(term):
         if isinstance(node, Proj):
             slot_of[id(node)] = node.index - 1
             continue
@@ -155,11 +161,12 @@ def eval_term(term: ConnectiveTerm, point: Sequence[Fraction]) -> Fraction:
     for x in point:
         if not in_unit_interval(x):
             raise FormulaError(f"evaluation point outside [0,1]: {x}")
-    declared = term_arity(term)
+    nodes = _walk_postorder(term)
+    declared = _arity(nodes)
     if declared is not None and declared != len(point):
         raise FormulaError(
             f"term has arity {declared}, point has length {len(point)}")
-    program = _program(term, len(point))
+    program = _program(term, len(point), nodes)
     denominator = lcm(program.denominator, *(x.denominator for x in point))
     registers = program.registers(denominator)
     registers[:len(point)] = [x.numerator * (denominator // x.denominator)
@@ -261,15 +268,17 @@ def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
     whose points times the term's DAG nodes exceed ``SWEEP_LIMIT`` is
     refused before the sweep starts.  The term runs over ``_BLOCK``
     grid points at a time (``evaluator.Lanes``), in the grid's order,
-    and each point is compared with the oracle as it comes."""
-    declared = term_arity(term)
+    and each point is compared with the oracle as it comes.  The term
+    is walked once, for its arity, its node count and its program."""
+    nodes = _walk_postorder(term)
+    declared = _arity(nodes)
     if declared is not None and declared != arity:
         raise FormulaError(
             f"term arity {declared} does not match oracle arity {arity}")
     if ZERO < spacing <= ONE:  # else grid_axis refuses the spacing
-        check_sweep((ceil(ONE / spacing) + 1) ** arity, dag_size(term))
+        check_sweep((ceil(ONE / spacing) + 1) ** arity, len(nodes))
     axis = grid_axis(spacing)
-    program = _program(term, arity)
+    program = _program(term, arity, nodes)
     denominator = lcm(spacing.denominator, program.denominator)
     axis_ints = [int(p * denominator) for p in axis]
     lanes = Lanes(program, denominator)

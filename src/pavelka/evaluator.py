@@ -414,8 +414,8 @@ class _Lowering:
     values of a predicate table become integers over the lcm of that
     table's own denominators.  A lowered table never changes: a link over
     a multiple of its lcm reads a scaled copy of it.  ``programs`` keeps
-    what ``Evaluator.kept`` makes for the structure, and the links
-    ``Evaluator.keep_links`` keeps."""
+    what ``Evaluator.kept`` makes for the structure: programs, the links
+    ``Evaluator.keep_links`` keeps, and tables of values."""
 
     __slots__ = ("index", "tables", "programs")
 
@@ -565,9 +565,13 @@ class Evaluator:
 
     def kept(self, key, make):
         """``make()``, made once per ``key`` and kept with the
-        structure's lowered tables for the structure's lifetime: for a
-        program that depends on nothing but the structure's vocabulary
-        and the key, such as ``type_distance``'s default corpus."""
+        structure's lowered tables for the structure's lifetime, unless
+        it raises: for what depends on nothing but the structure and the
+        key, such as a program compiled from the structure's vocabulary
+        (``type_distance``'s default corpus), a link (``keep_links``),
+        or a table of the structure's own values (``type_distance``'s
+        profiles of the default corpus, keyed by the record length and
+        predicate signature they were scanned for)."""
         programs = self._lowering.programs
         made = programs.get(key)
         if made is None:

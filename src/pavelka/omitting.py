@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
@@ -595,6 +595,8 @@ class CompleteTypeRecord:
 
     def __post_init__(self):
         elements = tuple(self.elements)
+        if not elements:
+            raise FormulaError("a record needs at least one element")
         for e in elements:
             if not self.structure.has_element(e):
                 raise FormulaError(f"record element {e!r} not in the universe")
@@ -646,41 +648,53 @@ def type_distance(family: Sequence[Structure], theory: Theory,
 
     A tuple realizes a record when every corpus formula takes the same
     value there as at the record's own tuple.  The corpus is compiled
-    into one program, and ``Evaluator.rows`` gives each profile, the row
-    of corpus values at a tuple, in one run.  A given corpus is compiled
-    per call.  The default corpus, ``default_record_corpus`` of ``p``'s
-    vocabulary, depends on nothing but ``p``'s structure and ``n``, so
-    it is compiled once per structure and ``n`` and kept with that
-    structure's lowered tables."""
+    into one program, and each model's profiles, the rows of corpus
+    values at its tuples, come from one scan of it (``_profiles``); a
+    model's tuples realizing a record are then one lookup of the
+    record's row.  A given corpus is compiled and scanned per call.
+    The default corpus, ``default_record_corpus`` of ``p``'s
+    vocabulary, depends on nothing but ``n`` and the predicate
+    signature of ``p``'s structure: it is compiled once per structure
+    and ``n``, and each model's profiles are scanned once per ``n`` and
+    signature, both kept with the structure's lowered tables
+    (``Evaluator.kept``), so records from any structure of that
+    signature share one scan of each model."""
     n = len(p.elements)
     if len(q.elements) != n:
         raise FormulaError("records have different tuple lengths")
     p_engine = Evaluator(p.structure)
-
-    def compile_default():
-        variables, formulas = _record_corpus(p.structure.vocabulary(), n)
-        return variables, compile_formulas(formulas)
-
     if corpus is None:
+        vocabulary = p.structure.vocabulary()
+
+        def compile_default():
+            variables, formulas = _record_corpus(vocabulary, n)
+            return variables, compile_formulas(formulas)
+
         variables, program = p_engine.kept(("record corpus", n),
                                            compile_default)
+        key = ("record profiles", n, tuple(sorted(
+            vocabulary.predicates.items())))
     else:
         variables, program = corpus.variables, \
             compile_formulas(corpus.formulas)
+        key = None
     if len(variables) != n:
         raise FormulaError(
             f"corpus has {len(variables)} variables, record has {n} elements")
-    (_, p_row), = p_engine.rows(program, variables, [p.elements])
-    (_, q_row), = Evaluator(q.structure).rows(program, variables,
-                                              [q.elements])
+    rows = [_profiles(engine, program, variables, [record.elements])
+            for engine, record in ((p_engine, p),
+                                   (Evaluator(q.structure), q))]
+    wanted = {}  # denominator -> p's and q's rows as integers over it
     best = None
     for member, engine in models(family, theory):
-        p_tuples, q_tuples = [], []
-        for tup, row in engine.rows(program, variables):
-            if row == p_row:
-                p_tuples.append(tup)
-            if row == q_row:
-                q_tuples.append(tup)
+        scan = functools.partial(_profiles, engine, program, variables)
+        denominator, profiles = scan() if key is None \
+            else engine.kept(key, scan)
+        want = wanted.get(denominator)
+        if want is None:
+            want = wanted[denominator] = [
+                _over(row, over, denominator) for over, (row,) in rows]
+        p_tuples, q_tuples = (profiles.get(row, ()) for row in want)
         for a in p_tuples:
             for b in q_tuples:
                 gap = max(member.metric[(x, y)] for x, y in zip(a, b))
@@ -689,6 +703,38 @@ def type_distance(family: Sequence[Structure], theory: Theory,
     if best is None:
         return TypeDistance(ONE, connected=False)
     return TypeDistance(best, connected=True)
+
+
+def _profiles(engine: Evaluator, program, variables: Sequence[str],
+              tuples: Optional[Iterable] = None) -> tuple:
+    """``(denominator, profiles)``: each distinct row of the program's
+    values at a tuple, as integers over the denominator of the program's
+    link to the engine's structure, mapped to the tuples with that row,
+    in order; by default every tuple of the universe, in canonical
+    order.  One ``run`` per tuple; raises where ``Evaluator.rows``
+    would."""
+    variables = tuple(variables)
+    program, at, denominator = engine._runner(program, variables)
+    results = program.results
+    profiles = {}
+    if tuples is None:
+        tuples = engine._universe_tuples(variables)
+    for tup in tuples:
+        registers = at(tup)
+        profiles.setdefault(tuple([registers[slot] for slot in results]),
+                            []).append(tup)
+    return denominator, profiles
+
+
+def _over(row: tuple, denominator: int, target: int) -> Optional[tuple]:
+    """A row of integers over ``denominator`` as integers over
+    ``target``, or None when some value is not a multiple of
+    ``1/target``: then no row over ``target`` equals it."""
+    common = gcd(denominator, target)
+    step, scale = denominator // common, target // common
+    if step > 1 and any(value % step for value in row):
+        return None
+    return tuple([value // step * scale for value in row])
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,10 @@ class Structure:
     The metric, the symbol maps and every table are read-only mappings,
     so the evaluator lowers each table to integers once, on first use,
     over the lcm of that table's own denominators, and keeps it in
-    ``_lowering`` unchanged for the structure's lifetime, along with any
-    program compiled from the structure's vocabulary alone
-    (``Evaluator.kept``).
+    ``_lowering`` unchanged for the structure's lifetime, along with
+    what ``Evaluator.kept`` makes from the structure alone: programs
+    compiled from its vocabulary, links, and tables of its own values,
+    such as ``type_distance``'s profiles of the default record corpus.
     """
 
     __slots__ = ("universe", "metric", "predicates", "operations",

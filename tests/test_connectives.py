@@ -171,6 +171,28 @@ class TestCertify:
             "grid sweep too large: 25010001 points over 1 DAG nodes "
             "exceeds 25000000 node evaluations")
 
+    def test_one_walk_before_the_sweep(self, monkeypatch):
+        # mixed arities, then an arity mismatch, then an oversized sweep
+        big = cn.half_approx(600)
+        for term, arity, message in (
+                (cn.CImplies(big, cn.Proj(1, 2)), 2,
+                 "mixed projection arities: [1, 2]"),
+                (big, 2, "term arity 1 does not match oracle arity 2"),
+                (big, 1, "grid sweep too large: 4801 points over 6000 DAG "
+                         "nodes exceeds 25000000 node evaluations")):
+            with pytest.raises(FormulaError) as caught:
+                cn.grid_max_error(term, half_oracle, arity, F(1, 4800))
+            assert str(caught.value) == message
+        walks = []
+        walk = cn._walk_postorder
+        monkeypatch.setattr(cn, "_walk_postorder", lambda term: (
+            walks.append(term), walk(term))[1])
+        term = cn.half_approx(8)
+        assert cn.grid_max_error(term, half_oracle, 1, F(1, 64)) == \
+            max(abs(naive_connective(term, (x,)) - x / 2)
+                for x in cn.grid_axis(F(1, 64)))
+        assert walks == [term]
+
     def test_half_approx_size_without_building(self):
         for n in itertools.chain(range(1, 80), (128, 255, 256, 559)):
             assert cn.half_approx_size(n) == \

@@ -9,11 +9,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from pavelka import (And, Atom, Const, EvaluationError, Evaluator, Exists,
-                     Func, Implies, Not, Or, SearchSpace, Structure, Theory,
-                     Var, Vocabulary, compile_formula, compile_formulas,
+from pavelka import (And, Atom, CompleteTypeRecord, Const, EvaluationError,
+                     Evaluator, Exists, Func, Implies, Not, Or, SearchSpace,
+                     Structure, Theory, TypeSet, Var, Vocabulary,
+                     compile_formula, compile_formulas,
                      default_record_corpus, evaluate, parse_formula,
-                     search_model)
+                     search_model, type_distance)
 from pavelka import connectives, evaluator, omitting
 from pavelka.connectives import CConst, Proj
 from pavelka.errors import FormulaError
@@ -215,6 +216,29 @@ class TestNoGlobalState:
             # a fresh space and theory: per-search set-up dies with them
             search_model(SearchSpace(vocab, 1 + i % 2, 2, 2), Theory(
                 "t", (parse_formula(f"P(c) -> {i % 3}/2", vocab),)), [])
+        assert module_containers() == before
+
+    def test_given_record_corpora_keep_nothing(self):
+        # a given corpus is compiled and scanned per call: the members
+        # keep the theory's links and the default corpus's profiles only
+        rng = random.Random(11)
+        vocab = Vocabulary({"P": 1, "R": 2}, {"c": 0})
+        family = [random_structure(rng, vocab, max_size=3) for _ in range(3)]
+        theory = Theory("t", (parse_formula("A x. d(x, x) <= 0", vocab),))
+        records = [CompleteTypeRecord(m, (m.universe[-1],)) for m in family]
+        type_distance(family, theory, records[0], records[1])
+        kept = [dict(m._lowering.programs) for m in family]
+        before = module_containers()
+        for i in range(500):
+            corpus = TypeSet("given", ("v1",), (
+                parse_formula(f"P(v1) -> {i % 7}/7", vocab),
+                parse_formula("E x. R(v1, x)", vocab)))
+            type_distance(family, theory, records[i % 3],
+                          records[(i + 1) % 3], corpus)
+        for member, entries in zip(family, kept):
+            programs = member._lowering.programs
+            assert programs.keys() == entries.keys()
+            assert all(programs[key] is made for key, made in entries.items())
         assert module_containers() == before
 
     def test_structure_keeps_one_lowered_copy_per_table(self, m2):

@@ -272,3 +272,151 @@ class TestDefaultCorpusKept:
                               seen.operations, seen.constants)
         check(0, 2)
         assert len(compiled) == 6
+
+
+def kept_profiles(structure):
+    """The default-corpus profile tables a structure keeps, by key."""
+    lowering = structure._lowering
+    return {} if lowering is None else {
+        key: made for key, made in lowering.programs.items()
+        if isinstance(key, tuple) and key[0] == "record profiles"}
+
+
+def structure_with(universe, p, r, d=F(1, 2)):
+    """A structure over ``universe`` with the given ``P`` values, every
+    distance ``d``, and ``R`` true exactly on the diagonal when ``r``,
+    else false everywhere."""
+    return Structure(universe,
+                     {(a, b): d for i, a in enumerate(universe)
+                      for b in universe[i + 1:]},
+                     {"P": dict(zip(((e,) for e in universe), p)),
+                      "R": {(a, b): F(int(a == b) if r else 0)
+                            for a in universe for b in universe}},
+                     {}, {"c": universe[0]})
+
+
+class TestKeptProfiles:
+    """Each member's profiles of the default corpus, scanned once per
+    record length and predicate signature and kept with the member."""
+
+    def test_repeated_calls_agree_with_naive(self):
+        rng = random.Random(16)
+        family = [random_structure(rng, VOCAB, max_size=3,
+                                   max_denominator=6) for _ in range(3)]
+        theory = Theory("e", ())
+        outside = [renamed(family[0]),
+                   random_structure(rng, VOCAB, max_size=3,
+                                    max_denominator=6)]
+        connected = 0
+        for _ in range(2):
+            for n in (1, 2, 3):
+                for homes in ((0, 1), (2, 2), (3, 0), (4, 3)):
+                    p, q = (random_record(rng, (family + outside)[h], n)
+                            for h in homes)
+                    got = type_distance(family, theory, p, q)
+                    given = default_record_corpus(p.structure.vocabulary(),
+                                                  n)
+                    assert (got.value, got.connected) == \
+                        naive_type_distance(family, theory, p, q, given)
+                    connected += got.connected
+        assert connected >= 6
+        for member in family:
+            assert sorted(key[1] for key in kept_profiles(member)) == \
+                [1, 2, 3]
+
+    def test_each_member_scanned_once_per_length_and_signature(
+            self, monkeypatch):
+        rng = random.Random(17)
+        family = [random_structure(rng, VOCAB, max_size=3) for _ in range(3)]
+        theory = Theory("e", ())
+        scans = []
+        profiles = omitting._profiles
+
+        def counted(engine, program, variables, tuples=None):
+            if tuples is None:
+                scans.append((id(engine.structure), len(variables)))
+            return profiles(engine, program, variables, tuples)
+
+        monkeypatch.setattr(omitting, "_profiles", counted)
+        only_p = Vocabulary({"P": 1}, {"c": 0})
+        for _ in range(4):
+            for n in (1, 2):
+                # fresh record structures of one signature share the scans
+                for home in (family[0], renamed(family[1]),
+                             random_structure(rng, VOCAB, max_size=2)):
+                    p = random_record(rng, home, n)
+                    q = random_record(rng, family[2], n)
+                    type_distance(family, theory, p, q)
+                # another signature is another key
+                home = random_structure(rng, only_p, max_size=2)
+                p, q = (random_record(rng, home, n) for _ in range(2))
+                type_distance(family, theory, p, q)
+        assert sorted(scans) == sorted(
+            (id(member), n) for member in family for n in (1, 2)
+            for _ in range(2))
+        for member in family:
+            assert len(kept_profiles(member)) == 4
+        # a given corpus is scanned per call and keeps nothing
+        corpus = default_record_corpus(VOCAB, 1)
+        del scans[:]
+        p = random_record(rng, family[0], 1)
+        for _ in range(2):
+            type_distance(family, theory, p, p, corpus)
+        assert len(scans) == 2 * len(family)
+        for member in family:
+            assert len(kept_profiles(member)) == 4
+
+    def test_denominators_that_cannot_match(self):
+        theory = Theory("e", ())
+        # the record's P values are thirds and quarters (its rows are
+        # over 12); the member's are tenths and quarters (over 20)
+        home = structure_with(("x", "y"), (F(1, 4), F(1, 3)), True)
+        member = structure_with(("a", "b"), (F(1, 4), F(1, 10)), True)
+        x, y = (CompleteTypeRecord(home, (e,)) for e in ("x", "y"))
+        corpus = default_record_corpus(VOCAB, 1)
+        # over P alone, y's 1/3 is 4/12: truncated to twentieths it
+        # would read 5/20, the member's 1/4
+        atom = TypeSet("atom", ("v1",), (Atom("P", (Var("v1"),)),))
+        for given, reference in ((None, corpus), (atom, atom)):
+            for p, q, want in ((x, x, (0, True)), (x, y, (1, False)),
+                               (y, y, (1, False))):
+                got = type_distance([member], theory, p, q, given)
+                assert (got.value, got.connected) == want == \
+                    naive_type_distance([member], theory, p, q, reference)
+        # a member whose values are all thirds never has a quarter's row
+        thirds = structure_with(("a", "b"), (F(1, 3), F(2, 3)), True, F(1, 3))
+        quartered = structure_with(("x",), (F(1, 4),), True)
+        p = CompleteTypeRecord(quartered, ("x",))
+        for _ in range(2):
+            got = type_distance([thirds, member], theory, p, p)
+            assert (got.value, got.connected) == (0, True) == \
+                naive_type_distance([thirds, member], theory, p, p, corpus)
+            got = type_distance([thirds], theory, p, p)
+            assert (got.value, got.connected) == (1, False) == \
+                naive_type_distance([thirds], theory, p, p, corpus)
+        (denominator, profiles), = kept_profiles(thirds).values()
+        assert denominator == 12 and len(profiles) == 2
+
+    def test_a_failing_member_is_never_kept(self, m2):
+        theory = Theory("e", ())
+        rich = structure_with(("x", "y"), (F(1, 4), F(1, 2)), False)
+        p = CompleteTypeRecord(rich, ("y",))
+        # m2 has P but no R
+        for _ in range(3):
+            with pytest.raises(EvaluationError) as caught:
+                type_distance([rich, m2], theory, p, p)
+            assert str(caught.value) == \
+                "predicate 'R' missing from the structure"
+            assert len(kept_profiles(rich)) == 1
+            assert kept_profiles(m2) == {}
+        # a record of m2's own signature reads P alone, so m2 keeps it
+        got = type_distance([rich, m2], theory,
+                            CompleteTypeRecord(m2, ("a",)),
+                            CompleteTypeRecord(m2, ("b",)))
+        assert got.connected and len(kept_profiles(m2)) == 1
+
+
+def test_empty_record_is_refused(m2):
+    with pytest.raises(FormulaError) as caught:
+        CompleteTypeRecord(m2, ())
+    assert str(caught.value) == "a record needs at least one element"
