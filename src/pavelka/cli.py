@@ -13,17 +13,15 @@ import json
 import sys
 from fractions import Fraction
 
-from . import connectives, storage, structures
+from . import storage, structures
 from .errors import PavelkaError, RestrictionError
 from .evaluator import check_theory, entails, evaluate, tarski_vaught_check
-from .omitting import (CompleteTypeRecord, OmegaCandidate, generator_check,
-                       omega_principal_check, omits, realizes, search_model,
-                       type_distance)
 from .rationals import format_rational, parse_rational
 from .storage import dump_json
 from .syntax import parse_formula, parse_term, render
-from .transforms import (OrderTheorySpec, order_theory, relativize_family,
-                         relativize_monadic, restrict_to_predicate, thicken)
+
+# ``connectives``, ``omitting`` and ``transforms`` are imported by the
+# handlers that use them, so a process loads only what its subcommand runs.
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -116,6 +114,7 @@ def cmd_tv_test(args):
 
 
 def _built_target(args):
+    from . import connectives
     if args.target == "halfx":
         if args.n >= 1:  # else half_approx refuses the resolution
             # size the sweep below before building a term too large for it
@@ -145,6 +144,7 @@ def _built_target(args):
 
 
 def cmd_approx(args):
+    from . import connectives
     term, bound = _built_target(args)
     try:
         text = connectives.render_connective(term)
@@ -157,6 +157,7 @@ def cmd_approx(args):
 
 
 def cmd_certify(args):
+    from . import connectives
     term, _ = _built_target(args)
     if args.target == "halfx":
         oracle = lambda point: point[0] / 2
@@ -178,6 +179,7 @@ def cmd_certify(args):
 
 
 def cmd_relativize(args):
+    from .transforms import relativize_family, relativize_monadic
     vocabulary = storage.load_vocabulary(args.vocab)
     with open(args.formula, encoding="utf-8") as handle:
         formula = parse_formula(handle.read().strip(), vocabulary)
@@ -190,6 +192,7 @@ def cmd_relativize(args):
 
 
 def cmd_restrict(args):
+    from .transforms import restrict_to_predicate
     structure = storage.load_structure(args.struct)
     try:
         restricted = restrict_to_predicate(structure, args.pred)
@@ -201,6 +204,7 @@ def cmd_restrict(args):
 
 
 def cmd_gen_order(args):
+    from .transforms import OrderTheorySpec, order_theory
     theory = order_theory(OrderTheorySpec(args.pred, args.lt))
     payload = storage.theory_to_dict(theory)
     if args.out:
@@ -213,6 +217,7 @@ def cmd_gen_order(args):
 
 
 def cmd_thicken(args):
+    from .transforms import thicken
     vocabulary = storage.load_vocabulary(args.vocab)
     typeset = storage.load_typesets(args.types, vocabulary)[0]
     out = thicken(typeset, parse_rational(args.delta),
@@ -222,6 +227,7 @@ def cmd_thicken(args):
 
 
 def cmd_realizes(args):
+    from .omitting import realizes
     structure = storage.load_structure(args.struct)
     typeset = storage.load_typesets(args.type, structure.vocabulary())[0]
     elements = tuple(e.strip() for e in args.tuple.split(","))
@@ -231,6 +237,7 @@ def cmd_realizes(args):
 
 
 def cmd_omits(args):
+    from .omitting import omits
     structure = storage.load_structure(args.struct)
     typeset = storage.load_typesets(args.type, structure.vocabulary())[0]
     report = omits(structure, typeset)
@@ -258,6 +265,8 @@ def _entailment_payload(result):
 
 
 def cmd_principal(args):
+    from .omitting import (OmegaCandidate, generator_check,
+                           omega_principal_check)
     family, vocabulary = _load_family_with_vocab(args)
     theory = storage.load_theory(args.theory, vocabulary)
     sigma = storage.load_typesets(args.sigma, vocabulary)[0]
@@ -287,6 +296,7 @@ def cmd_principal(args):
 
 
 def cmd_omit(args):
+    from .omitting import search_model
     space = storage.load_space(args.space)
     theory = storage.load_theory(args.theory, space.vocabulary)
     types = storage.load_typesets(args.types, space.vocabulary) \
@@ -301,6 +311,7 @@ def cmd_omit(args):
 
 
 def cmd_type_dist(args):
+    from .omitting import CompleteTypeRecord, type_distance
     family, vocabulary = _load_family_with_vocab(args)
     theory = storage.load_theory(args.theory, vocabulary)
     s1 = storage.load_structure(args.struct1)

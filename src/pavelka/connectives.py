@@ -187,37 +187,59 @@ def lipschitz_bounds(term: ConnectiveTerm, arity: Optional[int] = None) -> tuple
     through a generic implication node.  A node of the exact shape
     ``(u -> v) -> v`` evaluates to ``max(u, v)`` and gets the tighter
     coordinatewise maximum, which keeps lattice combinations from
-    inflating the bound.  The result is sound in every case.
+    inflating the bound.  The result is sound in every case.  Every
+    bound is a whole number, added and maximized as an int and
+    returned as a ``Fraction``.
     """
     if arity is None:
         arity = term_arity(term) or 0
-    zeros = (ZERO,) * arity
+    zeros = (0,) * arity
     bounds: dict[int, tuple] = {}
     for node in _walk_postorder(term):
         if isinstance(node, Proj):
             bounds[id(node)] = tuple(
-                ONE if i == node.index - 1 else ZERO for i in range(arity))
+                1 if i == node.index - 1 else 0 for i in range(arity))
         elif isinstance(node, CConst):
             bounds[id(node)] = zeros
         else:
             right = bounds[id(node.rhs)]
             if isinstance(node.lhs, CImplies) and _same_term(node.lhs.rhs, node.rhs):
                 left = bounds[id(node.lhs.lhs)]
-                bounds[id(node)] = tuple(max(a, b) for a, b in zip(left, right))
+                bounds[id(node)] = tuple(map(max, left, right))
             else:
                 left = bounds[id(node.lhs)]
                 bounds[id(node)] = tuple(a + b for a, b in zip(left, right))
-    return bounds[id(term)]
+    return tuple(map(Fraction, bounds[id(term)]))
+
+
+# The most distinct nodes a term may have for ``_same_term`` to compare
+# it structurally.
+_SAME_TERM_NODES = 64
 
 
 def _same_term(a: ConnectiveTerm, b: ConnectiveTerm) -> bool:
     if a is b:
         return True
+    if type(a) is not type(b):
+        return False
     # Structural fallback for hand-built terms; skipped for large DAGs
     # where the tree expansion of == could blow up.
-    if dag_size(a) > 64 or dag_size(b) > 64:
-        return False
-    return a == b
+    return _at_most_nodes(a) and _at_most_nodes(b) and a == b
+
+
+def _at_most_nodes(term: ConnectiveTerm) -> bool:
+    """Whether ``term`` has at most ``_SAME_TERM_NODES`` distinct nodes,
+    by identity; the walk stops at the first node past them."""
+    seen = set()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if len(seen) > _SAME_TERM_NODES:
+                return False
+            stack.extend(_operands(node))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -225,25 +247,23 @@ def _same_term(a: ConnectiveTerm, b: ConnectiveTerm) -> bool:
 
 
 def grid_axis(spacing: Fraction) -> list:
-    """{0, h, 2h, ...} capped to [0,1], always including 1."""
+    """{0, h, 2h, ...} capped to [0,1], always including 1.  For ``h =
+    p/q`` in lowest terms the points are ``i/q`` for ``i`` in
+    ``range(0, q, p)``, then 1."""
     spacing = as_fraction(spacing)
     if not (ZERO < spacing <= ONE):
         raise FormulaError(f"grid spacing outside (0,1]: {spacing}")
-    points = []
-    k = 0
-    while k * spacing < ONE:
-        points.append(k * spacing)
-        k += 1
-    points.append(ONE)
-    return points
+    step, q = spacing.numerator, spacing.denominator
+    return [Fraction(i, q) for i in range(0, q, step)] + [ONE]
 
 
 # The most grid points times DAG nodes one sweep may evaluate: about
 # five times ``certify --target halfx --n 256`` (2,049 points over 2,560
 # nodes).  Run in lanes, the sweep of ``half_approx(558)`` just below it
 # takes about 0.2 s (2.6 s one point at a time, on a 2-CPU x86-64
-# machine under Python 3.11); comparing each point with the oracle,
-# about 20 us a point there, is not counted in the limit.
+# machine under Python 3.11).  The rest of a sweep is not counted in the
+# limit: there it costs some 2-4 us a point, for the axis fraction, the
+# oracle's call and the comparison in integers.
 SWEEP_LIMIT = 25_000_000
 
 
@@ -266,10 +286,16 @@ def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
                    spacing: Fraction) -> Fraction:
     """max over the grid of |term - oracle|, computed exactly.  A grid
     whose points times the term's DAG nodes exceed ``SWEEP_LIMIT`` is
-    refused before the sweep starts.  The term runs over ``_BLOCK``
-    grid points at a time (``evaluator.Lanes``), in the grid's order,
-    and each point is compared with the oracle as it comes.  The term
-    is walked once, for its arity, its node count and its program."""
+    refused before the sweep starts.  The term is walked once, for its
+    arity, its node count and its program.
+
+    The term runs over ``_BLOCK`` grid points at a time
+    (``evaluator.Lanes``), in the grid's order, as integers over a
+    common denominator ``D``.  Each point goes to the oracle as a tuple
+    of the ``grid_axis`` fractions, and its answer ``t`` is compared in
+    integers: the gap is ``|value * t.den - t.num * D|`` over
+    ``D * t.den``, cross-multiplied against the largest gap so far.
+    The maximum becomes a ``Fraction`` once, at the end."""
     nodes = _walk_postorder(term)
     declared = _arity(nodes)
     if declared is not None and declared != arity:
@@ -279,20 +305,23 @@ def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
         check_sweep((ceil(ONE / spacing) + 1) ** arity, len(nodes))
     axis = grid_axis(spacing)
     program = _program(term, arity, nodes)
-    denominator = lcm(spacing.denominator, program.denominator)
-    axis_ints = [int(p * denominator) for p in axis]
+    step, q = spacing.numerator, spacing.denominator
+    denominator = lcm(q, program.denominator)
+    scale = denominator // q
+    axis_ints = [i * scale for i in range(0, q, step)] + [denominator]
     lanes = Lanes(program, denominator)
     points = itertools.product(axis_ints, repeat=arity)
-    worst = ZERO
+    exact_points = itertools.product(axis, repeat=arity)
+    # the largest gap so far is worst_num / (worst_den * denominator)
+    worst_num, worst_den = 0, 1
     while block := list(itertools.islice(points, _BLOCK)):
-        for ints, value in zip(block, lanes.run(block)):
-            approx = Fraction(value, denominator)
-            target = as_fraction(
-                oracle(tuple(Fraction(i, denominator) for i in ints)))
-            gap = abs(approx - target)
-            if gap > worst:
-                worst = gap
-    return worst
+        for value, point in zip(lanes.run(block), exact_points):
+            target = as_fraction(oracle(point))
+            den = target.denominator
+            gap = abs(value * den - target.numerator * denominator)
+            if gap * worst_den > worst_num * den:
+                worst_num, worst_den = gap, den
+    return Fraction(worst_num, worst_den * denominator)
 
 
 def certify(term: ConnectiveTerm, oracle: Callable, arity: int,
@@ -300,14 +329,17 @@ def certify(term: ConnectiveTerm, oracle: Callable, arity: int,
     """A sound sup-norm bound on |term - oracle| over [0,1]^arity.
 
     Returns ``gridmax + (L + L_t) * h / 2`` where the grid maximum is
-    exact, ``L`` is the caller's Lipschitz bound for the oracle, and
-    ``L_t`` sums the term's syntactic per-argument bounds; any point is
-    within ``h/2`` of the grid in every coordinate.
+    exact, ``L >= 0`` is the caller's Lipschitz bound for the oracle,
+    and ``L_t`` sums the term's syntactic per-argument bounds; any point
+    is within ``h/2`` of the grid in every coordinate.  A negative
+    ``L`` is refused, since no function has one.
     """
     spacing = as_fraction(spacing)
     if not (ZERO < spacing <= ONE):
         raise FormulaError(f"grid spacing outside (0,1]: {spacing}")
     lipschitz = as_fraction(lipschitz)
+    if lipschitz < ZERO:
+        raise FormulaError(f"negative Lipschitz bound: {lipschitz}")
     worst = grid_max_error(term, oracle, arity, spacing)
     term_bound = sum(lipschitz_bounds(term, arity), ZERO)
     return worst + (lipschitz + term_bound) * spacing / 2

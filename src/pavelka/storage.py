@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import ParseError
-from .omitting import SearchSpace
 from .rationals import format_rational, parse_rational
 from .structures import Structure
 from .syntax import (Signature, Theory, TypeSet, Vocabulary, parse_formula,
                      parse_vocabulary, render)
+
+if TYPE_CHECKING:  # space_from_dict imports it: few CLI calls load a space
+    from .omitting import SearchSpace
 
 
 def _tuple_key(args: tuple) -> str:
@@ -270,6 +272,7 @@ _SPACE_INTEGERS = ("max_size", "truth_denominator", "metric_denominator",
 def space_from_dict(data: Mapping) -> SearchSpace:
     """A search space; its integer fields must be JSON integers, so
     ``2.7``, ``true`` and ``"2"`` are refused rather than coerced."""
+    from .omitting import SearchSpace
     if not isinstance(data, Mapping):
         raise ParseError("search space must be a JSON object")
     fields = {"seed": 0, **data}

@@ -402,3 +402,59 @@ def naive_rename_symbols(formula, mapping):
     if isinstance(node, syntax.Not):
         return syntax.Not(naive_rename_symbols(node.body, mapping))
     return type(node)(node.var, naive_rename_symbols(node.body, mapping))
+
+
+def naive_grid_max_error(term, oracle, arity, spacing):
+    """max over the grid of |term - oracle|, one Fraction per point: the
+    axis by repeated addition of the spacing, then 1; the term by
+    ``naive_connective``; the gap by Fraction subtraction and ``abs``."""
+    axis, x = [], ZERO
+    while x < ONE:
+        axis.append(x)
+        x += spacing
+    axis.append(ONE)
+    return max(abs(naive_connective(term, point) - Fraction(oracle(point)))
+               for point in itertools.product(axis, repeat=arity))
+
+
+def naive_lipschitz_bounds(term, arity):
+    """``connectives.lipschitz_bounds`` by recursion, in Fractions, with
+    each node's distinct size from a full walk: a node ``(u -> v) -> w``
+    with ``w`` the object ``v``, or equal to it with at most 64 distinct
+    nodes each, gets the maximum of the bounds of ``u`` and ``w``; any
+    other implication the sum of its operands' bounds."""
+    from pavelka import connectives
+
+    def size(node, seen):
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, connectives.CImplies):
+                size(node.lhs, seen)
+                size(node.rhs, seen)
+        return len(seen)
+
+    def same(a, b):
+        return a is b or (size(a, set()) <= 64 and size(b, set()) <= 64
+                          and a == b)
+
+    memo = {}
+
+    def bounds(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, connectives.Proj):
+            out = tuple(ONE if i == node.index - 1 else ZERO
+                        for i in range(arity))
+        elif isinstance(node, connectives.CConst):
+            out = (ZERO,) * arity
+        elif isinstance(node.lhs, connectives.CImplies) \
+                and same(node.lhs.rhs, node.rhs):
+            out = tuple(max(a, b) for a, b in
+                        zip(bounds(node.lhs.lhs), bounds(node.rhs)))
+        else:
+            out = tuple(a + b for a, b in
+                        zip(bounds(node.lhs), bounds(node.rhs)))
+        memo[id(node)] = out
+        return out
+
+    return bounds(term)

@@ -397,6 +397,22 @@ class TestSweepLimit:
             f"{nodes} DAG nodes exceeds 25000000 node evaluations\n")
 
 
+class TestNegativeLipschitz:
+    def test_refused_with_exit_two(self, capsys):
+        # it would certify 1/16 against a grid maximum of 1/8
+        code = main(["certify", "--target", "halfx", "--n", "4",
+                     "--lipschitz", "-5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", "error: negative Lipschitz bound: -5\n")
+
+    def test_zero_accepted(self, capsys):
+        code, out = run(capsys, "certify", "--target", "halfx", "--n", "4",
+                        "--lipschitz", "0")
+        assert code == 0 and json.loads(out) == {
+            "bound": "9/64", "grid_max": "1/8", "spacing": "1/32"}
+
+
 class TestHalfxSizedFromN:
     """``--target halfx`` is refused from ``n`` alone, before
     ``half_approx(n)`` builds its term, with the text the built term's

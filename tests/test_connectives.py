@@ -14,7 +14,8 @@ from pavelka.evaluator import Lanes, run
 
 from genutil import (random_connective_term, random_dag, random_formula,
                      random_structure)
-from naive import naive_connective
+from naive import (naive_connective, naive_grid_max_error,
+                   naive_lipschitz_bounds)
 
 HALF = F(1, 2)
 
@@ -131,6 +132,55 @@ class TestLipschitzBounds:
                                           zip(grid[1:], values[1:])):
                 assert abs(v1 - v0) <= bound * (x1 - x0)
 
+    @staticmethod
+    def chain(start, links):
+        """``start`` with ``links`` implications into fresh constants
+        appended: two more distinct nodes each."""
+        node = start
+        for k in range(links):
+            node = cn.CImplies(node, cn.CConst(F(k, 97)))
+        return node
+
+    def test_max_shape_of_equal_operands_up_to_64_nodes(self):
+        # (u -> v) -> w with w == v but not v: the maximum of the bounds
+        # of u and w while v and w have 64 distinct nodes each, the sum
+        # of those of u -> v and w from 65 on; with w the object v, the
+        # maximum at any size
+        x = cn.Proj(1, 1)
+        for start, links, nodes, own in ((cn.CImplies(x, x), 31, 64, 2),
+                                         (x, 32, 65, 1)):
+            v, w = self.chain(start, links), self.chain(start, links)
+            assert v == w and v is not w and cn.dag_size(v) == nodes
+            assert cn.lipschitz_bounds(v) == (F(own),)
+            term = cn.CImplies(cn.CImplies(x, v), w)
+            want = max(1, own) if nodes == 64 else 1 + 2 * own
+            assert cn.lipschitz_bounds(term) == (F(want),) == \
+                naive_lipschitz_bounds(term, 1)
+            shared = cn.CImplies(cn.CImplies(x, v), v)
+            assert cn.lipschitz_bounds(shared) == (F(max(1, own)),)
+
+    def test_constructions_as_the_fraction_definition(self):
+        # whole-number sums and maxima give the Fractions of the
+        # definition, on every construction the library certifies
+        terms = [(cn.half_approx(n), 1) for n in range(1, 41)]
+        terms += [(cn.scale_dyadic(p, k, n)[0], 1) for p in (1, 2, 3)
+                  for k in (1, 2) for n in (1, 2, 3, 5)]
+        specs = (cn.PLSpec(2, ((cn.AffinePiece((F(1, 2), F(1, 4)), F(1, 8)),
+                                cn.AffinePiece((F(-1, 2), F(1)), F(1, 2))),
+                               (cn.AffinePiece((F(3, 4), F(0)), F(0)),))),
+                 cn.PLSpec(2, ((cn.AffinePiece((F(1), F(-1)), F(1, 2)),),)),
+                 cn.PLSpec(1, ((cn.AffinePiece((F(3, 4),), F(0)),),
+                               (cn.AffinePiece((F(-1, 2),), F(1, 2)),))))
+        terms += [(cn.approx_lattice(spec, n)[0], spec.arity)
+                  for spec in specs for n in (1, 2, 3, 4)]
+        rng = random.Random(34)
+        terms += [(random_connective_term(rng, 2, 4), 2) for _ in range(40)]
+        terms += [(random_dag(rng, 2, 30), 2) for _ in range(40)]
+        for term, arity in terms:
+            got = cn.lipschitz_bounds(term, arity)
+            assert got == naive_lipschitz_bounds(term, arity)
+            assert all(type(b) is F for b in got)
+
 
 class TestCertify:
     def test_exact_term_leaves_only_inflation(self):
@@ -149,6 +199,18 @@ class TestCertify:
     def test_arity_mismatch(self):
         with pytest.raises(FormulaError):
             cn.certify(cn.Proj(1, 2), half_oracle, 1, F(1, 8), F(1))
+
+    def test_negative_lipschitz_refused(self):
+        # a negative L could put the bound below the grid maximum
+        term = cn.half_approx(4)
+        for lipschitz in (F(-5), F(-1, 1000), -1):
+            with pytest.raises(FormulaError) as caught:
+                cn.certify(term, half_oracle, 1, F(1, 32), lipschitz)
+            assert str(caught.value) == \
+                f"negative Lipschitz bound: {F(lipschitz)}"
+        grid = cn.grid_max_error(term, half_oracle, 1, F(1, 32))
+        assert cn.certify(term, half_oracle, 1, F(1, 32), 0) == \
+            grid + F(1, 64) >= grid
 
     def test_bad_spacing(self):
         with pytest.raises(FormulaError):
@@ -215,6 +277,86 @@ class TestCertify:
             bound = cn.certify(t, oracle, 1, h, F(1))
             fine = cn.grid_max_error(t, oracle, 1, h / 4)
             assert fine <= bound
+
+
+class TestIntegerSweep:
+    """``grid_max_error`` compares each point in integers over a common
+    denominator and makes one Fraction at the end; the oracle
+    ``naive_grid_max_error`` makes one Fraction per point."""
+
+    # the answers' denominators vary from point to point and take in 11,
+    # 13 and 17, which divide no D of the sweeps below; some answers lie
+    # above the term and some below
+    ORACLES = (
+        half_oracle,
+        lambda p: min(F(1), p[0] * F(2, 3) + F(1, 11)),
+        lambda p: F(5, 13) if p[0] < HALF else F(3, 17),
+        lambda p: 1 - p[0] * p[-1] / 7,
+        lambda p: 1,
+    )
+    UNARY_SPACINGS = (F(1, 3), F(1, 7), F(1, 100), F(1, 8), F(1, 64),
+                      F(3, 8), F(5, 7), F(1))
+
+    def agree(self, term, arity, spacings):
+        for spacing in spacings:
+            for oracle in self.ORACLES:
+                assert cn.grid_max_error(term, oracle, arity, spacing) == \
+                    naive_grid_max_error(term, oracle, arity, spacing)
+
+    def test_half_approx(self):
+        for n in (1, 2, 5):
+            self.agree(cn.half_approx(n), 1, self.UNARY_SPACINGS)
+
+    def test_scale_dyadic(self):
+        for p, k, n in ((1, 1, 2), (3, 1, 1), (2, 2, 1)):
+            self.agree(cn.scale_dyadic(p, k, n)[0], 1, self.UNARY_SPACINGS)
+
+    def test_arity_two_lattice(self):
+        spec = cn.PLSpec(2, ((cn.AffinePiece((F(1, 2), F(1, 4)), F(1, 8)),
+                              cn.AffinePiece((F(-1, 2), F(1)), F(1, 2))),
+                             (cn.AffinePiece((F(3, 4), F(0)), F(0)),)))
+        self.agree(cn.approx_lattice(spec, 1)[0], 2,
+                   (F(1, 3), F(1, 7), F(2, 5), F(1)))
+
+    def test_largest_gap_by_value_not_numerator(self):
+        # at x = 0 the gap 1/3 is |0 * 3 - 1 * D| = D over 3D; at x = 1
+        # the smaller gap 2/7 is |D * 7 - 5 * D| = 2D over 7D
+        term = cn.Proj(1, 1)
+        oracle = lambda p: {0: F(1, 3), 1: F(5, 7)}.get(p[0], p[0])
+        for spacing in (F(1), F(1, 2), F(1, 100)):
+            assert cn.grid_max_error(term, oracle, 1, spacing) == \
+                naive_grid_max_error(term, oracle, 1, spacing) == F(1, 3)
+
+    def test_gaps_above_the_term(self):
+        # every answer lies at or above the term: no gap may be signed
+        term = cn.half_approx(4)
+        assert cn.grid_max_error(term, lambda p: 1, 1, F(1, 16)) == 1
+        assert cn.grid_max_error(term, lambda p: p[0], 1, F(1, 16)) == \
+            naive_grid_max_error(term, lambda p: p[0], 1, F(1, 16)) > 0
+
+    def test_oracle_gets_the_axis_fractions(self):
+        # in grid order, each coordinate one of grid_axis's own objects
+        for arity, spacing in ((1, F(1, 7)), (1, F(3, 8)), (2, F(2, 5))):
+            axis = cn.grid_axis(spacing)
+            seen = []
+            cn.grid_max_error(cn.Proj(arity, arity),
+                              lambda p: seen.append(p) or 0, arity, spacing)
+            assert seen == list(itertools.product(axis, repeat=arity))
+            assert all(type(x) is F for point in seen for x in point)
+
+    def test_float_answer_refused(self):
+        with pytest.raises(TypeError):
+            cn.grid_max_error(cn.Proj(1, 1), lambda p: 0.5, 1, F(1, 4))
+
+    def test_axis_from_integers(self):
+        for q in range(1, 40):
+            for step in range(1, q + 1):
+                spacing = F(step, q)
+                axis, x = [], F(0)
+                while x < 1:
+                    axis.append(x)
+                    x += spacing
+                assert cn.grid_axis(spacing) == axis + [F(1)]
 
 
 class TestScaleDyadic:

@@ -1,8 +1,12 @@
 """Every top-level import of a library module is used in that module,
-and is relative or from the standard library."""
+and is relative or from the standard library; a fresh process loads a
+module of the library only when it uses it."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pavelka"
@@ -46,3 +50,59 @@ def test_runtime_needs_only_the_standard_library():
     found = {path.name: foreign_imports(path)
              for path in sorted(SRC.glob("*.py"))}
     assert {name: foreign for name, foreign in found.items() if foreign} == {}
+
+
+LAZY = ("pavelka.omitting", "pavelka.connectives", "pavelka.transforms")
+
+
+def fresh(code: str, *argv: str) -> str:
+    """What ``code`` prints in a new interpreter that finds the library
+    in ``src``; ``argv`` becomes its ``sys.argv[1:]``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_cli_loads_only_what_a_subcommand_runs(tmp_path):
+    structure = tmp_path / "m.json"
+    structure.write_text(json.dumps({
+        "universe": ["a", "b"], "metric": {"a,b": "1"},
+        "predicates": {"P": {"a": "1/3", "b": "1"}}}))
+    loaded = fresh(
+        "import sys\n"
+        "import pavelka.cli\n"
+        f"print(sorted(set({LAZY!r}) & set(sys.modules)))\n"
+        "code = pavelka.cli.main(sys.argv[1:])\n"
+        f"print(code, sorted(set({LAZY!r}) & set(sys.modules)))\n",
+        "eval", "--struct", str(structure), "--formula", "E x. P(x)")
+    assert loaded == "[]\n1\n0 []\n"
+    loaded = fresh(
+        "import sys, pavelka.cli\n"
+        "pavelka.cli.main(sys.argv[1:])\n"
+        f"print(sorted(set({LAZY!r}) & set(sys.modules)))\n",
+        "certify", "--target", "halfx", "--n", "4")
+    assert loaded.endswith("\n['pavelka.connectives']\n")
+
+
+def test_package_exports_load_on_first_use():
+    out = fresh(
+        "import sys\n"
+        "import pavelka\n"
+        "print(sorted(m for m in sys.modules if m.startswith('pavelka')))\n"
+        "print(pavelka.connectives.half_approx_size(3))\n"
+        "print(pavelka.Structure.__module__, 'Structure' in vars(pavelka))\n"
+        "print(pavelka.Structure is sys.modules['pavelka.structures'].Structure)\n"
+        "print(set(pavelka.__all__) <= set(dir(pavelka)))\n"
+        "print({'connectives', 'storage', 'cli'} <= set(dir(pavelka)))\n"
+        "scope = {}\n"
+        "exec('from pavelka import *', scope)\n"
+        "print(sorted(set(pavelka.__all__) - set(scope)))\n"
+        "print(scope['thicken'] is pavelka.transforms.thicken)\n"
+        "try:\n"
+        "    pavelka.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    assert out == ("['pavelka']\n30\npavelka.structures True\nTrue\nTrue\n"
+                   "True\n[]\nTrue\n"
+                   "module 'pavelka' has no attribute 'no_such_name'\n")
