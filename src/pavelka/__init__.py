@@ -44,7 +44,8 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}
 _SUBMODULES = ("cli", "connectives", "errors", "evaluator", "omitting",
-               "rationals", "storage", "structures", "syntax", "transforms")
+               "rationals", "records", "storage", "structures", "syntax",
+               "transforms")
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"

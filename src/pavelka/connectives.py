@@ -18,50 +18,52 @@ lattice operations stay linear to evaluate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import FormulaError
 from .evaluator import IMP, Lanes, Program, run
 from .rationals import ZERO, ONE, as_fraction, in_unit_interval, is_dyadic
+from .records import Record
 from . import syntax
 
 
-class ConnectiveTerm:
+class ConnectiveTerm(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Proj(ConnectiveTerm):
     """1-based projection onto coordinate ``index`` of ``arity`` inputs."""
 
-    index: int
-    arity: int
+    __slots__ = _fields = ("index", "arity")
 
-    def __post_init__(self):
-        if not (isinstance(self.index, int) and isinstance(self.arity, int)
-                and 1 <= self.index <= self.arity):
+    def __init__(self, index: int, arity: int):
+        if not (isinstance(index, int) and isinstance(arity, int)
+                and 1 <= index <= arity):
             raise FormulaError(
-                f"bad projection: index={self.index} arity={self.arity}")
+                f"bad projection: index={index} arity={arity}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "arity", arity)
 
 
-@dataclass(frozen=True, slots=True)
 class CConst(ConnectiveTerm):
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        value = as_fraction(self.value)
+    def __init__(self, value: Fraction):
+        value = as_fraction(value)
         if not in_unit_interval(value):
             raise FormulaError(f"connective constant outside [0,1]: {value}")
         object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class CImplies(ConnectiveTerm):
-    lhs: ConnectiveTerm
-    rhs: ConnectiveTerm
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: ConnectiveTerm, rhs: ConnectiveTerm):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 _CZERO = CConst(ZERO)
@@ -190,26 +192,38 @@ def lipschitz_bounds(term: ConnectiveTerm, arity: Optional[int] = None) -> tuple
     inflating the bound.  The result is sound in every case.  Every
     bound is a whole number, added and maximized as an int and
     returned as a ``Fraction``.
+
+    The walk also numbers each node by its structure: two nodes get
+    the same number exactly when they are equal (``==``), so the shape
+    test compares numbers (``_same_term``).
     """
     if arity is None:
         arity = term_arity(term) or 0
     zeros = (0,) * arity
-    bounds: dict[int, tuple] = {}
+    # id(node) -> (the number of its structure, its bounds)
+    done: dict[int, tuple] = {}
+    interned: dict[tuple, int] = {}
     for node in _walk_postorder(term):
-        if isinstance(node, Proj):
-            bounds[id(node)] = tuple(
-                1 if i == node.index - 1 else 0 for i in range(arity))
-        elif isinstance(node, CConst):
-            bounds[id(node)] = zeros
-        else:
-            right = bounds[id(node.rhs)]
-            if isinstance(node.lhs, CImplies) and _same_term(node.lhs.rhs, node.rhs):
-                left = bounds[id(node.lhs.lhs)]
-                bounds[id(node)] = tuple(map(max, left, right))
+        if isinstance(node, CImplies):
+            lhs, rhs = node.lhs, node.rhs
+            left_number, left = done[id(lhs)]
+            right_number, right = done[id(rhs)]
+            key = (left_number, right_number)
+            if isinstance(lhs, CImplies) and _same_term(lhs.rhs, rhs, done):
+                bound = tuple(map(max, done[id(lhs.lhs)][1], right))
+            elif right is zeros:  # into a constant, as every negation
+                bound = left
             else:
-                left = bounds[id(node.lhs)]
-                bounds[id(node)] = tuple(a + b for a, b in zip(left, right))
-    return tuple(map(Fraction, bounds[id(term)]))
+                bound = tuple(map(add, left, right))
+        elif isinstance(node, Proj):
+            key = (Proj, node.index, node.arity)
+            bound = tuple(1 if i == node.index - 1 else 0
+                          for i in range(arity))
+        else:
+            key = (CConst, node.value.numerator, node.value.denominator)
+            bound = zeros
+        done[id(node)] = interned.setdefault(key, len(interned)), bound
+    return tuple(map(Fraction, done[id(term)][1]))
 
 
 # The most distinct nodes a term may have for ``_same_term`` to compare
@@ -217,14 +231,17 @@ def lipschitz_bounds(term: ConnectiveTerm, arity: Optional[int] = None) -> tuple
 _SAME_TERM_NODES = 64
 
 
-def _same_term(a: ConnectiveTerm, b: ConnectiveTerm) -> bool:
+def _same_term(a: ConnectiveTerm, b: ConnectiveTerm, done: dict) -> bool:
+    """Whether ``a`` is ``b``, or equal to it with at most
+    ``_SAME_TERM_NODES`` distinct nodes each; ``done`` maps each node's
+    id to a pair whose first item numbers its structure
+    (``lipschitz_bounds``)."""
     if a is b:
         return True
-    if type(a) is not type(b):
-        return False
-    # Structural fallback for hand-built terms; skipped for large DAGs
-    # where the tree expansion of == could blow up.
-    return _at_most_nodes(a) and _at_most_nodes(b) and a == b
+    # Equal terms that are distinct objects, as hand-built terms may be,
+    # count only while small, as when they were compared with ==.
+    return done[id(a)][0] == done[id(b)][0] and _at_most_nodes(a) \
+        and _at_most_nodes(b)
 
 
 def _at_most_nodes(term: ConnectiveTerm) -> bool:
@@ -430,17 +447,15 @@ def _scaled_term(p: int, k: int, n: int) -> ConnectiveTerm:
     return term
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class AffinePiece(Record):
     """One truncated affine piece: clamp_[0,1](sum_i c_i x_i + b)."""
 
-    coefficients: tuple
-    intercept: Fraction
+    _fields = ("coefficients", "intercept")
 
-    def __post_init__(self):
+    def __init__(self, coefficients: tuple, intercept: Fraction):
         object.__setattr__(self, "coefficients",
-                           tuple(as_fraction(c) for c in self.coefficients))
-        object.__setattr__(self, "intercept", as_fraction(self.intercept))
+                           tuple(as_fraction(c) for c in coefficients))
+        object.__setattr__(self, "intercept", as_fraction(intercept))
 
     def value(self, point) -> Fraction:
         raw = sum((c * x for c, x in zip(self.coefficients, point)),
@@ -448,22 +463,22 @@ class AffinePiece:
         return min(ONE, max(ZERO, raw))
 
 
-@dataclass(frozen=True)
-class PLSpec:
+class PLSpec(Record):
     """Max-of-min lattice of truncated affine pieces on [0,1]^arity."""
 
-    arity: int
-    groups: tuple  # of tuples of AffinePiece
+    _fields = ("arity", "groups")
 
-    def __post_init__(self):
-        groups = tuple(tuple(g) for g in self.groups)
+    def __init__(self, arity: int, groups: tuple):
+        # groups: tuples of AffinePiece
+        groups = tuple(tuple(g) for g in groups)
         if not groups or any(not g for g in groups):
             raise FormulaError("PLSpec needs at least one nonempty group")
         for group in groups:
             for piece in group:
-                if len(piece.coefficients) != self.arity:
+                if len(piece.coefficients) != arity:
                     raise FormulaError(
-                        f"piece arity {len(piece.coefficients)} != {self.arity}")
+                        f"piece arity {len(piece.coefficients)} != {arity}")
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "groups", groups)
 
     def value(self, point) -> Fraction:

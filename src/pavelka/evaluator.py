@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -80,6 +79,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EvaluationError, FormulaError
 from .rationals import ZERO, ONE
+from .records import Record
 from .syntax import (Atom, Const, Exists, Formula, Func, Geq, Implies, Theory,
                      Var, children, expand_abbreviations, free_variables,
                      postorder)
@@ -738,10 +738,13 @@ def satisfies(structure, sentence: Formula) -> bool:
     return evaluate(structure, sentence) == ONE
 
 
-@dataclass(frozen=True)
-class TheoryReport:
-    satisfied: bool
-    failing: tuple  # of (sentence, value) with value < 1
+class TheoryReport(Record):
+    _fields = ("satisfied", "failing")
+
+    def __init__(self, satisfied: bool, failing: tuple):
+        # failing: (sentence, value) pairs with value < 1
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "failing", failing)
 
 
 def check_theory(structure, theory: Theory) -> TheoryReport:
@@ -755,13 +758,17 @@ def check_theory(structure, theory: Theory) -> TheoryReport:
     return TheoryReport(satisfied=not failing, failing=tuple(failing))
 
 
-@dataclass(frozen=True)
-class EntailmentResult:
-    holds: bool
-    structure: object = None
-    assignment: tuple = None
-    formula: Formula = None
-    value: Fraction = None
+class EntailmentResult(Record):
+    _fields = ("holds", "structure", "assignment", "formula", "value")
+
+    def __init__(self, holds: bool, structure: object = None,
+                 assignment: tuple = None, formula: Formula = None,
+                 value: Fraction = None):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "value", value)
 
     def __bool__(self):
         return self.holds
@@ -820,10 +827,13 @@ def models(family: Sequence, theory: Theory):
             yield member, engine
 
 
-@dataclass(frozen=True)
-class TarskiVaughtReport:
-    passed: bool
-    failures: tuple  # of (formula, threshold)
+class TarskiVaughtReport(Record):
+    _fields = ("passed", "failures")
+
+    def __init__(self, passed: bool, failures: tuple):
+        # failures: (formula, threshold) pairs
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "failures", failures)
 
 
 def tarski_vaught_check(structure, subset: Iterable[str],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -23,11 +22,11 @@ from .evaluator import (EntailmentResult, Evaluator, _entailment, _link,
                         compile_formula, compile_formulas, entails, models,
                         nested, run)
 from .rationals import ZERO, ONE, as_fraction
+from .records import Record
 from .structures import Structure
 from .syntax import (And, Atom, Const, Exists, Formula, Geq, Leq, Term,
                      Theory, TypeSet, Var, Vocabulary, children,
                      free_variables, postorder, substitute, term_variables)
-from .transforms import thicken
 
 
 def realizes(structure: Structure, elements: Sequence[str],
@@ -42,11 +41,15 @@ def realizes(structure: Structure, elements: Sequence[str],
     return failure is None
 
 
-@dataclass(frozen=True)
-class OmitsReport:
-    omitted: bool
-    witnesses: Mapping[tuple, tuple]  # tuple -> (formula, value < 1)
-    realizer: Optional[tuple] = None
+class OmitsReport(Record):
+    _fields = ("omitted", "witnesses", "realizer")
+
+    def __init__(self, omitted: bool, witnesses: Mapping[tuple, tuple],
+                 realizer: Optional[tuple] = None):
+        # witnesses: tuple -> (formula, value < 1)
+        object.__setattr__(self, "omitted", omitted)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "realizer", realizer)
 
     def __bool__(self):
         return self.omitted
@@ -82,12 +85,17 @@ def _first_realizer(engine: Evaluator, variables: Sequence, programs: tuple,
 # Generators and principality
 
 
-@dataclass(frozen=True)
-class GeneratorReport:
-    generates: bool
-    satisfied: bool                      # clause (i): T + Phi realizable
-    witness: Optional[tuple] = None      # (structure, tuple) for clause (i)
-    entailment: Optional[EntailmentResult] = None
+class GeneratorReport(Record):
+    _fields = ("generates", "satisfied", "witness", "entailment")
+
+    def __init__(self, generates: bool, satisfied: bool,
+                 witness: Optional[tuple] = None,
+                 entailment: Optional[EntailmentResult] = None):
+        object.__setattr__(self, "generates", generates)
+        # clause (i): T + Phi realizable, witnessed by (structure, tuple)
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "entailment", entailment)
 
     def __bool__(self):
         return self.generates
@@ -115,21 +123,18 @@ def generator_check(family: Sequence[Structure], theory: Theory,
                            entailment=result)
 
 
-@dataclass(frozen=True)
-class OmegaCandidate:
+class OmegaCandidate(Record):
     """A single-formula threshold generator through terms: variables
     y1..ym, terms t1..tn over them, a formula phi(y), and a rational
     threshold r in (0,1)."""
 
-    variables: tuple
-    terms: tuple
-    formula: Formula
-    threshold: Fraction
+    _fields = ("variables", "terms", "formula", "threshold")
 
-    def __post_init__(self):
-        variables = tuple(self.variables)
-        terms = tuple(self.terms)
-        threshold = as_fraction(self.threshold)
+    def __init__(self, variables: tuple, terms: tuple, formula: Formula,
+                 threshold: Fraction):
+        variables = tuple(variables)
+        terms = tuple(terms)
+        threshold = as_fraction(threshold)
         if not variables:
             raise FormulaError("candidate needs at least one variable")
         if not (ZERO < threshold < ONE):
@@ -140,23 +145,23 @@ class OmegaCandidate:
             if extra:
                 raise FormulaError(
                     f"candidate term uses stray variables {sorted(extra)}")
-        extra = set(free_variables(self.formula)) - allowed
+        extra = set(free_variables(formula)) - allowed
         if extra:
             raise FormulaError(
                 f"candidate formula uses stray variables {sorted(extra)}")
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "formula", formula)
         object.__setattr__(self, "threshold", threshold)
 
 
-@dataclass(frozen=True)
-class GeneratorCandidate:
+class GeneratorCandidate(Record):
     """A plain formula-set generator attempt over the type's variables."""
 
-    formulas: tuple
+    _fields = ("formulas",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "formulas", tuple(self.formulas))
+    def __init__(self, formulas: tuple):
+        object.__setattr__(self, "formulas", tuple(formulas))
 
 
 def substituted_type(sigma: TypeSet, variables: Sequence[str],
@@ -172,11 +177,15 @@ def substituted_type(sigma: TypeSet, variables: Sequence[str],
         formulas=tuple(substitute(phi, mapping) for phi in sigma.formulas))
 
 
-@dataclass(frozen=True)
-class OmegaPrincipalReport:
-    accepted: bool
-    generator: GeneratorReport           # clause (a)
-    threshold: EntailmentResult          # clause (b)
+class OmegaPrincipalReport(Record):
+    _fields = ("accepted", "generator", "threshold")
+
+    def __init__(self, accepted: bool,
+                 generator: GeneratorReport,     # clause (a)
+                 threshold: EntailmentResult):   # clause (b)
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "threshold", threshold)
 
     def __bool__(self):
         return self.accepted
@@ -204,8 +213,7 @@ def omega_principal_check(family: Sequence[Structure], theory: Theory,
 # Canonical model search
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(Record):
     """Finite enumeration space: universe sizes 1..max_size, predicate
     values on {0, 1/g, ..., 1}, distances on {1/m, ..., 1}.
 
@@ -216,24 +224,29 @@ class SearchSpace:
     must be ints, not bools, as in a search-space file.
     """
 
-    vocabulary: Vocabulary
-    max_size: int
-    truth_denominator: int
-    metric_denominator: int
-    seed: int = 0
+    _fields = ("vocabulary", "max_size", "truth_denominator",
+               "metric_denominator", "seed")
 
-    def __post_init__(self):
-        for name in ("max_size", "truth_denominator", "metric_denominator",
-                     "seed"):
-            value = getattr(self, name)
+    def __init__(self, vocabulary: Vocabulary, max_size: int,
+                 truth_denominator: int, metric_denominator: int,
+                 seed: int = 0):
+        for name, value in (("max_size", max_size),
+                            ("truth_denominator", truth_denominator),
+                            ("metric_denominator", metric_denominator),
+                            ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise FormulaError(
                     f"search space field {name!r} must be an integer, "
                     f"got {value!r}")
-        if self.max_size < 1:
+        if max_size < 1:
             raise FormulaError("max_size must be >= 1")
-        if self.truth_denominator < 1 or self.metric_denominator < 1:
+        if truth_denominator < 1 or metric_denominator < 1:
             raise FormulaError("grid denominators must be >= 1")
+        object.__setattr__(self, "vocabulary", vocabulary)
+        object.__setattr__(self, "max_size", max_size)
+        object.__setattr__(self, "truth_denominator", truth_denominator)
+        object.__setattr__(self, "metric_denominator", metric_denominator)
+        object.__setattr__(self, "seed", seed)
 
     @functools.cached_property
     def _made(self) -> dict:
@@ -245,10 +258,12 @@ class SearchSpace:
         return {}
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    structure: Optional[Structure]
-    examined: int
+class SearchOutcome(Record):
+    _fields = ("structure", "examined")
+
+    def __init__(self, structure: Optional[Structure], examined: int):
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "examined", examined)
 
     @property
     def exhausted(self) -> bool:
@@ -585,21 +600,20 @@ def search_model(space: SearchSpace, theory: Theory,
 # Complete-type records and their distance
 
 
-@dataclass(frozen=True)
-class CompleteTypeRecord:
+class CompleteTypeRecord(Record):
     """The complete description of a tuple in a structure, compared
     against other records through a finite formula corpus."""
 
-    structure: Structure
-    elements: tuple
+    _fields = ("structure", "elements")
 
-    def __post_init__(self):
-        elements = tuple(self.elements)
+    def __init__(self, structure: Structure, elements: tuple):
+        elements = tuple(elements)
         if not elements:
             raise FormulaError("a record needs at least one element")
         for e in elements:
-            if not self.structure.has_element(e):
+            if not structure.has_element(e):
                 raise FormulaError(f"record element {e!r} not in the universe")
+        object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "elements", elements)
 
 
@@ -631,13 +645,15 @@ def _record_corpus(vocabulary: Vocabulary, n: int, denominator: int = 4):
     return variables, tuple(formulas)
 
 
-@dataclass(frozen=True)
-class TypeDistance:
+class TypeDistance(Record):
     """``connected`` is False when no family model of the theory realizes
     both records; the value then falls back to the diameter bound 1."""
 
-    value: Fraction
-    connected: bool
+    _fields = ("value", "connected")
+
+    def __init__(self, value: Fraction, connected: bool):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "connected", connected)
 
 
 def type_distance(family: Sequence[Structure], theory: Theory,
@@ -741,17 +757,22 @@ def _over(row: tuple, denominator: int, target: int) -> Optional[tuple]:
 # Metric principality
 
 
-@dataclass(frozen=True)
-class DeltaVerdict:
-    delta: Fraction
-    accepted: bool
-    detail: object  # GeneratorReport or OmegaPrincipalReport
+class DeltaVerdict(Record):
+    _fields = ("delta", "accepted", "detail")
+
+    def __init__(self, delta: Fraction, accepted: bool,
+                 detail: object):  # GeneratorReport or OmegaPrincipalReport
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class MetricPrincipalReport:
-    accepted: bool
-    verdicts: tuple
+class MetricPrincipalReport(Record):
+    _fields = ("accepted", "verdicts")
+
+    def __init__(self, accepted: bool, verdicts: tuple):
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "verdicts", verdicts)
 
     def __bool__(self):
         return self.accepted
@@ -764,6 +785,7 @@ def metrically_principal_check(family: Sequence[Structure], theory: Theory,
     candidate: a ``GeneratorCandidate`` goes through the formula-set
     generator clause, an ``OmegaCandidate`` through the single-formula
     threshold clause.  The report conjoins the per-delta verdicts."""
+    from .transforms import thicken  # only this check needs transforms
     verdicts = []
     for delta in deltas:
         delta = as_fraction(delta)

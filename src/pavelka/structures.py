@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import StructureError, VocabularyError
 from .rationals import ZERO, ONE, as_fraction, in_unit_interval
+from .records import Record
 from .syntax import Signature, Vocabulary, _check_symbol_name
 
 
@@ -194,17 +194,21 @@ class Structure:
 # Validation
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    witness: tuple
-    values: tuple
+class Violation(Record):
+    _fields = ("kind", "witness", "values")
+
+    def __init__(self, kind: str, witness: tuple, values: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    violations: tuple
+class ValidationReport(Record):
+    _fields = ("passed", "violations")
+
+    def __init__(self, passed: bool, violations: tuple):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "violations", violations)
 
     @classmethod
     def from_violations(cls, violations):
@@ -335,14 +339,13 @@ def reduct_signature(signature: Signature, vocabulary: Vocabulary) -> Signature:
                      {n: p for n, p in signature.moduli.items() if n in keep})
 
 
-@dataclass(frozen=True)
-class Renaming:
+class Renaming(Record):
     """A bijective, kind- and arity-preserving map of symbol names."""
 
-    mapping: Mapping[str, str]
+    _fields = ("mapping",)
 
-    def __post_init__(self):
-        mapping = dict(self.mapping)
+    def __init__(self, mapping: Mapping[str, str]):
+        mapping = dict(mapping)
         for old, new in mapping.items():
             _check_symbol_name(old)
             _check_symbol_name(new)

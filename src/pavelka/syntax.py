@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
@@ -36,6 +35,7 @@ from typing import Mapping
 
 from .errors import FormulaError, ParseError, VocabularyError
 from .rationals import ZERO, ONE, as_fraction, in_unit_interval, parse_rational
+from .records import Record
 
 RESERVED_NAMES = frozenset({"d", "E", "A"})
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -52,20 +52,19 @@ def _check_symbol_name(name: str) -> None:
 # Vocabularies and signatures
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Record):
     """Predicate and operation symbols with arities.
 
     The binary metric symbol ``d`` is implicit and never declared.
     Arity-0 operations are constants.
     """
 
-    predicates: Mapping[str, int]
-    operations: Mapping[str, int]
+    _fields = ("predicates", "operations")
 
-    def __post_init__(self):
-        preds = dict(self.predicates)
-        ops = dict(self.operations)
+    def __init__(self, predicates: Mapping[str, int],
+                 operations: Mapping[str, int]):
+        preds = dict(predicates)
+        ops = dict(operations)
         for name, arity in list(preds.items()) + list(ops.items()):
             _check_symbol_name(name)
             if not isinstance(arity, int) or arity < 0:
@@ -89,8 +88,7 @@ class Vocabulary:
             and all(self.operations.get(n) == a for n, a in other.operations.items())
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """A vocabulary plus sampled uniform-continuity data per symbol.
 
     ``moduli`` maps each non-constant symbol to a finite list of
@@ -100,15 +98,13 @@ class Signature:
     moduli; an empty list imposes no constraint.
     """
 
-    vocabulary: Vocabulary
-    moduli: Mapping[str, tuple]
+    _fields = ("vocabulary", "moduli")
 
-    def __post_init__(self):
-        vocab = self.vocabulary
+    def __init__(self, vocabulary: Vocabulary, moduli: Mapping[str, tuple]):
         normalized: dict[str, tuple] = {}
-        eligible = set(vocab.predicates) | {
-            n for n, a in vocab.operations.items() if a > 0}
-        for name, pairs in dict(self.moduli).items():
+        eligible = set(vocabulary.predicates) | {
+            n for n, a in vocabulary.operations.items() if a > 0}
+        for name, pairs in dict(moduli).items():
             if name not in eligible:
                 raise VocabularyError(
                     f"moduli given for unknown or constant symbol {name!r}")
@@ -122,6 +118,7 @@ class Signature:
             normalized[name] = tuple(clean)
         for name in eligible:
             normalized.setdefault(name, ())
+        object.__setattr__(self, "vocabulary", vocabulary)
         object.__setattr__(self, "moduli", normalized)
 
 
@@ -129,131 +126,142 @@ class Signature:
 # Terms
 
 
-class Term:
+class Term(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class Func(Term):
     """Operation application; a constant symbol is ``Func(name)``."""
 
-    name: str
-    args: tuple = ()
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
 
 
 # ---------------------------------------------------------------------------
 # Formulas
 
 
-class Formula:
+class Formula(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     """Predicate application; the metric atom uses the reserved name ``d``."""
 
-    pred: str
-    args: tuple
+    __slots__ = _fields = ("pred", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, pred: str, args: tuple):
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", tuple(args))
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Formula):
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        value = as_fraction(self.value)
+    def __init__(self, value: Fraction):
+        value = as_fraction(value)
         if not in_unit_interval(value):
             raise FormulaError(f"constant outside [0,1]: {value}")
         object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, slots=True)
 class Exists(Formula):
-    var: str
-    body: Formula
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
 
 
 # Derived node kinds.  Parsed trees may contain them; ``expand_abbreviations``
 # rewrites them into the four core kinds above.
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = _fields = ("body",)
+
+    def __init__(self, body: Formula):
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    lhs: Formula
-    rhs: Formula
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, slots=True)
 class Leq(Formula):
-    body: Formula
-    bound: Fraction
+    __slots__ = _fields = ("body", "bound")
 
-    def __post_init__(self):
-        bound = as_fraction(self.bound)
+    def __init__(self, body: Formula, bound: Fraction):
+        bound = as_fraction(bound)
         if not in_unit_interval(bound):
             raise FormulaError(f"bound outside [0,1]: {bound}")
+        object.__setattr__(self, "body", body)
         object.__setattr__(self, "bound", bound)
 
 
-@dataclass(frozen=True, slots=True)
 class Geq(Formula):
-    body: Formula
-    bound: Fraction
+    __slots__ = _fields = ("body", "bound")
 
-    def __post_init__(self):
-        bound = as_fraction(self.bound)
+    def __init__(self, body: Formula, bound: Fraction):
+        bound = as_fraction(bound)
         if not in_unit_interval(bound):
             raise FormulaError(f"bound outside [0,1]: {bound}")
+        object.__setattr__(self, "body", body)
         object.__setattr__(self, "bound", bound)
 
 
-@dataclass(frozen=True, slots=True)
 class Forall(Formula):
-    var: str
-    body: Formula
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Record):
     """A named, ordered list of sentences (formulas with no free variables)."""
 
-    name: str
-    sentences: tuple
+    _fields = ("name", "sentences")
 
-    def __post_init__(self):
-        sentences = tuple(self.sentences)
+    def __init__(self, name: str, sentences: tuple):
+        sentences = tuple(sentences)
         for phi in sentences:
             fv = free_variables(phi)
             if fv:
                 raise FormulaError(
-                    f"theory {self.name!r} contains a non-sentence "
+                    f"theory {name!r} contains a non-sentence "
                     f"(free variables {fv}): {render(phi)}")
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "sentences", sentences)
 
     @cached_property
@@ -265,17 +273,14 @@ class Theory:
         return tuple(map(compile_formula, self.sentences))
 
 
-@dataclass(frozen=True)
-class TypeSet:
+class TypeSet(Record):
     """A named finite set of formulas in fixed free variables x1..xn."""
 
-    name: str
-    variables: tuple
-    formulas: tuple
+    _fields = ("name", "variables", "formulas")
 
-    def __post_init__(self):
-        variables = tuple(self.variables)
-        formulas = tuple(self.formulas)
+    def __init__(self, name: str, variables: tuple, formulas: tuple):
+        variables = tuple(variables)
+        formulas = tuple(formulas)
         if not variables:
             raise FormulaError("a type needs at least one variable")
         if len(set(variables)) != len(variables):
@@ -285,8 +290,9 @@ class TypeSet:
             extra = set(free_variables(phi)) - allowed
             if extra:
                 raise FormulaError(
-                    f"type {self.name!r} has formula with stray free "
+                    f"type {name!r} has formula with stray free "
                     f"variables {sorted(extra)}")
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "formulas", formulas)
 

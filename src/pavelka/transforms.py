@@ -6,12 +6,12 @@ linear-ordering theory, and type thickening."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import FormulaError, RestrictionError, VocabularyError
 from .rationals import ZERO, ONE, as_fraction
+from .records import Record
 from .structures import _MARKERS, Structure, _induced, _tag_symbol
 from .syntax import (And, Atom, Const, Exists, Forall, Formula, Leq, Not, Or,
                      Theory, TypeSet, Var, Vocabulary, all_variables,
@@ -131,24 +131,25 @@ def component_sentence(sentence: Formula, k: int) -> Formula:
 # The discrete linear-ordering theory
 
 
-@dataclass(frozen=True)
-class OrderTheorySpec:
+class OrderTheorySpec(Record):
     """Names for the carrier predicate and the strict order relation,
     both fresh relative to an optional base vocabulary."""
 
-    predicate: str
-    order: str
-    base: Optional[Vocabulary] = None
+    _fields = ("predicate", "order", "base")
 
-    def __post_init__(self):
-        if self.predicate == self.order:
+    def __init__(self, predicate: str, order: str,
+                 base: Optional[Vocabulary] = None):
+        if predicate == order:
             raise VocabularyError("carrier and order names must differ")
-        if self.base is not None:
-            clash = {self.predicate, self.order} & self.base.symbols()
+        if base is not None:
+            clash = {predicate, order} & base.symbols()
             if clash:
                 raise VocabularyError(
                     f"order-theory names clash with the base vocabulary: "
                     f"{sorted(clash)}")
+        object.__setattr__(self, "predicate", predicate)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "base", base)
 
 
 def order_theory(spec: OrderTheorySpec) -> Theory:

@@ -159,6 +159,21 @@ class TestLipschitzBounds:
             shared = cn.CImplies(cn.CImplies(x, v), v)
             assert cn.lipschitz_bounds(shared) == (F(max(1, own)),)
 
+    def test_max_shape_needs_equal_leaves(self):
+        # (x -> v) -> w with v and w alike but for one leaf: a sum
+        x, y = cn.Proj(1, 2), cn.Proj(2, 2)
+        third = cn.CConst(F(1, 3))
+        for v, w, want in (
+                (cn.CImplies(x, third), cn.CImplies(x, cn.CConst(F(2, 3))),
+                 (F(3), F(0))),
+                (cn.CImplies(x, third), cn.CImplies(y, third), (F(2), F(1)))):
+            term = cn.CImplies(cn.CImplies(x, v), w)
+            assert cn.lipschitz_bounds(term) == want == \
+                naive_lipschitz_bounds(term, 2)
+            equal = cn.CImplies(cn.CImplies(x, v), cn.CImplies(v.lhs, third))
+            assert cn.lipschitz_bounds(equal) == (F(1), F(0)) == \
+                naive_lipschitz_bounds(equal, 2)
+
     def test_constructions_as_the_fraction_definition(self):
         # whole-number sums and maxima give the Fractions of the
         # definition, on every construction the library certifies

@@ -85,6 +85,69 @@ def test_cli_loads_only_what_a_subcommand_runs(tmp_path):
     assert loaded.endswith("\n['pavelka.connectives']\n")
 
 
+def test_no_module_imports_dataclasses():
+    # records are plain classes over records.Record: importing
+    # dataclasses, and the inspect it loads, would cost every CLI process
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.setdefault(path.name, []).append(node.lineno)
+    assert found == {}
+
+
+WATCHED = ("dataclasses", "inspect", "pavelka.transforms")
+
+
+def watched_after(*argv: str) -> str:
+    """The exit code of ``pavelka.cli.main(argv)`` in a fresh
+    interpreter (None for no ``argv``: then only ``import pavelka.cli``
+    runs), and the ``WATCHED`` modules loaded after it."""
+    code = ("import sys, pavelka.cli\n"
+            "code = pavelka.cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
+            f"print(code, sorted(set({WATCHED!r}) & set(sys.modules)))\n")
+    return fresh(code, *argv).splitlines()[-1]
+
+
+def test_cli_calls_load_no_code_generator_and_no_transforms(tmp_path):
+    structure = {"universe": ["a", "b"], "metric": {"a,b": "1"},
+                 "predicates": {"P": {"a": "1/3", "b": "1"}}}
+    inputs = {
+        "m.json": structure,
+        "family.json": [structure],
+        "type.json": {"variables": ["x"], "formulas": ["P(x) <= 0"]},
+        "theory.json": {"name": "t", "sentences": ["E x. P(x)"]},
+        "space.json": {"vocabulary": {"predicates": {"P": 1}},
+                       "max_size": 2, "truth_denominator": 2,
+                       "metric_denominator": 1},
+    }
+    for name, data in inputs.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    m, family, type_, theory, space = (
+        str(tmp_path / name) for name in inputs)
+    calls = {
+        "import": (),
+        "eval": ("eval", "--struct", m, "--formula", "E x. P(x)"),
+        "certify": ("certify", "--target", "halfx", "--n", "4"),
+        "omits": ("omits", "--struct", m, "--type", type_),
+        "type-dist": ("type-dist", "--family", family, "--theory", theory,
+                      "--struct1", m, "--tuple1", "a",
+                      "--struct2", m, "--tuple2", "b"),
+        "omit": ("omit", "--space", space, "--theory", theory,
+                 "--types", type_),
+    }
+    loaded = {name: watched_after(*argv) for name, argv in calls.items()}
+    assert loaded == {"import": "None []", "eval": "0 []", "certify": "0 []",
+                      "omits": "0 []", "type-dist": "0 []", "omit": "0 []"}
+
+
 def test_package_exports_load_on_first_use():
     out = fresh(
         "import sys\n"
