@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import ceil, lcm
 from operator import add
 from typing import Callable, Optional, Sequence
@@ -513,12 +514,6 @@ def _realize_piece(piece: AffinePiece, arity: int, n: int):
         if not is_dyadic(c):
             raise FormulaError(f"non-dyadic coefficient: {c}")
 
-    def scaled_argument(c: Fraction, i: int):
-        magnitude = abs(c)
-        scale, exact = _scale_term(magnitude, n)
-        argument = Proj(i + 1, arity) if c > 0 else c_not(Proj(i + 1, arity))
-        return substitute_projections(scale, [argument]), exact
-
     shift = sum((abs(c) for c in piece.coefficients if c < 0), ZERO)
     b_prime = piece.intercept - shift
     total = sum((abs(c) for c in piece.coefficients), ZERO)
@@ -526,18 +521,27 @@ def _realize_piece(piece: AffinePiece, arity: int, n: int):
     if not any(c != 0 for c in piece.coefficients):
         return CConst(min(ONE, max(ZERO, piece.intercept))), True
 
-    if b_prime >= ZERO or total <= ONE:
-        terms = []
-        exact = True
-        for i, c in enumerate(piece.coefficients):
-            if c == 0:
-                continue
-            t, ok = scaled_argument(c, i)
-            terms.append(t)
-            exact = exact and ok
-        out = terms[0]
-        for t in terms[1:]:
-            out = c_oplus(out, t)
+    # In the general case every summand is scaled down by 2^(q+1), so the
+    # shifted sum fits in [0,1] without clamping; 1/2 is then subtracted
+    # and the result doubled back up.
+    clamped = b_prime >= ZERO or total <= ONE
+    if clamped:
+        down = 1
+    else:
+        q = _smallest_power_of_two_at_least(total + (-b_prime))
+        down = Fraction(1, 2 ** (q + 1))
+    terms = []
+    exact = True
+    for i, c in enumerate(piece.coefficients):
+        if c == 0:
+            continue
+        scale, ok = _scale_term(abs(c) * down, n)
+        argument = Proj(i + 1, arity) if c > 0 else c_not(Proj(i + 1, arity))
+        terms.append(substitute_projections(scale, [argument]))
+        exact = exact and ok
+    out = reduce(c_oplus, terms)
+
+    if clamped:
         if b_prime > ZERO:
             out = c_oplus(out, CConst(min(ONE, b_prime)))
         elif b_prime < ZERO:
@@ -546,24 +550,7 @@ def _realize_piece(piece: AffinePiece, arity: int, n: int):
             out = c_ominus(out, -b_prime)
         return out, exact
 
-    # General case: scale everything by 2^(q+1) so the shifted sum fits
-    # in [0,1] without clamping, then subtract 1/2 and double back up.
-    q = _smallest_power_of_two_at_least(total + (-b_prime))
-    down = Fraction(1, 2 ** (q + 1))
-    terms = []
-    exact = True
-    for i, c in enumerate(piece.coefficients):
-        if c == 0:
-            continue
-        magnitude = abs(c) * down
-        scale, ok = _scale_term(magnitude, n)
-        argument = Proj(i + 1, arity) if c > 0 else c_not(Proj(i + 1, arity))
-        terms.append(substitute_projections(scale, [argument]))
-        exact = exact and ok
     beta = b_prime * down + Fraction(1, 2)
-    out = terms[0]
-    for t in terms[1:]:
-        out = c_oplus(out, t)
     if beta > ZERO:
         out = c_oplus(out, CConst(beta))
     out = c_ominus(out, Fraction(1, 2))
@@ -594,13 +581,8 @@ def approx_lattice(spec: PLSpec, n: int):
             t, ok = _realize_piece(piece, spec.arity, n)
             piece_terms.append(t)
             exact = exact and ok
-        g = piece_terms[0]
-        for t in piece_terms[1:]:
-            g = c_and(g, t)
-        group_terms.append(g)
-    term = group_terms[0]
-    for g in group_terms[1:]:
-        term = c_or(term, g)
+        group_terms.append(reduce(c_and, piece_terms))
+    term = reduce(c_or, group_terms)
     if exact:
         return term, ZERO
     bound = certify(term, spec.value, spec.arity, Fraction(1, 8 * n),

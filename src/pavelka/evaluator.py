@@ -34,9 +34,10 @@ Formulas over tuples are evaluated a table at a time, the relational
 strategy for finite model checking (Vardi, STOC 1982): a scan assigns
 each tuple in turn and runs the program there, on one copy of the
 registers and one memo for the whole scan, and builds nothing per tuple
-but what it reports.  There are two scans.  ``Evaluator.rows`` runs one
-program of several formulas per tuple and reports every value, as rows
-of ``Fraction``s made once per distinct row.
+but what it reports.  There are two scans.  ``Evaluator.profiles``
+runs one program of several formulas per tuple and groups the tuples by
+their row of values, kept as integers over the link's denominator: the
+profiles ``type_distance`` compares records by.
 ``Evaluator.first_failures`` runs one program per formula, in order,
 stops a tuple at the first value below 1, and reports only that
 formula and value.  Both take the per-tuple step (the assignment, its
@@ -74,7 +75,6 @@ import functools
 import itertools
 from fractions import Fraction
 from math import lcm
-from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EvaluationError, FormulaError
@@ -415,7 +415,8 @@ class _Lowering:
     table's own denominators.  A lowered table never changes: a link over
     a multiple of its lcm reads a scaled copy of it.  ``programs`` keeps
     what ``Evaluator.kept`` makes for the structure: programs, the links
-    ``Evaluator.keep_links`` keeps, and tables of values."""
+    ``Evaluator.keep_links`` keeps, and the profiles ``type_distance``
+    scans with ``Evaluator.profiles``."""
 
     __slots__ = ("index", "tables", "programs")
 
@@ -534,7 +535,8 @@ def _failing_code(program: Program, broken: dict, universe: tuple) -> list:
 class Evaluator:
     """Reusable evaluation engine for one structure.
 
-    Each program passed to ``value``, ``rows`` or ``first_failures`` is
+    ``value`` evaluates one formula under one assignment; ``profiles``
+    and ``first_failures`` scan tuples.  Each program passed to them is
     linked to the structure's lowered tables once and the link kept for
     the evaluator's lifetime; a formula passed instead is compiled and
     linked for that use only.
@@ -638,33 +640,32 @@ class Evaluator:
         return itertools.product(self.structure.universe,
                                  repeat=len(variables))
 
-    def rows(self, program: Program, variables: Sequence[str],
-             tuples: Optional[Iterable] = None):
-        """``(tuple, values)`` for each tuple of elements assigned to
-        ``variables``, in order, with the values of the program's
-        formulas there, in the order ``compile_formulas`` was given them;
-        by default every tuple of the universe of that length, in
+    def profiles(self, program: Program, variables: Sequence[str],
+                 tuples: Optional[Iterable] = None) -> tuple:
+        """``(denominator, profiles)``: each distinct row of the values
+        of the program's formulas at a tuple of elements assigned to
+        ``variables``, in the order ``compile_formulas`` was given them,
+        as integers over the denominator of the program's link to the
+        structure, mapped to the tuples with that row, in order; by
+        default every tuple of the universe of that length, in
         canonical order.
 
         One ``run`` per tuple computes the whole row, on one copy of the
-        registers and one memo for the whole scan.  Rows are keyed by
-        their integer values: each distinct row of ``Fraction``s, and
-        each distinct value in it, is made once per scan."""
+        registers and one memo for the whole scan.  The scan is done
+        before it returns, so its errors raise at the call; free
+        variables are checked before any tuple is assigned, as in
+        ``first_failures``."""
         variables = tuple(variables)
         program, at, denominator = self._runner(program, variables)
         results = program.results
-        # itemgetter gives a tuple for two or more slots only
-        key = itemgetter(*results) if len(results) > 1 else \
-            lambda registers: tuple([registers[slot] for slot in results])
-        fraction, made = _Fractions(denominator).__getitem__, {}
+        profiles = {}
         if tuples is None:
             tuples = self._universe_tuples(variables)
         for tup in tuples:
-            values = key(at(tup))
-            row = made.get(values)
-            if row is None:
-                row = made[values] = tuple(map(fraction, values))
-            yield tup, row
+            registers = at(tup)
+            profiles.setdefault(tuple([registers[slot] for slot in results]),
+                                []).append(tup)
+        return denominator, profiles
 
     def first_failures(self, formulas: Sequence, variables: Sequence[str],
                        tuples: Optional[Iterable] = None):
@@ -679,10 +680,12 @@ class Evaluator:
         copy of the registers and its own memo for the whole scan, and
         the tuple stops at the first value below 1: a later program
         never runs there.  A program is linked, and its free variables
-        checked against ``variables``, at its first run, so its errors
-        surface exactly where ``value`` calls in the same order would
-        raise them.  Values are compared as integers, and each distinct
-        value reported is made a ``Fraction`` once per scan."""
+        checked against ``variables``, at its first run, before any
+        element of the tuple is assigned: an unassigned variable raises
+        there even when an earlier variable is sent outside the
+        universe, which ``value``, checking each variable in turn,
+        would report first.  Values are compared as integers, and each
+        distinct value reported is made a ``Fraction`` once per scan."""
         variables = tuple(variables)
         runners = [None] * len(formulas)
         if tuples is None:

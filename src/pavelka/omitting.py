@@ -665,9 +665,10 @@ def type_distance(family: Sequence[Structure], theory: Theory,
     A tuple realizes a record when every corpus formula takes the same
     value there as at the record's own tuple.  The corpus is compiled
     into one program, and each model's profiles, the rows of corpus
-    values at its tuples, come from one scan of it (``_profiles``); a
-    model's tuples realizing a record are then one lookup of the
-    record's row.  A given corpus is compiled and scanned per call.
+    values at its tuples, come from one scan of it
+    (``Evaluator.profiles``); a model's tuples realizing a record are
+    then one lookup of the record's row, itself a one-tuple scan of the
+    record's structure.  A given corpus is compiled and scanned per call.
     The default corpus, ``default_record_corpus`` of ``p``'s
     vocabulary, depends on nothing but ``n`` and the predicate
     signature of ``p``'s structure: it is compiled once per structure
@@ -697,13 +698,13 @@ def type_distance(family: Sequence[Structure], theory: Theory,
     if len(variables) != n:
         raise FormulaError(
             f"corpus has {len(variables)} variables, record has {n} elements")
-    rows = [_profiles(engine, program, variables, [record.elements])
+    rows = [engine.profiles(program, variables, [record.elements])
             for engine, record in ((p_engine, p),
                                    (Evaluator(q.structure), q))]
     wanted = {}  # denominator -> p's and q's rows as integers over it
     best = None
     for member, engine in models(family, theory):
-        scan = functools.partial(_profiles, engine, program, variables)
+        scan = functools.partial(engine.profiles, program, variables)
         denominator, profiles = scan() if key is None \
             else engine.kept(key, scan)
         want = wanted.get(denominator)
@@ -719,27 +720,6 @@ def type_distance(family: Sequence[Structure], theory: Theory,
     if best is None:
         return TypeDistance(ONE, connected=False)
     return TypeDistance(best, connected=True)
-
-
-def _profiles(engine: Evaluator, program, variables: Sequence[str],
-              tuples: Optional[Iterable] = None) -> tuple:
-    """``(denominator, profiles)``: each distinct row of the program's
-    values at a tuple, as integers over the denominator of the program's
-    link to the engine's structure, mapped to the tuples with that row,
-    in order; by default every tuple of the universe, in canonical
-    order.  One ``run`` per tuple; raises where ``Evaluator.rows``
-    would."""
-    variables = tuple(variables)
-    program, at, denominator = engine._runner(program, variables)
-    results = program.results
-    profiles = {}
-    if tuples is None:
-        tuples = engine._universe_tuples(variables)
-    for tup in tuples:
-        registers = at(tup)
-        profiles.setdefault(tuple([registers[slot] for slot in results]),
-                            []).append(tup)
-    return denominator, profiles
 
 
 def _over(row: tuple, denominator: int, target: int) -> Optional[tuple]:

@@ -80,7 +80,8 @@ class Structure:
     ``_lowering`` unchanged for the structure's lifetime, along with
     what ``Evaluator.kept`` makes from the structure alone: programs
     compiled from its vocabulary, links, and tables of its own values,
-    such as ``type_distance``'s profiles of the default record corpus.
+    such as ``type_distance``'s profiles of the default record corpus
+    (``Evaluator.profiles``).
     """
 
     __slots__ = ("universe", "metric", "predicates", "operations",

@@ -179,6 +179,22 @@ class TestErrorTexts:
                    "assignment sends 'x' outside the universe: 'zz'",
                    {"x": "zz"})
 
+    def test_scans_check_unassigned_variables_before_the_tuple(self, m2):
+        # value checks each free variable in turn, and so reports x sent
+        # outside the universe; a scan checks every free variable against
+        # its variables first, and so reports y unassigned
+        phi = parse_formula("P(x) -> P(y)", Vocabulary({"P": 1}, {}))
+        self.check(m2, phi, "assignment sends 'x' outside the universe: 'zz'",
+                   {"x": "zz"})
+        engine = Evaluator(m2)
+        for scan in (lambda: list(engine.first_failures([phi], ["x"],
+                                                        [("zz",)])),
+                     lambda: engine.profiles(compile_formulas([phi]), ["x"],
+                                             [("zz",)])):
+            with pytest.raises(EvaluationError) as caught:
+                scan()
+            assert str(caught.value) == "unassigned free variable 'y'"
+
     def test_non_core_node(self, m2, monkeypatch):
         self.check(m2, Implies(Var("x"), Const(F(1))),
                    "evaluator got a non-core node: Var(name='x')",
@@ -332,8 +348,8 @@ def traversal_formulas():
 
 
 class TestSeveralFormulas:
-    """``compile_formulas`` and ``Evaluator.rows``: every formula's value
-    at every tuple equals its own program's and the reference's."""
+    """``compile_formulas`` and ``Evaluator.profiles``: every formula's
+    value at every tuple equals its own program's and the reference's."""
 
     def check(self, m, formulas):
         program = compile_formulas(formulas)
@@ -341,13 +357,18 @@ class TestSeveralFormulas:
         assert len(program.results) == len(formulas)
         engine = Evaluator(m)
         singles = [compile_formula(f) for f in formulas]
-        rows = list(engine.rows(program, SCOPE))
-        assert [tup for tup, _ in rows] == \
-            list(itertools.product(m.universe, repeat=len(SCOPE)))
-        for tup, row in rows:
-            env = dict(zip(SCOPE, tup))
-            assert list(row) == [engine.value(p, env) for p in singles]
-            assert list(row) == [naive_eval(m, f, env) for f in formulas]
+        denominator, profiles = engine.profiles(program, SCOPE)
+        universe = list(itertools.product(m.universe, repeat=len(SCOPE)))
+        # each tuple of the universe once, in canonical order in its row
+        assert sorted(tup for tuples in profiles.values()
+                      for tup in tuples) == sorted(universe)
+        for row, tuples in profiles.items():
+            assert tuples == sorted(tuples, key=universe.index)
+            values = [F(value, denominator) for value in row]
+            for tup in tuples:
+                env = dict(zip(SCOPE, tup))
+                assert values == [engine.value(p, env) for p in singles]
+                assert values == [naive_eval(m, f, env) for f in formulas]
 
     def test_genutil_corpus(self):
         rng = random.Random(13)
@@ -396,23 +417,29 @@ class TestSeveralFormulas:
         program = compile_formulas([phi, Not(phi), phi])
         assert program.results[0] == program.results[2]
         assert code_length(program) == code_length(compile_formula(phi)) + 1
-        for _, (a, b, c) in Evaluator(m2).rows(program, ["u"]):
-            assert a == c and b == 1 - a
+        denominator, profiles = Evaluator(m2).profiles(program, ["u"])
+        assert sum(map(len, profiles.values())) == 2
+        for a, b, c in profiles:
+            assert a == c and b == denominator - a
 
     def test_empty_program(self, m2):
         program = compile_formulas([])
         assert program.results == ()
-        assert list(Evaluator(m2).rows(program, ["u"])) == \
-            [(("a",), ()), (("b",), ())]
+        assert Evaluator(m2).profiles(program, ["u"]) == \
+            (1, {(): [("a",), ("b",)]})
 
     def test_given_tuples_in_given_order(self, m2):
         phi = parse_formula("P(u) -> d(u, v)", Vocabulary({"P": 1}, {}))
         program = compile_formulas([phi])
         tuples = [("b", "a"), ("a", "a"), ("b", "a")]
-        rows = list(Evaluator(m2).rows(program, ("v", "u"), tuples))
-        assert [tup for tup, _ in rows] == tuples
-        assert [row for _, row in rows] == [
-            (naive_eval(m2, phi, {"v": v, "u": u}),) for v, u in tuples]
+        denominator, profiles = Evaluator(m2).profiles(program, ("v", "u"),
+                                                       tuples)
+        want = {}  # the given tuples, repeats included, in order per row
+        for v, u in tuples:
+            value = naive_eval(m2, phi, {"v": v, "u": u}) * denominator
+            assert value.denominator == 1
+            want.setdefault((value.numerator,), []).append((v, u))
+        assert list(profiles.items()) == list(want.items())
 
     def test_memo_starts_fresh_per_scan(self):
         # the two programs give their inner quantifiers the same slot
@@ -425,8 +452,9 @@ class TestSeveralFormulas:
                            ("E x. E y. Q(x, y)", F(1, 3)),
                            ("E x. E y. R(x, y)", F(2, 3))):
             program = compile_formulas([parse_formula(text, vocab)])
-            assert [row for _, row in engine.rows(program, SCOPE)] == \
-                [(want,)] * 4
+            denominator, profiles = engine.profiles(program, SCOPE)
+            assert profiles == {(want * denominator,): list(
+                itertools.product(m.universe, repeat=len(SCOPE)))}
 
     def test_error_texts(self, m2):
         vocab = Vocabulary({"P": 1, "Q": 1}, {})
@@ -434,16 +462,15 @@ class TestSeveralFormulas:
                                     parse_formula("P(z) -> P(u)", vocab)])
         engine = Evaluator(m2)
         with pytest.raises(EvaluationError) as caught:
-            list(engine.rows(program, ["u"]))
+            engine.profiles(program, ["u"])
         assert str(caught.value) == "unassigned free variable 'z'"
         with pytest.raises(EvaluationError) as caught:
-            list(engine.rows(program, ["u", "z"], [("a", "zz")]))
+            engine.profiles(program, ["u", "z"], [("a", "zz")])
         assert str(caught.value) == \
             "assignment sends 'z' outside the universe: 'zz'"
         # the first formula, in order, to read a missing table raises
         program = compile_formulas([parse_formula("P(u)", vocab),
                                     parse_formula("Q(u) -> 1/2", vocab)])
-        rows = engine.rows(program, ["u"])
         with pytest.raises(EvaluationError) as caught:
-            next(rows)
+            engine.profiles(program, ["u"])
         assert str(caught.value) == "predicate 'Q' missing from the structure"

@@ -8,9 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 from pavelka import (And, Atom, CompleteTypeRecord, Const, EvaluationError,
-                     Exists, Forall, FormulaError, Func, Geq, Implies, Leq,
-                     Or, Structure, Theory, TypeSet, Var, Vocabulary,
-                     default_record_corpus, type_distance)
+                     Evaluator, Exists, Forall, FormulaError, Func, Geq,
+                     Implies, Leq, Or, Structure, Theory, TypeSet, Var,
+                     Vocabulary, default_record_corpus, type_distance)
 from pavelka import omitting
 
 from genutil import random_formula, random_sentence, random_structure
@@ -330,14 +330,14 @@ class TestKeptProfiles:
         family = [random_structure(rng, VOCAB, max_size=3) for _ in range(3)]
         theory = Theory("e", ())
         scans = []
-        profiles = omitting._profiles
+        profiles = Evaluator.profiles
 
         def counted(engine, program, variables, tuples=None):
             if tuples is None:
                 scans.append((id(engine.structure), len(variables)))
             return profiles(engine, program, variables, tuples)
 
-        monkeypatch.setattr(omitting, "_profiles", counted)
+        monkeypatch.setattr(Evaluator, "profiles", counted)
         only_p = Vocabulary({"P": 1}, {"c": 0})
         for _ in range(4):
             for n in (1, 2):
