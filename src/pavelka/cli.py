@@ -91,8 +91,8 @@ def _load_family_with_vocab(args):
 def cmd_entails(args):
     family, vocabulary = _load_family_with_vocab(args)
     theory = storage.load_theory(args.theory, vocabulary)
-    gamma = storage.load_typesets(args.gamma, vocabulary)[0]
-    sigma = storage.load_typesets(args.sigma, vocabulary)[0]
+    gamma = storage.load_typeset(args.gamma, vocabulary)
+    sigma = storage.load_typeset(args.sigma, vocabulary)
     result = entails(family, theory, gamma, sigma)
     _print(_entailment_payload(result))
     return EXIT_OK if result.holds else EXIT_FALSE
@@ -127,20 +127,19 @@ def _built_target(args):
         return term, bound
     if args.target == "scale":
         return connectives.scale_dyadic(args.p, args.k, args.n)
-    if args.target == "lattice":
-        if not args.spec:
-            raise PavelkaError("--spec FILE is required for --target lattice")
-        with open(args.spec, encoding="utf-8") as handle:
-            data = json.load(handle)
-        spec = connectives.PLSpec(
-            arity=int(data["arity"]),
-            groups=tuple(tuple(
-                connectives.AffinePiece(
-                    tuple(parse_rational(c) for c in piece["coefficients"]),
-                    parse_rational(piece.get("intercept", "0")))
-                for piece in group) for group in data["groups"]))
-        return connectives.approx_lattice(spec, args.n)
-    raise PavelkaError(f"unknown target {args.target!r}")
+    # lattice: argparse's choices allow no other target
+    if not args.spec:
+        raise PavelkaError("--spec FILE is required for --target lattice")
+    with open(args.spec, encoding="utf-8") as handle:
+        data = json.load(handle)
+    spec = connectives.PLSpec(
+        arity=int(data["arity"]),
+        groups=tuple(tuple(
+            connectives.AffinePiece(
+                tuple(parse_rational(c) for c in piece["coefficients"]),
+                parse_rational(piece.get("intercept", "0")))
+            for piece in group) for group in data["groups"]))
+    return connectives.approx_lattice(spec, args.n)
 
 
 def cmd_approx(args):
@@ -162,12 +161,10 @@ def cmd_certify(args):
     if args.target == "halfx":
         oracle = lambda point: point[0] / 2
         lipschitz = Fraction(1, 2)
-    elif args.target == "scale":
+    else:  # scale: argparse's choices allow no other target
         ratio = Fraction(args.p, 2 ** args.k)
         oracle = lambda point: min(Fraction(1), ratio * point[0])
         lipschitz = ratio
-    else:
-        raise PavelkaError("certify supports --target halfx or scale")
     spacing = parse_rational(args.h) if args.h else Fraction(1, 8 * args.n)
     lipschitz = parse_rational(args.lipschitz) if args.lipschitz else lipschitz
     bound = connectives.certify(term, oracle, 1, spacing, lipschitz)
@@ -219,7 +216,7 @@ def cmd_gen_order(args):
 def cmd_thicken(args):
     from .transforms import thicken
     vocabulary = storage.load_vocabulary(args.vocab)
-    typeset = storage.load_typesets(args.types, vocabulary)[0]
+    typeset = storage.load_typeset(args.types, vocabulary)
     out = thicken(typeset, parse_rational(args.delta),
                   args.max_conjunction)
     _print(storage.typeset_to_dict(out))
@@ -229,7 +226,7 @@ def cmd_thicken(args):
 def cmd_realizes(args):
     from .omitting import realizes
     structure = storage.load_structure(args.struct)
-    typeset = storage.load_typesets(args.type, structure.vocabulary())[0]
+    typeset = storage.load_typeset(args.type, structure.vocabulary())
     elements = tuple(e.strip() for e in args.tuple.split(","))
     ok = realizes(structure, elements, typeset)
     _print({"realizes": ok, "tuple": list(elements)})
@@ -239,7 +236,7 @@ def cmd_realizes(args):
 def cmd_omits(args):
     from .omitting import omits
     structure = storage.load_structure(args.struct)
-    typeset = storage.load_typesets(args.type, structure.vocabulary())[0]
+    typeset = storage.load_typeset(args.type, structure.vocabulary())
     report = omits(structure, typeset)
     payload = {"omitted": report.omitted}
     if report.omitted:
@@ -269,7 +266,7 @@ def cmd_principal(args):
                            omega_principal_check)
     family, vocabulary = _load_family_with_vocab(args)
     theory = storage.load_theory(args.theory, vocabulary)
-    sigma = storage.load_typesets(args.sigma, vocabulary)[0]
+    sigma = storage.load_typeset(args.sigma, vocabulary)
     if args.omega_candidate:
         with open(args.omega_candidate, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -287,7 +284,7 @@ def cmd_principal(args):
                         report.generator.entailment)},
                 "threshold": _entailment_payload(report.threshold)})
         return EXIT_OK if report.accepted else EXIT_FALSE
-    phi = storage.load_typesets(args.phi, vocabulary)[0]
+    phi = storage.load_typeset(args.phi, vocabulary)
     report = generator_check(family, theory, phi, sigma)
     _print({"generates": report.generates,
             "satisfied": report.satisfied,
@@ -320,7 +317,7 @@ def cmd_type_dist(args):
     q = CompleteTypeRecord(s2, tuple(args.tuple2.split(",")))
     corpus = None
     if args.corpus:
-        corpus = storage.load_typesets(args.corpus, vocabulary)[0]
+        corpus = storage.load_typeset(args.corpus, vocabulary)
     result = type_distance(family, theory, p, q, corpus)
     _print({"distance": format_rational(result.value),
             "connected": result.connected,
@@ -522,7 +519,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: bad input ({exc})", file=sys.stderr)
         return EXIT_ERROR
 

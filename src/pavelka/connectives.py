@@ -560,9 +560,7 @@ def _realize_piece(piece: AffinePiece, arity: int, n: int):
 
 
 def _scale_term(magnitude: Fraction, n: int):
-    """Unary term for clamp((p/2^k) x) from a dyadic magnitude."""
-    if magnitude == 0:
-        return _CZERO, True
+    """Unary term for clamp((p/2^k) x) from a nonzero dyadic magnitude."""
     k = magnitude.denominator.bit_length() - 1
     return _scaled_term(magnitude.numerator, k, n), k == 0
 

@@ -42,9 +42,10 @@ profiles ``type_distance`` compares records by.
 stops a tuple at the first value below 1, and reports only that
 formula and value.  Both take the per-tuple step (the assignment, its
 outside-universe check and the ``run``) from ``Evaluator._runner``.
-Type realization, omission, entailment and the Tarski-Vaught test are
-``first_failures`` scans, and a ``Theory`` keeps its compiled sentence
-programs for its lifetime; ``models`` links them once per structure.
+Type realization, omission and entailment are ``first_failures``
+scans, the Tarski-Vaught test is one ``profiles`` scan per formula, and
+a ``Theory`` keeps its compiled sentence programs for its lifetime;
+``models`` links them once per structure.
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
@@ -80,8 +81,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import EvaluationError, FormulaError
 from .rationals import ZERO, ONE
 from .records import Record
-from .syntax import (Atom, Const, Exists, Formula, Func, Geq, Implies, Theory,
-                     Var, children, expand_abbreviations, free_variables,
+from .syntax import (Atom, Const, Exists, Formula, Func, Implies, Theory, Var,
+                     children, expand_abbreviations, free_variables,
                      postorder)
 
 # An assignment is a plain mapping from free-variable names to element ids.
@@ -794,17 +795,17 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
     if tuple(gamma.variables) != tuple(sigma.variables):
         raise FormulaError(
             f"variable tuples differ: {gamma.variables} vs {sigma.variables}")
-    return _entailment(family, theory, tuple(gamma.variables),
+    return _entailment(models(family, theory), tuple(gamma.variables),
                        [compile_formula(f) for f in gamma.formulas],
                        [compile_formula(f) for f in sigma.formulas])
 
 
-def _entailment(family: Sequence, theory: Theory, names: tuple,
+def _entailment(members: Iterable, names: tuple,
                 premises: Sequence[Program],
                 conclusions: Sequence[Program]) -> EntailmentResult:
     """``entails`` over compiled premises and conclusions in the
-    variables ``names``."""
-    for member, engine in models(family, theory):
+    variables ``names``, read from the ``(member, engine)`` pairs."""
+    for member, engine in members:
         realizing = (tup for tup, failure
                      in engine.first_failures(premises, names)
                      if failure is None)
@@ -848,8 +849,9 @@ def tarski_vaught_check(structure, subset: Iterable[str],
     threshold r in the grid, some element a of the subset must satisfy
     ``p[a] >= r`` exactly.  Failures list every such (formula, r) pair.
     The test is sound but checks only the supplied formulas and grid.
+    Each formula is compiled once and read from one ``profiles`` scan.
     """
-    subset = list(subset)
+    subset = dict.fromkeys(subset)
     for element in subset:
         if not structure.has_element(element):
             raise EvaluationError(f"subset element {element!r} not in universe")
@@ -863,13 +865,11 @@ def tarski_vaught_check(structure, subset: Iterable[str],
         if len(fv) != 1:
             raise FormulaError(
                 f"need exactly one free variable, got {fv}: {phi!r}")
-        var = fv[0]
-        if engine.value(Exists(var, phi)) != ONE:
+        denominator, profiles = engine.profiles(compile_formula(phi), fv)
+        if (denominator,) not in profiles:
             continue
-        for r in grid:
-            witnesses = engine.first_failures(
-                [compile_formula(Geq(phi, r))], (var,),
-                [(a,) for a in subset])
-            if not any(failure is None for _, failure in witnesses):
-                failures.append((phi, r))
+        best = max((value for (value,), tuples in profiles.items()
+                    if any(a in subset for (a,) in tuples)), default=-1)
+        failures.extend((phi, r) for r in grid
+                        if best * r.denominator < r.numerator * denominator)
     return TarskiVaughtReport(passed=not failures, failures=tuple(failures))

@@ -26,7 +26,7 @@ from .records import Record
 from .structures import Structure
 from .syntax import (And, Atom, Const, Exists, Formula, Geq, Leq, Term,
                      Theory, TypeSet, Var, Vocabulary, children,
-                     free_variables, postorder, substitute, term_variables)
+                     free_variables, substitute, term_variables)
 
 
 def realizes(structure: Structure, elements: Sequence[str],
@@ -105,22 +105,24 @@ def generator_check(family: Sequence[Structure], theory: Theory,
                     phi: TypeSet, sigma: TypeSet) -> GeneratorReport:
     """Family-relative generator test: (i) some family model of the
     theory realizes ``phi``, and (ii) within the family, theory models'
-    realizations of ``phi`` all realize ``sigma``."""
+    realizations of ``phi`` all realize ``sigma``.  One pass over the
+    theory's models decides both: (ii) reads on from the model of the
+    first realizer, since the models before it realize nothing."""
     if tuple(phi.variables) != tuple(sigma.variables):
         raise FormulaError(
             f"variable tuples differ: {phi.variables} vs {sigma.variables}")
     programs = _compile(phi)
-    for member, engine in models(family, theory):
+    members = models(family, theory)
+    for member, engine in members:
         tup = _first_realizer(engine, phi.variables, programs)
         if tup is not None:
-            witness = member, tup
             break
     else:
         return GeneratorReport(False, satisfied=False)
-    result = _entailment(family, theory, tuple(phi.variables), programs,
-                         _compile(sigma))
-    return GeneratorReport(result.holds, satisfied=True, witness=witness,
-                           entailment=result)
+    result = _entailment(itertools.chain([(member, engine)], members),
+                         tuple(phi.variables), programs, _compile(sigma))
+    return GeneratorReport(result.holds, satisfied=True,
+                           witness=(member, tup), entailment=result)
 
 
 class OmegaCandidate(Record):
@@ -551,15 +553,17 @@ def _off_grid(node, denominator: int) -> Optional[str]:
 
 def _constants_on_grid(formulas: Iterable[Formula], denominator: int) -> None:
     """Raise on the first off-grid constant or bound, formula by formula
-    in order, reading each node before its subformulas, left to right."""
-    for formula in formulas:
-        first: dict[int, Optional[str]] = {}
-        for node in postorder(formula):
-            found = [_off_grid(node, denominator)]
-            found.extend(first[id(kid)] for kid in children(node))
-            first[id(node)] = next(filter(None, found), None)
-        if first[id(formula)] is not None:
-            raise ResolutionError(first[id(formula)])
+    in order, reading each node before its subformulas, left to right;
+    a node met again was found on the grid, with its subformulas."""
+    stack, seen = [*formulas][::-1], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            message = _off_grid(node, denominator)
+            if message is not None:
+                raise ResolutionError(message)
+            stack.extend(reversed(children(node)))
 
 
 def search_model(space: SearchSpace, theory: Theory,
@@ -668,7 +672,8 @@ def type_distance(family: Sequence[Structure], theory: Theory,
     values at its tuples, come from one scan of it
     (``Evaluator.profiles``); a model's tuples realizing a record are
     then one lookup of the record's row, itself a one-tuple scan of the
-    record's structure.  A given corpus is compiled and scanned per call.
+    record's structure; all rows are compared in lowest terms
+    (``_lowest``).  A given corpus is compiled and scanned per call.
     The default corpus, ``default_record_corpus`` of ``p``'s
     vocabulary, depends on nothing but ``n`` and the predicate
     signature of ``p``'s structure: it is compiled once per structure
@@ -698,20 +703,14 @@ def type_distance(family: Sequence[Structure], theory: Theory,
     if len(variables) != n:
         raise FormulaError(
             f"corpus has {len(variables)} variables, record has {n} elements")
-    rows = [engine.profiles(program, variables, [record.elements])
-            for engine, record in ((p_engine, p),
-                                   (Evaluator(q.structure), q))]
-    wanted = {}  # denominator -> p's and q's rows as integers over it
+    (p_row,), (q_row,) = (
+        _lowest(engine.profiles(program, variables, [record.elements]))
+        for engine, record in ((p_engine, p), (Evaluator(q.structure), q)))
     best = None
     for member, engine in models(family, theory):
-        scan = functools.partial(engine.profiles, program, variables)
-        denominator, profiles = scan() if key is None \
-            else engine.kept(key, scan)
-        want = wanted.get(denominator)
-        if want is None:
-            want = wanted[denominator] = [
-                _over(row, over, denominator) for over, (row,) in rows]
-        p_tuples, q_tuples = (profiles.get(row, ()) for row in want)
+        scan = lambda: _lowest(engine.profiles(program, variables))
+        profiles = scan() if key is None else engine.kept(key, scan)
+        p_tuples, q_tuples = profiles.get(p_row, ()), profiles.get(q_row, ())
         for a in p_tuples:
             for b in q_tuples:
                 gap = max(member.metric[(x, y)] for x, y in zip(a, b))
@@ -722,15 +721,15 @@ def type_distance(family: Sequence[Structure], theory: Theory,
     return TypeDistance(best, connected=True)
 
 
-def _over(row: tuple, denominator: int, target: int) -> Optional[tuple]:
-    """A row of integers over ``denominator`` as integers over
-    ``target``, or None when some value is not a multiple of
-    ``1/target``: then no row over ``target`` equals it."""
-    common = gcd(denominator, target)
-    step, scale = denominator // common, target // common
-    if step > 1 and any(value % step for value in row):
-        return None
-    return tuple([value // step * scale for value in row])
+def _lowest(scan: tuple) -> dict:
+    """A ``profiles`` scan's table with each row over its denominator
+    ``D`` in lowest terms, ``(D // g, *[v // g for v in row])`` for ``g``
+    the gcd of ``D`` and the row: rows of equal values have equal lowest
+    terms, whatever denominators they were scanned over."""
+    denominator, profiles = scan
+    return {(denominator // g, *[v // g for v in row]): tuples
+            for row, tuples in profiles.items()
+            for g in (gcd(denominator, *row),)}
 
 
 # ---------------------------------------------------------------------------

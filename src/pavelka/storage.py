@@ -49,6 +49,7 @@ def vocabulary_to_dict(vocabulary: Vocabulary) -> dict:
 
 
 def vocabulary_from_dict(data: Mapping) -> Vocabulary:
+    data = _object(data, "vocabulary")
     return Vocabulary(dict(data.get("predicates", {})),
                       dict(data.get("operations", {})))
 
@@ -188,6 +189,8 @@ def load_family(path: str) -> list:
         data = json.load(handle)
     if not isinstance(data, list):
         raise ParseError(f"family file {path!r} must hold a JSON list")
+    if not data:
+        raise ParseError(f"no structures in {path!r}")
     return [structure_from_dict(entry, label=f"{os.path.basename(path)}[{i}]")
             for i, entry in enumerate(data)]
 
@@ -203,7 +206,8 @@ def theory_to_dict(theory: Theory) -> dict:
 
 def theory_from_dict(data: Mapping,
                      vocabulary: Optional[Vocabulary] = None) -> Theory:
-    """A theory; its sentences must be a JSON list."""
+    """A theory; it must be a JSON object, its sentences a JSON list."""
+    data = _object(data, "theory")
     if vocabulary is None:
         if "vocabulary" not in data:
             raise ParseError("theory needs a vocabulary (embedded or given)")
@@ -226,8 +230,9 @@ def typeset_to_dict(typeset: TypeSet) -> dict:
 
 def typeset_from_dict(data: Mapping,
                       vocabulary: Optional[Vocabulary] = None) -> TypeSet:
-    """A type set; its variables must be a JSON list of strings and its
-    formulas a JSON list."""
+    """A type set; it must be a JSON object, its variables a JSON list
+    of strings and its formulas a JSON list."""
+    data = _object(data, "type set")
     if vocabulary is None:
         if "vocabulary" not in data:
             raise ParseError("type set needs a vocabulary (embedded or given)")
@@ -246,11 +251,23 @@ def load_typesets(path: str,
         data = json.load(handle)
     if isinstance(data, list):
         entries = data
+    elif not isinstance(data, Mapping):
+        raise ParseError(
+            f"type-set file {path!r} must hold a JSON object or list")
     elif "types" in data:
-        entries = data["types"]
+        entries = _list(data["types"], "types")
     else:
         entries = [data]
     return [typeset_from_dict(entry, vocabulary) for entry in entries]
+
+
+def load_typeset(path: str,
+                 vocabulary: Optional[Vocabulary] = None) -> TypeSet:
+    """The first type set of ``load_typesets``."""
+    typesets = load_typesets(path, vocabulary)
+    if not typesets:
+        raise ParseError(f"no type sets in {path!r}")
+    return typesets[0]
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,52 @@ class TestStringFieldsRefused:
                             "--corpus", corpus], message)
 
 
+class TestMalformedInputExitsTwo:
+    """A file of the wrong JSON shape exits 2 with one error line, not 1,
+    the verdict-false code, with a traceback."""
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (lambda files, path: ["check", "--struct", files["m2.json"],
+                              "--theory", path],
+         [], "theory must be a JSON object, got []"),
+        (lambda files, path: ["check", "--struct", files["m2.json"],
+                              "--theory", path],
+         "x", 'theory must be a JSON object, got "x"'),
+        (lambda files, path: ["omits", "--struct", files["m2.json"],
+                              "--type", path],
+         {"types": "P(x)"}, 'types must be a JSON list, got "P(x)"'),
+        (lambda files, path: ["omits", "--struct", files["m2.json"],
+                              "--type", path],
+         "x", "type-set file {path!r} must hold a JSON object or list"),
+        (lambda files, path: ["omits", "--struct", files["m2.json"],
+                              "--type", path],
+         [1], "type set must be a JSON object, got 1"),
+        (lambda files, path: ["realizes", "--struct", files["m2.json"],
+                              "--type", path, "--tuple", "a"],
+         [], "no type sets in {path!r}"),
+        (lambda files, path: ["entails", "--family", path,
+                              "--theory", files["box.json"],
+                              "--gamma", files["gamma.json"],
+                              "--sigma", files["sigma.json"]],
+         [], "no structures in {path!r}"),
+        (lambda files, path: ["omit", "--space", path,
+                              "--theory", files["loose.json"]],
+         {"vocabulary": [], "max_size": 1, "truth_denominator": 1,
+          "metric_denominator": 1},
+         "vocabulary must be a JSON object, got []"),
+    ], ids=["check-theory-list", "check-theory-string", "omits-types-string",
+            "omits-type-string", "omits-type-number", "realizes-no-types",
+            "entails-empty-family", "omit-space-vocabulary-list"])
+    def test_exits_two(self, files, tmp_path, capsys, argv, payload,
+                       message):
+        path = str(tmp_path / "bad.json")
+        pathlib.Path(path).write_text(json.dumps(payload))
+        code = main(argv(files, path))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"error: {message.format(path=path)}\n")
+
+
 class TestSearchAndTransforms:
     def test_omit_found(self, files, capsys):
         code, out = run(capsys, "omit", "--space", files["space.json"],

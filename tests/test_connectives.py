@@ -462,6 +462,32 @@ class TestApproxLattice:
         with pytest.raises(FormulaError):
             cn.approx_lattice(spec, 8)
 
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("piece, subtracted", [
+        (cn.AffinePiece((F(1, 2),), F(-1, 4)), [F(1, 4)]),
+        (cn.AffinePiece((F(-1, 2),), F(1, 4)), [F(1, 4)]),
+        (cn.AffinePiece((F(1, 2),), F(-1)), []),
+    ], ids=["half-x-less-quarter", "quarter-less-half-x", "half-x-less-one"])
+    def test_clamped_piece_with_negative_shifted_intercept(
+            self, monkeypatch, piece, subtracted, n):
+        # the summand (x/2 or (1-x)/2) cannot exceed 1, so the piece is
+        # that sum less the shifted intercept's magnitude, or the
+        # constant 0 when the magnitude is at least 1
+        calls = []
+        ominus = cn.c_ominus
+        monkeypatch.setattr(cn, "c_ominus", lambda t, r: (
+            calls.append(r), ominus(t, r))[1])
+        spec = cn.PLSpec(1, ((piece,),))
+        term, bound = cn.approx_lattice(spec, n)
+        assert calls == subtracted
+        grid = [F(i, 8 * n) for i in range(8 * n + 1)]
+        worst = max(abs(cn.eval_term(term, (x,)) - piece.value((x,)))
+                    for x in grid)
+        assert worst == cn.grid_max_error(term, spec.value, 1, F(1, 8 * n))
+        assert worst <= bound
+        if not subtracted:
+            assert (term, bound) == (cn.CConst(F(0)), 0)
+
     def test_certified_bound_sound_on_fine_grid(self):
         spec = cn.PLSpec(1, (((cn.AffinePiece((F(1, 2),), F(1, 4))),),))
         term, bound = cn.approx_lattice(spec, 16)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavelka import (And, Atom, Const, EvaluationError, Exists, Geq, Leq, Not,
-                     Or, Structure, Theory, TypeSet, Var, Vocabulary,
+from pavelka import (And, Atom, Const, EvaluationError, Exists, Geq, Implies,
+                     Leq, Not, Or, Structure, Theory, TypeSet, Var, Vocabulary,
                      check_theory, entails, evaluate, generator_check, omits,
                      parse_formula, realizes, satisfies, tarski_vaught_check)
 from pavelka import evaluator
@@ -462,3 +462,62 @@ class TestCompiledOnce:
             assert compiled == list(phi.formulas) + list(sigma.formulas)
             assert report.entailment == entails(family, theory, phi, sigma)
         assert satisfied >= 10
+
+    def test_generator_check_runs_each_theory_sentence_once(self,
+                                                            monkeypatch):
+        # one pass over the theory's models: the members before the
+        # first realizer of phi are not scanned again for the entailment
+        rng = random.Random(36)
+        runs = {}
+        value = evaluator.Evaluator.value
+
+        def counted(self, formula, assignment=None):
+            if formula in sentences:
+                key = (id(self.structure), id(formula))
+                runs[key] = runs.get(key, 0) + 1
+            return value(self, formula, assignment)
+        monkeypatch.setattr(evaluator.Evaluator, "value", counted)
+        satisfied = 0
+        for _ in range(40):
+            family, theory, formulas = scan_case(rng)
+            theory = Theory("t", theory.sentences + (
+                Geq(Exists("x", Atom("P", (Var("x"),))), F(1, 4)),))
+            phi = TypeSet("phi", NAMES, formulas(rng.randint(1, 2)))
+            sigma = TypeSet("s", NAMES, formulas(rng.randint(1, 2)))
+            sentences = theory.programs
+            runs.clear()
+            report = generator_check(family, theory, phi, sigma)
+            assert runs and set(runs.values()) == {1}
+            if report.satisfied:
+                satisfied += 1
+                member, _ = report.witness
+                assert (id(member), id(sentences[0])) in runs
+        assert satisfied >= 10
+
+    def test_tarski_vaught_compiles_each_formula_once(self, monkeypatch):
+        # one profiles scan per formula, whatever the size of the grid
+        compiled = []
+        compile_formula = evaluator.compile_formula
+        monkeypatch.setattr(evaluator, "compile_formula", lambda phi: (
+            compiled.append(phi), compile_formula(phi))[1])
+        m = Structure(("a", "b", "c"), dict.fromkeys(
+            [("a", "b"), ("a", "c"), ("b", "c")], F(1)), {
+            "P": {("a",): F(1, 3), ("b",): F(1), ("c",): F(3, 4)}},
+            {}, {"c": "c"})
+        formulas = [parse_formula(text, VOCAB) for text in
+                    ("P(x)", "P(x) -> P(c)", "P(x) /\\ 1/2", "E y. P(y)")]
+        formulas[-1] = Implies(formulas[-1], Atom("P", (Var("x"),)))
+        for size in (1, 2, 7):
+            grid = [F(k, size + 1) for k in range(1, size + 1)]
+            for subset in ([], ["a"], ["c", "a"], ["b"]):
+                compiled.clear()
+                report = tarski_vaught_check(m, subset, formulas, grid)
+                assert compiled == formulas
+                want = [(phi, r) for phi in formulas
+                        if max(evaluate(m, phi, {"x": e})
+                               for e in m.universe) == 1
+                        for r in grid
+                        if all(evaluate(m, phi, {"x": e}) < r
+                               for e in subset)]
+                assert report.failures == tuple(want)
+                assert report.passed == (not want)

@@ -368,6 +368,41 @@ class TestMetricallyPrincipal:
             metrically_principal_check([], Theory("e", ()), sigma, [F(0)],
                                        {})
 
+    def test_omega_candidate_through_the_threshold_clause(self, vocab_pc):
+        from pavelka import thicken
+        one = Structure(("w",), {}, {"P": {("w",): F(1)}}, {}, {"c": "w"})
+        half = Structure(("z",), {}, {"P": {("z",): F(1, 2)}}, {},
+                         {"c": "z"})
+        sigma = TypeSet("s", ("x",), (parse_formula("P(x)", vocab_pc),))
+        candidate = OmegaCandidate(("y",), (parse_term("y", vocab_pc),),
+                                   parse_formula("P(y)", vocab_pc), F(1, 2))
+        deltas = [F(0), F(1, 2)]
+        verdicts = set()
+        for theory in (Theory("e", ()),
+                       Theory("t", (parse_formula("P(c)", vocab_pc),))):
+            report = metrically_principal_check(
+                [one, half], theory, sigma, deltas,
+                dict.fromkeys(deltas, candidate))
+            assert [v.delta for v in report.verdicts] == deltas
+            for verdict in report.verdicts:
+                want = omega_principal_check([one, half], theory,
+                                             thicken(sigma, verdict.delta),
+                                             candidate)
+                assert verdict.detail == want
+                assert verdict.accepted == want.accepted
+                verdicts.add(verdict.accepted)
+            assert report.accepted == all(v.accepted
+                                          for v in report.verdicts)
+        assert verdicts == {False, True}
+
+    def test_unknown_candidate_kind_rejected(self, vocab_pc):
+        sigma = TypeSet("s", ("x",), (parse_formula("P(x)", vocab_pc),))
+        with pytest.raises(FormulaError) as caught:
+            metrically_principal_check([], Theory("e", ()), sigma, [F(0)],
+                                       {F(0): (parse_formula("P(x)",
+                                                             vocab_pc),)})
+        assert str(caught.value) == "unknown candidate kind: tuple"
+
 
 class TestDefaultCorpus:
     def test_contains_atoms_and_thresholds(self):

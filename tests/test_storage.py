@@ -55,6 +55,16 @@ class TestStructureFiles:
         again = storage.structure_from_dict(storage.structure_to_dict(m))
         assert again == m
 
+    def test_nonzero_diagonal_round_trips(self):
+        # a defective diagonal is written down, so validation can flag it
+        m = Structure(("a", "b"), {("a", "b"): F(1, 2), ("b", "b"): F(1, 3)},
+                      {}, {}, {})
+        data = storage.structure_to_dict(m)
+        assert data["metric"] == {"a,b": "1/2", "b,b": "1/3"}
+        again = storage.structure_from_dict(data)
+        assert again == m and again.distance("b", "b") == F(1, 3)
+        assert again.distance("a", "a") == 0
+
     def test_operations_round_trip(self, mod3):
         data = storage.structure_to_dict(mod3)
         assert storage.structure_from_dict(data) == mod3

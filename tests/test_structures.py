@@ -194,6 +194,16 @@ class TestValidate:
         report = validate_structure(m, Signature(m.vocabulary(), {}))
         assert any(v.kind == "range" for v in report.violations)
 
+    def test_metric_range_and_identity_violations_flagged(self):
+        m = Structure(("a", "b"), {("a", "b"): F(3, 2), ("a", "a"): F(1, 4)},
+                      {}, {}, {})
+        report = validate_structure(m, Signature(m.vocabulary(), {}))
+        assert not report.passed
+        assert [(v.kind, v.witness, v.values) for v in report.violations] == [
+            ("range", ("d", "a", "b"), (F(3, 2),)),
+            ("range", ("d", "b", "a"), (F(3, 2),)),
+            ("metric-identity", ("a",), (F(1, 4),))]
+
     def test_vocabulary_mismatch_raises(self):
         m = two_point(F(1), F(0), F(1))
         with pytest.raises(VocabularyError):
