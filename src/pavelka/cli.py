@@ -18,7 +18,7 @@ from .errors import PavelkaError, RestrictionError
 from .evaluator import check_theory, entails, evaluate, tarski_vaught_check
 from .rationals import format_rational, parse_rational
 from .storage import dump_json
-from .syntax import parse_formula, parse_term, render
+from .syntax import parse_formula, render
 
 # ``connectives``, ``omitting`` and ``transforms`` are imported by the
 # handlers that use them, so a process loads only what its subcommand runs.
@@ -131,14 +131,7 @@ def _built_target(args):
     if not args.spec:
         raise PavelkaError("--spec FILE is required for --target lattice")
     with open(args.spec, encoding="utf-8") as handle:
-        data = json.load(handle)
-    spec = connectives.PLSpec(
-        arity=int(data["arity"]),
-        groups=tuple(tuple(
-            connectives.AffinePiece(
-                tuple(parse_rational(c) for c in piece["coefficients"]),
-                parse_rational(piece.get("intercept", "0")))
-            for piece in group) for group in data["groups"]))
+        spec = storage.spec_from_dict(json.load(handle))
     return connectives.approx_lattice(spec, args.n)
 
 
@@ -262,19 +255,17 @@ def _entailment_payload(result):
 
 
 def cmd_principal(args):
-    from .omitting import (OmegaCandidate, generator_check,
-                           omega_principal_check)
+    from .omitting import generator_check, omega_principal_check
+    if not (args.phi or args.omega_candidate):
+        raise PavelkaError("principal needs --phi FILE or "
+                           "--omega-candidate FILE")
     family, vocabulary = _load_family_with_vocab(args)
     theory = storage.load_theory(args.theory, vocabulary)
     sigma = storage.load_typeset(args.sigma, vocabulary)
     if args.omega_candidate:
         with open(args.omega_candidate, encoding="utf-8") as handle:
-            data = json.load(handle)
-        candidate = OmegaCandidate(
-            variables=tuple(data["variables"]),
-            terms=tuple(parse_term(t, vocabulary) for t in data["terms"]),
-            formula=parse_formula(data["formula"], vocabulary),
-            threshold=parse_rational(data["threshold"]))
+            candidate = storage.candidate_from_dict(json.load(handle),
+                                                    vocabulary)
         report = omega_principal_check(family, theory, sigma, candidate)
         _print({"accepted": report.accepted,
                 "generator": {

@@ -24,11 +24,15 @@ compiles on the spot; a caller that evaluates one formula many times
 compiles it once and passes the program.
 
 A connective term compiles to straight-line ``IMP`` code over its
-projections and constants.  ``run`` executes it at one point;
-``Lanes`` executes it over a block of points at once, each register
-one int that packs the block's values in fixed-width lanes, so a grid
-sweep costs a few whole-int operations per implication and block, not
-one interpreted instruction per implication and point.
+projections and constants.  ``run`` executes any program at one point.
+``Lanes`` is the one packed kernel: it executes the same instruction
+set over a block of lanes at once, each truth-valued register one int
+that packs the block's values in fixed-width lanes, while element
+positions stay scalars.  A grid sweep runs a term over a block of
+points, one per lane, and the model search decides a check over a
+block of sibling tables, one per lane; each costs a few whole-int
+operations per instruction and block, not one interpreted instruction
+per instruction and point or table.
 
 Formulas over tuples are evaluated a table at a time, the relational
 strategy for finite model checking (Vardi, STOC 1982): a scan assigns
@@ -57,12 +61,15 @@ are read-only, so each is lowered once, on first use, over the lcm of
 its own denominators, and kept on the structure, and a link over a
 larger ``D`` gets its own scaled copy and never replaces the kept one.
 The model search compiles each check as one sentence, a type as its
-existential closure, links it once per universe size to tables it
-lowers itself, over one denominator for its grids and checks, and
-writes each candidate table into the registers before one ``run``.  A
-level whose symbol no check reads is walked past its first table only
-when that table yields a model: its other tables would decide every
-check the same way.
+existential closure, over one denominator for its grids and checks.
+A check that reads a predicate last is decided in ``Lanes`` over a
+block of that predicate's sibling tables, the tables of earlier levels
+packed the same in every lane; any other check is linked once per
+universe size to tables the search lowers itself, and each candidate
+table is written into its registers before one ``run``.  A level whose
+symbol no check reads is walked past its first table only when that
+table yields a model: its other tables would decide every check the
+same way.
 
 Only an ``Exists`` recurses, once per element of the universe, and its
 value is memoized per restriction of the assignment to its free
@@ -89,7 +96,8 @@ from .syntax import (Atom, Const, Exists, Formula, Func, Implies, Theory, Var,
 Assignment = Mapping[str, str]
 
 # An instruction is a tuple ``(op, slot, a, b, c)`` that writes ``slot``:
-#   IMP     a, b: the slots of the antecedent and the consequent
+#   IMP     a, b: the slots of the antecedent and the consequent; c: None,
+#           or in a sweep's code (``Lanes._planned``) its read plan
 #   LOOK0-2 a: the slot of a table; b, c: the slots of its arguments;
 #           the opcode is LOOK0 plus the number of arguments
 #   LOOKN   a: the slot of a table; b: the slots of its arguments
@@ -258,10 +266,10 @@ def _scope_children(node) -> tuple:
 def run(code: list, registers: list, denominator: int, memo=None) -> None:
     """Execute one scope of code on ``registers``, in place.
 
-    This is the one-point interpreter loop: every formula runs here, and
-    a connective term runs here at one point (``Lanes`` runs a term's
-    code over a block of points).  Truth values are integers over
-    ``denominator``; elements are their positions in the universe.
+    This is the one-point interpreter loop, and the reference for
+    ``Lanes``, which runs the same code over a block of points or
+    tables.  Truth values are integers over ``denominator``; elements
+    are their positions in the universe.
     """
     for op, slot, a, b, c in code:
         if op == IMP:
@@ -308,15 +316,38 @@ def run(code: list, registers: list, denominator: int, memo=None) -> None:
 
 
 class Lanes:
-    """A connective term's program (straight-line ``IMP`` code, one
-    scope) run over a block of points at once: SIMD within a register
-    (Fisher and Dietz, LCPC 1998) on Python's exact integers.
+    """A program run over a block of lanes at once: SIMD within a
+    register (Fisher and Dietz, LCPC 1998) on Python's exact integers.
 
-    A register is one int that packs the block's values, one per lane of
-    ``width`` bits, the first point in the lowest lane.  With ``Dp`` the
-    packed ``D`` (``denominator``), an implication is ``s = Dp + B - A``
-    followed by a clamp of the lanes where ``s > D``, a few whole-int
-    operations for the whole block.
+    A register that holds truth values is one int that packs the block's
+    values, one per lane of ``width`` bits, the first lane lowest; a
+    table holds such packed values.  A register that holds an element
+    position, a variable or the universe, stays a scalar: it is the same
+    in every lane, so a ``LOOK`` reads a table at scalar positions, as
+    ``run`` does, and gets a packed value.  ``execute`` is the one
+    packed kernel: it runs the formula instruction set on such
+    registers and computes in each lane what ``run`` computes at one
+    point.  (``FAIL`` is left out: only ``_link`` writes it, into code
+    rebuilt for a structure that lacks a table, and that code runs in
+    ``run``.)  It has two callers:
+      * ``run`` sweeps a connective term's straight-line ``IMP`` code
+        over a block of grid points, one point per lane
+        (``connectives.grid_max_error``);
+      * ``passing`` decides a search check over a block of sibling
+        tables, one table per lane, the tables of earlier levels packed
+        the same in every lane (``omitting._walk``).
+
+    With ``Dp`` the packed ``D`` (``full``), ``G`` the packed guard bits
+    ``2^(w-1)`` (``guards``) and ``1p`` the packed ones (``ones``):
+      * an implication is ``s = Dp + B - A`` followed by a clamp of the
+        lanes where ``s > D``;
+      * an ``Exists`` keeps a lane-wise maximum over the universe, the
+        guards of ``best + G - value`` marking where ``best >= value``,
+        memoized by the positions of its free variables, as in ``run``;
+        it stops early only when every lane holds ``D``;
+      * ``passing`` marks the lanes below ``D`` by the guards of
+        ``(Dp - V) + G - 1p``.
+    Each is a few whole-int operations for the whole block.
 
     Lane bound.  ``width`` is ``D.bit_length() + 1`` rounded up to whole
     bytes: room for a value and one guard bit above it, so
@@ -332,67 +363,193 @@ class Lanes:
       * with ``g`` the set guards, ``m = (g << 1) - (g >> (w-1))`` fills
         each of their lanes with ones, and ``s ^ ((s ^ Dp) & m)`` takes
         ``D`` in those lanes and ``s`` in the others: ``min(D, s)``,
-        back in ``[0, D]``.
-    So every lane computes exactly what ``run`` computes at its point.
+        back in ``[0, D]``.  With no guard set, ``s`` is that already,
+        and the clamp is skipped;
+      * ``best + G - value`` has lanes ``2^(w-1) + best - value`` in
+        ``[2^(w-1) - D, 2^(w-1) + D]``, within ``[1, 2^w - 1]``: no carry
+        or borrow crosses a lane, and the guard is set exactly when
+        ``best >= value``; with ``m`` filled from those guards,
+        ``value ^ ((best ^ value) & m)`` takes ``best`` there and
+        ``value`` elsewhere: ``max(best, value)``, in ``[0, D]``.  With
+        every guard set that is ``best``, and with ``best`` 0 in every
+        lane it is ``value``, so neither case computes ``m``.  The
+        packed maximum equals ``Dp`` exactly when every lane holds
+        ``D``, and only then does the loop stop early: no lane stops
+        sooner than ``run`` would, and a lane that ``run`` would have
+        stopped sooner reads more elements, which cannot move a maximum
+        already at ``D``;
+      * ``Dp - V`` has lanes ``D - v`` in ``[0, D]``, and adding
+        ``G - 1p`` gives lanes in ``[2^(w-1) - 1, 2^(w-1) - 1 + D]``,
+        below ``2^w``: the guard is set exactly when ``D - v >= 1``,
+        that is ``v < D``.  The implication's ``2^(w-1) - 1 - D`` would
+        set it at ``v >= D + 1`` instead: one too high for this test.
+    So every lane computes exactly what ``run`` computes at its point,
+    or for its table.
 
-    The read plan is made once per program: a constant is packed at its
-    first read, and each register is dropped after its last read, so a
-    block holds only the registers still to be read.
+    ``count`` is the number of lanes; ``run`` packs for as many as it is
+    given points.  Its read plan is made once per program, on the first
+    sweep: a constant is packed at its first read, and each register is
+    dropped after its last read, so a block holds only the registers
+    still to be read.  ``passing`` runs on the caller's registers
+    (``registers``), constants packed once, so that they can be kept
+    from block to block.
     """
 
-    __slots__ = ("denominator", "width", "_slots", "_plan", "_result")
+    __slots__ = ("denominator", "width", "count", "ones", "full", "guards",
+                 "_bias", "_below", "_code", "_result", "_slots",
+                 "_constants", "_plan")
 
-    def __init__(self, program: Program, denominator: int):
-        (code, result), = program.scopes
+    def __init__(self, program: Program, denominator: int, count: int = 0):
         self.denominator = denominator
         self.width = 8 * -(-(denominator.bit_length() + 1) // 8)
+        self._code, self._result = program.scopes[0]
         self._slots = program.slots
-        constants = {slot: value.numerator * (denominator // value.denominator)
-                     for slot, value in program.constants}
-        # going backwards, a slot's first read is its last; the result
-        # is never dropped
-        seen, dead = {result}, []
-        for _, _, a, b, _ in reversed(code):
-            operands = dict.fromkeys((a, b))
-            dead.append(tuple(r for r in operands if r not in seen))
-            seen.update(operands)
-        self._plan = []
-        for (_, slot, a, b, _), free in zip(code, reversed(dead)):
-            load = tuple((r, constants.pop(r)) for r in dict.fromkeys((a, b))
-                         if r in constants)
-            self._plan.append((slot, a, b, load, free))
-        # a constant root has no code, and is packed for the result only
-        self._result = result, constants.get(result)
+        self._constants = {
+            slot: value.numerator * (denominator // value.denominator)
+            for slot, value in program.constants}
+        self._plan = None
+        self.count = 0
+        if count:
+            self._fit(count)
+
+    def _fit(self, count: int) -> None:
+        """Pack for ``count`` lanes."""
+        self.count = count
+        self.ones = ones = int.from_bytes(
+            (b"\1" + bytes(self.width // 8 - 1)) * count, "little")
+        self.full = self.denominator * ones
+        self.guards = ones << self.width - 1
+        self._bias = ((1 << self.width - 1) - 1 - self.denominator) * ones
+        self._below = self.full + self.guards - ones
+
+    def execute(self, code: list, registers: list, memo) -> None:
+        """Execute one scope of code on packed ``registers``, in place:
+        ``run``, lane by lane."""
+        full, guards, bias, ones = self.full, self.guards, self._bias, \
+            self.ones
+        shift = self.width - 1
+        for op, slot, a, b, c in code:
+            if op == IMP:
+                if c is not None:  # a sweep's read plan
+                    for read, value in c[0]:
+                        registers[read] = value * ones
+                s = full + registers[b] - registers[a]
+                over = (s + bias) & guards
+                if over:  # clamp the lanes above D
+                    s ^= (s ^ full) & ((over << 1) - (over >> shift))
+                registers[slot] = s
+                if c is not None:
+                    for read in c[1]:
+                        registers[read] = None
+            elif op == LOOK1:
+                registers[slot] = registers[a][registers[b]]
+            elif op == LOOK2:
+                registers[slot] = registers[a][registers[b]][registers[c]]
+            elif op == EXISTS:
+                if c is not None:
+                    key = (slot, *[registers[r] for r in c])
+                    best = memo.get(key)
+                    if best is not None:
+                        registers[slot] = best
+                        continue
+                body, result = b
+                saved = registers[a]
+                best = 0
+                for element in registers[_UNIVERSE]:
+                    registers[a] = element
+                    self.execute(body, registers, memo)
+                    value = registers[result]
+                    if not best:  # 0 in every lane: the max is value
+                        best = value
+                    else:
+                        kept = (best + guards - value) & guards
+                        if kept != guards:  # else best is the max
+                            best = value ^ ((best ^ value) & (
+                                (kept << 1) - (kept >> shift)))
+                    if best == full:
+                        break
+                registers[a] = saved
+                registers[slot] = best
+                if c is not None:
+                    memo[key] = best
+            elif op == LOOK0:
+                registers[slot] = registers[a]
+            else:  # LOOKN
+                table = registers[a]
+                for r in b:
+                    table = table[registers[r]]
+                registers[slot] = table
+
+    def registers(self, size: int) -> list:
+        """Fresh registers of the program over a universe of ``size``
+        elements, its constants packed the same in every lane."""
+        registers = [None] * self._slots
+        registers[_UNIVERSE] = range(size)
+        for slot, value in self._constants.items():
+            registers[slot] = value * self.ones
+        return registers
+
+    def passing(self, registers: list, sentence: bool) -> int:
+        """The guard bits of the lanes where the program's root scope,
+        run on ``registers`` with a fresh memo, passes: as a sentence,
+        where its value is ``D``; as the closure of a type to omit, where
+        it is below ``D``."""
+        self.execute(self._code, registers, {})
+        below = (self._below - registers[self._result]) & self.guards
+        return below ^ self.guards if sentence else below
 
     def run(self, points: Sequence[Sequence[int]]) -> list:
         """The term's value at each point, in order; a point gives the
         term's inputs, one per input slot, as integers over
         ``denominator``."""
-        width, count = self.width, len(points)
-        size = width // 8
-        ones = int.from_bytes((b"\1" + bytes(size - 1)) * count, "little")
-        full = self.denominator * ones
-        bias = ((1 << width - 1) - 1 - self.denominator) * ones
-        guards = ones << width - 1
+        count = len(points)
+        if count != self.count:
+            self._fit(count)
+        if self._plan is None:
+            self._plan = self._planned()
+        code, root = self._plan
         registers = [None] * self._slots
         for slot in range(len(points[0])):
-            registers[slot] = int.from_bytes(
-                b"".join([point[slot].to_bytes(size, "little")
-                          for point in points]), "little")
-        for slot, a, b, load, dead in self._plan:
-            for read, value in load:
-                registers[read] = value * ones
-            s = full + registers[b] - registers[a]
-            over = (s + bias) & guards
-            registers[slot] = s ^ ((s ^ full) & ((over << 1)
-                                                 - (over >> width - 1)))
-            for read in dead:
-                registers[read] = None
-        result, root = self._result
-        packed = registers[result] if root is None else root * ones
-        out = packed.to_bytes(count * size, "little")
+            registers[slot] = self.pack([point[slot] for point in points])
+        self.execute(code, registers, None)
+        return self.unpack(registers[self._result] if root is None
+                           else root * self.ones)
+
+    def pack(self, values: Sequence[int]) -> int:
+        """One register holding ``values``, the first in the lowest
+        lane."""
+        size = self.width // 8
+        return int.from_bytes(b"".join([v.to_bytes(size, "little")
+                                        for v in values]), "little")
+
+    def unpack(self, packed: int) -> list:
+        """The values of a register's ``count`` lanes, in lane order."""
+        size = self.width // 8
+        out = packed.to_bytes(self.count * size, "little")
         return [int.from_bytes(out[i:i + size], "little")
                 for i in range(0, len(out), size)]
+
+    def _planned(self) -> tuple:
+        """``(code, root)``: the root scope's straight-line code with
+        each instruction's ``c`` its read plan, ``(loads, drops)``: the
+        constants it packs before it runs, ``(slot, value)`` at their
+        first read, and the registers it drops after, at their last
+        read; and the root's value when the root is a constant, which has
+        no code and is packed for the result only."""
+        constants = dict(self._constants)
+        # going backwards, a slot's first read is its last; the result
+        # is never dropped
+        seen, dead = {self._result}, []
+        for _, _, a, b, _ in reversed(self._code):
+            operands = dict.fromkeys((a, b))
+            dead.append(tuple(r for r in operands if r not in seen))
+            seen.update(operands)
+        code = []
+        for (op, slot, a, b, _), drops in zip(self._code, reversed(dead)):
+            loads = tuple((r, constants.pop(r)) for r in dict.fromkeys((a, b))
+                          if r in constants)
+            code.append((op, slot, a, b, (loads, drops)))
+        return code, constants.get(self._result)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,6 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._get = staticmethod(_getter(cls._fields))
 
-    def _values(self) -> tuple:
-        return self._get(self)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             get = self._get

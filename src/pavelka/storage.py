@@ -1,5 +1,6 @@
 """JSON file formats for structures, signatures, theories, type sets,
-and search spaces; rationals travel as lowest-terms strings.
+threshold candidates, lattice specs and search spaces; rationals travel
+as lowest-terms strings.
 
 Structure files::
 
@@ -25,7 +26,7 @@ from .errors import ParseError
 from .rationals import format_rational, parse_rational
 from .structures import Structure
 from .syntax import (Signature, Theory, TypeSet, Vocabulary, parse_formula,
-                     parse_vocabulary, render)
+                     parse_term, parse_vocabulary, render)
 
 if TYPE_CHECKING:  # space_from_dict imports it: few CLI calls load a space
     from .omitting import SearchSpace
@@ -73,10 +74,17 @@ def signature_to_dict(signature: Signature) -> dict:
 
 
 def signature_from_dict(data: Mapping) -> Signature:
+    """A signature; it must be a JSON object, its moduli a JSON object
+    holding a JSON list of pairs, each a JSON list, per symbol."""
+    data = _object(data, "signature")
     vocabulary = vocabulary_from_dict(data.get("vocabulary", data))
-    moduli = {name: [(parse_rational(e), parse_rational(d))
-                     for e, d in pairs]
-              for name, pairs in data.get("moduli", {}).items()}
+    moduli = {}
+    for name, pairs in _object(data.get("moduli", {}),
+                               "signature moduli").items():
+        moduli[name] = []
+        for pair in _list(pairs, f"moduli of {name!r}"):
+            e, d = _list(pair, f"modulus of {name!r}")
+            moduli[name].append((parse_rational(e), parse_rational(d)))
     return Signature(vocabulary, moduli)
 
 
@@ -268,6 +276,49 @@ def load_typeset(path: str,
     if not typesets:
         raise ParseError(f"no type sets in {path!r}")
     return typesets[0]
+
+
+def candidate_from_dict(data: Mapping, vocabulary: Vocabulary):
+    """An ``OmegaCandidate`` (``principal --omega-candidate``): a JSON
+    object whose variables and terms are JSON lists of strings, with a
+    formula and a rational threshold, strings both."""
+    from .omitting import OmegaCandidate
+    data = _object(data, "omega candidate")
+    return OmegaCandidate(
+        variables=tuple(_strings(data["variables"], "candidate variables")),
+        terms=tuple(parse_term(text, vocabulary) for text in
+                    _strings(data["terms"], "candidate terms")),
+        formula=parse_formula(data["formula"], vocabulary),
+        threshold=parse_rational(data["threshold"]))
+
+
+# ---------------------------------------------------------------------------
+# Lattice specs
+
+
+def spec_from_dict(data: Mapping):
+    """A ``connectives.PLSpec`` (``approx --target lattice --spec``): a
+    JSON object whose arity is a JSON integer and whose groups are a
+    JSON list of JSON lists of pieces, each a JSON object with a JSON
+    list of rational coefficients and an optional rational intercept,
+    strings all."""
+    from .connectives import AffinePiece, PLSpec
+    data = _object(data, "lattice spec")
+    arity = data["arity"]
+    if isinstance(arity, bool) or not isinstance(arity, int):
+        raise ParseError(f"lattice spec arity must be an integer, got "
+                         f"{json.dumps(arity)}")
+    groups = []
+    for group in _list(data["groups"], "lattice spec groups"):
+        pieces = []
+        for piece in _list(group, "group"):
+            piece = _object(piece, "piece")
+            pieces.append(AffinePiece(
+                tuple(parse_rational(c) for c in
+                      _list(piece["coefficients"], "piece coefficients")),
+                parse_rational(piece.get("intercept", "0"))))
+        groups.append(tuple(pieces))
+    return PLSpec(arity=arity, groups=tuple(groups))
 
 
 # ---------------------------------------------------------------------------

@@ -324,9 +324,40 @@ class TestMalformedInputExitsTwo:
          {"vocabulary": [], "max_size": 1, "truth_denominator": 1,
           "metric_denominator": 1},
          "vocabulary must be a JSON object, got []"),
+        (lambda files, path: ["validate", "--sig", path,
+                              "--struct", files["m2.json"]],
+         [], "signature must be a JSON object, got []"),
+        (lambda files, path: ["validate", "--sig", path,
+                              "--struct", files["m2.json"]],
+         {"vocabulary": {"predicates": {"P": 1}}, "moduli": {"P": "1/2"}},
+         "moduli of 'P' must be a JSON list, got \"1/2\""),
+        (lambda files, path: ["validate", "--sig", path,
+                              "--struct", files["m2.json"]],
+         {"vocabulary": {"predicates": {"P": 1}}, "moduli": {"P": [1]}},
+         "modulus of 'P' must be a JSON list, got 1"),
+        (lambda files, path: ["principal", "--family", files["family"],
+                              "--theory", files["tight.json"],
+                              "--sigma", files["sigma.json"],
+                              "--omega-candidate", path],
+         [], "omega candidate must be a JSON object, got []"),
+        (lambda files, path: ["approx", "--target", "lattice",
+                              "--spec", path],
+         [], "lattice spec must be a JSON object, got []"),
+        (lambda files, path: ["approx", "--target", "lattice",
+                              "--spec", path],
+         {"arity": 1, "groups": [{"coefficients": ["1"]}]},
+         'group must be a JSON list, got {{"coefficients": ["1"]}}'),
+        (lambda files, path: ["approx", "--target", "lattice",
+                              "--spec", path],
+         {"arity": [1], "groups": [[{"coefficients": ["1"]}]]},
+         "lattice spec arity must be an integer, got [1]"),
     ], ids=["check-theory-list", "check-theory-string", "omits-types-string",
             "omits-type-string", "omits-type-number", "realizes-no-types",
-            "entails-empty-family", "omit-space-vocabulary-list"])
+            "entails-empty-family", "omit-space-vocabulary-list",
+            "validate-signature-list", "validate-moduli-string",
+            "validate-modulus-number",
+            "principal-candidate-list", "approx-spec-list",
+            "approx-spec-group-object", "approx-spec-arity-list"])
     def test_exits_two(self, files, tmp_path, capsys, argv, payload,
                        message):
         path = str(tmp_path / "bad.json")
@@ -335,6 +366,16 @@ class TestMalformedInputExitsTwo:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == \
             (2, "", f"error: {message.format(path=path)}\n")
+
+
+    def test_principal_needs_phi_or_candidate(self, files, capsys):
+        code = main(["principal", "--family", files["family"],
+                     "--theory", files["box.json"],
+                     "--sigma", files["sigma.json"]])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: principal needs --phi FILE or "
+            "--omega-candidate FILE\n")
 
 
 class TestSearchAndTransforms:

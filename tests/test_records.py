@@ -150,7 +150,7 @@ def test_equality_is_by_class_and_fields():
              (sx.Exists("x", P), sx.Forall("x", P)),
              (sx.Const(F(1, 3)), cn.CConst(F(1, 3)))]
     for left, right in pairs:
-        assert left._values() == right._values()
+        assert left._get(left) == right._get(right)
         assert left != right and not left == right
     assert sx.Implies(P, HALF) != sx.Implies(HALF, P)
 

@@ -10,6 +10,7 @@ found.
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -367,35 +368,75 @@ class TestUnreadLevels:
                 len(structures)
 
 
+class TestBlocks:
+    """A predicate level with checks is decided a block of sibling
+    tables at a time, lane ``t`` the ``t``-th of them.  Blocks capped at
+    a few lanes split a level into many, of one lane when the cap is
+    below the grid, and cover fewer trailing entries than the level
+    has: the examined index and every structure passing stay the
+    oracle's."""
+
+    @pytest.mark.parametrize("lanes", [1, 4, 9])
+    def test_small_blocks(self, monkeypatch, lanes):
+        monkeypatch.setattr(omitting, "_LANES", lanes)
+        for case in [*TYPE_CASES.values(), *UNREAD_CASES.values()]:
+            space, theory, types = type_problem(*case)
+            outcome = search_model(space, theory, types)
+            assert (outcome.examined, outcome.structure) == \
+                naive_search(space, theory, types)
+            assert list(enumerate_structures(
+                space, [*theory.sentences, *types])) == \
+                passing(space, theory, types)
+
+
 class TestWork:
-    """The checks a search runs, counted by wrapping ``omitting.run``:
-    each call is one check decided on one prefix of tables.  In both
-    spaces no check reads ``d``, so each universe size walks its first
-    metric table only."""
+    """The checks a search runs, counted as the walk runs them: one
+    ``omitting.run`` per check decided on one prefix of tables, at the
+    metric, operation and constant levels, and one ``Lanes.passing`` per
+    check decided on one block of sibling tables, at a predicate level.
+    In the first two spaces every check reads a predicate and no check
+    reads ``d``, so each universe size walks its first metric table only
+    and decides every check in lanes: the binary space's ``R`` level is
+    one block at sizes 1 and 2 and three blocks of 3 ** 8 tables at size
+    3.  In the third, a check that reads only ``d`` and two that read
+    the constant ``c`` are decided one table at a time, and one that
+    reads ``P`` in lanes."""
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        count = [0]
+        count = {"run": 0, "passing": 0}
 
         def counting(*args):
-            count[0] += 1
+            count["run"] += 1
             return run(*args)
+
+        class Counted(omitting.Lanes):
+            __slots__ = ()
+
+            def passing(self, registers, sentence):
+                count["passing"] += 1
+                return super().passing(registers, sentence)
         run = omitting.run
         monkeypatch.setattr(omitting, "run", counting)
+        monkeypatch.setattr(omitting, "Lanes", Counted)
         return count
 
     @pytest.mark.parametrize("vocab, space, theory, types, examined, calls", [
         (R, (3, 2, 2), ["A x. ~R(x,x)", "E x. E y. R(x,y)"],
-         [(("x",), ["E y. R(x,y)"])], 157629, 21176),
+         [(("x",), ["E y. R(x,y)"])], 157629, (0, 10)),
         (Vocabulary({"P": 1, "Q": 1}, {}), (3, 4, 2),
          ["A x. Q(x) -> P(x)", "E x. P(x) >= 1/2"],
-         [(("x",), ["P(x) >= 1/2"])], 126275, 296),
-    ], ids=["binary", "pq"])
+         [(("x",), ["P(x) >= 1/2"])], 126275, (0, 6)),
+        (Vocabulary({"P": 1}, {"c": 0}), (3, 2, 2),
+         ["E x. E y. d(x,y) >= 1", "E x. P(x) >= 1/2",
+          "A x. P(x) -> d(x,c) <= 0", "E x. (d(x,c) >= 1) /\\ (P(x) >= 1/2)"],
+         [], 687, (682, 8)),
+    ], ids=["binary", "pq", "metric-and-constant"])
     def test_exhausted_search_runs(self, runs, vocab, space, theory, types,
                                    examined, calls):
         outcome = search_model(*type_problem(vocab, *space, theory, types))
         assert (outcome.exhausted, outcome.examined) == (True, examined)
-        assert runs[0] == calls
+        assert (runs["run"], runs["passing"]) == calls
 
 
 class TestLargeSpaces:
@@ -407,6 +448,17 @@ class TestLargeSpaces:
         outcome = search_model(SearchSpace(vocab, 3, 4, 2), theory, types)
         assert outcome.exhausted
         assert outcome.examined == 126275
+
+    def test_binary_space_at_size_four(self):
+        # 3 ** 16 R tables at size 4, each on the one metric table read,
+        # decided in 3 ** 8 blocks of 3 ** 8 lanes
+        started = time.perf_counter()
+        outcome = search_model(*type_problem(
+            R, 4, 2, 2, ["A x. ~R(x,x)", "E x. E y. R(x,y)"],
+            [(("x",), ["E y. R(x,y)"])]))
+        assert time.perf_counter() - started < 15
+        assert outcome.exhausted
+        assert outcome.examined == 3 + 2 * 3 ** 4 + 8 * 3 ** 9 + 64 * 3 ** 16
 
     def test_levels_are_generated_lazily(self):
         # size 4 alone has 4^16 R tables, 4^4 f tables and 4 choices of

@@ -18,6 +18,12 @@ class TestRationals:
             assert str(caught.value) == \
                 f"not a rational: {value!r} is not a string"
 
+    @pytest.mark.parametrize("text", ["x", "1/0", "", "1/2/3"])
+    def test_text_that_is_no_rational_refused(self, text):
+        with pytest.raises(ParseError) as caught:
+            parse_rational(text)
+        assert str(caught.value) == f"not a rational: {text!r}"
+
 
 class TestStructureFiles:
     def test_round_trip(self, m2):

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pavelka import (And, Atom, Const, Exists, Forall, Func, Geq, Implies,
-                     Leq, Not, Or, ParseError, Theory, Var, Vocabulary,
-                     VocabularyError, expand_abbreviations, free_variables,
-                     parse_formula, parse_term, parse_vocabulary, render,
-                     rename_symbols, substitute)
+                     Leq, Not, Or, ParseError, Theory, TypeSet, Var,
+                     Vocabulary, VocabularyError, expand_abbreviations,
+                     free_variables, parse_formula, parse_term,
+                     parse_vocabulary, render, rename_symbols, substitute)
 from pavelka.errors import FormulaError
-from pavelka.syntax import Signature, is_core, render_vocabulary
+from pavelka.syntax import (Signature, fresh_variable, is_core,
+                            render_vocabulary)
 
 from genutil import random_formula
 
@@ -93,6 +94,19 @@ class TestParsing:
             parse_formula("P(c) -> ", VOCAB)
         assert err.value.position is not None
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_formula, "P(c) # Z",
+         "unexpected character '#' (at position 5)"),
+        (parse_term, "f(c) $", "unexpected character '$' (at position 5)"),
+        (parse_formula, "P(c) Z", "trailing input 'Z' (at position 5)"),
+        (parse_formula, "Z)", "trailing input ')' (at position 1)"),
+        (parse_term, "f(c) c", "trailing input 'c' (at position 5)"),
+    ])
+    def test_lexing_and_trailing_errors(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text, VOCAB)
+        assert str(err.value) == message
+
     def test_derived_connectives(self):
         got = parse_formula(r"~P(c) \/ P(c) /\ Z", VOCAB)
         assert got == Or(Not(Atom("P", (Func("c"),))),
@@ -128,6 +142,25 @@ class TestParsing:
     def test_parse_term(self):
         assert parse_term("f(c)", VOCAB) == Func("f", (Func("c"),))
         assert parse_term("y", VOCAB) == Var("y")
+
+
+class TestFreshVariable:
+    def test_base_kept_when_free(self):
+        assert fresh_variable("x_w", {"x"}) == "x_w"
+
+    def test_numbered_past_every_collision(self):
+        assert fresh_variable("x_w", {"x_w"}) == "x_w1"
+        assert fresh_variable("x_w", {"x_w", "x_w1", "x_w2"}) == "x_w3"
+        # a reserved name is never returned
+        assert fresh_variable("E", set()) == "E1"
+        assert fresh_variable("d", {"d1"}) == "d2"
+
+    def test_thicken_witness_avoids_taken_names(self):
+        from pavelka import thicken
+        sigma = TypeSet("s", ("x",), (
+            parse_formula("E x_w. E x_w1. P(x) -> d(x_w, x_w1)", VOCAB),))
+        phi, = thicken(sigma, F(1, 2)).formulas
+        assert isinstance(phi, Exists) and phi.var == "x_w2"
 
 
 class TestFreeVariables:
