@@ -13,15 +13,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import storage, structures
 from .errors import PavelkaError, RestrictionError
-from .evaluator import check_theory, entails, evaluate, tarski_vaught_check
-from .rationals import format_rational, parse_rational
-from .storage import dump_json
-from .syntax import parse_formula, render
+from .rationals import dump_json, format_rational, parse_rational
 
-# ``connectives``, ``omitting`` and ``transforms`` are imported by the
-# handlers that use them, so a process loads only what its subcommand runs.
+# Every other library module is imported by the handlers that use it, so
+# a process loads only what its subcommand runs (``certify``: no formulas).
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -56,6 +52,7 @@ def _violations_payload(report):
 
 
 def cmd_validate(args):
+    from . import storage, structures
     signature = storage.load_signature(args.sig)
     structure = storage.load_structure(args.struct)
     report = structures.validate_structure(structure, signature)
@@ -65,6 +62,9 @@ def cmd_validate(args):
 
 
 def cmd_eval(args):
+    from . import storage
+    from .evaluator import evaluate
+    from .syntax import parse_formula
     structure = storage.load_structure(args.struct)
     formula = parse_formula(args.formula, structure.vocabulary())
     value = evaluate(structure, formula, _assignment_arg(args.assign))
@@ -73,6 +73,9 @@ def cmd_eval(args):
 
 
 def cmd_check(args):
+    from . import storage
+    from .evaluator import check_theory
+    from .syntax import render
     structure = storage.load_structure(args.struct)
     theory = storage.load_theory(args.theory, structure.vocabulary())
     report = check_theory(structure, theory)
@@ -83,12 +86,15 @@ def cmd_check(args):
 
 
 def _load_family_with_vocab(args):
+    from . import storage
     family = storage.load_family(args.family)
     vocabulary = family[0].vocabulary()
     return family, vocabulary
 
 
 def cmd_entails(args):
+    from . import storage
+    from .evaluator import entails
     family, vocabulary = _load_family_with_vocab(args)
     theory = storage.load_theory(args.theory, vocabulary)
     gamma = storage.load_typeset(args.gamma, vocabulary)
@@ -99,6 +105,9 @@ def cmd_entails(args):
 
 
 def cmd_tv_test(args):
+    from . import storage
+    from .evaluator import tarski_vaught_check
+    from .syntax import parse_formula, render
     structure = storage.load_structure(args.struct)
     vocabulary = structure.vocabulary()
     with open(args.formulas, encoding="utf-8") as handle:
@@ -130,6 +139,7 @@ def _built_target(args):
     # lattice: argparse's choices allow no other target
     if not args.spec:
         raise PavelkaError("--spec FILE is required for --target lattice")
+    from . import storage
     with open(args.spec, encoding="utf-8") as handle:
         spec = storage.spec_from_dict(json.load(handle))
     return connectives.approx_lattice(spec, args.n)
@@ -169,6 +179,8 @@ def cmd_certify(args):
 
 
 def cmd_relativize(args):
+    from . import storage
+    from .syntax import parse_formula, render
     from .transforms import relativize_family, relativize_monadic
     vocabulary = storage.load_vocabulary(args.vocab)
     with open(args.formula, encoding="utf-8") as handle:
@@ -182,6 +194,7 @@ def cmd_relativize(args):
 
 
 def cmd_restrict(args):
+    from . import storage
     from .transforms import restrict_to_predicate
     structure = storage.load_structure(args.struct)
     try:
@@ -194,12 +207,12 @@ def cmd_restrict(args):
 
 
 def cmd_gen_order(args):
+    from . import storage
     from .transforms import OrderTheorySpec, order_theory
     theory = order_theory(OrderTheorySpec(args.pred, args.lt))
     payload = storage.theory_to_dict(theory)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump_json(payload))
+        storage.write_json(args.out, payload)
         print(f"wrote {args.out}")
     else:
         _print(payload)
@@ -207,6 +220,7 @@ def cmd_gen_order(args):
 
 
 def cmd_thicken(args):
+    from . import storage
     from .transforms import thicken
     vocabulary = storage.load_vocabulary(args.vocab)
     typeset = storage.load_typeset(args.types, vocabulary)
@@ -217,6 +231,7 @@ def cmd_thicken(args):
 
 
 def cmd_realizes(args):
+    from . import storage
     from .omitting import realizes
     structure = storage.load_structure(args.struct)
     typeset = storage.load_typeset(args.type, structure.vocabulary())
@@ -227,7 +242,9 @@ def cmd_realizes(args):
 
 
 def cmd_omits(args):
+    from . import storage
     from .omitting import omits
+    from .syntax import render
     structure = storage.load_structure(args.struct)
     typeset = storage.load_typeset(args.type, structure.vocabulary())
     report = omits(structure, typeset)
@@ -244,6 +261,7 @@ def cmd_omits(args):
 
 
 def _entailment_payload(result):
+    from .syntax import render
     if result is None or result.holds:
         return {"holds": True}
     return {"holds": False,
@@ -255,10 +273,14 @@ def _entailment_payload(result):
 
 
 def cmd_principal(args):
+    from . import storage
     from .omitting import generator_check, omega_principal_check
     if not (args.phi or args.omega_candidate):
         raise PavelkaError("principal needs --phi FILE or "
                            "--omega-candidate FILE")
+    if args.phi and args.omega_candidate:
+        raise PavelkaError("principal takes --phi FILE or "
+                           "--omega-candidate FILE, not both")
     family, vocabulary = _load_family_with_vocab(args)
     theory = storage.load_theory(args.theory, vocabulary)
     sigma = storage.load_typeset(args.sigma, vocabulary)
@@ -284,6 +306,7 @@ def cmd_principal(args):
 
 
 def cmd_omit(args):
+    from . import storage
     from .omitting import search_model
     space = storage.load_space(args.space)
     theory = storage.load_theory(args.theory, space.vocabulary)
@@ -299,6 +322,7 @@ def cmd_omit(args):
 
 
 def cmd_type_dist(args):
+    from . import storage
     from .omitting import CompleteTypeRecord, type_distance
     family, vocabulary = _load_family_with_vocab(args)
     theory = storage.load_theory(args.theory, vocabulary)
@@ -319,6 +343,7 @@ def cmd_type_dist(args):
 
 
 def cmd_combine(args):
+    from . import storage, structures
     left = storage.load_structure(args.left)
     right = storage.load_structure(args.right)
     combined = structures.combine(left, right)
@@ -327,6 +352,7 @@ def cmd_combine(args):
 
 
 def cmd_reduct(args):
+    from . import storage, structures
     structure = storage.load_structure(args.struct)
     vocabulary = storage.load_vocabulary(args.vocab)
     _print(storage.structure_to_dict(structures.reduct(structure, vocabulary)))
@@ -334,6 +360,7 @@ def cmd_reduct(args):
 
 
 def cmd_rename(args):
+    from . import storage, structures
     structure = storage.load_structure(args.struct)
     mapping = {}
     for item in args.map.split(","):
@@ -347,6 +374,7 @@ def cmd_rename(args):
 
 
 def cmd_lipschitz(args):
+    from . import storage, structures
     structure = storage.load_structure(args.struct)
     report = structures.lipschitz_check(structure)
     _print({"pass": report.passed,

@@ -25,10 +25,9 @@ from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import FormulaError
-from .evaluator import IMP, Lanes, Program, run
+from .programs import IMP, Lanes, Program, run
 from .rationals import ZERO, ONE, as_fraction, in_unit_interval, is_dyadic
-from .records import Record
-from . import syntax
+from .records import Record, postorder
 
 
 class ConnectiveTerm(Record):
@@ -99,7 +98,7 @@ def _operands(node) -> tuple:
 
 def _walk_postorder(term: ConnectiveTerm) -> list:
     """Each distinct node once, children before parents."""
-    return syntax.postorder(term, _operands)
+    return postorder(term, _operands)
 
 
 def term_arity(term: ConnectiveTerm) -> Optional[int]:
@@ -137,7 +136,7 @@ def _fold(term: ConnectiveTerm, proj: Callable, const: Callable,
 
 def _program(term: ConnectiveTerm, arity: int,
              nodes: Optional[Sequence[ConnectiveTerm]] = None) -> Program:
-    """The term as an evaluator program: projection ``i`` reads slot
+    """The term as a ``Program``: projection ``i`` reads slot
     ``i - 1`` of the ``arity`` input slots, each constant a slot of its
     own, each implication one instruction.  ``nodes`` is the term's
     walk (``_walk_postorder``), when the caller has already made it."""
@@ -308,7 +307,7 @@ def grid_max_error(term: ConnectiveTerm, oracle: Callable, arity: int,
     arity, its node count and its program.
 
     The term runs over ``_BLOCK`` grid points at a time
-    (``evaluator.Lanes``), in the grid's order, as integers over a
+    (``programs.Lanes``), in the grid's order, as integers over a
     common denominator ``D``.  Each point goes to the oracle as a tuple
     of the ``grid_axis`` fractions, and its answer ``t`` is compared in
     integers: the gap is ``|value * t.den - t.num * D|`` over
@@ -588,9 +587,10 @@ def approx_lattice(spec: PLSpec, n: int):
     return term, bound
 
 
-def apply_connective(term: ConnectiveTerm, formulas: Sequence) -> syntax.Formula:
+def apply_connective(term: ConnectiveTerm, formulas: Sequence):
     """Substitute formulas for the projections, yielding a formula whose
     value equals the term applied to the formulas' values everywhere."""
+    from . import syntax
     declared = term_arity(term)
     if declared is not None and declared != len(formulas):
         raise FormulaError(
@@ -620,6 +620,7 @@ def render_connective(term: ConnectiveTerm) -> str:
     if rendered_size(term) > 1_000_000:
         raise FormulaError(
             f"term too large to render ({dag_size(term)} DAG nodes)")
+    from . import syntax
     formula = _fold(term, lambda node: syntax.Atom(f"x{node.index}", ()),
                     lambda node: syntax.Const(node.value), syntax.Implies)
     return syntax.render(formula)

@@ -18,9 +18,10 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
-from .evaluator import (EntailmentResult, Evaluator, Lanes, _entailment,
-                        _link, _scaled, compile_formula, compile_formulas,
-                        entails, models, nested, run)
+from .evaluator import (EntailmentResult, Evaluator, _entailment, _link,
+                        _scaled, compile_formula, compile_formulas, entails,
+                        models, nested)
+from .programs import Lanes, run
 from .rationals import ZERO, ONE, as_fraction
 from .records import Record
 from .structures import Structure
@@ -413,7 +414,7 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     At the metric, operation and constant levels, deciding a check is
     one ``run`` of its program per table.  A predicate level with
     checks decides them a block of sibling tables at a time, in
-    ``evaluator.Lanes``: a block holds the tables that differ only in
+    ``programs.Lanes``: a block holds the tables that differ only in
     the level's last entries, up to ``_LANES`` of them, lane ``t`` the
     ``t``-th in canonical order, and one packed run of each check
     decides it for the whole block, the earlier levels' tables packed

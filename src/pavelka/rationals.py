@@ -1,7 +1,10 @@
-"""Helpers around exact rationals.
+"""Helpers around exact rationals, and the canonical text they travel
+in.
 
 All truth values, distances, and constants in this package are
-``fractions.Fraction`` instances; floats are never accepted.
+``fractions.Fraction`` instances; floats are never accepted.  A report
+or a file is canonical JSON (``dump_json``) with its rationals as
+lowest-terms strings (``format_rational``).
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Lowest-terms text form: ``p/q``, or ``p`` when the denominator is 1."""
     return str(Fraction(value))
+
+
+def dump_json(payload) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, newline end."""
+    import json  # here, so that importing this module loads no json
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def as_fraction(value) -> Fraction:

@@ -10,6 +10,9 @@ module that declares records generates no code and loads no code
 generator (such as the standard library's, which imports ``inspect``);
 each class makes its one field getter, which ``==`` and ``hash`` call,
 when it is defined.
+
+``postorder`` is the one walk over a DAG of records, such as a formula
+or a connective term: each distinct node once, children first.
 """
 
 from operator import attrgetter
@@ -54,3 +57,27 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def postorder(root, kids) -> list:
+    """Each distinct node under ``root`` once, by identity, after all of
+    its children; ``kids(node)`` lists those, and they are taken left to
+    right.  Iterative, so a deep formula or term needs no recursion."""
+    seen = {id(root)}
+    order = []
+    stack = [(root, iter(kids(root)))]
+    while stack:
+        node, pending = stack[-1]
+        for kid in pending:
+            if id(kid) not in seen:
+                seen.add(id(kid))
+                below = kids(kid)
+                if below:
+                    stack.append((kid, iter(below)))
+                    break
+                order.append(kid)
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+

@@ -23,7 +23,7 @@ import os
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from .errors import ParseError
-from .rationals import format_rational, parse_rational
+from .rationals import dump_json, format_rational, parse_rational
 from .structures import Structure
 from .syntax import (Signature, Theory, TypeSet, Vocabulary, parse_formula,
                      parse_term, parse_vocabulary, render)
@@ -83,7 +83,11 @@ def signature_from_dict(data: Mapping) -> Signature:
                                "signature moduli").items():
         moduli[name] = []
         for pair in _list(pairs, f"moduli of {name!r}"):
-            e, d = _list(pair, f"modulus of {name!r}")
+            pair = _list(pair, f"modulus of {name!r}")
+            if len(pair) != 2:
+                raise ParseError(f"modulus of {name!r} must be a pair of "
+                                 f"rationals, got {json.dumps(pair)}")
+            e, d = pair
             moduli[name].append((parse_rational(e), parse_rational(d)))
     return Signature(vocabulary, moduli)
 
@@ -141,6 +145,14 @@ def _list(value, what: str) -> list:
     return value
 
 
+def _required(data: Mapping, key: str, what: str):
+    """``data[key]``, else ``ParseError`` naming the field and ``what``
+    should hold it."""
+    if key not in data:
+        raise ParseError(f"{what} has no {key!r} field")
+    return data[key]
+
+
 def _strings(value, what: str) -> list:
     """``value`` when it is a JSON list of strings, else ``ParseError``."""
     for entry in _list(value, what):
@@ -161,7 +173,8 @@ def structure_from_dict(data: Mapping, label: Optional[str] = None) -> Structure
     """A structure; the universe must be a JSON list, each table and
     the metric a JSON object, and each metric key a pair."""
     data = _object(data, "structure")
-    universe = _list(data["universe"], "structure universe")
+    universe = _list(_required(data, "universe", "structure"),
+                     "structure universe")
     metric = {_metric_key(k): parse_rational(v) for k, v in
               _object(data.get("metric", {}), "structure metric").items()}
     predicates = {
@@ -247,7 +260,8 @@ def typeset_from_dict(data: Mapping,
         vocabulary = vocabulary_from_dict(data["vocabulary"])
     return TypeSet(
         name=data.get("name", "type"),
-        variables=tuple(_strings(data["variables"], "type variables")),
+        variables=tuple(_strings(_required(data, "variables", "type set"),
+                                 "type variables")),
         formulas=tuple(parse_formula(text, vocabulary) for text in
                        _list(data.get("formulas", []), "type formulas")))
 
@@ -284,12 +298,15 @@ def candidate_from_dict(data: Mapping, vocabulary: Vocabulary):
     formula and a rational threshold, strings both."""
     from .omitting import OmegaCandidate
     data = _object(data, "omega candidate")
+
+    def field(key):
+        return _required(data, key, "omega candidate")
     return OmegaCandidate(
-        variables=tuple(_strings(data["variables"], "candidate variables")),
+        variables=tuple(_strings(field("variables"), "candidate variables")),
         terms=tuple(parse_term(text, vocabulary) for text in
-                    _strings(data["terms"], "candidate terms")),
-        formula=parse_formula(data["formula"], vocabulary),
-        threshold=parse_rational(data["threshold"]))
+                    _strings(field("terms"), "candidate terms")),
+        formula=parse_formula(field("formula"), vocabulary),
+        threshold=parse_rational(field("threshold")))
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +321,21 @@ def spec_from_dict(data: Mapping):
     strings all."""
     from .connectives import AffinePiece, PLSpec
     data = _object(data, "lattice spec")
-    arity = data["arity"]
+    arity = _required(data, "arity", "lattice spec")
     if isinstance(arity, bool) or not isinstance(arity, int):
         raise ParseError(f"lattice spec arity must be an integer, got "
                          f"{json.dumps(arity)}")
     groups = []
-    for group in _list(data["groups"], "lattice spec groups"):
+    for group in _list(_required(data, "groups", "lattice spec"),
+                       "lattice spec groups"):
         pieces = []
         for piece in _list(group, "group"):
             piece = _object(piece, "piece")
+            coefficients = _list(_required(piece, "coefficients",
+                                           "lattice spec piece"),
+                                 "piece coefficients")
             pieces.append(AffinePiece(
-                tuple(parse_rational(c) for c in
-                      _list(piece["coefficients"], "piece coefficients")),
+                tuple(parse_rational(c) for c in coefficients),
                 parse_rational(piece.get("intercept", "0"))))
         groups.append(tuple(pieces))
     return PLSpec(arity=arity, groups=tuple(groups))
@@ -345,8 +365,7 @@ def space_from_dict(data: Mapping) -> SearchSpace:
         raise ParseError("search space must be a JSON object")
     fields = {"seed": 0, **data}
     for key in ("vocabulary",) + _SPACE_INTEGERS:
-        if key not in fields:
-            raise ParseError(f"search space has no {key!r} field")
+        _required(fields, key, "search space")
     for key in _SPACE_INTEGERS:
         value = fields[key]
         if isinstance(value, bool) or not isinstance(value, int):
@@ -365,6 +384,7 @@ def load_space(path: str) -> SearchSpace:
         return space_from_dict(json.load(handle))
 
 
-def dump_json(payload) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, newline end."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def write_json(path: str, payload) -> None:
+    """Write ``payload`` to ``path`` as ``dump_json`` text."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dump_json(payload))

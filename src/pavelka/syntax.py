@@ -35,7 +35,7 @@ from typing import Mapping
 
 from .errors import FormulaError, ParseError, VocabularyError
 from .rationals import ZERO, ONE, as_fraction, in_unit_interval, parse_rational
-from .records import Record
+from .records import Record, postorder as _postorder
 
 RESERVED_NAMES = frozenset({"d", "E", "A"})
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -324,26 +324,9 @@ def children(node) -> tuple:
 
 
 def postorder(root, kids=children) -> list:
-    """Each distinct node under ``root`` once, by identity, after all of
-    its children; ``kids(node)`` lists those, and they are taken left to
-    right.  Iterative, so a deep formula needs no recursion."""
-    seen = {id(root)}
-    order = []
-    stack = [(root, iter(kids(root)))]
-    while stack:
-        node, pending = stack[-1]
-        for kid in pending:
-            if id(kid) not in seen:
-                seen.add(id(kid))
-                below = kids(kid)
-                if below:
-                    stack.append((kid, iter(below)))
-                    break
-                order.append(kid)
-        else:
-            stack.pop()
-            order.append(node)
-    return order
+    """``records.postorder`` over formula and term nodes, unless
+    ``kids`` gives other children."""
+    return _postorder(root, kids)
 
 
 def _with_children(node, kids):

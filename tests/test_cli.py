@@ -377,6 +377,73 @@ class TestMalformedInputExitsTwo:
             2, "", "error: principal needs --phi FILE or "
             "--omega-candidate FILE\n")
 
+    def test_principal_refuses_phi_and_candidate(self, files, capsys):
+        # refused before any file is read: neither file exists
+        code = main(["principal", "--family", files["family"],
+                     "--theory", files["box.json"],
+                     "--sigma", files["sigma.json"],
+                     "--phi", files["tmp"] + "/no-phi.json",
+                     "--omega-candidate", files["tmp"] + "/no-cand.json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: principal takes --phi FILE or "
+            "--omega-candidate FILE, not both\n")
+
+
+CANDIDATE = {"variables": ["y"], "terms": ["y"], "formula": "P(y)",
+             "threshold": "1/2"}
+
+
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+class TestMissingFieldExitsTwo:
+    """A file that lacks a required field exits 2 with one error line
+    naming the field and what should hold it, not a bare "bad input"."""
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (lambda files, path: ["eval", "--struct", path, "--formula", "1"],
+         {"metric": {}}, "structure has no 'universe' field"),
+        (lambda files, path: ["omits", "--struct", files["m2.json"],
+                              "--type", path],
+         {"name": "t", "formulas": ["P(x)"]},
+         "type set has no 'variables' field"),
+        *[(lambda files, path: ["principal", "--family", files["family"],
+                                "--theory", files["tight.json"],
+                                "--sigma", files["sigma.json"],
+                                "--omega-candidate", path],
+           _without(CANDIDATE, key), f"omega candidate has no {key!r} field")
+          for key in ("variables", "terms", "formula", "threshold")],
+        (lambda files, path: ["approx", "--target", "lattice",
+                              "--spec", path],
+         {"groups": [[{"coefficients": ["1"]}]]},
+         "lattice spec has no 'arity' field"),
+        (lambda files, path: ["approx", "--target", "lattice",
+                              "--spec", path],
+         {"arity": 1}, "lattice spec has no 'groups' field"),
+        (lambda files, path: ["approx", "--target", "lattice",
+                              "--spec", path],
+         {"arity": 1, "groups": [[{"intercept": "1/2"}]]},
+         "lattice spec piece has no 'coefficients' field"),
+        (lambda files, path: ["validate", "--sig", path,
+                              "--struct", files["m2.json"]],
+         {"vocabulary": {"predicates": {"P": 1}},
+          "moduli": {"P": [["1/4"]]}},
+         "modulus of 'P' must be a pair of rationals, got [\"1/4\"]"),
+    ], ids=["structure-universe", "type-variables", "candidate-variables",
+            "candidate-terms", "candidate-formula", "candidate-threshold",
+            "spec-arity", "spec-groups", "piece-coefficients",
+            "modulus-length"])
+    def test_exits_two(self, files, tmp_path, capsys, argv, payload,
+                       message):
+        path = str(tmp_path / "bad.json")
+        pathlib.Path(path).write_text(json.dumps(payload))
+        code = main(argv(files, path))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"error: {message}\n")
+
 
 class TestSearchAndTransforms:
     def test_omit_found(self, files, capsys):

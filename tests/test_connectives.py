@@ -10,7 +10,7 @@ import pytest
 from pavelka import connectives as cn
 from pavelka import evaluate, parse_formula, Vocabulary
 from pavelka.errors import FormulaError
-from pavelka.evaluator import Lanes, run
+from pavelka.programs import Lanes, run
 
 from genutil import (random_connective_term, random_dag, random_formula,
                      random_structure)
@@ -582,7 +582,7 @@ def random_points(rng, arity, denominator, count):
 
 
 class TestLanes:
-    """``evaluator.Lanes`` runs a term over a block of points and gives,
+    """``programs.Lanes`` runs a term over a block of points and gives,
     lane by lane, what ``run`` gives point by point."""
 
     def test_random_terms(self):

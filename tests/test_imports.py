@@ -169,3 +169,41 @@ def test_package_exports_load_on_first_use():
     assert out == ("['pavelka']\n30\npavelka.structures True\nTrue\nTrue\n"
                    "True\n[]\nTrue\n"
                    "module 'pavelka' has no attribute 'no_such_name'\n")
+
+
+def library_modules_after(code: str, *argv: str) -> list:
+    """The ``pavelka`` modules loaded in a fresh interpreter once ``code``
+    has run; ``argv`` becomes its ``sys.argv[1:]``."""
+    return fresh(
+        "import sys\n" + code +
+        "\nprint(sorted(m for m in sys.modules if m.startswith('pavelka')))\n",
+        *argv).splitlines()[-1]
+
+
+CERTIFY = ["pavelka", "pavelka.cli", "pavelka.connectives", "pavelka.errors",
+           "pavelka.programs", "pavelka.rationals", "pavelka.records"]
+
+
+def test_connective_calls_load_only_the_connective_layer():
+    run = "import pavelka.cli\npavelka.cli.main(sys.argv[1:])"
+    assert library_modules_after(
+        run, "certify", "--target", "halfx", "--n", "4") == str(CERTIFY)
+    # approx renders its term in the formula grammar
+    assert library_modules_after(
+        run, "approx", "--target", "halfx", "--n", "4") == \
+        str(sorted(CERTIFY + ["pavelka.syntax"]))
+
+
+def test_connectives_load_neither_syntax_nor_the_evaluator():
+    assert library_modules_after("import pavelka.connectives") == str(
+        ["pavelka", "pavelka.connectives", "pavelka.errors",
+         "pavelka.programs", "pavelka.rationals", "pavelka.records"])
+
+
+def test_programs_need_only_the_errors_module():
+    tree = ast.parse((SRC / "programs.py").read_text(encoding="utf-8"))
+    relative = [(node.level, node.module) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == [(1, "errors")]
+    assert library_modules_after("import pavelka.programs") == str(
+        ["pavelka", "pavelka.errors", "pavelka.programs"])

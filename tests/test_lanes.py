@@ -1,4 +1,4 @@
-"""The packed kernel, ``evaluator.Lanes``, on formula programs.
+"""The packed kernel, ``programs.Lanes``, on formula programs.
 
 A block holds one structure per lane; the structures share their
 universe, operations and constants, and differ in their predicates and
@@ -16,7 +16,8 @@ from math import lcm
 import pytest
 
 from pavelka import Atom, Implies, Structure, Vocabulary, parse_formula
-from pavelka.evaluator import Lanes, compile_formula, nested
+from pavelka.evaluator import compile_formula, nested
+from pavelka.programs import Lanes
 
 from genutil import (random_metric, random_rational, random_sentence,
                      random_structure)

@@ -12,7 +12,10 @@ from pavelka import (And, Atom, CompleteTypeRecord, Exists,
                      parse_formula, parse_term, realizes, search_model,
                      type_distance)
 from pavelka.errors import FormulaError
-from pavelka.omitting import enumerate_structures
+from pavelka.evaluator import EntailmentResult
+from pavelka.omitting import (GeneratorReport, MetricPrincipalReport,
+                              OmegaPrincipalReport, OmitsReport,
+                              enumerate_structures)
 
 from naive import naive_eval, naive_omits
 
@@ -413,3 +416,17 @@ class TestDefaultCorpus:
         assert any(f.pred == "d" for f in atoms)
         assert any(f.pred == "P" for f in atoms)
         assert len(corpus.formulas) == len(atoms) * (2 * 3 + 1)
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+@pytest.mark.parametrize("make", [
+    lambda v: OmitsReport(v, {}, None if v else ("a",)),
+    lambda v: GeneratorReport(v, satisfied=not v),
+    lambda v: OmegaPrincipalReport(v, GeneratorReport(not v, True),
+                                   EntailmentResult(not v)),
+    lambda v: MetricPrincipalReport(v, ()),
+    lambda v: EntailmentResult(v),
+], ids=["omits", "generator", "omega", "metric", "entailment"])
+def test_report_truth_is_its_verdict(make, verdict):
+    # every other flag of the report is set the other way
+    assert bool(make(verdict)) is verdict

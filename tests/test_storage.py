@@ -156,6 +156,23 @@ class TestTypesetFiles:
         assert str(caught.value) == \
             f"type variables must be JSON strings, got {shown}"
 
+    def test_embedded_vocabulary(self):
+        data = {"name": "s",
+                "vocabulary": {"predicates": {"P": 1},
+                               "operations": {"c": 0}},
+                "variables": ["x"], "formulas": ["P(x) -> P(c)"]}
+        typeset = storage.typeset_from_dict(data)
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        assert typeset == TypeSet("s", ("x",),
+                                  (parse_formula("P(x) -> P(c)", vocab),))
+
+    def test_missing_vocabulary_rejected(self):
+        with pytest.raises(ParseError) as caught:
+            storage.typeset_from_dict({"variables": ["x"],
+                                       "formulas": ["P(x)"]})
+        assert str(caught.value) == \
+            "type set needs a vocabulary (embedded or given)"
+
 
 class TestSignatureAndSpace:
     def test_signature_round_trip(self):
