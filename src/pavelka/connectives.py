@@ -195,7 +195,7 @@ def lipschitz_bounds(term: ConnectiveTerm, arity: Optional[int] = None) -> tuple
 
     The walk also numbers each node by its structure: two nodes get
     the same number exactly when they are equal (``==``), so the shape
-    test compares numbers (``_same_term``).
+    test compares two numbers, for operands of any size.
     """
     if arity is None:
         arity = term_arity(term) or 0
@@ -209,7 +209,8 @@ def lipschitz_bounds(term: ConnectiveTerm, arity: Optional[int] = None) -> tuple
             left_number, left = done[id(lhs)]
             right_number, right = done[id(rhs)]
             key = (left_number, right_number)
-            if isinstance(lhs, CImplies) and _same_term(lhs.rhs, rhs, done):
+            if isinstance(lhs, CImplies) \
+                    and done[id(lhs.rhs)][0] == right_number:
                 bound = tuple(map(max, done[id(lhs.lhs)][1], right))
             elif right is zeros:  # into a constant, as every negation
                 bound = left
@@ -224,39 +225,6 @@ def lipschitz_bounds(term: ConnectiveTerm, arity: Optional[int] = None) -> tuple
             bound = zeros
         done[id(node)] = interned.setdefault(key, len(interned)), bound
     return tuple(map(Fraction, done[id(term)][1]))
-
-
-# The most distinct nodes a term may have for ``_same_term`` to compare
-# it structurally.
-_SAME_TERM_NODES = 64
-
-
-def _same_term(a: ConnectiveTerm, b: ConnectiveTerm, done: dict) -> bool:
-    """Whether ``a`` is ``b``, or equal to it with at most
-    ``_SAME_TERM_NODES`` distinct nodes each; ``done`` maps each node's
-    id to a pair whose first item numbers its structure
-    (``lipschitz_bounds``)."""
-    if a is b:
-        return True
-    # Equal terms that are distinct objects, as hand-built terms may be,
-    # count only while small, as when they were compared with ==.
-    return done[id(a)][0] == done[id(b)][0] and _at_most_nodes(a) \
-        and _at_most_nodes(b)
-
-
-def _at_most_nodes(term: ConnectiveTerm) -> bool:
-    """Whether ``term`` has at most ``_SAME_TERM_NODES`` distinct nodes,
-    by identity; the walk stops at the first node past them."""
-    seen = set()
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if len(seen) > _SAME_TERM_NODES:
-                return False
-            stack.extend(_operands(node))
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -46,23 +46,15 @@ a ``Theory`` keeps its compiled sentence programs for its lifetime;
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
-and nested tuples over universe positions.  ``_link`` is the one
-linking rule: it puts a program's constants and lowered tables into
-registers over one ``D``, whoever lowered the tables.  An evaluator
-links each program it is given once, to its structure's tables; they
-are read-only, so each is lowered once, on first use, over the lcm of
-its own denominators, and kept on the structure, and a link over a
-larger ``D`` gets its own scaled copy and never replaces the kept one.
-The model search compiles each check as one sentence, a type as its
-existential closure, over one denominator for its grids and checks.
-A check that reads a predicate last is decided in ``Lanes`` over a
-block of that predicate's sibling tables, the tables of earlier levels
-packed the same in every lane; any other check is linked once per
-universe size to tables the search lowers itself, and each candidate
-table is written into its registers before one ``run``.  A level whose
-symbol no check reads is walked past its first table only when that
-table yields a model: its other tables would decide every check the
-same way.
+and nested tuples over universe positions.  ``_link`` is the linking
+rule for the evaluator's own lowered tables: it puts a program's
+constants and a structure's tables into registers over one ``D``.  An
+evaluator links each program it is given once, to its structure's
+tables; they are read-only, so each is lowered once, on first use, over
+the lcm of its own denominators, and kept on the structure, and a link
+over a larger ``D`` gets its own scaled copy and never replaces the kept
+one.  The model search writes the tables it walks into its checks'
+registers itself (``omitting.enumerate_structures``).
 
 Only an ``Exists`` recurses, once per element of the universe, and its
 value is memoized per restriction of the assignment to its free

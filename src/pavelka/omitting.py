@@ -18,10 +18,10 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
-from .evaluator import (EntailmentResult, Evaluator, _entailment, _link,
+from .evaluator import (EntailmentResult, Evaluator, _entailment,
                         _scaled, compile_formula, compile_formulas, entails,
                         models, nested)
-from .programs import Lanes, run
+from .programs import _UNIVERSE, Lanes, run
 from .rationals import ZERO, ONE, as_fraction
 from .records import Record
 from .structures import Structure
@@ -408,11 +408,12 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     The walk runs on lowered tables, as the evaluator does: truth values
     and distances are integers over one denominator, the lcm of both
     grids and of the checks' constants, and elements are positions.
-    Each check's program is compiled once per call and linked once per
-    universe size; choosing a table writes it into the registers of
-    every check that reads it, so sibling tables share the whole prefix.
-    At the metric, operation and constant levels, deciding a check is
-    one ``run`` of its program per table.  A predicate level with
+    Each check's program is compiled once per call and gets its
+    registers once per universe size, over that denominator; choosing a
+    table writes it into the registers of every check that reads it, so
+    sibling tables share the whole prefix.  At the metric, operation and
+    constant levels, deciding a check is one ``run`` of its program per
+    table.  A predicate level with
     checks decides them a block of sibling tables at a time, in
     ``programs.Lanes``: a block holds the tables that differ only in
     the level's last entries, up to ``_LANES`` of them, lane ``t`` the
@@ -484,11 +485,6 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
             functools.partial(nested, width=width, n=size),
             dict(zip(entries, values)).__getitem__))
 
-    def table(predicate, name, arity):
-        # ``_check_symbols`` has read every symbol at its arity, and
-        # the walk writes a table into the registers before it is read
-        return walk[depth[name]][1], denominator if predicate else 1, None
-
     # a predicate level with checks decides them in lanes, a block of
     # its tables at a time (``in_lanes``); the other levels, one table
     # at a time
@@ -497,28 +493,30 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
         if checks and k and levels[k - 1][1] == "predicates":
             _, _, slots, values = levels[k - 1]
             laned[k] = lowered(values), _trailing(len(values), len(slots))
-    # level -> (registers, slot) of a check decided a table at a time
-    # that reads it, and laned level -> those of its checks that do
+    # level -> (registers, slot, ones) of each check that reads it: ones
+    # is 1 for a check decided a table at a time, and the packed ones
+    # for a check of a later level decided in lanes
     sinks: list = [[] for _ in walk]
-    packed: list = [{} for _ in walk]
     deciders: list = [[] for _ in walk]
-    ones = {}  # laned level -> its packed ones
     for k, checks in enumerate(at_level):
         for program, sentence in checks:
             if k not in laned:
-                code, result, registers, top = _link(program, table, universe)
+                # ``_check_symbols`` has read every symbol at its arity,
+                # and the walk writes a table into the registers before
+                # it is read
+                registers = program.registers(denominator)
+                registers[_UNIVERSE] = range(size)
                 for _, name, _, slot in program.symbols:
-                    sinks[depth[name]].append((registers, slot))
-                deciders[k].append((code, result, registers, top, sentence))
+                    sinks[depth[name]].append((registers, slot, 1))
+                code, result = program.scopes[0]
+                deciders[k].append((code, result, registers, sentence))
                 continue
             values, trailing = laned[k]
             lanes = Lanes(program, denominator, len(values) ** trailing)
-            ones[k] = lanes.ones
             registers = lanes.registers(size)
             for _, name, _, slot in program.symbols:
                 if depth[name] < k:
-                    packed[depth[name]].setdefault(k, []).append(
-                        (registers, slot))
+                    sinks[depth[name]].append((registers, slot, lanes.ones))
                 else:
                     own = slot
             deciders[k].append((lanes, registers, own, sentence))
@@ -531,12 +529,9 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
         check of a later level decided in lanes."""
         _, width, _, lower, _ = walk[k]
         value = lower(entries)
-        for registers, slot in sinks[k]:
-            registers[slot] = value
-        for j, targets in packed[k].items():
-            value_in_lanes = _scaled(value, width, ones[j])
-            for registers, slot in targets:
-                registers[slot] = value_in_lanes
+        for registers, slot, ones in sinks[k]:
+            registers[slot] = value if ones == 1 \
+                else _scaled(value, width, ones)
         chosen[k] = entries
 
     def below(k):
@@ -557,15 +552,15 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
         for entries in tables():
             choose(k, entries)
             found = False
-            for code, result, registers, top, sentence in deciders[k]:
-                run(code, registers, top, {})
-                if (registers[result] == top) != sentence:
+            for code, result, registers, sentence in deciders[k]:
+                run(code, registers, denominator, {})
+                if (registers[result] == denominator) != sentence:
                     break
             else:
                 for structure in below(k):
                     found = True
                     yield structure
-            if not (found or sinks[k] or packed[k]):
+            if not (found or sinks[k]):
                 # no check reads this level, so each of its other tables
                 # leaves every register as this one did: every check
                 # decides as it did here, and nothing passes below them

@@ -418,24 +418,14 @@ def naive_grid_max_error(term, oracle, arity, spacing):
 
 
 def naive_lipschitz_bounds(term, arity):
-    """``connectives.lipschitz_bounds`` by recursion, in Fractions, with
-    each node's distinct size from a full walk: a node ``(u -> v) -> w``
-    with ``w`` the object ``v``, or equal to it with at most 64 distinct
-    nodes each, gets the maximum of the bounds of ``u`` and ``w``; any
-    other implication the sum of its operands' bounds."""
+    """``connectives.lipschitz_bounds`` by recursion, in Fractions: a
+    node ``(u -> v) -> w`` with ``w`` the object ``v``, or equal to it,
+    gets the maximum of the bounds of ``u`` and ``w``; any other
+    implication the sum of its operands' bounds."""
     from pavelka import connectives
 
-    def size(node, seen):
-        if id(node) not in seen:
-            seen.add(id(node))
-            if isinstance(node, connectives.CImplies):
-                size(node.lhs, seen)
-                size(node.rhs, seen)
-        return len(seen)
-
     def same(a, b):
-        return a is b or (size(a, set()) <= 64 and size(b, set()) <= 64
-                          and a == b)
+        return a is b or a == b
 
     memo = {}
 

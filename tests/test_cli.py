@@ -351,13 +351,33 @@ class TestMalformedInputExitsTwo:
                               "--spec", path],
          {"arity": [1], "groups": [[{"coefficients": ["1"]}]]},
          "lattice spec arity must be an integer, got [1]"),
+        (lambda files, path: ["omit", "--space", path,
+                              "--theory", files["loose.json"]],
+         {"vocabulary": {"predicates": {"P": 1}}, "max_size": 0,
+          "truth_denominator": 1, "metric_denominator": 1},
+         "max_size must be >= 1"),
+        (lambda files, path: ["omit", "--space", path,
+                              "--theory", files["loose.json"]],
+         {"vocabulary": {"predicates": {"P": 1}}, "max_size": 1,
+          "truth_denominator": 0, "metric_denominator": 1},
+         "grid denominators must be >= 1"),
+        (lambda files, path: ["omit", "--space", path,
+                              "--theory", files["loose.json"]],
+         [1], "search space must be a JSON object"),
+        (lambda files, path: ["entails", "--family", path,
+                              "--theory", files["box.json"],
+                              "--gamma", files["gamma.json"],
+                              "--sigma", files["sigma.json"]],
+         {}, "family file {path!r} must hold a JSON list"),
     ], ids=["check-theory-list", "check-theory-string", "omits-types-string",
             "omits-type-string", "omits-type-number", "realizes-no-types",
             "entails-empty-family", "omit-space-vocabulary-list",
             "validate-signature-list", "validate-moduli-string",
             "validate-modulus-number",
             "principal-candidate-list", "approx-spec-list",
-            "approx-spec-group-object", "approx-spec-arity-list"])
+            "approx-spec-group-object", "approx-spec-arity-list",
+            "omit-space-max-size-zero", "omit-space-denominator-zero",
+            "omit-space-list", "entails-family-object"])
     def test_exits_two(self, files, tmp_path, capsys, argv, payload,
                        message):
         path = str(tmp_path / "bad.json")
@@ -367,6 +387,24 @@ class TestMalformedInputExitsTwo:
         assert (code, captured.out, captured.err) == \
             (2, "", f"error: {message.format(path=path)}\n")
 
+
+    @pytest.mark.parametrize("argv, message", [
+        (lambda files: ["tv-test", "--struct", files["m2.json"],
+                        "--subset", "z", "--formulas", files["formulas.txt"],
+                        "--grid", "9/10"],
+         "subset element 'z' not in universe"),
+        (lambda files: ["type-dist", "--family", files["family"],
+                        "--theory", files["box.json"],
+                        "--struct1", files["m2.json"], "--tuple1", "z",
+                        "--struct2", files["m2.json"], "--tuple2", "b"],
+         "record element 'z' not in the universe"),
+    ], ids=["tv-test-subset", "type-dist-tuple"])
+    def test_element_outside_universe_exits_two(self, files, capsys, argv,
+                                                message):
+        code = main(argv(files))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"error: {message}\n")
 
     def test_principal_needs_phi_or_candidate(self, files, capsys):
         code = main(["principal", "--family", files["family"],

@@ -141,23 +141,27 @@ class TestLipschitzBounds:
             node = cn.CImplies(node, cn.CConst(F(k, 97)))
         return node
 
-    def test_max_shape_of_equal_operands_up_to_64_nodes(self):
+    def test_max_shape_of_equal_operands_at_any_size(self):
         # (u -> v) -> w with w == v but not v: the maximum of the bounds
-        # of u and w while v and w have 64 distinct nodes each, the sum
-        # of those of u -> v and w from 65 on; with w the object v, the
-        # maximum at any size
+        # of u and w, with 64 distinct nodes each and with 65, as with w
+        # the object v
         x = cn.Proj(1, 1)
+        grid = [F(i, 8) for i in range(9)]
         for start, links, nodes, own in ((cn.CImplies(x, x), 31, 64, 2),
                                          (x, 32, 65, 1)):
             v, w = self.chain(start, links), self.chain(start, links)
             assert v == w and v is not w and cn.dag_size(v) == nodes
             assert cn.lipschitz_bounds(v) == (F(own),)
             term = cn.CImplies(cn.CImplies(x, v), w)
-            want = max(1, own) if nodes == 64 else 1 + 2 * own
+            want = max(1, own)
             assert cn.lipschitz_bounds(term) == (F(want),) == \
                 naive_lipschitz_bounds(term, 1)
             shared = cn.CImplies(cn.CImplies(x, v), v)
-            assert cn.lipschitz_bounds(shared) == (F(max(1, own)),)
+            assert cn.lipschitz_bounds(shared) == (F(want),)
+            values = [cn.eval_term(term, (p,)) for p in grid]
+            for (x0, v0), (x1, v1) in zip(zip(grid, values),
+                                          zip(grid[1:], values[1:])):
+                assert abs(v1 - v0) <= want * (x1 - x0)
 
     def test_max_shape_needs_equal_leaves(self):
         # (x -> v) -> w with v and w alike but for one leaf: a sum

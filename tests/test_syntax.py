@@ -37,6 +37,14 @@ class TestVocabulary:
         v = Vocabulary({"Z": 0}, {})
         assert v.predicates["Z"] == 0
 
+    def test_text_format_skips_comments_and_names_bad_lines(self):
+        assert parse_vocabulary("# c\n\npred P 1\n") == \
+            Vocabulary({"P": 1}, {})
+        with pytest.raises(ParseError) as err:
+            parse_vocabulary("# c\n\npred P 1\npred Q\n")
+        assert str(err.value) == \
+            "bad vocabulary declaration on line 4: 'pred Q'"
+
     def test_text_format_round_trip(self):
         text = render_vocabulary(VOCAB)
         assert parse_vocabulary(text) == VOCAB
@@ -101,11 +109,25 @@ class TestParsing:
         (parse_formula, "P(c) Z", "trailing input 'Z' (at position 5)"),
         (parse_formula, "Z)", "trailing input ')' (at position 1)"),
         (parse_term, "f(c) c", "trailing input 'c' (at position 5)"),
+        (parse_formula, "E x P(x)", "expected '.' after the bound variable, "
+                                    "found 'P' (at position 4)"),
+        (parse_formula, "E d. P(d)", "'d' cannot be a variable (at position 2)"),
+        (parse_formula, "f(x)",
+         "operation symbol 'f' cannot head a formula (at position 0)"),
+        (parse_formula, "P", "'P' needs 1 argument(s) (at position 1)"),
+        (parse_formula, "P(d)", "'d' cannot occur in a term (at position 2)"),
+        (parse_formula, "P(f(x,x))",
+         "'f' expects 1 argument(s), got 2 (at position 2)"),
+        (parse_formula, "P(x) >= 3/2",
+         "bound 3/2 outside [0,1] (at position 8)"),
     ])
     def test_lexing_and_trailing_errors(self, parse, text, message):
         with pytest.raises(ParseError) as err:
             parse(text, VOCAB)
         assert str(err.value) == message
+
+    def test_zero_ary_predicate_with_parentheses(self):
+        assert parse_formula("Z()", VOCAB) == Atom("Z", ())
 
     def test_derived_connectives(self):
         got = parse_formula(r"~P(c) \/ P(c) /\ Z", VOCAB)
