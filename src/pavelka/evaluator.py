@@ -28,21 +28,20 @@ program, ``run`` at one point and the packed kernel ``Lanes`` over a
 block of points or tables, live in ``programs``.
 
 Formulas over tuples are evaluated a table at a time, the relational
-strategy for finite model checking (Vardi, STOC 1982): a scan assigns
-each tuple in turn and runs the program there, on one copy of the
-registers and one memo for the whole scan, and builds nothing per tuple
-but what it reports.  There are two scans.  ``Evaluator.profiles``
-runs one program of several formulas per tuple and groups the tuples by
-their row of values, kept as integers over the link's denominator: the
-profiles ``type_distance`` compares records by.
-``Evaluator.first_failures`` runs one program per formula, in order,
-stops a tuple at the first value below 1, and reports only that
-formula and value.  Both take the per-tuple step (the assignment, its
-outside-universe check and the ``run``) from ``Evaluator._runner``.
-Type realization, omission and entailment are ``first_failures``
-scans, the Tarski-Vaught test is one ``profiles`` scan per formula, and
-a ``Theory`` keeps its compiled sentence programs for its lifetime;
-``models`` links them once per structure.
+strategy for finite model checking (Vardi, STOC 1982): a scan
+(``Evaluator._scan``) links one program of several formulas and assigns
+each tuple in turn, on one copy of the registers and one memo for the
+whole scan, and builds nothing per tuple but what it reports.
+``Evaluator.profiles`` runs the whole program per tuple and groups the
+tuples by their row of values, integers over the link's denominator:
+the profiles ``type_distance`` compares records by.
+``Evaluator.first_failures`` runs one formula's stretch of the root
+code at a time, in order (``_stretches``), stops a tuple at the first
+value below 1, and reports only that formula and value.  Type
+realization, omission and entailment are ``first_failures`` scans of
+one program per type, the Tarski-Vaught test is one ``profiles`` scan
+per formula, and a ``Theory`` keeps its compiled sentence programs for
+its lifetime; ``models`` links them once per structure.
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
@@ -336,10 +335,10 @@ class Evaluator:
     """Reusable evaluation engine for one structure.
 
     ``value`` evaluates one formula under one assignment; ``profiles``
-    and ``first_failures`` scan tuples.  Each program passed to them is
-    linked to the structure's lowered tables once and the link kept for
-    the evaluator's lifetime; a formula passed instead is compiled and
-    linked for that use only.
+    and ``first_failures`` scan tuples, each with one program of several
+    formulas.  Each program passed to them is linked to the structure's
+    lowered tables once and the link kept for the evaluator's lifetime;
+    formulas passed instead are compiled and linked for that use only.
     """
 
     def __init__(self, structure):
@@ -352,18 +351,19 @@ class Evaluator:
         self._index = lowering.index
         self._table = functools.partial(_table, structure, lowering)
 
-    def _linked(self, formula) -> tuple:
+    def _linked(self, program, compile) -> tuple:
         """``(program, link)`` for a program, linked once and the link
-        kept, or for a formula, compiled and linked for this use only."""
-        if not isinstance(formula, Program):
-            program = compile_formula(formula)
+        kept, or for formulas, compiled by ``compile`` and linked for
+        this use only."""
+        if not isinstance(program, Program):
+            program = compile(program)
             return program, _link(program, self._table,
                                   self.structure.universe)
-        link = self._links.get(formula)
+        link = self._links.get(program)
         if link is None:
-            link = self._links[formula] = _link(formula, self._table,
+            link = self._links[program] = _link(program, self._table,
                                                 self.structure.universe)
-        return formula, link
+        return program, link
 
     def kept(self, key, make):
         """``make()``, made once per ``key`` and kept with the
@@ -394,7 +394,7 @@ class Evaluator:
         """The exact value of a formula, or of a program that
         ``compile_formula`` made, under the assignment."""
         program, (code, result, registers, denominator) = \
-            self._linked(formula)
+            self._linked(formula, compile_formula)
         registers = registers[:]
         if program.free:
             env = assignment or {}
@@ -410,35 +410,36 @@ class Evaluator:
         return ONE if value == denominator else ZERO if value == 0 \
             else Fraction(value, denominator)
 
-    def _runner(self, formula, variables: tuple) -> tuple:
-        """``(program, at, denominator)``: ``at(tup)`` assigns the
-        elements of ``tup`` to ``variables``, runs the program there and
-        returns its registers.  Every call of ``at`` shares one copy of
-        the registers and one memo: a nested ``Exists`` is memoized by
-        the positions of its free variables, whatever tuple it was met
-        at.  Raises when a free variable of the program is not among
-        ``variables``."""
-        program, (code, _, registers, denominator) = self._linked(formula)
+    def _scan(self, formulas, variables: Sequence[str],
+              tuples: Optional[Iterable]) -> tuple:
+        """``(program, code, registers, denominator, assigned)``: one
+        program, or formulas compiled into one, its link's root code and
+        denominator, one copy of its registers, and ``assigned``, which
+        assigns each tuple's elements to ``variables`` there and yields
+        the tuple.  A free variable not among ``variables`` raises
+        before any tuple."""
+        variables = tuple(variables)
+        program, (code, _, registers, denominator) = self._linked(
+            formulas, compile_formulas)
         for name in program.free:
             if name not in variables:
                 raise EvaluationError(f"unassigned free variable {name!r}")
         assign = tuple(zip(program.free_slots,
                            map(variables.index, program.free)))
-        registers, memo, index = registers[:], {}, self._index
+        registers, index = registers[:], self._index
+        if tuples is None:
+            tuples = itertools.product(self.structure.universe,
+                                       repeat=len(variables))
 
-        def at(tup):
-            for slot, i in assign:
-                position = index.get(tup[i])
-                if position is None:
-                    raise _outside(variables[i], tup[i])
-                registers[slot] = position
-            run(code, registers, denominator, memo)
-            return registers
-        return program, at, denominator
-
-    def _universe_tuples(self, variables: tuple) -> Iterable:
-        return itertools.product(self.structure.universe,
-                                 repeat=len(variables))
+        def assigned():
+            for tup in tuples:
+                for slot, i in assign:
+                    position = index.get(tup[i])
+                    if position is None:
+                        raise _outside(variables[i], tup[i])
+                    registers[slot] = position
+                yield tup
+        return program, code, registers, denominator, assigned()
 
     def profiles(self, program: Program, variables: Sequence[str],
                  tuples: Optional[Iterable] = None) -> tuple:
@@ -450,61 +451,64 @@ class Evaluator:
         default every tuple of the universe of that length, in
         canonical order.
 
-        One ``run`` per tuple computes the whole row, on one copy of the
-        registers and one memo for the whole scan.  The scan is done
-        before it returns, so its errors raise at the call; free
-        variables are checked before any tuple is assigned, as in
-        ``first_failures``."""
-        variables = tuple(variables)
-        program, at, denominator = self._runner(program, variables)
-        results = program.results
-        profiles = {}
-        if tuples is None:
-            tuples = self._universe_tuples(variables)
+        One ``run`` per tuple computes the whole row.  The scan is done
+        before it returns, so its errors, free variables first
+        (``_scan``), raise at the call."""
+        program, code, registers, denominator, tuples = self._scan(
+            program, variables, tuples)
+        results, memo, profiles = program.results, {}, {}
         for tup in tuples:
-            registers = at(tup)
+            run(code, registers, denominator, memo)
             profiles.setdefault(tuple([registers[slot] for slot in results]),
                                 []).append(tup)
         return denominator, profiles
 
-    def first_failures(self, formulas: Sequence, variables: Sequence[str],
+    def first_failures(self, formulas, variables: Sequence[str],
                        tuples: Optional[Iterable] = None):
         """``(tuple, failure)`` for each tuple of elements assigned to
         ``variables``, in order (by default every tuple of the universe
         of that length, in canonical order): ``failure`` is None when
-        every formula has value 1 there, and otherwise ``(program,
+        every formula has value 1 there, and otherwise ``(formula,
         value)`` for the first one, in order, whose value is below 1.
 
-        The formulas are programs, or formulas compiled at their first
-        run.  At each tuple the programs run in order, each on its own
-        copy of the registers and its own memo for the whole scan, and
-        the tuple stops at the first value below 1: a later program
-        never runs there.  A program is linked, and its free variables
-        checked against ``variables``, at its first run, before any
-        element of the tuple is assigned: an unassigned variable raises
-        there even when an earlier variable is sent outside the
-        universe, which ``value``, checking each variable in turn,
-        would report first.  Values are compared as integers, and each
-        distinct value reported is made a ``Fraction`` once per scan."""
-        variables = tuple(variables)
-        runners = [None] * len(formulas)
-        if tuples is None:
-            tuples = self._universe_tuples(variables)
+        ``formulas`` is one program, or formulas compiled into one for
+        this scan.  At each tuple its root
+        code runs one formula's stretch at a time (``_stretches``), and
+        the tuple stops at the first value below 1.  Free variables are
+        checked before the first tuple, even a formula's that no tuple
+        reaches, so an unassigned one raises before an element outside
+        the universe, which ``value`` would report first.  Each distinct
+        value reported is made a ``Fraction`` once per scan."""
+        program, code, registers, denominator, tuples = self._scan(
+            formulas, variables, tuples)
+        stretches, memo = _stretches(program, code), {}
+        fractions = _Fractions(denominator)
         for tup in tuples:
-            for k, runner in enumerate(runners):
-                if runner is None:
-                    program, at, denominator = self._runner(formulas[k],
-                                                            variables)
-                    runner = runners[k] = (program, at, program.results[0],
-                                           denominator,
-                                           _Fractions(denominator))
-                program, at, result, denominator, fractions = runner
-                value = at(tup)[result]
+            for stretch, result, formula in stretches:
+                run(stretch, registers, denominator, memo)
+                value = registers[result]
                 if value != denominator:
-                    yield tup, (program, fractions[value])
+                    yield tup, (formula, fractions[value])
                     break
             else:
                 yield tup, None
+
+
+def _stretches(program: Program, code: list) -> list:
+    """``(code, result, formula)`` per formula of a program, in order:
+    the stretch of the root code ``code`` computing the formula's nodes
+    that no earlier formula computes, up to the instruction writing its
+    value to ``result``; empty for a constant or an earlier formula's
+    node.  ``compile_formula``'s program has its one formula as source."""
+    source = program.source
+    ends = {ins[1]: k + 1 for k, ins in enumerate(code)}
+    stretches, start = [], 0
+    for result, formula in zip(program.results, source if isinstance(
+            source, tuple) else (source,)):
+        end = max(start, ends.get(result, 0))
+        stretches.append((code[start:end], result, formula))
+        start = end
+    return stretches
 
 
 class _Fractions(dict):
@@ -586,24 +590,23 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
     share their variable tuple.  A false verdict returns the first
     counterexample in canonical order.
 
-    Each model is two chained scans: the premises' scan passes on the
-    tuples realizing ``gamma``, one at a time, and the conclusions run
-    on those tuples only, so every formula runs where, and in the order,
-    a tuple-by-tuple check would run it.
+    Each model is two chained scans of one program per type: the
+    premises' scan passes on the tuples realizing ``gamma``, one at a
+    time, and the conclusions run on those tuples only, so every formula
+    runs where, and in the order, a tuple-by-tuple check would run it.
     """
     if tuple(gamma.variables) != tuple(sigma.variables):
         raise FormulaError(
             f"variable tuples differ: {gamma.variables} vs {sigma.variables}")
     return _entailment(models(family, theory), tuple(gamma.variables),
-                       [compile_formula(f) for f in gamma.formulas],
-                       [compile_formula(f) for f in sigma.formulas])
+                       compile_formulas(gamma.formulas),
+                       compile_formulas(sigma.formulas))
 
 
-def _entailment(members: Iterable, names: tuple,
-                premises: Sequence[Program],
-                conclusions: Sequence[Program]) -> EntailmentResult:
-    """``entails`` over compiled premises and conclusions in the
-    variables ``names``, read from the ``(member, engine)`` pairs."""
+def _entailment(members: Iterable, names: tuple, premises: Program,
+                conclusions: Program) -> EntailmentResult:
+    """``entails`` over the programs of the premises and conclusions in
+    the variables ``names``, read from the ``(member, engine)`` pairs."""
     for member, engine in members:
         realizing = (tup for tup, failure
                      in engine.first_failures(premises, names)
@@ -611,9 +614,7 @@ def _entailment(members: Iterable, names: tuple,
         for tup, failure in engine.first_failures(conclusions, names,
                                                   realizing):
             if failure is not None:
-                program, value = failure
-                return EntailmentResult(False, member, tup, program.source,
-                                        value)
+                return EntailmentResult(False, member, tup, *failure)
     return EntailmentResult(True)
 
 

@@ -61,24 +61,23 @@ def omits(structure: Structure, typeset: TypeSet) -> OmitsReport:
     tuple, a member formula with value < 1, or else the first realizer."""
     witnesses = {}
     realizer = _first_realizer(Evaluator(structure), typeset.variables,
-                               _compile(typeset), witnesses)
+                               typeset.formulas, witnesses)
     if realizer is not None:
         return OmitsReport(False, {}, realizer=realizer)
     return OmitsReport(True, witnesses)
 
 
-def _first_realizer(engine: Evaluator, variables: Sequence, programs: tuple,
+def _first_realizer(engine: Evaluator, variables: Sequence, formulas,
                     witnesses: Optional[dict] = None) -> Optional[tuple]:
     """The canonically first tuple realizing the type of ``variables``
-    and compiled formulas, or None; each tuple scanned before it gets
-    its first member of value < 1 recorded in ``witnesses`` when that is
-    given."""
-    for tup, failure in engine.first_failures(programs, variables):
+    and ``formulas``, its program or its formulas, or None; each tuple
+    scanned before it gets its first member of value < 1 recorded in
+    ``witnesses`` when that is given."""
+    for tup, failure in engine.first_failures(formulas, variables):
         if failure is None:
             return tup
         if witnesses is not None:
-            program, value = failure
-            witnesses[tup] = (program.source, value)
+            witnesses[tup] = failure
     return None
 
 
@@ -112,16 +111,17 @@ def generator_check(family: Sequence[Structure], theory: Theory,
     if tuple(phi.variables) != tuple(sigma.variables):
         raise FormulaError(
             f"variable tuples differ: {phi.variables} vs {sigma.variables}")
-    programs = _compile(phi)
+    program = compile_formulas(phi.formulas)
     members = models(family, theory)
     for member, engine in members:
-        tup = _first_realizer(engine, phi.variables, programs)
+        tup = _first_realizer(engine, phi.variables, program)
         if tup is not None:
             break
     else:
         return GeneratorReport(False, satisfied=False)
     result = _entailment(itertools.chain([(member, engine)], members),
-                         tuple(phi.variables), programs, _compile(sigma))
+                         tuple(phi.variables), program,
+                         compile_formulas(sigma.formulas))
     return GeneratorReport(result.holds, satisfied=True,
                            witness=(member, tup), entailment=result)
 
@@ -340,11 +340,6 @@ def _structure(universe: tuple, levels: list, prefix: list) -> Structure:
     for (name, kind, _, _), table in zip(levels, prefix[1:]):
         parts[kind][name] = table[()] if kind == "constants" else table
     return Structure(universe, prefix[0], **parts)
-
-
-def _compile(typeset: TypeSet) -> tuple:
-    """The programs of a type's formulas."""
-    return tuple(map(compile_formula, typeset.formulas))
 
 
 def _sentence(check) -> Formula:
@@ -798,18 +793,19 @@ def type_distance(family: Sequence[Structure], theory: Theory,
     (``Evaluator.profiles``); a model's tuples realizing a record are
     then one lookup of the record's row, itself a one-tuple scan of the
     record's structure; all rows are compared in lowest terms
-    (``_lowest``).  A given corpus is compiled and scanned per call.
-    The default corpus, ``default_record_corpus`` of ``p``'s
+    (``_lowest``).  A given corpus is compiled, linked and scanned per
+    call.  The default corpus, ``default_record_corpus`` of ``p``'s
     vocabulary, depends on nothing but ``n`` and the predicate
     signature of ``p``'s structure: it is compiled once per structure
-    and ``n``, and each model's profiles are scanned once per ``n`` and
-    signature, both kept with the structure's lowered tables
-    (``Evaluator.kept``), so records from any structure of that
+    and ``n`` and linked once to each record's structure
+    (``Evaluator.keep_links``), and each model's profiles are scanned
+    once per ``n`` and signature, all kept with the structures' lowered
+    tables (``Evaluator.kept``), so records from any structure of that
     signature share one scan of each model."""
     n = len(p.elements)
     if len(q.elements) != n:
         raise FormulaError("records have different tuple lengths")
-    p_engine = Evaluator(p.structure)
+    engines = Evaluator(p.structure), Evaluator(q.structure)
     if corpus is None:
         vocabulary = p.structure.vocabulary()
 
@@ -817,8 +813,10 @@ def type_distance(family: Sequence[Structure], theory: Theory,
             variables, formulas = _record_corpus(vocabulary, n)
             return variables, compile_formulas(formulas)
 
-        variables, program = p_engine.kept(("record corpus", n),
-                                           compile_default)
+        variables, program = engines[0].kept(("record corpus", n),
+                                             compile_default)
+        for engine in engines:
+            engine.keep_links([program])
         key = ("record profiles", n, tuple(sorted(
             vocabulary.predicates.items())))
     else:
@@ -830,7 +828,7 @@ def type_distance(family: Sequence[Structure], theory: Theory,
             f"corpus has {len(variables)} variables, record has {n} elements")
     (p_row,), (q_row,) = (
         _lowest(engine.profiles(program, variables, [record.elements]))
-        for engine, record in ((p_engine, p), (Evaluator(q.structure), q)))
+        for engine, record in zip(engines, (p, q)))
     best = None
     for member, engine in models(family, theory):
         scan = lambda: _lowest(engine.profiles(program, variables))

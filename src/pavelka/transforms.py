@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .errors import FormulaError, RestrictionError, VocabularyError
@@ -203,6 +204,13 @@ def order_theory(spec: OrderTheorySpec) -> Theory:
 # Thickening
 
 
+# The most formulas ``thicken`` builds.  It builds one per conjunction of
+# members, ``2^m - 1`` of them by default for a type of ``m`` formulas,
+# and each extra member about doubles both the build and every scan of
+# the result: 8,191 formulas for a 13-formula type.
+THICKEN_LIMIT = 4096
+
+
 def thicken(typeset, delta: Fraction, max_conjunction: Optional[int] = None):
     """The thickened type: a realization of the original within distance
     ``delta`` of the tuple variables.
@@ -215,10 +223,20 @@ def thicken(typeset, delta: Fraction, max_conjunction: Optional[int] = None):
 
     with fresh witness variables.  The bound defaults to the full size;
     over finite structures the full conjunction dominates the rest.
+    The formulas are counted before any is built, and more than
+    ``THICKEN_LIMIT`` of them raise ``FormulaError``.
     """
     delta = as_fraction(delta)
     if not (ZERO <= delta <= ONE):
         raise FormulaError(f"delta outside [0,1]: {delta}")
+    size = len(typeset.formulas)
+    bound = size if max_conjunction is None else max(0, min(max_conjunction, size))
+    count = sum(comb(size, r) for r in range(1, bound + 1)) + (bound < size) \
+        if size else 1
+    if count > THICKEN_LIMIT:
+        raise FormulaError(
+            f"thickening too large: {count} formulas exceeds "
+            f"{THICKEN_LIMIT}; bound the conjunctions with --max-conjunction")
     xs = tuple(typeset.variables)
     used = set(xs)
     for phi in typeset.formulas:
@@ -230,8 +248,6 @@ def thicken(typeset, delta: Fraction, max_conjunction: Optional[int] = None):
         ys.append(y)
 
     members = list(typeset.formulas)
-    size = len(members)
-    bound = size if max_conjunction is None else max(0, min(max_conjunction, size))
     index_sets = []
     if size == 0:
         index_sets.append(())

@@ -589,6 +589,23 @@ class TestSweepLimit:
             f"{nodes} DAG nodes exceeds 25000000 node evaluations\n")
 
 
+class TestThickenLimit:
+    def test_oversized_thickening_exits_two(self, files, tmp_path, capsys):
+        path = tmp_path / "thirteen.json"
+        path.write_text(storage.dump_json({
+            "name": "s", "variables": ["x"],
+            "formulas": [f"P(x) >= {k}/13" for k in range(13)]}))
+        argv = ["thicken", "--types", str(path), "--vocab",
+                files["vocab.json"], "--delta", "1/2"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: thickening too large: 8191 formulas exceeds "
+            "4096; bound the conjunctions with --max-conjunction\n")
+        code, out = run(capsys, *argv, "--max-conjunction", "2")
+        assert code == 0 and len(json.loads(out)["formulas"]) == 92
+
+
 class TestNegativeLipschitz:
     def test_refused_with_exit_two(self, capsys):
         # it would certify 1/16 against a grid maximum of 1/8

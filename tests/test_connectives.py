@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 
 from pavelka import connectives as cn
-from pavelka import evaluate, parse_formula, Vocabulary
+from pavelka import Atom, evaluate, parse_formula, Vocabulary
 from pavelka.errors import FormulaError
 from pavelka.programs import Lanes, run
 
@@ -542,6 +542,51 @@ class TestApplyConnective:
             pointwise = cn.eval_term(
                 t, tuple(evaluate(m, f) for f in formulas))
             assert applied == pointwise
+
+
+def _piece(*coefficients):
+    return cn.AffinePiece(coefficients, F(0))
+
+
+class TestArgumentChecks:
+    """The texts of the connectives' argument checks."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cn.CConst(F(3, 2)), "connective constant outside [0,1]: 3/2"),
+        (lambda: cn.CConst(-1), "connective constant outside [0,1]: -1"),
+        (lambda: cn.eval_term(cn.Proj(1, 1), (F(3, 2),)),
+         "evaluation point outside [0,1]: 3/2"),
+        (lambda: cn.eval_term(cn.Proj(1, 2), (F(1, 2), F(-1, 4))),
+         "evaluation point outside [0,1]: -1/4"),
+        (lambda: cn.eval_term(cn.Proj(2, 2), (F(1, 2),)),
+         "term has arity 2, point has length 1"),
+        (lambda: cn.substitute_projections(
+            cn.CImplies(cn.Proj(1, 3), cn.Proj(3, 3)),
+            [cn.Proj(1, 1), cn.Proj(1, 1)]),
+         "projection 3 exceeds 2 replacements"),
+        (lambda: cn.scale_dyadic(-1, 0, 4),
+         "need integers p >= 0, k >= 0: p=-1 k=0"),
+        (lambda: cn.scale_dyadic(1, F(1, 2), 4),
+         "need integers p >= 0, k >= 0: p=1 k=Fraction(1, 2)"),
+        (lambda: cn.scale_dyadic(1, 1, 0),
+         "resolution must be a positive integer: 0"),
+        (lambda: cn.PLSpec(1, ()), "PLSpec needs at least one nonempty group"),
+        (lambda: cn.PLSpec(1, ((_piece(F(1)),), ())),
+         "PLSpec needs at least one nonempty group"),
+        (lambda: cn.PLSpec(2, ((_piece(F(1), F(0)), _piece(F(1))),)),
+         "piece arity 1 != 2"),
+        (lambda: cn.approx_lattice(cn.PLSpec(2, (
+            (_piece(F(1, 2), F(3, 5)),),)), 8),
+         "non-dyadic coefficient: 3/5"),
+        (lambda: cn.approx_lattice(cn.PLSpec(1, ((_piece(F(1)),),)), 0),
+         "resolution must be a positive integer: 0"),
+        (lambda: cn.apply_connective(cn.Proj(1, 2), [Atom("P", ())]),
+         "term arity 2 does not match 1 formulas"),
+    ])
+    def test_refused_with_its_text(self, call, message):
+        with pytest.raises(FormulaError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 class TestRenderConnective:

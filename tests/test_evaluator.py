@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavelka import (And, Atom, Const, EvaluationError, Exists, Geq, Implies,
-                     Leq, Not, Or, Structure, Theory, TypeSet, Var, Vocabulary,
-                     check_theory, entails, evaluate, generator_check, omits,
-                     parse_formula, realizes, satisfies, tarski_vaught_check)
+from pavelka import (And, Atom, Const, EvaluationError, Exists, Func, Geq,
+                     Implies, Leq, Not, Or, Structure, Theory, TypeSet, Var,
+                     Vocabulary, check_theory, entails, evaluate,
+                     generator_check, omits, parse_formula, realizes,
+                     satisfies, tarski_vaught_check)
 from pavelka import evaluator
 from pavelka.errors import FormulaError
-from pavelka.evaluator import models
+from pavelka.evaluator import Evaluator, compile_formulas, models
+from pavelka.syntax import children, postorder
 
 from genutil import random_formula, random_sentence, random_structure
 from naive import (naive_entails, naive_eval, naive_first_failure,
@@ -416,6 +418,119 @@ class TestTupleScans:
         assert result.assignment == ("a",) and result.value == F(1, 2)
 
 
+def root_nodes(formula):
+    """The formula nodes of a formula's root scope, in postorder: every
+    node but the terms and those inside an ``Exists`` body."""
+    return [node for node in postorder(formula, lambda node: (
+        () if isinstance(node, Exists) else children(node)))
+        if not isinstance(node, (Var, Func))]
+
+
+class TestOneProgramScan:
+    """``first_failures`` runs a type as one program, one formula's
+    stretch of its root code at a time, and reports at each tuple what
+    a formula-by-formula reference reports, whatever its formulas
+    share."""
+
+    def check(self, m, formulas):
+        """The scan of ``formulas``, given as formulas and as one
+        program (and as ``compile_formula``'s program of a lone
+        formula), against the reference at every tuple; returns how many
+        tuples fail and how many pass."""
+        tuples = list(itertools.product(m.universe, repeat=len(NAMES)))
+        want = [naive_first_failure(m, NAMES, formulas, tup)
+                for tup in tuples]
+        engine = Evaluator(m)
+        programs = [compile_formulas(formulas)]
+        if len(formulas) == 1:
+            programs.append(evaluator.compile_formula(formulas[0]))
+        for given in (formulas, *programs):
+            got = list(engine.first_failures(given, NAMES))
+            assert [tup for tup, _ in got] == tuples
+            for (_, failure), expected in zip(got, want):
+                if expected is None:
+                    assert failure is None
+                else:
+                    assert failure[0] is expected[0]
+                    assert failure[1] == expected[1]
+        fails = sum(w is not None for w in want)
+        return fails, len(want) - fails
+
+    def test_same_formula_object_twice(self):
+        rng = random.Random(37)
+        fails = passes = 0
+        for _ in range(60):
+            family, _, formulas = scan_case(rng)
+            made = formulas(rng.randint(1, 3))
+            for typeset in (made + made[:1], made[:1] + made,
+                            (made[-1], made[-1]), made[-1:]):
+                f, p = self.check(rng.choice(family), typeset)
+                fails, passes = fails + f, passes + p
+        assert fails >= 100 and passes >= 100
+
+    def test_constant_formulas(self):
+        rng = random.Random(38)
+        half = Const(F(1, 2))
+        fails = passes = 0
+        for _ in range(40):
+            family, _, formulas = scan_case(rng)
+            made = formulas(rng.randint(1, 2))
+            m = rng.choice(family)
+            for typeset in ((*made, half), (Const(F(1)), *made),
+                            (*made, Const(F(1)), made[0])):
+                f, p = self.check(m, typeset)
+                fails, passes = fails + f, passes + p
+            # a constant below 1 fails every tuple, at its own place
+            first = list(Evaluator(m).first_failures((half, *made), NAMES))
+            assert {failure for _, failure in first} == {(half, F(1, 2))}
+        assert fails >= 100 and passes >= 50
+
+    def test_later_formula_inside_an_earlier_one(self):
+        rng = random.Random(39)
+        fails = passes = empty = 0
+        for _ in range(80):
+            family, _, _ = scan_case(rng)
+            phi = random_formula(rng, SCAN_VOCAB, list(NAMES), depth=3,
+                                 quantifier_budget=2, allow_derived=False)
+            inner = rng.choice(root_nodes(phi))
+            typeset = (Geq(phi, F(rng.randint(0, 4), 4)), inner,
+                       Geq(inner, F(rng.randint(1, 4), 4)), phi)
+            f, p = self.check(rng.choice(family), typeset)
+            fails, passes = fails + f, passes + p
+            # the core nodes of phi are computed in the first stretch;
+            # the stretches split the root code and nothing more
+            program = compile_formulas(typeset)
+            code = program.scopes[0][0]
+            stretches = evaluator._stretches(program, code)
+            assert [ins for stretch, _, _ in stretches
+                    for ins in stretch] == code
+            assert stretches[1][0] == stretches[3][0] == []
+            empty += stretches[0][0] != []
+        assert fails >= 100 and passes >= 50 and empty >= 40
+
+    def test_later_formulas_read_lazily(self, m2):
+        # m2 has no Q: its read raises only at a tuple where every
+        # formula before it has value 1
+        vocab = Vocabulary({"P": 1, "Q": 1}, {})
+        below, reads_q = (parse_formula(text, vocab)
+                          for text in ("P(x) /\\ 1/2", "Q(x)"))
+        typeset = TypeSet("t", ("x",), (below, reads_q))
+        report = omits(m2, typeset)
+        assert report.omitted
+        assert report.witnesses == {("a",): (below, F(1, 3)),
+                                    ("b",): (below, F(1, 2))}
+        assert not realizes(m2, ("b",), typeset)
+        passing = parse_formula("P(x) >= 1/2", vocab)
+        typeset = TypeSet("t", ("x",), (passing, reads_q))
+        assert not realizes(m2, ("a",), typeset)
+        for call in (lambda: omits(m2, typeset),
+                     lambda: realizes(m2, ("b",), typeset)):
+            with pytest.raises(EvaluationError) as caught:
+                call()
+            assert str(caught.value) == \
+                "predicate 'Q' missing from the structure"
+
+
 class TestCompiledOnce:
     def test_theory_compiles_once_across_models_calls(self, monkeypatch):
         rng = random.Random(34)
@@ -445,8 +560,9 @@ class TestCompiledOnce:
         rng = random.Random(35)
         compiled = []
         for module in (evaluator, omitting):
-            monkeypatch.setattr(module, "compile_formula", lambda phi, make=(
-                module.compile_formula): (compiled.append(phi), make(phi))[1])
+            monkeypatch.setattr(module, "compile_formulas", lambda fs, make=(
+                module.compile_formulas): (compiled.append(tuple(fs)),
+                                           make(fs))[1])
         satisfied = 0
         for _ in range(40):
             family, theory, formulas = scan_case(rng)
@@ -456,10 +572,10 @@ class TestCompiledOnce:
             compiled.clear()
             report = generator_check(family, theory, phi, sigma)
             if not report.satisfied:
-                assert compiled == list(phi.formulas)
+                assert compiled == [phi.formulas]
                 continue
             satisfied += 1
-            assert compiled == list(phi.formulas) + list(sigma.formulas)
+            assert compiled == [phi.formulas, sigma.formulas]
             assert report.entailment == entails(family, theory, phi, sigma)
         assert satisfied >= 10
 

@@ -333,6 +333,32 @@ class TestThicken:
         only_full = thicken(sigma, F(0), max_conjunction=0)
         assert len(only_full.formulas) == 1
 
+    def test_size_counted_before_building(self, vocab_pc, monkeypatch):
+        # 13 members: 2^13 - 1 = 8,191 conjunctions by default, over the
+        # limit, refused before any is built
+        from pavelka import transforms
+        sigma = TypeSet("s", ("x",), tuple(
+            parse_formula(f"P(x) >= {k}/13", vocab_pc) for k in range(13)))
+        built = []
+        substitute = transforms.substitute
+        monkeypatch.setattr(transforms, "substitute", lambda *args: (
+            built.append(args), substitute(*args))[1])
+        for bound in (None, 13, 12, 7):
+            with pytest.raises(FormulaError) as caught:
+                thicken(sigma, F(1, 2), bound)
+            count = 8191 if bound in (None, 13, 12) else 5812
+            assert str(caught.value) == (
+                f"thickening too large: {count} formulas exceeds 4096; "
+                "bound the conjunctions with --max-conjunction")
+        assert built == []
+        # 13 + 78 + 286 subsets of at most 3 members, and the full one
+        assert len(thicken(sigma, F(1, 2), 3).formulas) == 378
+        assert len(thicken(sigma, F(1, 2), 0).formulas) == 1
+        # the delta is checked first
+        with pytest.raises(FormulaError) as caught:
+            thicken(sigma, F(3, 2))
+        assert str(caught.value) == "delta outside [0,1]: 3/2"
+
     def test_delta_out_of_range(self, vocab_pc):
         sigma = TypeSet("s", ("x",), (parse_formula("P(x)", vocab_pc),))
         with pytest.raises(FormulaError):

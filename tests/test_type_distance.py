@@ -273,6 +273,37 @@ class TestDefaultCorpusKept:
         check(0, 2)
         assert len(compiled) == 6
 
+    def test_repeated_call_links_nothing(self, monkeypatch):
+        # the default corpus's links to p's and q's structures are kept
+        # with them, as the theory's links to the members are; a given
+        # corpus is linked per call
+        from pavelka import evaluator
+        rng = random.Random(7)
+        family = [random_structure(rng, VOCAB, max_size=3) for _ in range(3)]
+        theory = Theory("t", (Forall("x", Leq(Atom("d", (Var("x"),
+                                                         Func("c"))),
+                                              F(3, 4))),))
+        outside = random_structure(rng, VOCAB, max_size=2)
+        linked = []
+        link = evaluator._link
+        monkeypatch.setattr(evaluator, "_link", lambda *args: (
+            linked.append(args[0]), link(*args))[1])
+        for p_home, q_home in ((family[0], family[-1]), (outside, family[1]),
+                               (family[1], outside)):
+            p = random_record(rng, p_home, 2)
+            q = random_record(rng, q_home, 2)
+            first = type_distance(family, theory, p, q)
+            assert linked
+            linked.clear()
+            assert type_distance(family, theory, p, q) == first
+            assert linked == []
+            corpus = default_record_corpus(VOCAB, 2)
+            given = type_distance(family, theory, p, q, corpus)
+            assert (given.value, given.connected) == \
+                (first.value, first.connected)
+            assert len(linked) >= 2
+            linked.clear()
+
 
 def kept_profiles(structure):
     """The default-corpus profile tables a structure keeps, by key."""
