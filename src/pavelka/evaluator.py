@@ -472,13 +472,13 @@ class Evaluator:
         value)`` for the first one, in order, whose value is below 1.
 
         ``formulas`` is one program, or formulas compiled into one for
-        this scan.  At each tuple its root
-        code runs one formula's stretch at a time (``_stretches``), and
-        the tuple stops at the first value below 1.  Free variables are
-        checked before the first tuple, even a formula's that no tuple
-        reaches, so an unassigned one raises before an element outside
-        the universe, which ``value`` would report first.  Each distinct
-        value reported is made a ``Fraction`` once per scan."""
+        this scan.  At each tuple its root code runs one formula's
+        stretch at a time (``_stretches``), and the tuple stops at the
+        first value below 1.  Free variables are checked before the
+        first tuple, even a formula's that no tuple reaches, so an
+        unassigned one raises before an element outside the universe,
+        which ``value`` would report first.  Each distinct value
+        reported is made a ``Fraction`` once per scan."""
         program, code, registers, denominator, tuples = self._scan(
             formulas, variables, tuples)
         stretches, memo = _stretches(program, code), {}
@@ -501,10 +501,10 @@ def _stretches(program: Program, code: list) -> list:
     value to ``result``; empty for a constant or an earlier formula's
     node.  ``compile_formula``'s program has its one formula as source."""
     source = program.source
+    formulas = source if isinstance(source, tuple) else (source,)
     ends = {ins[1]: k + 1 for k, ins in enumerate(code)}
     stretches, start = [], 0
-    for result, formula in zip(program.results, source if isinstance(
-            source, tuple) else (source,)):
+    for result, formula in zip(program.results, formulas):
         end = max(start, ends.get(result, 0))
         stretches.append((code[start:end], result, formula))
         start = end
