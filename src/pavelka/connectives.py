@@ -25,7 +25,7 @@ from operator import add
 from typing import Callable, Optional, Sequence
 
 from .errors import FormulaError
-from .programs import IMP, Lanes, Program, run
+from .programs import IMP, Lanes, Program
 from .rationals import ZERO, ONE, as_fraction, in_unit_interval, is_dyadic
 from .records import Record, postorder
 
@@ -170,12 +170,9 @@ def eval_term(term: ConnectiveTerm, point: Sequence[Fraction]) -> Fraction:
             f"term has arity {declared}, point has length {len(point)}")
     program = _program(term, len(point), nodes)
     denominator = lcm(program.denominator, *(x.denominator for x in point))
-    registers = program.registers(denominator)
-    registers[:len(point)] = [x.numerator * (denominator // x.denominator)
-                              for x in point]
-    code, result = program.scopes[0]
-    run(code, registers, denominator)
-    return Fraction(registers[result], denominator)
+    value, = Lanes(program, denominator).run(
+        [[x.numerator * (denominator // x.denominator) for x in point]])
+    return Fraction(value, denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ each one's value; ``compile_formula`` is the one-formula case.
 compiles on the spot; a caller that evaluates one formula many times
 compiles it once and passes the program.
 
-The instruction set, ``Program`` and the two machines that run a
-program, ``run`` at one point and the packed kernel ``Lanes`` over a
-block of points or tables, live in ``programs``.
+The instruction set, ``Program`` and the packed kernel ``Lanes`` live
+in ``programs``.  The evaluator runs its programs at one point in its
+own loop, ``run``, which for a one-point scan is faster than ``Lanes``
+at one lane; it is also the only machine that runs ``FAIL``, the
+instruction ``_link`` writes for a table the structure lacks.
 
 Formulas over tuples are evaluated a table at a time, the relational
 strategy for finite model checking (Vardi, STOC 1982): a scan
@@ -70,8 +72,8 @@ from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EvaluationError, FormulaError
-from .programs import (EXISTS, FAIL, IMP, LOOK0, LOOK1, LOOK2, LOOKN,
-                       _UNIVERSE, Program, run)
+from .programs import (EXISTS, IMP, LOOK0, LOOK1, LOOK2, LOOKN, _UNIVERSE,
+                       Program)
 from .rationals import ZERO, ONE
 from .records import Record, postorder
 from .syntax import (Atom, Const, Exists, Formula, Func, Implies, Theory, Var,
@@ -79,6 +81,11 @@ from .syntax import (Atom, Const, Exists, Formula, Func, Implies, Theory, Var,
 
 # An assignment is a plain mapping from free-variable names to element ids.
 Assignment = Mapping[str, str]
+
+# The evaluator's own instruction, after those of ``programs``:
+#   FAIL    a: the error message, or its head when b lists the slots of
+#           the arguments; c: the universe, to name them
+FAIL = EXISTS + 1
 
 _TERMS = (Var, Func)
 
@@ -329,6 +336,54 @@ def _failing_code(program: Program, broken: dict, universe: tuple) -> list:
             out.append(ins)
         rebuilt[id(code)] = out
     return rebuilt[id(program.scopes[0][0])]
+
+
+def run(code: list, registers: list, denominator: int, memo) -> None:
+    """Execute one scope of code on ``registers``, in place, at one
+    point: truth values are integers over ``denominator``, elements their
+    positions in the universe."""
+    for op, slot, a, b, c in code:
+        if op == IMP:
+            value = denominator - registers[a] + registers[b]
+            registers[slot] = value if value < denominator else denominator
+        elif op == LOOK1:
+            registers[slot] = registers[a][registers[b]]
+        elif op == LOOK2:
+            registers[slot] = registers[a][registers[b]][registers[c]]
+        elif op == EXISTS:
+            if c is not None:
+                key = (slot, *[registers[r] for r in c])
+                best = memo.get(key)
+                if best is not None:
+                    registers[slot] = best
+                    continue
+            body, result = b
+            saved = registers[a]
+            best = 0
+            for element in registers[_UNIVERSE]:
+                registers[a] = element
+                run(body, registers, denominator, memo)
+                value = registers[result]
+                if value > best:
+                    best = value
+                    if best == denominator:
+                        break
+            registers[a] = saved
+            registers[slot] = best
+            if c is not None:
+                memo[key] = best
+        elif op == LOOK0:
+            registers[slot] = registers[a]
+        elif op == LOOKN:
+            table = registers[a]
+            for r in b:
+                table = table[registers[r]]
+            registers[slot] = table
+        else:  # FAIL
+            if b is None:
+                raise EvaluationError(a)
+            raise EvaluationError(
+                f"{a} has no entry for {tuple(c[registers[r]] for r in b)}")
 
 
 class Evaluator:

@@ -21,7 +21,7 @@ from .errors import FormulaError, ResolutionError
 from .evaluator import (EntailmentResult, Evaluator, _entailment,
                         _scaled, compile_formula, compile_formulas, entails,
                         models, nested)
-from .programs import _UNIVERSE, Lanes, run
+from .programs import Lanes
 from .rationals import ZERO, ONE, as_fraction
 from .records import Record
 from .structures import Structure
@@ -406,22 +406,21 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     Each check's program is compiled once per call and gets its
     registers once per universe size, over that denominator; choosing a
     table writes it into the registers of every check that reads it, so
-    sibling tables share the whole prefix.  At the metric, operation and
-    constant levels, deciding a check is one ``run`` of its program per
-    table.  A predicate level with
-    checks decides them a block of sibling tables at a time, in
-    ``programs.Lanes``: a block holds the tables that differ only in
-    the level's last entries, up to ``_LANES`` of them, lane ``t`` the
-    ``t``-th in canonical order, and one packed run of each check
-    decides it for the whole block, the earlier levels' tables packed
-    the same in every lane.  A check there reads nothing but ``d`` and
-    predicates, so every element it indexes by is the same in every
-    lane.  The passing lanes are taken in lane order, and only they
-    are chosen, so the order and the structures yielded are as if each
-    table were decided alone.  A ``Structure`` is built only for a
-    structure yielded.  The grids, each universe size's levels, and the
-    packed columns of a block's own entries are made once per space and
-    kept with it.
+    sibling tables share the whole prefix.  Every check is decided in
+    ``programs.Lanes``.  At the metric, operation and constant levels it
+    is decided one table at a time, in one lane.  A predicate level with
+    checks decides them a block of sibling tables at a time: a block
+    holds the tables that differ only in the level's last entries, up
+    to ``_LANES`` of them, lane ``t`` the ``t``-th in canonical order,
+    and one packed run of each check decides it for the whole block,
+    the earlier levels' tables packed the same in every lane.  A check
+    there reads nothing but ``d`` and predicates, so every element it
+    indexes by is the same in every lane.  The passing lanes are taken
+    in lane order, and only they are chosen, so the order and the
+    structures yielded are as if each table were decided alone.  A
+    ``Structure`` is built only for a structure yielded.  The grids,
+    each universe size's levels, and the packed columns of a block's own
+    entries are made once per space and kept with it.
     """
     compiled = [(compile_formula(_sentence(check)),
                  not isinstance(check, TypeSet)) for check in checks]
@@ -482,38 +481,31 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
 
     # a predicate level with checks decides them in lanes, a block of
     # its tables at a time (``in_lanes``); the other levels, one table
-    # at a time
+    # at a time, in one lane
     laned = {}  # level -> (its lowered values, the trailing entries)
     for k, checks in enumerate(at_level):
         if checks and k and levels[k - 1][1] == "predicates":
             _, _, slots, values = levels[k - 1]
             laned[k] = lowered(values), _trailing(len(values), len(slots))
     # level -> (registers, slot, ones) of each check that reads it: ones
-    # is 1 for a check decided a table at a time, and the packed ones
-    # for a check of a later level decided in lanes
+    # is 1 for a check decided in one lane, and the packed ones for a
+    # check of a later level decided in lanes
     sinks: list = [[] for _ in walk]
+    # level -> (lanes, registers, own, sentence) of each of its checks,
+    # ``own`` the slot that gets each block in a check decided in lanes
     deciders: list = [[] for _ in walk]
     for k, checks in enumerate(at_level):
+        count = len(laned[k][0]) ** laned[k][1] if k in laned else 1
         for program, sentence in checks:
-            if k not in laned:
-                # ``_check_symbols`` has read every symbol at its arity,
-                # and the walk writes a table into the registers before
-                # it is read
-                registers = program.registers(denominator)
-                registers[_UNIVERSE] = range(size)
-                for _, name, _, slot in program.symbols:
-                    sinks[depth[name]].append((registers, slot, 1))
-                code, result = program.scopes[0]
-                deciders[k].append((code, result, registers, sentence))
-                continue
-            values, trailing = laned[k]
-            lanes = Lanes(program, denominator, len(values) ** trailing)
-            registers = lanes.registers(size)
+            # ``_check_symbols`` has read every symbol at its arity, and
+            # the walk writes a table into the registers before it is read
+            lanes = Lanes(program, denominator, count)
+            registers, own = lanes.registers(size), None
             for _, name, _, slot in program.symbols:
-                if depth[name] < k:
-                    sinks[depth[name]].append((registers, slot, lanes.ones))
-                else:
+                if k in laned and depth[name] == k:
                     own = slot
+                else:
+                    sinks[depth[name]].append((registers, slot, lanes.ones))
             deciders[k].append((lanes, registers, own, sentence))
     chosen = [None] * len(walk)
     last = len(walk) - 1
@@ -547,9 +539,8 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
         for entries in tables():
             choose(k, entries)
             found = False
-            for code, result, registers, sentence in deciders[k]:
-                run(code, registers, denominator, {})
-                if (registers[result] == denominator) != sentence:
+            for lanes, registers, _, sentence in deciders[k]:
+                if not lanes.passing(registers, sentence):
                     break
             else:
                 for structure in below(k):
@@ -697,12 +688,13 @@ def search_model(space: SearchSpace, theory: Theory,
     and a prefix that fails one skips every structure extending it.  A
     level that no check reads is walked past its first table only when
     that table yields a structure, since its other tables would meet
-    the same checks with the same results.  A check that reads a
-    predicate last is decided for a block of that predicate's sibling
-    tables at once, in lanes, the passing tables taken in canonical
-    order.  The examined count is still the found structure's 1-based
-    canonical index, or the size of the space when it is exhausted, so
-    skipped structures count.
+    the same checks with the same results.  Every check runs on the
+    packed kernel (``programs.Lanes``): one that reads a predicate last
+    is decided for a block of that predicate's sibling tables at once,
+    one table per lane, the passing tables taken in canonical order, and
+    any other on one table in one lane.  The examined count is still the
+    found structure's 1-based canonical index, or the size of the space
+    when it is exhausted, so skipped structures count.
 
     Off-grid constants and bounds, in the theory's sentences and then in
     the types' formulas, raise ``ResolutionError``, and a symbol outside

@@ -1,20 +1,23 @@
-"""Integer programs and the two machines that run them.
+"""Integer programs and the one machine outside the evaluator that runs
+them.
 
 ``evaluator.compile_formulas`` compiles formulas, and ``connectives`` a
 connective term (straight-line ``IMP`` code over its projections and
 constants), to a ``Program``: one list of instructions over numbered
 slots per quantifier scope, truth values integers over one denominator
-``D``.  ``run`` executes any program at one point.  ``Lanes`` is the one
-packed kernel: it executes the same instruction set over a block of
-lanes at once, each truth-valued register one int that packs the block's
-values in fixed-width lanes, while element positions stay scalars.  A
-grid sweep runs a term over a block of points, one per lane, and the
-model search decides a check over a block of sibling tables, one per
-lane; each costs a few whole-int operations per instruction and block,
-not one interpreted instruction per instruction and point or table.
+``D``.  ``Lanes`` is the packed kernel: it executes the instruction set
+over a block of lanes at once, each truth-valued register one int that
+packs the block's values in fixed-width lanes, while element positions
+stay scalars.  A grid sweep runs a term over a block of points, one per
+lane, and the model search decides a check over a block of sibling
+tables, one per lane; each costs a few whole-int operations per
+instruction and block, not one interpreted instruction per instruction
+and point or table.  A term at one point, and a search check on one
+table, run at one lane.  The evaluator keeps a one-point loop of its
+own (``evaluator.run``) for its scans.
 
-This module imports only the standard library and ``errors``, so a
-process that certifies connective terms loads no formula machinery.
+This module imports only the standard library, so a process that
+certifies connective terms loads no formula machinery.
 """
 
 from __future__ import annotations
@@ -22,21 +25,19 @@ from __future__ import annotations
 from math import lcm
 from typing import Sequence
 
-from .errors import EvaluationError
-
 # An instruction is a tuple ``(op, slot, a, b, c)`` that writes ``slot``:
 #   IMP     a, b: the slots of the antecedent and the consequent; c: None,
-#           or in a sweep's code (``Lanes._planned``) its read plan
+#           or in a sweep's code (``Lanes._planned``) its read plan;
+#           writes min(D, D - a + b)
 #   LOOK0-2 a: the slot of a table; b, c: the slots of its arguments;
 #           the opcode is LOOK0 plus the number of arguments
 #   LOOKN   a: the slot of a table; b: the slots of its arguments
 #   EXISTS  a: the slot of the variable; b: the body, (code, result slot);
 #           c: the slots of its free variables, which key its memo, or
-#           None in the root scope, where it runs once
-#   FAIL    a: the error message, or its head when b lists the slots of
-#           the arguments; c: the universe, to name them
+#           None in the root scope, where it runs once; writes the
+#           maximum of the body's result over the universe
 # Slot 0 of a formula program holds the universe's positions.
-IMP, LOOK0, LOOK1, LOOK2, LOOKN, EXISTS, FAIL = range(7)
+IMP, LOOK0, LOOK1, LOOK2, LOOKN, EXISTS = range(6)
 _UNIVERSE = 0
 
 
@@ -80,59 +81,6 @@ class Program:
         return registers
 
 
-def run(code: list, registers: list, denominator: int, memo=None) -> None:
-    """Execute one scope of code on ``registers``, in place.
-
-    This is the one-point interpreter loop, and the reference for
-    ``Lanes``, which runs the same code over a block of points or
-    tables.  Truth values are integers over ``denominator``; elements
-    are their positions in the universe.
-    """
-    for op, slot, a, b, c in code:
-        if op == IMP:
-            value = denominator - registers[a] + registers[b]
-            registers[slot] = value if value < denominator else denominator
-        elif op == LOOK1:
-            registers[slot] = registers[a][registers[b]]
-        elif op == LOOK2:
-            registers[slot] = registers[a][registers[b]][registers[c]]
-        elif op == EXISTS:
-            if c is not None:
-                key = (slot, *[registers[r] for r in c])
-                best = memo.get(key)
-                if best is not None:
-                    registers[slot] = best
-                    continue
-            body, result = b
-            saved = registers[a]
-            best = 0
-            for element in registers[_UNIVERSE]:
-                registers[a] = element
-                run(body, registers, denominator, memo)
-                value = registers[result]
-                if value > best:
-                    best = value
-                    if best == denominator:
-                        break
-            registers[a] = saved
-            registers[slot] = best
-            if c is not None:
-                memo[key] = best
-        elif op == LOOK0:
-            registers[slot] = registers[a]
-        elif op == LOOKN:
-            table = registers[a]
-            for r in b:
-                table = table[registers[r]]
-            registers[slot] = table
-        else:  # FAIL
-            if b is None:
-                raise EvaluationError(a)
-            raise EvaluationError(
-                f"{a} has no entry for {tuple(c[registers[r]] for r in b)}")
-
-
-
 class Lanes:
     """A program run over a block of lanes at once: SIMD within a
     register (Fisher and Dietz, LCPC 1998) on Python's exact integers.
@@ -141,19 +89,18 @@ class Lanes:
     values, one per lane of ``width`` bits, the first lane lowest; a
     table holds such packed values.  A register that holds an element
     position, a variable or the universe, stays a scalar: it is the same
-    in every lane, so a ``LOOK`` reads a table at scalar positions, as
-    ``run`` does, and gets a packed value.  ``execute`` is the one
-    packed kernel: it runs the formula instruction set on such
-    registers and computes in each lane what ``run`` computes at one
-    point.  (``FAIL`` is left out: only ``evaluator._link`` writes it,
-    into code rebuilt for a structure that lacks a table, and that code
-    runs in ``run``.)  It has two callers:
-      * ``run`` sweeps a connective term's straight-line ``IMP`` code
+    in every lane, so a ``LOOK`` reads a table at scalar positions and
+    gets a packed value.  ``execute`` is the packed kernel: it runs the
+    instruction set on such registers and computes in each lane the
+    program's value at that lane's point or table.  It has two callers:
+      * ``run`` evaluates a connective term's straight-line ``IMP`` code
         over a block of grid points, one point per lane
-        (``connectives.grid_max_error``);
+        (``connectives.grid_max_error``), or at one point in one lane
+        (``connectives.eval_term``);
       * ``passing`` decides a search check over a block of sibling
         tables, one table per lane, the tables of earlier levels packed
-        the same in every lane (``omitting._walk``).
+        the same in every lane, or on one table in one lane
+        (``omitting._walk``).
 
     With ``Dp`` the packed ``D`` (``full``), ``G`` the packed guard bits
     ``2^(w-1)`` (``guards``) and ``1p`` the packed ones (``ones``):
@@ -161,8 +108,8 @@ class Lanes:
         lanes where ``s > D``;
       * an ``Exists`` keeps a lane-wise maximum over the universe, the
         guards of ``best + G - value`` marking where ``best >= value``,
-        memoized by the positions of its free variables, as in ``run``;
-        it stops early only when every lane holds ``D``;
+        memoized by the positions of its free variables; it stops
+        early only when every lane holds ``D``;
       * ``passing`` marks the lanes below ``D`` by the guards of
         ``(Dp - V) + G - 1p``.
     Each is a few whole-int operations for the whole block.
@@ -193,16 +140,17 @@ class Lanes:
         lane it is ``value``, so neither case computes ``m``.  The
         packed maximum equals ``Dp`` exactly when every lane holds
         ``D``, and only then does the loop stop early: no lane stops
-        sooner than ``run`` would, and a lane that ``run`` would have
-        stopped sooner reads more elements, which cannot move a maximum
+        sooner than it would alone, and a lane that would have stopped
+        sooner alone reads more elements, which cannot move a maximum
         already at ``D``;
       * ``Dp - V`` has lanes ``D - v`` in ``[0, D]``, and adding
         ``G - 1p`` gives lanes in ``[2^(w-1) - 1, 2^(w-1) - 1 + D]``,
         below ``2^w``: the guard is set exactly when ``D - v >= 1``,
         that is ``v < D``.  The implication's ``2^(w-1) - 1 - D`` would
         set it at ``v >= D + 1`` instead: one too high for this test.
-    So every lane computes exactly what ``run`` computes at its point,
-    or for its table.
+    So every lane computes exactly the program's value at its point, or
+    for its table, and at one lane the kernel is a one-point
+    interpreter.
 
     ``count`` is the number of lanes; ``run`` packs for as many as it is
     given points.  Its read plan is made once per program, on the first
@@ -241,8 +189,8 @@ class Lanes:
         self._below = self.full + self.guards - ones
 
     def execute(self, code: list, registers: list, memo) -> None:
-        """Execute one scope of code on packed ``registers``, in place:
-        ``run``, lane by lane."""
+        """Execute one scope of code on packed ``registers``, in place,
+        lane by lane."""
         full, guards, bias, ones = self.full, self.guards, self._bias, \
             self.ones
         shift = self.width - 1

@@ -51,8 +51,9 @@ def vocabulary_to_dict(vocabulary: Vocabulary) -> dict:
 
 def vocabulary_from_dict(data: Mapping) -> Vocabulary:
     data = _object(data, "vocabulary")
-    return Vocabulary(dict(data.get("predicates", {})),
-                      dict(data.get("operations", {})))
+    predicates = _object(data.get("predicates", {}), "vocabulary predicates")
+    operations = _object(data.get("operations", {}), "vocabulary operations")
+    return Vocabulary(dict(predicates), dict(operations))
 
 
 def load_vocabulary(path: str) -> Vocabulary:

@@ -69,17 +69,25 @@ def naive_eval(structure, formula, env=None):
 
 
 def naive_connective(term, point):
-    """A connective term's value at a point, by recursion over the term
-    as a tree: projections read the point, implications truncate."""
+    """A connective term's value at a point, by recursion over the term:
+    projections read the point, implications truncate.  A node that the
+    term shares is evaluated once, its value kept by identity."""
     # imported here, not at the top: perfbench/reference.py imports this
     # module in every benchmark worker, and connectives is large
     from pavelka import connectives
-    if isinstance(term, connectives.Proj):
-        return Fraction(point[term.index - 1])
-    if isinstance(term, connectives.CConst):
-        return term.value
-    return min(ONE, ONE - naive_connective(term.lhs, point)
-               + naive_connective(term.rhs, point))
+    done = {}
+
+    def value(node):
+        if id(node) not in done:
+            if isinstance(node, connectives.Proj):
+                done[id(node)] = Fraction(point[node.index - 1])
+            elif isinstance(node, connectives.CConst):
+                done[id(node)] = node.value
+            else:
+                done[id(node)] = min(ONE, ONE - value(node.lhs)
+                                     + value(node.rhs))
+        return done[id(node)]
+    return value(term)
 
 
 def naive_render_term(term):

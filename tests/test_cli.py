@@ -335,6 +335,15 @@ class TestMalformedInputExitsTwo:
                               "--struct", files["m2.json"]],
          {"vocabulary": {"predicates": {"P": 1}}, "moduli": {"P": [1]}},
          "modulus of 'P' must be a JSON list, got 1"),
+        (lambda files, path: ["validate", "--sig", path,
+                              "--struct", files["m2.json"]],
+         {"vocabulary": {"predicates": 1}, "moduli": {}},
+         "vocabulary predicates must be a JSON object, got 1"),
+        (lambda files, path: ["validate", "--sig", path,
+                              "--struct", files["m2.json"]],
+         {"vocabulary": {"predicates": {}, "operations": ["x"]},
+          "moduli": {}},
+         'vocabulary operations must be a JSON object, got ["x"]'),
         (lambda files, path: ["principal", "--family", files["family"],
                               "--theory", files["tight.json"],
                               "--sigma", files["sigma.json"],
@@ -373,7 +382,8 @@ class TestMalformedInputExitsTwo:
             "omits-type-string", "omits-type-number", "realizes-no-types",
             "entails-empty-family", "omit-space-vocabulary-list",
             "validate-signature-list", "validate-moduli-string",
-            "validate-modulus-number",
+            "validate-modulus-number", "validate-predicates-number",
+            "validate-operations-list",
             "principal-candidate-list", "approx-spec-list",
             "approx-spec-group-object", "approx-spec-arity-list",
             "omit-space-max-size-zero", "omit-space-denominator-zero",

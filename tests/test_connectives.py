@@ -10,7 +10,7 @@ import pytest
 from pavelka import connectives as cn
 from pavelka import Atom, evaluate, parse_formula, Vocabulary
 from pavelka.errors import FormulaError
-from pavelka.programs import Lanes, run
+from pavelka.programs import Lanes
 
 from genutil import (random_connective_term, random_dag, random_formula,
                      random_structure)
@@ -68,12 +68,8 @@ class TestEvalTerm:
             t = random_connective_term(rng, 2, 4, max_denominator=6)
             den = 60
             ints = (rng.randint(0, den), rng.randint(0, den))
-            program = cn._program(t, 2)
-            registers = program.registers(den)
-            registers[:2] = ints
-            code, result = program.scopes[0]
-            run(code, registers, den)
-            scaled = F(registers[result], den)
+            value, = Lanes(cn._program(t, 2), den).run([ints])
+            scaled = F(value, den)
             exact = naive_connective(t, (F(ints[0], den), F(ints[1], den)))
             assert scaled == exact
 
@@ -603,24 +599,19 @@ class TestRenderConnective:
         assert cn.dag_size(term) < 200  # the DAG itself stays small
 
 
-def run_each(program, arity, denominator, points):
-    """The program's value at each point, one ``run`` per point."""
-    registers = program.registers(denominator)
-    code, result = program.scopes[0]
-    values = []
-    for point in points:
-        registers[:arity] = point
-        run(code, registers, denominator)
-        values.append(registers[result])
-    return values
+def naive_each(term, denominator, points):
+    """``naive_connective``'s value of the term at each point, the
+    points given as integers over ``denominator``."""
+    return [naive_connective(term, [F(x, denominator) for x in point])
+            for point in points]
 
 
 def lanes_agree(term, arity, denominator, points):
-    """Check the lane kernel against ``run`` at every point; returns the
-    kernel."""
-    program = cn._program(term, arity)
-    lanes = Lanes(program, denominator)
-    assert lanes.run(points) == run_each(program, arity, denominator, points)
+    """Check the lane kernel against ``naive_connective`` at every point;
+    returns the kernel."""
+    lanes = Lanes(cn._program(term, arity), denominator)
+    assert [F(v, denominator) for v in lanes.run(points)] == \
+        naive_each(term, denominator, points)
     return lanes
 
 
@@ -632,7 +623,7 @@ def random_points(rng, arity, denominator, count):
 
 class TestLanes:
     """``programs.Lanes`` runs a term over a block of points and gives,
-    lane by lane, what ``run`` gives point by point."""
+    lane by lane, what ``naive_connective`` gives point by point."""
 
     def test_random_terms(self):
         rng = random.Random(41)
@@ -713,9 +704,9 @@ class TestLanes:
             denominator = lcm(spacing.denominator, program.denominator)
             axis = [int(p * denominator) for p in cn.grid_axis(spacing)]
             points = list(itertools.product(axis, repeat=arity))
-            want = max(abs(F(value, denominator) - oracle(
+            want = max(abs(value - oracle(
                 tuple(F(i, denominator) for i in point))) for point, value
-                in zip(points, run_each(program, arity, denominator, points)))
+                in zip(points, naive_each(term, denominator, points)))
             blocks.clear()
             assert cn.grid_max_error(term, oracle, arity, spacing) == want
             assert blocks == sizes

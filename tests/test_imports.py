@@ -200,10 +200,10 @@ def test_connectives_load_neither_syntax_nor_the_evaluator():
          "pavelka.programs", "pavelka.rationals", "pavelka.records"])
 
 
-def test_programs_need_only_the_errors_module():
+def test_programs_need_no_other_library_module():
     tree = ast.parse((SRC / "programs.py").read_text(encoding="utf-8"))
     relative = [(node.level, node.module) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level]
-    assert relative == [(1, "errors")]
+    assert relative == []
     assert library_modules_after("import pavelka.programs") == str(
-        ["pavelka", "pavelka.errors", "pavelka.programs"])
+        ["pavelka", "pavelka.programs"])

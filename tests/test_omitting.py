@@ -15,7 +15,7 @@ from pavelka.errors import FormulaError
 from pavelka.evaluator import EntailmentResult
 from pavelka.omitting import (GeneratorReport, MetricPrincipalReport,
                               OmegaPrincipalReport, OmitsReport,
-                              enumerate_structures)
+                              enumerate_structures, substituted_type)
 
 from naive import naive_eval, naive_omits
 
@@ -430,3 +430,31 @@ class TestDefaultCorpus:
 def test_report_truth_is_its_verdict(make, verdict):
     # every other flag of the report is set the other way
     assert bool(make(verdict)) is verdict
+
+
+def _p(variable):
+    return parse_formula(f"P({variable})", VOCAB)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: OmegaCandidate((), (), parse_formula("1/2", VOCAB), F(1, 2)),
+     "candidate needs at least one variable"),
+    (lambda: OmegaCandidate(("y",), (Var("y"),), _p("y"), F(1)),
+     "threshold outside (0,1): 1"),
+    (lambda: OmegaCandidate(("y",), (Var("z"),), _p("y"), F(1, 2)),
+     "candidate term uses stray variables ['z']"),
+    (lambda: OmegaCandidate(("y",), (Var("y"),), _p("z"), F(1, 2)),
+     "candidate formula uses stray variables ['z']"),
+    (lambda: substituted_type(TypeSet("s", ("x",), (_p("x"),)), ("y",), ()),
+     "0 terms for 1 variables"),
+    (lambda: generator_check([], Theory("e", ()),
+                             TypeSet("phi", ("x",), (_p("x"),)),
+                             TypeSet("s", ("y",), (_p("y"),))),
+     "variable tuples differ: ('x',) vs ('y',)"),
+], ids=["candidate-no-variables", "candidate-threshold",
+        "candidate-term-variables", "candidate-formula-variables",
+        "substituted-term-count", "generator-variable-tuples"])
+def test_refusals(refused, message):
+    with pytest.raises(FormulaError) as raised:
+        refused()
+    assert str(raised.value) == message
