@@ -40,6 +40,10 @@ def _assignment_arg(text):
     return out
 
 
+def _elements(text):
+    return tuple(e.strip() for e in text.split(","))
+
+
 def _violations_payload(report):
     return [{"kind": v.kind,
              "witness": [str(w) for w in v.witness],
@@ -235,7 +239,7 @@ def cmd_realizes(args):
     from .omitting import realizes
     structure = storage.load_structure(args.struct)
     typeset = storage.load_typeset(args.type, structure.vocabulary())
-    elements = tuple(e.strip() for e in args.tuple.split(","))
+    elements = _elements(args.tuple)
     ok = realizes(structure, elements, typeset)
     _print({"realizes": ok, "tuple": list(elements)})
     return EXIT_OK if ok else EXIT_FALSE
@@ -328,8 +332,8 @@ def cmd_type_dist(args):
     theory = storage.load_theory(args.theory, vocabulary)
     s1 = storage.load_structure(args.struct1)
     s2 = storage.load_structure(args.struct2)
-    p = CompleteTypeRecord(s1, tuple(args.tuple1.split(",")))
-    q = CompleteTypeRecord(s2, tuple(args.tuple2.split(",")))
+    p = CompleteTypeRecord(s1, _elements(args.tuple1))
+    q = CompleteTypeRecord(s2, _elements(args.tuple2))
     corpus = None
     if args.corpus:
         corpus = storage.load_typeset(args.corpus, vocabulary)

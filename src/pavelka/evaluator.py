@@ -601,12 +601,8 @@ def satisfies(structure, sentence: Formula) -> bool:
 
 
 class TheoryReport(Record):
+    # failing: (sentence, value) pairs with value < 1
     _fields = ("satisfied", "failing")
-
-    def __init__(self, satisfied: bool, failing: tuple):
-        # failing: (sentence, value) pairs with value < 1
-        object.__setattr__(self, "satisfied", satisfied)
-        object.__setattr__(self, "failing", failing)
 
 
 def check_theory(structure, theory: Theory) -> TheoryReport:
@@ -621,16 +617,10 @@ def check_theory(structure, theory: Theory) -> TheoryReport:
 
 
 class EntailmentResult(Record):
+    # the counterexample of a false verdict: the structure, the tuple,
+    # the failing formula and its value
     _fields = ("holds", "structure", "assignment", "formula", "value")
-
-    def __init__(self, holds: bool, structure: object = None,
-                 assignment: tuple = None, formula: Formula = None,
-                 value: Fraction = None):
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "value", value)
+    _defaults = (None, None, None, None)
 
     def __bool__(self):
         return self.holds
@@ -687,12 +677,8 @@ def models(family: Sequence, theory: Theory):
 
 
 class TarskiVaughtReport(Record):
+    # failures: (formula, threshold) pairs
     _fields = ("passed", "failures")
-
-    def __init__(self, passed: bool, failures: tuple):
-        # failures: (formula, threshold) pairs
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "failures", failures)
 
 
 def tarski_vaught_check(structure, subset: Iterable[str],

@@ -18,9 +18,8 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
-from .evaluator import (EntailmentResult, Evaluator, _entailment,
-                        _scaled, compile_formula, compile_formulas, entails,
-                        models, nested)
+from .evaluator import (Evaluator, _entailment, _scaled, compile_formula,
+                        compile_formulas, entails, models, nested)
 from .programs import Lanes
 from .rationals import ZERO, ONE, as_fraction
 from .records import Record
@@ -43,14 +42,9 @@ def realizes(structure: Structure, elements: Sequence[str],
 
 
 class OmitsReport(Record):
+    # witnesses: tuple -> (formula, value < 1)
     _fields = ("omitted", "witnesses", "realizer")
-
-    def __init__(self, omitted: bool, witnesses: Mapping[tuple, tuple],
-                 realizer: Optional[tuple] = None):
-        # witnesses: tuple -> (formula, value < 1)
-        object.__setattr__(self, "omitted", omitted)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "realizer", realizer)
+    _defaults = (None,)
 
     def __bool__(self):
         return self.omitted
@@ -86,16 +80,10 @@ def _first_realizer(engine: Evaluator, variables: Sequence, formulas,
 
 
 class GeneratorReport(Record):
+    # satisfied: clause (i), T + Phi realizable, witnessed by (structure,
+    # tuple); entailment: clause (ii)'s EntailmentResult
     _fields = ("generates", "satisfied", "witness", "entailment")
-
-    def __init__(self, generates: bool, satisfied: bool,
-                 witness: Optional[tuple] = None,
-                 entailment: Optional[EntailmentResult] = None):
-        object.__setattr__(self, "generates", generates)
-        # clause (i): T + Phi realizable, witnessed by (structure, tuple)
-        object.__setattr__(self, "satisfied", satisfied)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "entailment", entailment)
+    _defaults = (None, None)
 
     def __bool__(self):
         return self.generates
@@ -181,14 +169,9 @@ def substituted_type(sigma: TypeSet, variables: Sequence[str],
 
 
 class OmegaPrincipalReport(Record):
+    # generator: clause (a), a GeneratorReport; threshold: clause (b),
+    # an EntailmentResult
     _fields = ("accepted", "generator", "threshold")
-
-    def __init__(self, accepted: bool,
-                 generator: GeneratorReport,     # clause (a)
-                 threshold: EntailmentResult):   # clause (b)
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "threshold", threshold)
 
     def __bool__(self):
         return self.accepted
@@ -264,10 +247,6 @@ class SearchSpace(Record):
 
 class SearchOutcome(Record):
     _fields = ("structure", "examined")
-
-    def __init__(self, structure: Optional[Structure], examined: int):
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "examined", examined)
 
     @property
     def exhausted(self) -> bool:
@@ -767,10 +746,6 @@ class TypeDistance(Record):
 
     _fields = ("value", "connected")
 
-    def __init__(self, value: Fraction, connected: bool):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "connected", connected)
-
 
 def type_distance(family: Sequence[Structure], theory: Theory,
                   p: CompleteTypeRecord, q: CompleteTypeRecord,
@@ -852,21 +827,12 @@ def _lowest(scan: tuple) -> dict:
 
 
 class DeltaVerdict(Record):
+    # detail: a GeneratorReport or an OmegaPrincipalReport
     _fields = ("delta", "accepted", "detail")
-
-    def __init__(self, delta: Fraction, accepted: bool,
-                 detail: object):  # GeneratorReport or OmegaPrincipalReport
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "detail", detail)
 
 
 class MetricPrincipalReport(Record):
     _fields = ("accepted", "verdicts")
-
-    def __init__(self, accepted: bool, verdicts: tuple):
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "verdicts", verdicts)
 
     def __bool__(self):
         return self.accepted

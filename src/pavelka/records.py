@@ -1,15 +1,19 @@
 """The base of the library's immutable records: formulas, terms,
 theories, types and the oracles' reports.
 
-A record class names its fields, in order, in ``_fields`` and sets them
-in its own ``__init__`` with ``object.__setattr__``.  A record is equal
-only to a record of the same class with equal fields, hashes as the
-tuple of its fields, prints as ``Name(field=value, ...)`` and refuses
-assignment and deletion.  Every method is plain code, so importing a
-module that declares records generates no code and loads no code
-generator (such as the standard library's, which imports ``inspect``);
-each class makes its one field getter, which ``==`` and ``hash`` call,
-when it is defined.
+A record class names its fields, in order, in ``_fields``.  The base
+``__init__`` stores each field given by position or by keyword, and the
+trailing fields not given take their values from ``_defaults``, a tuple
+as long as the fields that have one.  A class that converts or checks a
+field, or that is built so often that the generic constructor shows,
+sets its fields in its own ``__init__`` with ``object.__setattr__``
+instead.  A record is equal only to a record of the same class with
+equal fields, hashes as the tuple of its fields, prints as
+``Name(field=value, ...)`` and refuses assignment and deletion.  Every
+method is plain code, so importing a module that declares records
+generates no code and loads no code generator (such as the standard
+library's, which imports ``inspect``); each class makes its one field
+getter, which ``==`` and ``hash`` call, when it is defined.
 
 ``postorder`` is the one walk over a DAG of records, such as a formula
 or a connective term: each distinct node once, children first.
@@ -32,11 +36,31 @@ def _getter(fields: tuple):
 class Record:
     __slots__ = ()
     _fields = ()
+    _defaults = ()
     _get = staticmethod(_getter(()))
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._get = staticmethod(_getter(cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._fields, self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, "
+                            f"got {len(args)} positional values")
+        values = dict(zip(fields[len(fields) - len(self._defaults):],
+                          self._defaults))
+        values.update(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name} has no field {key!r}")
+            if fields.index(key) < len(args):
+                raise TypeError(f"{name} got field {key!r} twice")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                raise TypeError(f"{name} is missing field {key!r}")
+            object.__setattr__(self, key, values[key])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

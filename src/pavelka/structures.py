@@ -198,18 +198,9 @@ class Structure:
 class Violation(Record):
     _fields = ("kind", "witness", "values")
 
-    def __init__(self, kind: str, witness: tuple, values: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "values", values)
-
 
 class ValidationReport(Record):
     _fields = ("passed", "violations")
-
-    def __init__(self, passed: bool, violations: tuple):
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "violations", violations)
 
     @classmethod
     def from_violations(cls, violations):
@@ -455,11 +446,6 @@ def combine(m0: Structure, m1: Structure) -> Structure:
         raise VocabularyError("combine needs structures over one vocabulary")
     tagged = [{e: f"{e}.0" for e in m0.universe},
               {e: f"{e}.1" for e in m1.universe}]
-    new_names = [_tag_symbol(n, k)
-                 for n in sorted(vocab.symbols()) for k in (0, 1)]
-    if len(set(new_names) | set(_MARKERS)) != len(new_names) + 2:
-        raise VocabularyError("tagged symbol names clash with the markers")
-
     universe = tuple(tagged[0][e] for e in m0.universe) + \
         tuple(tagged[1][e] for e in m1.universe)
     parts = [frozenset(tagged[0].values()), frozenset(tagged[1].values())]

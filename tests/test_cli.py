@@ -224,6 +224,15 @@ class TestFamilyVerdicts:
         payload = json.loads(out)
         assert code == 0 and payload["distance"] == "1"
 
+    def test_type_dist_strips_each_element(self, files, capsys):
+        def distance(tuple1, tuple2):
+            return run(capsys, "type-dist", "--family", files["family"],
+                       "--theory", files["box.json"],
+                       "--struct1", files["m2.json"], "--tuple1", tuple1,
+                       "--struct2", files["m2.json"], "--tuple2", tuple2)
+        assert distance("a, b", " b ,a") == distance("a,b", "b,a")
+        assert distance("a, b", " b ,a")[0] == 0
+
 
 class TestStringFieldsRefused:
     """A JSON string where a list belongs exits 2, naming the field,
@@ -396,6 +405,16 @@ class TestMalformedInputExitsTwo:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == \
             (2, "", f"error: {message.format(path=path)}\n")
+
+    def test_unreadable_json_exits_two(self, files, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{")
+        code = main(["check", "--struct", files["m2.json"],
+                     "--theory", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", "error: bad input (Expecting property name enclosed in "
+                    "double quotes: line 1 column 2 (char 1))\n")
 
 
     @pytest.mark.parametrize("argv, message", [

@@ -171,6 +171,14 @@ def test_package_exports_load_on_first_use():
                    "module 'pavelka' has no attribute 'no_such_name'\n")
 
 
+def test_dir_lists_the_exports_and_the_submodules():
+    import pavelka
+    listed = dir(pavelka)
+    assert listed == sorted(set(listed))
+    assert set(pavelka.__all__) <= set(listed)
+    assert {"cli", "records", "transforms", "__version__"} <= set(listed)
+
+
 def library_modules_after(code: str, *argv: str) -> list:
     """The ``pavelka`` modules loaded in a fresh interpreter once ``code``
     has run; ``argv`` becomes its ``sys.argv[1:]``."""

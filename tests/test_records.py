@@ -207,6 +207,28 @@ def test_theory_programs_are_compiled_once():
     assert theory == sx.Theory("t", (sx.Exists("x", P), HALF))
 
 
+def test_too_many_positional_values_raise():
+    assert raises(TypeError, ev.TheoryReport, True, (), None) \
+        == "TheoryReport takes 2 fields, got 3 positional values"
+
+
+def test_an_unknown_keyword_raises():
+    assert raises(TypeError, om.OmitsReport, True, {}, realiser=("a",)) \
+        == "OmitsReport has no field 'realiser'"
+
+
+def test_a_field_given_twice_raises():
+    assert raises(TypeError, ev.TheoryReport, True, (), satisfied=False) \
+        == "TheoryReport got field 'satisfied' twice"
+
+
+def test_a_missing_field_without_default_raises():
+    assert raises(TypeError, ev.EntailmentResult, structure=M) \
+        == "EntailmentResult is missing field 'holds'"
+    assert raises(TypeError, om.GeneratorReport, True, witness=(M, ("a",))) \
+        == "GeneratorReport is missing field 'satisfied'"
+
+
 if __name__ == "__main__":
     for name, test in list(globals().items()):
         if name.startswith("test_"):

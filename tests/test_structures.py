@@ -500,3 +500,24 @@ class TestReadOnlyTables:
         assert copy == m
         assert rename(m, Renaming({"P": "Q", "f": "g", "c": "k"})) \
             .predicates["Q"] == m.predicates["P"]
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: reduct_signature(Signature(Vocabulary({"P": 1}, {}), {}),
+                              Vocabulary({"Q": 1}, {})),
+     VocabularyError, "not a subvocabulary of the signature"),
+    (lambda: rename(two_point(F(1), F(0), F(1)), Renaming({"Q": "R"})),
+     VocabularyError, "renaming not total on the vocabulary: missing ['P']"),
+    (lambda: generated_substructure(two_point(F(1), F(0), F(1)), ["a", "z"]),
+     StructureError, "seed 'z' is not in the universe"),
+], ids=["reduct-signature", "renaming-not-total", "seed-outside"])
+def test_refusals(refused, error, message):
+    with pytest.raises(error) as raised:
+        refused()
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_a_structure_is_never_equal_to_another_type():
+    m = two_point(F(1), F(0), F(1))
+    assert m.__eq__(m.universe) is NotImplemented
+    assert m != m.universe and not m == 1

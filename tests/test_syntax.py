@@ -11,7 +11,7 @@ from pavelka import (And, Atom, Const, Exists, Forall, Func, Geq, Implies,
                      free_variables, parse_formula, parse_term,
                      parse_vocabulary, render, rename_symbols, substitute)
 from pavelka.errors import FormulaError
-from pavelka.syntax import (Signature, fresh_variable, is_core,
+from pavelka.syntax import (Signature, children, fresh_variable, is_core,
                             render_vocabulary)
 
 from genutil import random_formula
@@ -305,3 +305,16 @@ class TestTheory:
     def test_accepts_sentences(self):
         t = Theory("ok", (parse_formula("P(c)", VOCAB),))
         assert len(t.sentences) == 1
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: Geq(Atom("P", (Var("x"),)), F(3, 2)), "bound outside [0,1]: 3/2"),
+    (lambda: TypeSet("t", (), ()), "a type needs at least one variable"),
+    (lambda: TypeSet("t", ("x", "x"), ()), "type variables must be distinct"),
+    (lambda: children("P(x)"), "not a formula node: 'P(x)'"),
+], ids=["geq-bound", "type-no-variables", "type-repeated-variable",
+        "children-of-a-string"])
+def test_refusals(refused, message):
+    with pytest.raises(FormulaError) as raised:
+        refused()
+    assert str(raised.value) == message

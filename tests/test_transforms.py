@@ -363,3 +363,29 @@ class TestThicken:
         sigma = TypeSet("s", ("x",), (parse_formula("P(x)", vocab_pc),))
         with pytest.raises(FormulaError):
             thicken(sigma, F(3, 2))
+
+
+def structure_on_r():
+    """Two points with only the binary ``R``, constantly 1."""
+    return Structure(("a", "b"), {("a", "b"): F(1)},
+                     {"R": {(x, y): F(1) for x in "ab" for y in "ab"}},
+                     {}, {})
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: relativize_family(parse_formula("E y. R(y, y)", VOCAB), "R"),
+     VocabularyError, "guard relation 'R' already occurs in the sentence"),
+    (lambda: relativize_family(parse_formula("E y. Q(y)", VOCAB), "R", "y"),
+     FormulaError, "parameter variable 'y' occurs in the sentence"),
+    (lambda: restrict_to_predicate(structure_on_r(), "R"),
+     VocabularyError, "'R' is not a monadic predicate of the structure"),
+    (lambda: restrict_to_predicate(structure_on_r(), "Q"),
+     VocabularyError, "'Q' is not a monadic predicate of the structure"),
+    (lambda: component_sentence(parse_formula("E y. Q(y)", VOCAB), 2),
+     FormulaError, "component index must be 0 or 1"),
+], ids=["family-relation-occurs", "family-variable-occurs",
+        "restrict-binary", "restrict-absent", "component-index"])
+def test_refusals(refused, error, message):
+    with pytest.raises(error) as raised:
+        refused()
+    assert type(raised.value) is error and str(raised.value) == message
