@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 from .errors import FormulaError
 from .programs import IMP, Lanes, Program
 from .rationals import ZERO, ONE, as_fraction, in_unit_interval, is_dyadic
-from .records import Record, postorder
+from .records import Record, numbering, postorder
 
 
 class ConnectiveTerm(Record):
@@ -190,38 +190,33 @@ def lipschitz_bounds(term: ConnectiveTerm, arity: Optional[int] = None) -> tuple
     bound is a whole number, added and maximized as an int and
     returned as a ``Fraction``.
 
-    The walk also numbers each node by its structure: two nodes get
-    the same number exactly when they are equal (``==``), so the shape
-    test compares two numbers, for operands of any size.
+    The two ``v`` of the shape need only be equal (``==``): the test
+    compares their structure numbers (``records.numbering``), for
+    operands of any size.
     """
     if arity is None:
         arity = term_arity(term) or 0
     zeros = (0,) * arity
-    # id(node) -> (the number of its structure, its bounds)
-    done: dict[int, tuple] = {}
-    interned: dict[tuple, int] = {}
+    numbers = numbering(term)
+    done: dict[int, tuple] = {}  # id(node) -> its bounds
     for node in _walk_postorder(term):
         if isinstance(node, CImplies):
             lhs, rhs = node.lhs, node.rhs
-            left_number, left = done[id(lhs)]
-            right_number, right = done[id(rhs)]
-            key = (left_number, right_number)
+            left, right = done[id(lhs)], done[id(rhs)]
             if isinstance(lhs, CImplies) \
-                    and done[id(lhs.rhs)][0] == right_number:
-                bound = tuple(map(max, done[id(lhs.lhs)][1], right))
+                    and numbers[id(lhs.rhs)] is numbers[id(rhs)]:
+                bound = tuple(map(max, done[id(lhs.lhs)], right))
             elif right is zeros:  # into a constant, as every negation
                 bound = left
             else:
                 bound = tuple(map(add, left, right))
         elif isinstance(node, Proj):
-            key = (Proj, node.index, node.arity)
             bound = tuple(1 if i == node.index - 1 else 0
                           for i in range(arity))
         else:
-            key = (CConst, node.value.numerator, node.value.denominator)
             bound = zeros
-        done[id(node)] = interned.setdefault(key, len(interned)), bound
-    return tuple(map(Fraction, done[id(term)][1]))
+        done[id(node)] = bound
+    return tuple(map(Fraction, done[id(term)]))
 
 
 # ---------------------------------------------------------------------------

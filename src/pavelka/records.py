@@ -13,13 +13,33 @@ equal fields, hashes as the tuple of its fields, prints as
 method is plain code, so importing a module that declares records
 generates no code and loads no code generator (such as the standard
 library's, which imports ``inspect``); each class makes its one field
-getter, which ``==`` and ``hash`` call, when it is defined.
+getter when it is defined.
 
-``postorder`` is the one walk over a DAG of records, such as a formula
-or a connective term: each distinct node once, children first.
+Records nest: a field may hold a record, or a tuple with records among
+its items (``parts`` lists them), and formulas and connective terms are
+DAGs that share repeated operands.  So ``==``, ``hash`` and ``repr``
+never recurse and never unfold a DAG: each walks the distinct nodes
+with ``postorder``, the one walk over a DAG of records (each distinct
+node once, children first):
+
+- ``==`` numbers both records in one table (``numbering``), where two
+  nodes get the same number exactly when they are equal;
+- ``hash`` folds each distinct node's field tuple bottom-up, a record in
+  it standing for its own hash, so it is the hash of the field tuple;
+- ``repr`` sizes each distinct node's text before writing it, and
+  writes a record whose text runs past ``REPR_LIMIT`` characters as
+  ``Name(...)`` inside another's.
+
+A record that holds no other record compares and hashes its field
+tuple directly, which is faster.
 """
 
 from operator import attrgetter
+
+# The longest text ``repr`` writes for a record inside another record;
+# a longer one is written ``Name(...)``, since the text of a DAG can be
+# exponentially longer than the DAG.
+REPR_LIMIT = 10_000
 
 
 def _getter(fields: tuple):
@@ -63,24 +83,100 @@ class Record:
             object.__setattr__(self, key, values[key])
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if other is self:
+            return True
+        if not (parts(self) or parts(other)):
             get = self._get
             return get(self) == get(other)
-        return NotImplemented
+        numbers = numbering(self, other)
+        return numbers[id(self)] is numbers[id(other)]
 
     def __hash__(self):
-        return hash(self._get(self))
+        if not parts(self):
+            return hash(self._get(self))
+        hashes: dict[int, _Hash] = {}
+        for node in postorder(self, parts):
+            hashes[id(node)] = _Hash(hash(_swap(node, hashes)))
+        return hashes[id(self)].value
 
     def __repr__(self):
-        fields = ", ".join([f"{name}={getattr(self, name)!r}"
-                            for name in self._fields])
-        return f"{self.__class__.__qualname__}({fields})"
+        # by id(node): the length of its text in full, and its text
+        # inside another record's, in full or, past REPR_LIMIT, Name(...)
+        sizes: dict[int, int] = {}
+        texts: dict[int, _Text] = {}
+        for node in postorder(self, parts):
+            kids = parts(node)
+            blanks = dict.fromkeys(map(id, kids), _Text())
+            size = len(_text(node, blanks)) + sum(sizes[id(kid)]
+                                                  for kid in kids)
+            sizes[id(node)] = size
+            texts[id(node)] = _Text(
+                _text(node, texts) if size <= REPR_LIMIT or node is self
+                else f"{node.__class__.__qualname__}(...)")
+        return str(texts[id(self)])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def parts(record) -> list:
+    """The records that ``record`` holds: each field that is a record and
+    each record item of a field that is a tuple, in field order."""
+    found = []
+    for value in record._get(record):
+        if isinstance(value, Record):
+            found.append(value)
+        elif type(value) is tuple:
+            found += [item for item in value if isinstance(item, Record)]
+    return found
+
+
+def _swap(record, done: dict) -> tuple:
+    """The fields of ``record``, each record in them, as a field or as a
+    tuple's item, replaced by ``done[id(it)]``."""
+    values = []
+    for value in record._get(record):
+        if isinstance(value, Record):
+            value = done[id(value)]
+        elif type(value) is tuple:
+            value = tuple([done[id(item)] if isinstance(item, Record)
+                           else item for item in value])
+        values.append(value)
+    return tuple(values)
+
+
+def _text(record, shown: dict) -> str:
+    """``Name(field=value, ...)``, each record in the fields written as
+    ``shown[id(it)]``."""
+    fields = ", ".join([f"{name}={value!r}" for name, value
+                        in zip(record._fields, _swap(record, shown))])
+    return f"{record.__class__.__qualname__}({fields})"
+
+
+class _Text(str):
+    """A record's text where another record's text is written: its
+    ``repr``, in a field or a tuple, is the text itself."""
+
+    def __repr__(self):
+        return str(self)
+
+
+class _Hash:
+    """Stands for a record in a tuple that is hashed: it hashes as the
+    record's hash, so the tuple's hash is the hash of the fields."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
 
 
 def postorder(root, kids) -> list:
@@ -105,3 +201,34 @@ def postorder(root, kids) -> list:
             order.append(node)
     return order
 
+
+def numbering(*roots) -> dict:
+    """``id(node)`` -> the number of ``node``'s structure, for each
+    distinct record under ``roots``, all numbered in one table: two
+    records get the same number exactly when they are equal (``==``).
+
+    A node's key is its class and its fields, each record in them
+    replaced by its number, so equal keys mean equal structures.  A
+    number is an object made for its key, equal only to itself, so that
+    no field value can pass for one.  A key that holds an unhashable
+    value, such as a dict, is looked up among the others like it by
+    ``==``.  The ids stay valid while the roots live.  One walk over the
+    distinct nodes under each root, children first."""
+    numbers: dict[int, object] = {}
+    table: dict[tuple, object] = {}
+    loose: list[tuple] = []  # (key, number) for each unhashable key
+    for root in roots:
+        for node in postorder(root, parts):
+            if id(node) in numbers:  # under an earlier root too
+                continue
+            key = node.__class__, _swap(node, numbers)
+            try:
+                number = table.setdefault(key, object())
+            except TypeError:  # a field holds a dict or a list
+                number = next((number for known, number in loose
+                               if known == key), None)
+                if number is None:
+                    number = object()
+                    loose.append((key, number))
+            numbers[id(node)] = number
+    return numbers

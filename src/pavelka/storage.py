@@ -20,16 +20,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import ParseError
 from .rationals import dump_json, format_rational, parse_rational
 from .structures import Structure
 from .syntax import (Signature, Theory, TypeSet, Vocabulary, parse_formula,
                      parse_term, parse_vocabulary, render)
-
-if TYPE_CHECKING:  # space_from_dict imports it: few CLI calls load a space
-    from .omitting import SearchSpace
 
 
 def _tuple_key(args: tuple) -> str:
@@ -346,7 +343,7 @@ def spec_from_dict(data: Mapping):
 # Search spaces
 
 
-def space_to_dict(space: SearchSpace) -> dict:
+def space_to_dict(space) -> dict:
     return {"vocabulary": vocabulary_to_dict(space.vocabulary),
             "max_size": space.max_size,
             "truth_denominator": space.truth_denominator,
@@ -358,9 +355,10 @@ _SPACE_INTEGERS = ("max_size", "truth_denominator", "metric_denominator",
                    "seed")
 
 
-def space_from_dict(data: Mapping) -> SearchSpace:
-    """A search space; its integer fields must be JSON integers, so
-    ``2.7``, ``true`` and ``"2"`` are refused rather than coerced."""
+def space_from_dict(data: Mapping):
+    """An ``omitting.SearchSpace``; its integer fields must be JSON
+    integers, so ``2.7``, ``true`` and ``"2"`` are refused rather than
+    coerced.  ``omitting`` is imported here: few CLI calls load a space."""
     from .omitting import SearchSpace
     if not isinstance(data, Mapping):
         raise ParseError("search space must be a JSON object")
@@ -380,7 +378,7 @@ def space_from_dict(data: Mapping) -> SearchSpace:
         seed=fields["seed"])
 
 
-def load_space(path: str) -> SearchSpace:
+def load_space(path: str):
     with open(path, encoding="utf-8") as handle:
         return space_from_dict(json.load(handle))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, is_
@@ -67,7 +67,8 @@ class Vocabulary(Record):
         ops = dict(operations)
         for name, arity in list(preds.items()) + list(ops.items()):
             _check_symbol_name(name)
-            if not isinstance(arity, int) or arity < 0:
+            if isinstance(arity, bool) or not isinstance(arity, int) \
+                    or arity < 0:
                 raise VocabularyError(f"bad arity for {name!r}: {arity!r}")
         overlap = set(preds) & set(ops)
         if overlap:
@@ -513,7 +514,50 @@ def rename_symbols(formula: Formula, mapping: Mapping[str, str]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Precedence: one table, which ``render`` writes by and the parser reads
+
+_PREC_QUANT = 0
+_PREC_IMPLIES = 1
+_PREC_COMPARE = 2
+_PREC_OR = 3
+_PREC_AND = 4
+_PREC_UNARY = 5
+_PREC_ATOM = 6
+
+
+# How each connective is written: its text with one ``{}`` per operand,
+# its own precedence, and the least precedence each operand slot takes
+# without parentheses.
+_LAYOUT = {
+    Implies: ("{} -> {}", _PREC_IMPLIES, (_PREC_COMPARE, _PREC_IMPLIES)),
+    Leq: ("{} <= {node.bound}", _PREC_COMPARE, (_PREC_OR,)),
+    Geq: ("{} >= {node.bound}", _PREC_COMPARE, (_PREC_OR,)),
+    Or: ("{} \\/ {}", _PREC_OR, (_PREC_OR, _PREC_AND)),
+    And: ("{} /\\ {}", _PREC_AND, (_PREC_AND, _PREC_UNARY)),
+    Not: ("~{}", _PREC_UNARY, (_PREC_UNARY,)),
+    Exists: ("E {node.var}. {}", _PREC_QUANT, (_PREC_QUANT,)),
+    Forall: ("A {node.var}. {}", _PREC_QUANT, (_PREC_QUANT,)),
+}
+
+
+# ---------------------------------------------------------------------------
 # Parsing
+#
+# A formula is read by one loop over an explicit stack of pending
+# connectives (Dijkstra's shunting-yard, in its precedence-climbing
+# form), and a term by one loop over a stack of open operations, so text
+# nested to any depth needs no recursion.  A pending frame is
+# ``(build, need, after)``: ``build`` makes the node from its last
+# operand (``None`` for a ``(`` or the start of the text), ``need`` is
+# the least precedence that operand takes without parentheses
+# (``_LAYOUT``), and ``after`` is the level of the node once built.
+#
+# After each operand, ``level`` is the highest precedence of the grammar
+# levels still open there (``unary`` after an atom, a connective's own
+# after it is built).  An infix connective next takes the operand as its
+# left one when its precedence is at most ``level`` and at least the top
+# frame's ``need``.  Otherwise the top frame is built around the operand,
+# or closed by ``)`` or the end of the text.
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -550,17 +594,18 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    # the connective each infix token writes
+    infix = {"arrow": Implies, "leq": Leq, "geq": Geq, "or": Or, "and": And}
+
     def __init__(self, text: str, vocabulary: Vocabulary):
         if not isinstance(text, str):
             raise ParseError(f"not formula text: {text!r} is not a string")
-        self.text = text
         self.vocab = vocabulary
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self, offset=0):
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
+    def peek(self):
+        return self.tokens[self.i]
 
     def next(self):
         tok = self.tokens[self.i]
@@ -574,71 +619,64 @@ class _Parser:
             raise ParseError(f"expected {what}, found {tok[1]!r}", tok[2])
         return tok
 
-    # grammar levels -------------------------------------------------------
-
     def formula(self):
-        out = self.implies()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-        return out
+        stack = [(None, _PREC_QUANT, None)]  # the start of the text
+        while True:
+            out = self.operand(stack)
+            level = _PREC_UNARY
+            while True:
+                kind, text, pos = self.peek()
+                cls = self.infix.get(kind)
+                build, need, after = stack[-1]
+                if cls is not None and need <= _LAYOUT[cls][1] <= level:
+                    self.next()
+                    level = _LAYOUT[cls][1]
+                    if cls in (Leq, Geq):
+                        out = cls(out, self.rational_literal())
+                        continue
+                    stack.append((partial(cls, out), _LAYOUT[cls][2][-1],
+                                  level))
+                    break
+                if len(stack) == 1:
+                    if kind != "eof":
+                        raise ParseError(f"trailing input {text!r}", pos)
+                    return out
+                stack.pop()
+                if build is None:
+                    self.expect("rpar", "')'")
+                else:
+                    out = build(out)
+                level = after
 
-    def implies(self):
-        lhs = self.compare()
-        if self.peek()[0] == "arrow":
-            self.next()
-            return Implies(lhs, self.implies())
-        return lhs
-
-    def compare(self):
-        out = self.or_level()
-        while self.peek()[0] in ("leq", "geq"):
-            kind, _, _ = self.next()
-            bound = self.rational_literal()
-            out = Leq(out, bound) if kind == "leq" else Geq(out, bound)
-        return out
-
-    def or_level(self):
-        out = self.and_level()
-        while self.peek()[0] == "or":
-            self.next()
-            out = Or(out, self.and_level())
-        return out
-
-    def and_level(self):
-        out = self.unary()
-        while self.peek()[0] == "and":
-            self.next()
-            out = And(out, self.unary())
-        return out
-
-    def unary(self):
-        tok = self.peek()
-        if tok[0] == "not":
-            self.next()
-            return Not(self.unary())
-        if tok[0] == "name" and tok[1] in ("E", "A") and self.peek(1)[0] == "name":
-            self.next()
-            var_tok = self.expect("name", "a variable")
-            var = var_tok[1]
-            if var in RESERVED_NAMES:
-                raise ParseError(f"{var!r} cannot be a variable", var_tok[2])
-            if var in self.vocab.symbols():
-                raise ParseError(
-                    f"bound variable {var!r} clashes with a vocabulary symbol",
-                    var_tok[2])
-            self.expect("dot", "'.' after the bound variable")
-            body = self.implies()
-            return Exists(var, body) if tok[1] == "E" else Forall(var, body)
-        return self.atom()
+    def operand(self, stack):
+        """Push the prefix connectives and '(' before the next atom, and
+        return the atom."""
+        while True:
+            tok = self.peek()
+            if tok[0] == "not":
+                self.next()
+                stack.append((Not, _LAYOUT[Not][2][0], _PREC_UNARY))
+            elif tok[0] == "name" and tok[1] in ("E", "A") \
+                    and self.tokens[self.i + 1][0] == "name":
+                self.next()
+                _, var, at = self.expect("name", "a variable")
+                if var in RESERVED_NAMES:
+                    raise ParseError(f"{var!r} cannot be a variable", at)
+                if var in self.vocab.symbols():
+                    raise ParseError(f"bound variable {var!r} clashes with "
+                                     f"a vocabulary symbol", at)
+                self.expect("dot", "'.' after the bound variable")
+                cls = Exists if tok[1] == "E" else Forall
+                stack.append((partial(cls, var), _LAYOUT[cls][2][0],
+                              _PREC_UNARY))
+            elif tok[0] == "lpar":
+                self.next()
+                stack.append((None, _PREC_QUANT, _PREC_UNARY))
+            else:
+                return self.atom()
 
     def atom(self):
-        tok = self.next()
-        kind, text, pos = tok
-        if kind == "lpar":
-            out = self.implies()
-            self.expect("rpar", "')'")
-            return out
+        kind, text, pos = self.next()
         if kind == "rational":
             value = parse_rational(text)
             if not in_unit_interval(value):
@@ -654,8 +692,7 @@ class _Parser:
                 return Atom("d", (t1, t2))
             if text in self.vocab.predicates:
                 arity = self.vocab.predicates[text]
-                args = self.argument_list(text, arity, pos)
-                return Atom(text, args)
+                return Atom(text, self.argument_list(text, arity, pos))
             if text in self.vocab.operations:
                 raise ParseError(
                     f"operation symbol {text!r} cannot head a formula", pos)
@@ -676,37 +713,43 @@ class _Parser:
         while self.peek()[0] == "comma":
             self.next()
             args.append(self.term())
-        end = self.expect("rpar", "')'")
+        self.expect("rpar", "')'")
         if len(args) != arity:
             raise ParseError(
                 f"{name!r} expects {arity} argument(s), got {len(args)}", pos)
         return tuple(args)
 
     def term(self):
-        tok = self.next()
-        kind, text, pos = tok
-        if kind != "name":
-            raise ParseError(f"expected a term, found {text!r}", pos)
-        if text in RESERVED_NAMES:
-            raise ParseError(f"{text!r} cannot occur in a term", pos)
-        if text in self.vocab.operations:
-            arity = self.vocab.operations[text]
-            if arity == 0:
-                return Func(text)
-            self.expect("lpar", f"'(' after operation {text!r}")
-            args = [self.term()]
-            while self.peek()[0] == "comma":
-                self.next()
-                args.append(self.term())
-            self.expect("rpar", "')'")
-            if len(args) != arity:
+        stack = []  # (name, position, arguments) of each '(' still open
+        while True:
+            kind, text, pos = self.next()
+            if kind != "name":
+                raise ParseError(f"expected a term, found {text!r}", pos)
+            if text in RESERVED_NAMES:
+                raise ParseError(f"{text!r} cannot occur in a term", pos)
+            if text in self.vocab.predicates:
                 raise ParseError(
-                    f"{text!r} expects {arity} argument(s), got {len(args)}", pos)
-            return Func(text, tuple(args))
-        if text in self.vocab.predicates:
-            raise ParseError(
-                f"predicate {text!r} cannot occur inside a term", pos)
-        return Var(text)
+                    f"predicate {text!r} cannot occur inside a term", pos)
+            if self.vocab.operations.get(text, 0):
+                self.expect("lpar", f"'(' after operation {text!r}")
+                stack.append((text, pos, []))
+                continue
+            out = Func(text) if text in self.vocab.operations else Var(text)
+            while stack:
+                name, at, args = stack[-1]
+                args.append(out)
+                if self.peek()[0] == "comma":
+                    self.next()
+                    break
+                self.expect("rpar", "')'")
+                stack.pop()
+                arity = self.vocab.operations[name]
+                if len(args) != arity:
+                    raise ParseError(f"{name!r} expects {arity} argument(s), "
+                                     f"got {len(args)}", at)
+                out = Func(name, tuple(args))
+            else:
+                return out
 
     def rational_literal(self):
         tok = self.expect("rational", "a rational literal")
@@ -732,29 +775,6 @@ def parse_term(text: str, vocabulary: Vocabulary) -> Term:
 
 # ---------------------------------------------------------------------------
 # Rendering
-
-_PREC_QUANT = 0
-_PREC_IMPLIES = 1
-_PREC_COMPARE = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_UNARY = 5
-_PREC_ATOM = 6
-
-
-# How each connective is written: its text with one ``{}`` per operand,
-# its own precedence, and the least precedence each operand slot takes
-# without parentheses.
-_LAYOUT = {
-    Implies: ("{} -> {}", _PREC_IMPLIES, (_PREC_COMPARE, _PREC_IMPLIES)),
-    Leq: ("{} <= {node.bound}", _PREC_COMPARE, (_PREC_OR,)),
-    Geq: ("{} >= {node.bound}", _PREC_COMPARE, (_PREC_OR,)),
-    Or: ("{} \\/ {}", _PREC_OR, (_PREC_OR, _PREC_AND)),
-    And: ("{} /\\ {}", _PREC_AND, (_PREC_AND, _PREC_UNARY)),
-    Not: ("~{}", _PREC_UNARY, (_PREC_UNARY,)),
-    Exists: ("E {node.var}. {}", _PREC_QUANT, (_PREC_QUANT,)),
-    Forall: ("A {node.var}. {}", _PREC_QUANT, (_PREC_QUANT,)),
-}
 
 
 def render_term(term: Term) -> str:

@@ -5,12 +5,17 @@ interpreted directly by their truth functions (no expansion to the core
 implication), there is no memoization, no sharing awareness, and the
 existential maximum never exits early.  Agreement with the engine
 therefore cross-checks both the evaluator and the abbreviation laws.
+The reference parser is recursive descent, one method per grammar
+level, where the library's parser runs one loop over explicit stacks.
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 from pavelka import Structure, syntax
+from pavelka.errors import ParseError
+from pavelka.rationals import in_unit_interval, parse_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -456,3 +461,223 @@ def naive_lipschitz_bounds(term, arity):
         return out
 
     return bounds(term)
+
+# ---------------------------------------------------------------------------
+# Parsing: the recursive-descent parser, one method per grammar level, with
+# its own copy of the tokenizer
+
+
+_NAIVE_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<rational>\d+/\d+|\d+\.\d+|\d+)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<arrow>->)
+      | (?P<leq><=)
+      | (?P<geq>>=)
+      | (?P<or>\\/)
+      | (?P<and>/\\)
+      | (?P<not>~)
+      | (?P<lpar>\()
+      | (?P<rpar>\))
+      | (?P<comma>,)
+      | (?P<dot>\.)
+    """,
+    re.VERBOSE,
+)
+
+
+def _naive_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _NAIVE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = match.lastgroup
+        if kind != "ws":
+            tokens.append((kind, match.group(), pos))
+        pos = match.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class _NaiveParser:
+    def __init__(self, text, vocabulary):
+        if not isinstance(text, str):
+            raise ParseError(f"not formula text: {text!r} is not a string")
+        self.text = text
+        self.vocab = vocabulary
+        self.tokens = _naive_tokenize(text)
+        self.i = 0
+
+    def peek(self, offset=0):
+        j = min(self.i + offset, len(self.tokens) - 1)
+        return self.tokens[j]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        if tok[0] != "eof":
+            self.i += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}, found {tok[1]!r}", tok[2])
+        return tok
+
+    # grammar levels -------------------------------------------------------
+
+    def formula(self):
+        out = self.implies()
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        return out
+
+    def implies(self):
+        lhs = self.compare()
+        if self.peek()[0] == "arrow":
+            self.next()
+            return syntax.Implies(lhs, self.implies())
+        return lhs
+
+    def compare(self):
+        out = self.or_level()
+        while self.peek()[0] in ("leq", "geq"):
+            kind, _, _ = self.next()
+            bound = self.rational_literal()
+            out = (syntax.Leq if kind == "leq" else syntax.Geq)(out, bound)
+        return out
+
+    def or_level(self):
+        out = self.and_level()
+        while self.peek()[0] == "or":
+            self.next()
+            out = syntax.Or(out, self.and_level())
+        return out
+
+    def and_level(self):
+        out = self.unary()
+        while self.peek()[0] == "and":
+            self.next()
+            out = syntax.And(out, self.unary())
+        return out
+
+    def unary(self):
+        tok = self.peek()
+        if tok[0] == "not":
+            self.next()
+            return syntax.Not(self.unary())
+        if tok[0] == "name" and tok[1] in ("E", "A") \
+                and self.peek(1)[0] == "name":
+            self.next()
+            var_tok = self.expect("name", "a variable")
+            var = var_tok[1]
+            if var in syntax.RESERVED_NAMES:
+                raise ParseError(f"{var!r} cannot be a variable", var_tok[2])
+            if var in self.vocab.symbols():
+                raise ParseError(
+                    f"bound variable {var!r} clashes with a vocabulary symbol",
+                    var_tok[2])
+            self.expect("dot", "'.' after the bound variable")
+            body = self.implies()
+            return (syntax.Exists if tok[1] == "E" else syntax.Forall)(var,
+                                                                      body)
+        return self.atom()
+
+    def atom(self):
+        tok = self.next()
+        kind, text, pos = tok
+        if kind == "lpar":
+            out = self.implies()
+            self.expect("rpar", "')'")
+            return out
+        if kind == "rational":
+            value = parse_rational(text)
+            if not in_unit_interval(value):
+                raise ParseError(f"constant {text} outside [0,1]", pos)
+            return syntax.Const(value)
+        if kind == "name":
+            if text == "d":
+                self.expect("lpar", "'(' after d")
+                t1 = self.term()
+                self.expect("comma", "',' between metric arguments")
+                t2 = self.term()
+                self.expect("rpar", "')'")
+                return syntax.Atom("d", (t1, t2))
+            if text in self.vocab.predicates:
+                arity = self.vocab.predicates[text]
+                args = self.argument_list(text, arity, pos)
+                return syntax.Atom(text, args)
+            if text in self.vocab.operations:
+                raise ParseError(
+                    f"operation symbol {text!r} cannot head a formula", pos)
+            raise ParseError(f"unknown predicate {text!r}", pos)
+        raise ParseError(f"expected a formula, found {text!r}", pos)
+
+    def argument_list(self, name, arity, pos):
+        if self.peek()[0] != "lpar":
+            if arity == 0:
+                return ()
+            raise ParseError(
+                f"{name!r} needs {arity} argument(s)", self.peek()[2])
+        self.next()
+        if arity == 0:
+            self.expect("rpar", "')'")
+            return ()
+        args = [self.term()]
+        while self.peek()[0] == "comma":
+            self.next()
+            args.append(self.term())
+        self.expect("rpar", "')'")
+        if len(args) != arity:
+            raise ParseError(
+                f"{name!r} expects {arity} argument(s), got {len(args)}", pos)
+        return tuple(args)
+
+    def term(self):
+        tok = self.next()
+        kind, text, pos = tok
+        if kind != "name":
+            raise ParseError(f"expected a term, found {text!r}", pos)
+        if text in syntax.RESERVED_NAMES:
+            raise ParseError(f"{text!r} cannot occur in a term", pos)
+        if text in self.vocab.operations:
+            arity = self.vocab.operations[text]
+            if arity == 0:
+                return syntax.Func(text)
+            self.expect("lpar", f"'(' after operation {text!r}")
+            args = [self.term()]
+            while self.peek()[0] == "comma":
+                self.next()
+                args.append(self.term())
+            self.expect("rpar", "')'")
+            if len(args) != arity:
+                raise ParseError(f"{text!r} expects {arity} argument(s), "
+                                 f"got {len(args)}", pos)
+            return syntax.Func(text, tuple(args))
+        if text in self.vocab.predicates:
+            raise ParseError(
+                f"predicate {text!r} cannot occur inside a term", pos)
+        return syntax.Var(text)
+
+    def rational_literal(self):
+        tok = self.expect("rational", "a rational literal")
+        value = parse_rational(tok[1])
+        if not in_unit_interval(value):
+            raise ParseError(f"bound {tok[1]} outside [0,1]", tok[2])
+        return value
+
+
+def naive_parse_formula(text, vocabulary):
+    return _NaiveParser(text, vocabulary).formula()
+
+
+def naive_parse_term(text, vocabulary):
+    parser = _NaiveParser(text, vocabulary)
+    out = parser.term()
+    tok = parser.peek()
+    if tok[0] != "eof":
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    return out

@@ -25,8 +25,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pavelka"
 ALLOWED = {
     ("cli.py", "sys.exit(main())"):
         "the __main__ guard, which only a subprocess runs",
-    ("storage.py", "from .omitting import SearchSpace"):
-        "an import under TYPE_CHECKING, for annotations only",
 }
 
 

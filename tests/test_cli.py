@@ -353,6 +353,13 @@ class TestMalformedInputExitsTwo:
          {"vocabulary": {"predicates": {}, "operations": ["x"]},
           "moduli": {}},
          'vocabulary operations must be a JSON object, got ["x"]'),
+        (lambda files, path: ["validate", "--sig", path,
+                              "--struct", files["m2.json"]],
+         {"vocabulary": {"predicates": {"P": True}}, "moduli": {}},
+         "bad arity for 'P': True"),
+        (lambda files, path: ["relativize", "--formula", files["phi.txt"],
+                              "--vocab", path, "--pred", "P"],
+         {"predicates": {"P": True}}, "bad arity for 'P': True"),
         (lambda files, path: ["principal", "--family", files["family"],
                               "--theory", files["tight.json"],
                               "--sigma", files["sigma.json"],
@@ -392,7 +399,8 @@ class TestMalformedInputExitsTwo:
             "entails-empty-family", "omit-space-vocabulary-list",
             "validate-signature-list", "validate-moduli-string",
             "validate-modulus-number", "validate-predicates-number",
-            "validate-operations-list",
+            "validate-operations-list", "validate-arity-bool",
+            "relativize-arity-bool",
             "principal-candidate-list", "approx-spec-list",
             "approx-spec-group-object", "approx-spec-arity-list",
             "omit-space-max-size-zero", "omit-space-denominator-zero",
@@ -713,6 +721,23 @@ class TestStructureOps:
                         "--k", "1", "--n", "16")
         payload = json.loads(out)
         assert code == 0 and "bound" in payload
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_approx_term_reads_back(self, capsys, tmp_path, n):
+        """The term that ``approx`` prints is formula text: with ``x1`` a
+        0-ary predicate, ``eval`` gives the term's value."""
+        code, out = run(capsys, "approx", "--target", "halfx", "--n", str(n))
+        assert code == 0
+        term = json.loads(out)["term"]
+        path = tmp_path / "x1.json"
+        path.write_text(storage.dump_json(storage.structure_to_dict(
+            Structure(("a",), {}, {"x1": {(): F(1, 3)}}, {}, {}))))
+        code, out = run(capsys, "eval", "--struct", str(path),
+                        "--formula", term)
+        value = pavelka.connectives.eval_term(
+            pavelka.connectives.half_approx(n), [F(1, 3)])
+        assert (code, out) == (0, f"{value}\n")
+        assert n != 16 or value == F(7, 48)
 
     def test_byte_identical_reports(self, files, capsys):
         runs = []

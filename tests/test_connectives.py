@@ -159,6 +159,17 @@ class TestLipschitzBounds:
                                           zip(grid[1:], values[1:])):
                 assert abs(v1 - v0) <= want * (x1 - x0)
 
+    def test_max_shape_of_equal_shared_operands(self):
+        # (x -> v) -> w with v = t(30), t(k + 1) = t(k) -> t(k), and w a
+        # copy built apart: 31 distinct nodes each, 2^30 leaves unfolded
+        x = cn.Proj(1, 1)
+        v, w = x, x
+        for _ in range(30):
+            v, w = cn.CImplies(v, v), cn.CImplies(w, w)
+        term = cn.CImplies(cn.CImplies(x, v), w)
+        assert cn.lipschitz_bounds(term) == (F(2 ** 30),) == \
+            naive_lipschitz_bounds(term, 1)
+
     def test_max_shape_needs_equal_leaves(self):
         # (x -> v) -> w with v and w alike but for one leaf: a sum
         x, y = cn.Proj(1, 2), cn.Proj(2, 2)

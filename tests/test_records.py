@@ -16,7 +16,7 @@ from pavelka import structures as st
 from pavelka import syntax as sx
 from pavelka import transforms as tr
 from pavelka.errors import FormulaError
-from pavelka.records import Record
+from pavelka.records import REPR_LIMIT, Record
 
 P = sx.Atom("P", (sx.Var("x"),))
 HALF = sx.Const(F(1, 2))
@@ -227,6 +227,71 @@ def test_a_missing_field_without_default_raises():
         == "EntailmentResult is missing field 'holds'"
     assert raises(TypeError, om.GeneratorReport, True, witness=(M, ("a",))) \
         == "GeneratorReport is missing field 'satisfied'"
+
+
+def doubling(levels, leaf):
+    """``t(levels)`` for ``t(0) = leaf`` and ``t(k + 1) = t(k) -> t(k)``:
+    ``levels + 1`` distinct nodes, ``2 ** levels`` leaves unfolded."""
+    node = leaf
+    for _ in range(levels):
+        node = cn.CImplies(node, node)
+    return node
+
+
+def chain(levels, leaf):
+    """``leaf`` under ``levels`` implications into 1/2."""
+    node = leaf
+    for _ in range(levels):
+        node = cn.CImplies(node, cn.CConst(F(1, 2)))
+    return node
+
+
+def test_deep_and_shared_records_compare_hash_and_print():
+    half = cn.CConst(F(1, 2))
+    for build in (lambda leaf: doubling(40, leaf),
+                  lambda leaf: chain(3_000, leaf)):
+        # built apart, and apart but for the deepest leaf
+        one, two, other = build(cn.Proj(1, 1)), build(cn.Proj(1, 1)), \
+            build(half)
+        assert one == two and not one != two and hash(one) == hash(two)
+        assert one != other and not one == other
+        text = repr(one)
+        assert text.startswith("CImplies(lhs=CImplies(...), rhs=")
+        assert len(text) < 100
+    # 2,050 deep
+    big = cn.half_approx(1024)
+    assert big == cn.half_approx(1024) and big != cn.half_approx(1023)
+    assert hash(big) == hash(cn.half_approx(1024))
+    assert repr(big).startswith("CImplies(lhs=CImplies(...), rhs=")
+
+
+def test_hash_is_the_hash_of_the_fields():
+    x, half = cn.Proj(1, 1), cn.CConst(F(1, 2))
+    nodes = [doubling(12, x), chain(12, x), cn.CImplies(x, half),
+             sx.Atom("R", (sx.Var("x"), sx.Func("f", (sx.Var("y"),)))),
+             sx.Theory("t", (sx.Exists("x", P), HALF))]
+    for node in nodes:
+        assert hash(node) == hash(node._get(node))
+    assert hash(cn.CImplies(x, half)) != hash(cn.CImplies(half, x))
+
+
+def test_repr_writes_records_that_fit_in_full():
+    def full(node):  # the whole text, by recursion
+        if isinstance(node, cn.CImplies):
+            return f"CImplies(lhs={full(node.lhs)}, rhs={full(node.rhs)})"
+        return repr(node)
+
+    fits = 0
+    for levels in range(180, 230, 7):
+        node = chain(levels, cn.Proj(1, 1))
+        inner = full(node.lhs)
+        if len(inner) <= REPR_LIMIT:
+            fits += 1
+            assert repr(node) == full(node)
+        else:
+            assert repr(node) == f"CImplies(lhs=CImplies(...), " \
+                f"rhs={full(node.rhs)})"
+    assert 0 < fits < 8
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from pavelka.syntax import (Signature, children, fresh_variable, is_core,
                             render_vocabulary)
 
 from genutil import random_formula
+from naive import naive_parse_formula, naive_parse_term
 
 VOCAB = Vocabulary({"P": 1, "R": 2, "Z": 0}, {"c": 0, "f": 1, "g": 2})
 
@@ -164,6 +166,95 @@ class TestParsing:
     def test_parse_term(self):
         assert parse_term("f(c)", VOCAB) == Func("f", (Func("c"),))
         assert parse_term("y", VOCAB) == Var("y")
+
+
+class TestParserOracle:
+    """The stack parser against the recursive-descent parser in
+    ``naive`` on seeded strings, valid and not, drawn from the grammar's
+    tokens: the same tree from both, or the same error text and
+    position."""
+
+    VOCAB = Vocabulary({"P": 1, "R": 2, "Q": 0}, {"c": 0, "f": 1})
+    TOKENS = ["->", "<=", ">=", "\\/", "/\\", "~", "(", ")", ",", ".",
+              "E", "A", "x", "y", "P", "R", "Q", "c", "f", "d", "1/2",
+              "0", "1", "0.25", "3/2", "#"]
+
+    @staticmethod
+    def term(rng, depth):
+        if depth <= 0 or rng.random() < 0.5:
+            return [rng.choice(["x", "y", "c"])]
+        return ["f", "("] + TestParserOracle.term(rng, depth - 1) + [")"]
+
+    @staticmethod
+    def formula(rng, depth):
+        """The tokens of a formula the grammar accepts."""
+        term, formula = TestParserOracle.term, TestParserOracle.formula
+        if depth <= 0:
+            kind = rng.randrange(5)
+            if kind == 0:
+                return ["P", "("] + term(rng, 2) + [")"]
+            if kind == 1:
+                return ["R" if rng.random() < 0.5 else "d", "("] \
+                    + term(rng, 2) + [","] + term(rng, 2) + [")"]
+            if kind == 2:
+                return rng.choice([["Q"], ["Q", "(", ")"]])
+            return [rng.choice(["0", "1", "1/2", "0.25"])]
+        kind = rng.randrange(8)
+        if kind < 3:
+            return formula(rng, depth - 1) + [["->", "\\/", "/\\"][kind]] \
+                + formula(rng, depth - 1)
+        if kind == 3:
+            return ["~"] + formula(rng, depth - 1)
+        if kind == 4:
+            return [rng.choice("EA"), rng.choice("xy"), "."] \
+                + formula(rng, depth - 1)
+        if kind == 5:
+            return formula(rng, depth - 1) + [rng.choice(["<=", ">="]),
+                                              rng.choice(["1/2", "0"])]
+        return ["("] + formula(rng, depth - 1) + [")"]
+
+    def strings(self, rng, count, valid):
+        """``count`` strings: a third from ``valid`` token lists, a third
+        of them with one to three tokens deleted, inserted or replaced,
+        and a third random tokens."""
+        for i in range(count):
+            if i % 3 == 2:
+                tokens = rng.choices(self.TOKENS, k=rng.randint(1, 10))
+            else:
+                tokens = valid(rng, rng.randint(0, 4))
+            for _ in range(rng.randint(1, 3) if i % 3 == 1 else 0):
+                at = rng.randrange(len(tokens) + 1)
+                edit = rng.randrange(3)
+                if edit == 0 and at < len(tokens):
+                    del tokens[at]
+                elif edit == 1:
+                    tokens.insert(at, rng.choice(self.TOKENS))
+                elif at < len(tokens):
+                    tokens[at] = rng.choice(self.TOKENS)
+            text = ""
+            for token in tokens:  # a space where two tokens would merge
+                glued = text[-1:].isalnum() and token[0].isalnum()
+                text += (" " if glued else rng.choice(("", " "))) + token
+            yield text
+
+    @staticmethod
+    def outcome(parse, text, vocabulary):
+        try:
+            return parse(text, vocabulary)
+        except ParseError as exc:
+            return str(exc), exc.position
+
+    def test_formulas_and_terms_as_the_recursive_parser(self):
+        rng = random.Random(29)
+        kinds = Counter()
+        for parse, naive, valid, count in (
+                (parse_formula, naive_parse_formula, self.formula, 4000),
+                (parse_term, naive_parse_term, self.term, 1000)):
+            for text in self.strings(rng, count, valid):
+                got = self.outcome(parse, text, self.VOCAB)
+                assert got == self.outcome(naive, text, self.VOCAB), text
+                kinds[parse.__name__, type(got) is tuple] += 1
+        assert min(kinds.values()) > 300, kinds
 
 
 class TestFreshVariable:

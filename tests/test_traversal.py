@@ -7,9 +7,10 @@ import random
 import sys
 from fractions import Fraction as F
 
-from pavelka import (Atom, Exists, Func, Implies, Or, Var, Vocabulary,
-                     evaluate, expand_abbreviations, free_variables, render,
-                     render_term, rename_symbols, substitute)
+from pavelka import (Atom, Exists, Func, Implies, Not, Or, Var, Vocabulary,
+                     evaluate, expand_abbreviations, free_variables,
+                     parse_formula, parse_term, render, render_term,
+                     rename_symbols, substitute)
 from pavelka.connectives import (CImplies, Proj, apply_connective, c_or,
                                  dag_size, eval_term, half_approx,
                                  render_connective, rendered_size,
@@ -102,6 +103,29 @@ class TestDepth:
             deep = Func("s", (deep,))
         assert render_term(deep) == "s(" * 3000 + "x" + ")" * 3000
 
+    def test_deep_text_reads_back(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"recursion limit set to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        for n in (81, 1024):
+            phi = apply_connective(half_approx(n), [px()])
+            assert parse_formula(render(phi), VOCAB) == phi
+        atom = px()
+        nots = rights = lefts = atom
+        for _ in range(10_000):
+            nots, rights = Not(nots), Implies(atom, rights)
+            lefts = Implies(lefts, atom)
+        for phi in (nots, rights, lefts):
+            assert parse_formula(render(phi), VOCAB) == phi
+        assert render(lefts).startswith("(" * 9_999 + "P(x) -> P(x))")
+        nested = "(" * 10_000 + "P(x)" + ")" * 10_000
+        assert parse_formula(nested, VOCAB) == atom
+        deep = Var("x")
+        for _ in range(3000):
+            deep = Func("s", (deep,))
+        assert parse_term(render_term(deep), Vocabulary({}, {"s": 1})) == deep
+
 
 def _corpus(size=1000):
     out = []
@@ -142,6 +166,7 @@ class TestDifferential:
 
     def test_render(self):
         for seed, _, phi, _ in CORPUS:
+            assert parse_formula(render(phi), VOCAB) == phi
             assert render(phi) == naive_render(phi)
             term = random_term(random.Random(seed), VOCAB, SCOPE, 3)
             assert render_term(term) == naive_render_term(term)
