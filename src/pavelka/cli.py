@@ -9,7 +9,6 @@ report), 2 on input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -89,17 +88,11 @@ def cmd_check(args):
     return EXIT_OK if report.satisfied else EXIT_FALSE
 
 
-def _load_family_with_vocab(args):
-    from . import storage
-    family = storage.load_family(args.family)
-    vocabulary = family[0].vocabulary()
-    return family, vocabulary
-
-
 def cmd_entails(args):
     from . import storage
     from .evaluator import entails
-    family, vocabulary = _load_family_with_vocab(args)
+    family = storage.load_family(args.family)
+    vocabulary = family[0].vocabulary()
     theory = storage.load_theory(args.theory, vocabulary)
     gamma = storage.load_typeset(args.gamma, vocabulary)
     sigma = storage.load_typeset(args.sigma, vocabulary)
@@ -114,9 +107,9 @@ def cmd_tv_test(args):
     from .syntax import parse_formula, render
     structure = storage.load_structure(args.struct)
     vocabulary = structure.vocabulary()
-    with open(args.formulas, encoding="utf-8") as handle:
-        formulas = [parse_formula(line.strip(), vocabulary)
-                    for line in handle if line.strip()]
+    formulas = [parse_formula(line.strip(), vocabulary)
+                for line in storage.read_text(args.formulas).split("\n")
+                if line.strip()]
     subset = [e.strip() for e in args.subset.split(",") if e.strip()]
     grid = [parse_rational(r) for r in args.grid.split(",") if r.strip()]
     report = tarski_vaught_check(structure, subset, formulas, grid)
@@ -144,8 +137,7 @@ def _built_target(args):
     if not args.spec:
         raise PavelkaError("--spec FILE is required for --target lattice")
     from . import storage
-    with open(args.spec, encoding="utf-8") as handle:
-        spec = storage.spec_from_dict(json.load(handle))
+    spec = storage.spec_from_dict(storage.read_json(args.spec))
     return connectives.approx_lattice(spec, args.n)
 
 
@@ -186,10 +178,19 @@ def cmd_relativize(args):
     from . import storage
     from .syntax import parse_formula, render
     from .transforms import relativize_family, relativize_monadic
+    if args.pred is None and args.family_relation is None:
+        raise PavelkaError("relativize needs --pred NAME or "
+                           "--family-relation NAME")
+    if args.pred is not None and args.family_relation is not None:
+        raise PavelkaError("relativize takes --pred NAME or "
+                           "--family-relation NAME, not both")
+    if args.var is not None and args.family_relation is None:
+        raise PavelkaError("relativize takes --var NAME only with "
+                           "--family-relation NAME")
     vocabulary = storage.load_vocabulary(args.vocab)
-    with open(args.formula, encoding="utf-8") as handle:
-        formula = parse_formula(handle.read().strip(), vocabulary)
-    if args.family_relation:
+    formula = parse_formula(storage.read_text(args.formula).strip(),
+                            vocabulary)
+    if args.family_relation is not None:
         out = relativize_family(formula, args.family_relation, args.var)
     else:
         out = relativize_monadic(formula, args.pred)
@@ -285,13 +286,13 @@ def cmd_principal(args):
     if args.phi and args.omega_candidate:
         raise PavelkaError("principal takes --phi FILE or "
                            "--omega-candidate FILE, not both")
-    family, vocabulary = _load_family_with_vocab(args)
+    family = storage.load_family(args.family)
+    vocabulary = family[0].vocabulary()
     theory = storage.load_theory(args.theory, vocabulary)
     sigma = storage.load_typeset(args.sigma, vocabulary)
     if args.omega_candidate:
-        with open(args.omega_candidate, encoding="utf-8") as handle:
-            candidate = storage.candidate_from_dict(json.load(handle),
-                                                    vocabulary)
+        candidate = storage.candidate_from_dict(
+            storage.read_json(args.omega_candidate), vocabulary)
         report = omega_principal_check(family, theory, sigma, candidate)
         _print({"accepted": report.accepted,
                 "generator": {
@@ -328,7 +329,8 @@ def cmd_omit(args):
 def cmd_type_dist(args):
     from . import storage
     from .omitting import CompleteTypeRecord, type_distance
-    family, vocabulary = _load_family_with_vocab(args)
+    family = storage.load_family(args.family)
+    vocabulary = family[0].vocabulary()
     theory = storage.load_theory(args.theory, vocabulary)
     s1 = storage.load_structure(args.struct1)
     s2 = storage.load_structure(args.struct2)
@@ -539,11 +541,8 @@ def main(argv=None) -> int:
     except PavelkaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:  # no such file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (KeyError, ValueError) as exc:
-        print(f"error: bad input ({exc})", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -14,6 +14,10 @@ Tuple keys are comma-joined element ids; the empty key names the empty
 tuple of a 0-ary predicate.  Formulas inside theory/type files are
 grammar strings and are parsed against a vocabulary, which may be
 embedded in the file or inferred from an accompanying structure.
+
+Every input file is opened by ``read_text`` and every JSON input decoded
+by ``read_json``, so a file that is not UTF-8 text or not JSON is a
+``ParseError`` naming its path, whatever the subcommand.
 """
 
 from __future__ import annotations
@@ -27,6 +31,36 @@ from .rationals import dump_json, format_rational, parse_rational
 from .structures import Structure
 from .syntax import (Signature, Theory, TypeSet, Vocabulary, parse_formula,
                      parse_term, parse_vocabulary, render)
+
+
+def read_text(path: str) -> str:
+    """The text of the file at ``path``, read as UTF-8 with universal
+    newlines; a byte that is not UTF-8 is a ``ParseError`` naming the
+    path.  ``OSError`` (no such file, a directory) passes through."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text: {exc.reason} at "
+                         f"byte {exc.start}") from None
+
+
+def read_json(path: str):
+    """The JSON value in the file at ``path``: ``read_text``, then
+    decoding, which refuses a syntax error, a number too long to convert
+    and nesting past the decoder's depth, each as a ``ParseError`` naming
+    the path."""
+    return _decoded(read_text(path), path)
+
+
+def _decoded(text: str, path: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError or too many digits
+        raise ParseError(f"{path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path!r} is not valid JSON: nested too "
+                         f"deeply") from None
 
 
 def _tuple_key(args: tuple) -> str:
@@ -55,10 +89,9 @@ def vocabulary_from_dict(data: Mapping) -> Vocabulary:
 
 def load_vocabulary(path: str) -> Vocabulary:
     """JSON (by leading '{') or the line-oriented declaration format."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_text(path)
     if text.lstrip().startswith("{"):
-        return vocabulary_from_dict(json.loads(text))
+        return vocabulary_from_dict(_decoded(text, path))
     return parse_vocabulary(text)
 
 
@@ -91,8 +124,7 @@ def signature_from_dict(data: Mapping) -> Signature:
 
 
 def load_signature(path: str) -> Signature:
-    with open(path, encoding="utf-8") as handle:
-        return signature_from_dict(json.load(handle))
+    return signature_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +223,8 @@ def structure_from_dict(data: Mapping, label: Optional[str] = None) -> Structure
 
 
 def load_structure(path: str) -> Structure:
-    with open(path, encoding="utf-8") as handle:
-        return structure_from_dict(json.load(handle),
-                                   label=os.path.basename(path))
+    return structure_from_dict(read_json(path),
+                               label=os.path.basename(path))
 
 
 def load_family(path: str) -> list:
@@ -204,8 +235,7 @@ def load_family(path: str) -> list:
         if not names:
             raise ParseError(f"no structure files in {path!r}")
         return [load_structure(os.path.join(path, n)) for n in names]
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(path)
     if not isinstance(data, list):
         raise ParseError(f"family file {path!r} must hold a JSON list")
     if not data:
@@ -237,8 +267,7 @@ def theory_from_dict(data: Mapping,
 
 
 def load_theory(path: str, vocabulary: Optional[Vocabulary] = None) -> Theory:
-    with open(path, encoding="utf-8") as handle:
-        return theory_from_dict(json.load(handle), vocabulary)
+    return theory_from_dict(read_json(path), vocabulary)
 
 
 def typeset_to_dict(typeset: TypeSet) -> dict:
@@ -267,8 +296,7 @@ def typeset_from_dict(data: Mapping,
 def load_typesets(path: str,
                   vocabulary: Optional[Vocabulary] = None) -> list:
     """One type-set object, or ``{"types": [...]}`` or a bare list."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(path)
     if isinstance(data, list):
         entries = data
     elif not isinstance(data, Mapping):
@@ -379,8 +407,7 @@ def space_from_dict(data: Mapping):
 
 
 def load_space(path: str):
-    with open(path, encoding="utf-8") as handle:
-        return space_from_dict(json.load(handle))
+    return space_from_dict(read_json(path))
 
 
 def write_json(path: str, payload) -> None:

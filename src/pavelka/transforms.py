@@ -15,9 +15,10 @@ from .rationals import ZERO, ONE, as_fraction
 from .records import Record
 from .structures import _MARKERS, Structure, _induced, _tag_symbol
 from .syntax import (And, Atom, Const, Exists, Forall, Formula, Leq, Not, Or,
-                     Theory, TypeSet, Var, Vocabulary, all_variables,
-                     expand_abbreviations, formula_symbols, free_variables,
-                     fresh_variable, rebuild, rename_symbols, substitute)
+                     Theory, TypeSet, Var, Vocabulary, _check_symbol_name,
+                     all_variables, expand_abbreviations, formula_symbols,
+                     free_variables, fresh_variable, rebuild, rename_symbols,
+                     substitute)
 
 
 def discrete_macro(atom: Atom) -> Formula:
@@ -53,6 +54,7 @@ def relativize_monadic(formula: Formula, predicate: str) -> Formula:
     ``{x | P(x) = 1}`` yields a valid structure, the relativized formula
     takes the same value in M as the original takes in the restriction.
     """
+    _check_symbol_name(predicate)
     if predicate in formula_symbols(formula):
         raise VocabularyError(
             f"guard predicate {predicate!r} already occurs in the formula")
@@ -66,6 +68,9 @@ def relativize_family(sentence: Formula, relation: str,
     given).  At any point a where ``R(a, .)`` is discrete and the
     restriction is a valid structure, its value equals the sentence's
     value in that restriction."""
+    _check_symbol_name(relation)
+    if var is not None:
+        _check_symbol_name(var)
     if relation in formula_symbols(sentence):
         raise VocabularyError(
             f"guard relation {relation!r} already occurs in the sentence")
@@ -140,6 +145,8 @@ class OrderTheorySpec(Record):
 
     def __init__(self, predicate: str, order: str,
                  base: Optional[Vocabulary] = None):
+        _check_symbol_name(predicate)
+        _check_symbol_name(order)
         if predicate == order:
             raise VocabularyError("carrier and order names must differ")
         if base is not None:

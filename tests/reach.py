@@ -3,14 +3,18 @@ that the tests never run, apart from the lines in ``ALLOWED``.
 
     PYTHONPATH=src python tests/reach.py [pytest arguments]
 
+An ``ALLOWED`` entry must match exactly one line of its file: one that
+matches none is stale, and one that matches more would exempt lines
+nobody chose, so either fails the run.
+
 Needs Python 3.12 or later (``sys.monitoring``).  The tracer returns
 ``DISABLE`` on each line's first hit, so a line costs one event however
 often it runs.  A line counts as the library's when some code object
 compiled from its file carries it; it is reached when any of them runs
 it.  The source is read again at the end, so leave it unedited while
 the tests run.  Exits with pytest's status when that is not 0, else 1
-if a line outside ``ALLOWED`` went unreached, else 0.  Needs nothing
-beyond the standard library and pytest.
+if a line outside ``ALLOWED`` went unreached or an entry fails, else 0.
+Needs nothing beyond the standard library and pytest.
 """
 
 import pathlib
@@ -39,16 +43,26 @@ def lines_of(code) -> set:
 
 
 def unreached(reached: dict) -> list:
-    """``(file, line number, text)`` of each library line not in
+    """A failure line for each ``ALLOWED`` entry that does not match
+    exactly one line of its file, then for each library line not in
     ``reached`` (file name -> set of line numbers) or ``ALLOWED``."""
     missing = []
+    for name, entry in ALLOWED:
+        path = SRC / name
+        lines = path.read_text(encoding="utf-8").splitlines() \
+            if path.exists() else []
+        count = sum(line.strip() == entry for line in lines)
+        if count != 1:
+            missing.append(f"allowed: src/pavelka/{name}: {entry!r} "
+                           f"matches {count} lines, not 1")
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         text = source.splitlines()
         for line in sorted(lines_of(compile(source, str(path), "exec"))
                            - reached.get(str(path), set())):
             if (path.name, text[line - 1].strip()) not in ALLOWED:
-                missing.append((path.name, line, text[line - 1].strip()))
+                missing.append(f"unreached: src/pavelka/{path.name}:{line}: "
+                               f"{text[line - 1].strip()}")
     return missing
 
 
@@ -74,8 +88,8 @@ def main(argv) -> int:
     if status:
         return status
     missing = unreached(reached)
-    for name, line, text in missing:
-        print(f"unreached: src/pavelka/{name}:{line}: {text}")
+    for failure in missing:
+        print(failure)
     return 1 if missing else 0
 
 

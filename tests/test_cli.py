@@ -10,54 +10,7 @@ import pytest
 import pavelka
 from pavelka import Structure, storage
 from pavelka.cli import main
-from pavelka.syntax import Signature
-
-
-@pytest.fixture
-def files(tmp_path, m2, vocab_pc):
-    paths = {}
-
-    def write(name, payload):
-        path = tmp_path / name
-        path.write_text(storage.dump_json(payload))
-        paths[name] = str(path)
-        return str(path)
-
-    write("m2.json", storage.structure_to_dict(m2))
-    write("sig.json", storage.signature_to_dict(
-        Signature(m2.vocabulary(), {"P": [(F(1, 4), F(3, 4))]})))
-    write("box.json", {"name": "box",
-                       "sentences": ["P(c) >= 1/3", "P(c) <= 1/2"]})
-    write("failing.json", {"name": "f", "sentences": ["P(c)"]})
-    write("sigma.json", {"name": "s", "variables": ["x"],
-                         "formulas": ["P(x)"]})
-    write("gamma.json", {"name": "g", "variables": ["x"],
-                         "formulas": ["P(x) >= 1/2"]})
-    write("vocab.json", storage.vocabulary_to_dict(m2.vocabulary()))
-    write("space.json", storage.space_to_dict(
-        __import__("pavelka").SearchSpace(m2.vocabulary(), 2, 2, 2)))
-    write("tight.json", {"name": "t", "sentences": ["P(c)"]})
-    write("loose.json", {"name": "t", "sentences": ["P(c) >= 1/2"]})
-    half = Structure(("z",), {}, {"P": {("z",): F(1, 2)}}, {}, {"c": "z"})
-    write("half.json", storage.structure_to_dict(half))
-    one = Structure(("w",), {}, {"P": {("w",): F(1)}}, {}, {"c": "w"})
-    fam = tmp_path / "family"
-    fam.mkdir()
-    (fam / "m2.json").write_text(
-        storage.dump_json(storage.structure_to_dict(m2)))
-    (fam / "half.json").write_text(
-        storage.dump_json(storage.structure_to_dict(half)))
-    (fam / "one.json").write_text(
-        storage.dump_json(storage.structure_to_dict(one)))
-    paths["family"] = str(fam)
-    formulas = tmp_path / "formulas.txt"
-    formulas.write_text("P(x)\n")
-    paths["formulas.txt"] = str(formulas)
-    formula_file = tmp_path / "phi.txt"
-    formula_file.write_text("E x. P(x)\n")
-    paths["phi.txt"] = str(formula_file)
-    paths["tmp"] = str(tmp_path)
-    return paths
+from pavelka.syntax import Vocabulary, parse_formula
 
 
 def run(capsys, *argv):
@@ -421,8 +374,26 @@ class TestMalformedInputExitsTwo:
                      "--theory", str(path)])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == \
-            (2, "", "error: bad input (Expecting property name enclosed in "
-                    "double quotes: line 1 column 2 (char 1))\n")
+            (2, "", f"error: {str(path)!r} is not valid JSON: Expecting "
+                    f"property name enclosed in double quotes: line 1 "
+                    f"column 2 (char 1)\n")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: path.write_bytes(b"\xff{}"),
+         "{path!r} is not UTF-8 text: invalid start byte at byte 0"),
+        (lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+         "{path!r} is not valid JSON: nested too deeply"),
+        (lambda path: path.mkdir(),
+         "[Errno 21] Is a directory: {path!r}"),
+    ], ids=["not-utf8", "too-deep", "directory"])
+    def test_unreadable_file_exits_two(self, tmp_path, capsys, make,
+                                       message):
+        path = tmp_path / "bad.json"
+        make(path)
+        code = main(["eval", "--struct", str(path), "--formula", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"error: {message.format(path=str(path))}\n")
 
 
     @pytest.mark.parametrize("argv, message", [
@@ -463,6 +434,46 @@ class TestMalformedInputExitsTwo:
         assert (code, captured.out, captured.err) == (
             2, "", "error: principal takes --phi FILE or "
             "--omega-candidate FILE, not both\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        ([], "relativize needs --pred NAME or --family-relation NAME"),
+        (["--pred", "G", "--family-relation", "R"],
+         "relativize takes --pred NAME or --family-relation NAME, not both"),
+        (["--pred", "G", "--var", "z"],
+         "relativize takes --var NAME only with --family-relation NAME"),
+    ], ids=["neither", "both", "var-without-relation"])
+    def test_relativize_guard_flags(self, files, capsys, flags, message):
+        # refused before any file is read: neither file exists
+        code = main(["relativize", "--formula", files["tmp"] + "/no-phi.txt",
+                     "--vocab", files["tmp"] + "/no.vocab", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (lambda files: ["gen-order", "--pred", "P", "--lt", "<"],
+         "bad symbol name: '<'"),
+        (lambda files: ["gen-order", "--pred", "d", "--lt", "LT"],
+         "symbol name 'd' is reserved"),
+        (lambda files: ["relativize", "--formula", files["phi.txt"],
+                        "--vocab", files["vocab.json"], "--pred", "1x"],
+         "bad symbol name: '1x'"),
+        (lambda files: ["relativize", "--formula", files["phi.txt"],
+                        "--vocab", files["vocab.json"],
+                        "--family-relation", "R(", "--var", "z"],
+         "bad symbol name: 'R('"),
+        (lambda files: ["relativize", "--formula", files["phi.txt"],
+                        "--vocab", files["vocab.json"],
+                        "--family-relation", "R", "--var", "z z"],
+         "bad symbol name: 'z z'"),
+    ], ids=["order-symbol", "reserved-carrier", "guard-digit",
+            "relation-paren", "var-space"])
+    def test_unreadable_name_exits_two(self, files, capsys, argv, message):
+        # a name that no parser reads back is refused, not printed
+        code = main(argv(files))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == \
+            (2, "", f"error: {message}\n")
 
 
 CANDIDATE = {"variables": ["y"], "terms": ["y"], "formula": "P(y)",
@@ -575,6 +586,25 @@ class TestSearchAndTransforms:
         assert code == 0
         assert out.strip() == "E x. G(x) /\\ P(x)"
 
+    @pytest.mark.parametrize("flags, guard, build", [
+        (["--pred", "G"], {"G": 1}, ("relativize_monadic", "G")),
+        (["--family-relation", "R", "--var", "z"], {"R": 2},
+         ("relativize_family", "R", "z")),
+        (["--family-relation", "R"], {"R": 2}, ("relativize_family", "R")),
+    ], ids=["monadic", "family", "family-fresh-var"])
+    def test_relativize_reads_back(self, files, capsys, vocab_pc, flags,
+                                   guard, build):
+        from pavelka import transforms
+        code, out = run(capsys, "relativize", "--formula", files["phi.txt"],
+                        "--vocab", files["vocab.json"], *flags)
+        assert code == 0
+        vocabulary = Vocabulary({**vocab_pc.predicates, **guard},
+                                vocab_pc.operations)
+        name, *names = build
+        expected = getattr(transforms, name)(
+            parse_formula("E x. P(x)", vocab_pc), *names)
+        assert parse_formula(out.strip(), vocabulary) == expected
+
     def test_restrict_undefined_reports_reason(self, files, capsys):
         code, out = run(capsys, "restrict", "--struct", files["m2.json"],
                         "--pred", "P")
@@ -588,6 +618,14 @@ class TestSearchAndTransforms:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert len(payload["sentences"]) == 7
+
+    def test_gen_order_reads_back(self, capsys):
+        from pavelka.transforms import OrderTheorySpec, order_theory
+        code, out = run(capsys, "gen-order", "--pred", "P", "--lt", "LT")
+        assert code == 0
+        theory = storage.theory_from_dict(
+            json.loads(out), Vocabulary({"P": 1, "LT": 2}, {}))
+        assert theory == order_theory(OrderTheorySpec("P", "LT"))
 
     def test_thicken(self, files, capsys):
         code, out = run(capsys, "thicken", "--types", files["sigma.json"],
