@@ -244,6 +244,12 @@ def grid_axis(spacing: Fraction) -> list:
 SWEEP_LIMIT = 25_000_000
 
 
+# The most DAG nodes ``scale_dyadic`` builds for a term it does not
+# sweep (``p = 0`` or ``k = 0``), which no ``check_sweep`` bounds: about
+# 30 MB of nodes, built in about 0.1 s on the machine above.
+SCALE_NODE_LIMIT = 100_000
+
+
 def check_sweep(points: int, nodes: int) -> None:
     """Refuse a sweep of ``points`` grid points over ``nodes`` DAG nodes
     when it would exceed ``SWEEP_LIMIT`` node evaluations."""
@@ -380,6 +386,13 @@ def scale_dyadic(p: int, k: int, n: int):
         raise FormulaError(f"need integers p >= 0, k >= 0: p={p!r} k={k!r}")
     if not isinstance(n, int) or n < 1:
         raise FormulaError(f"resolution must be a positive integer: {n!r}")
+    # size the term, and the sweep below, before building either
+    nodes = _scaled_size(p, k, n)
+    if p and k:
+        check_sweep(8 * n + 1, nodes)
+    elif nodes > SCALE_NODE_LIMIT:
+        raise FormulaError(f"scale term too large: {nodes} DAG nodes "
+                           f"exceeds {SCALE_NODE_LIMIT}")
     term = _scaled_term(p, k, n)
     if p == 0 or k == 0:
         return term, ZERO
@@ -390,6 +403,20 @@ def scale_dyadic(p: int, k: int, n: int):
 
     bound = certify(term, target, 1, Fraction(1, 8 * n), ratio)
     return term, bound
+
+
+def _scaled_size(p: int, k: int, n: int) -> int:
+    """``dag_size(_scaled_term(p, k, n))``, without building the term.
+    Each halving after the first adds a copy of ``half_approx(n)`` that
+    shares its ``n`` level constants and its zero with the first and
+    takes the place of its projection: ``9n - 2`` new nodes.  Each
+    summand after the first adds two: a negation and an implication,
+    their zero shared with the halvings or, at ``k = 0``, one more node
+    at the second summand."""
+    if p == 0:
+        return 1
+    base = 1 if k == 0 else half_approx_size(n) + (k - 1) * (9 * n - 2)
+    return base + 2 * (p - 1) + (k == 0 and p > 1)
 
 
 def _scaled_term(p: int, k: int, n: int) -> ConnectiveTerm:

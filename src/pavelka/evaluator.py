@@ -33,7 +33,8 @@ Formulas over tuples are evaluated a table at a time, the relational
 strategy for finite model checking (Vardi, STOC 1982): a scan
 (``Evaluator._scan``) links one program of several formulas and assigns
 each tuple in turn, on one copy of the registers and one memo for the
-whole scan, and builds nothing per tuple but what it reports.
+whole scan, and builds nothing per tuple but what it reports, and a key
+of the positions the program reads when the scan's variables name more.
 ``Evaluator.profiles`` runs the whole program per tuple and groups the
 tuples by their row of values, integers over the link's denominator:
 the profiles ``type_distance`` compares records by.
@@ -43,7 +44,8 @@ value below 1, and reports only that formula and value.  Type
 realization, omission and entailment are ``first_failures`` scans of
 one program per type, the Tarski-Vaught test is one ``profiles`` scan
 per formula, and a ``Theory`` keeps its compiled sentence programs for
-its lifetime; ``models`` links them once per structure.
+its lifetime; ``models`` links them once per structure, and each
+sentence's value is kept with the link.
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
@@ -57,10 +59,19 @@ over a larger ``D`` gets its own scaled copy and never replaces the kept
 one.  The model search writes the tables it walks into its checks'
 registers itself (``omitting.enumerate_structures``).
 
-Only an ``Exists`` recurses, once per element of the universe, and its
-value is memoized per restriction of the assignment to its free
-variables: the recursion depth is the quantifier nesting, never the
-connective or term depth.  No state outlives a call at module level.
+Only an ``Exists`` recurses, once per element of the universe: the
+recursion depth is the quantifier nesting, never the connective or term
+depth.  Each value is computed once for as long as it can be reused.
+An ``Exists`` whose free variables are fewer than the variables of the
+scope holding it (at the root, the program's free variables; in a body,
+the body's own and the variable it binds) is memoized per restriction
+of the assignment to its free variables, for one ``value`` call or one
+scan; any other runs once per run of its scope anyway, and builds no
+key.  A scan whose variables name more than its program reads runs the
+root once per assignment of what it reads (``Evaluator._scan``).  A
+sentence's value is kept with the structure when its link is
+(``Evaluator.value``), so a theory's sentences are decided once per
+member.  No state outlives a call at module level.
 """
 
 from __future__ import annotations
@@ -120,12 +131,13 @@ def compile_formulas(formulas: Sequence[Formula]) -> Program:
             slot = mapping[key] = next(fresh)
         return slot
 
-    def scope(roots, nested):
+    def scope(roots, bound):
         """Compile one scope computing each of ``roots`` and, depth
         first, the bodies below it; returns its code and result slots
         and its free variables in first-occurrence order (as dict
-        keys)."""
-        code, slot_of, free = [], {}, {}
+        keys).  ``bound`` is the variable an ``Exists`` body binds, or
+        None at the root."""
+        code, slot_of, free, quantifiers = [], {}, {}, []
         for node in _scope_nodes(roots):
             if id(node) in slot_of:  # shared with an earlier root
                 continue
@@ -157,13 +169,22 @@ def compile_formulas(formulas: Sequence[Formula]) -> Program:
                     code.append((LOOK0 + len(args), slot, table, b, c))
             elif kind is Exists:
                 var = slot_for(variables, node.var)
-                body, _, inner = scope((node.body,), True)
+                body, _, inner = scope((node.body,), node.var)
                 inner.pop(node.var, None)
                 free.update(inner)
-                code.append((EXISTS, slot, var, body, tuple(
-                    map(variables.__getitem__, inner)) if nested else None))
+                quantifiers.append(len(code))
+                code.append((EXISTS, slot, var, body, inner))
             else:
                 raise FormulaError(f"evaluator got a non-core node: {node!r}")
+        # the scope runs once per assignment of its variables, its free
+        # ones and the variable it binds; an ``Exists`` reading fewer can
+        # meet one assignment of its own again, and keys its memo by it
+        reads = len(free) + (bound is not None and bound not in free)
+        for k in quantifiers:
+            op, slot, var, body, inner = code[k]
+            code[k] = (op, slot, var, body, tuple(
+                map(variables.__getitem__, inner)) if len(inner) < reads
+                else None)
         results = tuple([slot_of[id(root)] for root in roots])
         scopes.append((code, results[0] if results else None))
         return scopes[-1], results, free
@@ -171,7 +192,7 @@ def compile_formulas(formulas: Sequence[Formula]) -> Program:
     # the expansions are held until the end, so no id in a slot map is
     # reused by a later node
     expanded = [expand_abbreviations(formula) for formula in formulas]
-    _, results, free = scope(expanded, False)
+    _, results, free = scope(expanded, None)
     scopes.reverse()  # the root first, each body after its parent
     return Program(formulas, tuple(free),
                    tuple(map(variables.__getitem__, free)), next(fresh),
@@ -221,8 +242,9 @@ class _Lowering:
     table's own denominators.  A lowered table never changes: a link over
     a multiple of its lcm reads a scaled copy of it.  ``programs`` keeps
     what ``Evaluator.kept`` makes for the structure: programs, the links
-    ``Evaluator.keep_links`` keeps, and the profiles ``type_distance``
-    scans with ``Evaluator.profiles``."""
+    ``Evaluator.keep_links`` keeps and the values of their sentences,
+    and the profiles ``type_distance`` scans with
+    ``Evaluator.profiles``."""
 
     __slots__ = ("index", "tables", "programs")
 
@@ -426,9 +448,10 @@ class Evaluator:
         it raises: for what depends on nothing but the structure and the
         key, such as a program compiled from the structure's vocabulary
         (``type_distance``'s default corpus), a link (``keep_links``),
-        or a table of the structure's own values (``type_distance``'s
-        profiles of the default corpus, keyed by the record length and
-        predicate signature they were scanned for)."""
+        a sentence's value over a kept link (``value``), or a table of
+        the structure's own values (``type_distance``'s profiles of the
+        default corpus, keyed by the record length and predicate
+        signature they were scanned for)."""
         programs = self._lowering.programs
         made = programs.get(key)
         if made is None:
@@ -440,16 +463,31 @@ class Evaluator:
         the link is kept with the structure's lowered tables, keyed by
         the program, and every evaluator of the structure reuses it.  For
         programs that outlive any one evaluator, such as a theory's
-        sentences (``Theory.programs``)."""
+        sentences (``Theory.programs``); ``value`` keeps a sentence's
+        value with its kept link, so what is kept grows with the kept
+        links only."""
         for program in programs:
             self._links[program] = self.kept(program, functools.partial(
                 _link, program, self._table, self.structure.universe))
 
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
         """The exact value of a formula, or of a program that
-        ``compile_formula`` made, under the assignment."""
-        program, (code, result, registers, denominator) = \
-            self._linked(formula, compile_formula)
+        ``compile_formula`` made, under the assignment.
+
+        A sentence's program whose link is kept with the structure
+        (``keep_links``) depends on nothing else, so its value is kept
+        there too (``kept``), unless it raises: a theory's sentences are
+        decided once per member, not once per query.  Any other program
+        keeps nothing."""
+        program, link = self._linked(formula, compile_formula)
+        if program.free or self._lowering.programs.get(program) is not link:
+            return self._value(program, link, assignment)
+        return self.kept(("value", program),
+                         lambda: self._value(program, link, None))
+
+    def _value(self, program: Program, link: tuple,
+               assignment: Optional[Assignment]) -> Fraction:
+        code, result, registers, denominator = link
         registers = registers[:]
         if program.free:
             env = assignment or {}
@@ -467,12 +505,16 @@ class Evaluator:
 
     def _scan(self, formulas, variables: Sequence[str],
               tuples: Optional[Iterable]) -> tuple:
-        """``(program, code, registers, denominator, assigned)``: one
+        """``(program, code, registers, denominator, results)``: one
         program, or formulas compiled into one, its link's root code and
-        denominator, one copy of its registers, and ``assigned``, which
-        assigns each tuple's elements to ``variables`` there and yields
-        the tuple.  A free variable not among ``variables`` raises
-        before any tuple."""
+        denominator, one copy of its registers, and ``results(step)``,
+        which assigns each tuple's elements to ``variables`` there and
+        yields ``(tuple, step())``.  A free variable not among
+        ``variables`` raises before any tuple.
+
+        When ``variables`` name more than the program reads, tuples that
+        agree on what it reads get one ``step()`` between them: its
+        result is kept per scan, keyed by their positions."""
         variables = tuple(variables)
         program, (code, _, registers, denominator) = self._linked(
             formulas, compile_formulas)
@@ -486,15 +528,22 @@ class Evaluator:
             tuples = itertools.product(self.structure.universe,
                                        repeat=len(variables))
 
-        def assigned():
+        def results(step):
+            done = {} if len(assign) < len(variables) else None
             for tup in tuples:
                 for slot, i in assign:
                     position = index.get(tup[i])
                     if position is None:
                         raise _outside(variables[i], tup[i])
                     registers[slot] = position
-                yield tup
-        return program, code, registers, denominator, assigned()
+                if done is None:
+                    yield tup, step()
+                    continue
+                key = tuple([registers[slot] for slot, _ in assign])
+                if key not in done:
+                    done[key] = step()
+                yield tup, done[key]
+        return program, code, registers, denominator, results
 
     def profiles(self, program: Program, variables: Sequence[str],
                  tuples: Optional[Iterable] = None) -> tuple:
@@ -506,16 +555,19 @@ class Evaluator:
         default every tuple of the universe of that length, in
         canonical order.
 
-        One ``run`` per tuple computes the whole row.  The scan is done
-        before it returns, so its errors, free variables first
-        (``_scan``), raise at the call."""
-        program, code, registers, denominator, tuples = self._scan(
+        One ``run`` per tuple, or per assignment of the variables the
+        program reads (``_scan``), computes the whole row.  The scan is
+        done before it returns, so its errors, free variables first,
+        raise at the call."""
+        program, code, registers, denominator, results = self._scan(
             program, variables, tuples)
-        results, memo, profiles = program.results, {}, {}
-        for tup in tuples:
+        slots, memo, profiles = program.results, {}, {}
+
+        def row():
             run(code, registers, denominator, memo)
-            profiles.setdefault(tuple([registers[slot] for slot in results]),
-                                []).append(tup)
+            return tuple([registers[slot] for slot in slots])
+        for tup, values in results(row):
+            profiles.setdefault(values, []).append(tup)
         return denominator, profiles
 
     def first_failures(self, formulas, variables: Sequence[str],
@@ -527,26 +579,27 @@ class Evaluator:
         value)`` for the first one, in order, whose value is below 1.
 
         ``formulas`` is one program, or formulas compiled into one for
-        this scan.  At each tuple its root code runs one formula's
-        stretch at a time (``_stretches``), and the tuple stops at the
+        this scan.  At each tuple, or once per assignment of the
+        variables the program reads (``_scan``), its root code runs one
+        formula's stretch at a time (``_stretches``), and stops at the
         first value below 1.  Free variables are checked before the
         first tuple, even a formula's that no tuple reaches, so an
         unassigned one raises before an element outside the universe,
         which ``value`` would report first.  Each distinct value
         reported is made a ``Fraction`` once per scan."""
-        program, code, registers, denominator, tuples = self._scan(
+        program, code, registers, denominator, results = self._scan(
             formulas, variables, tuples)
         stretches, memo = _stretches(program, code), {}
         fractions = _Fractions(denominator)
-        for tup in tuples:
+
+        def failure():
             for stretch, result, formula in stretches:
                 run(stretch, registers, denominator, memo)
                 value = registers[result]
                 if value != denominator:
-                    yield tup, (formula, fractions[value])
-                    break
-            else:
-                yield tup, None
+                    return formula, fractions[value]
+            return None
+        yield from results(failure)
 
 
 def _stretches(program: Program, code: list) -> list:

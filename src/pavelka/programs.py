@@ -33,9 +33,12 @@ from typing import Sequence
 #           the opcode is LOOK0 plus the number of arguments
 #   LOOKN   a: the slot of a table; b: the slots of its arguments
 #   EXISTS  a: the slot of the variable; b: the body, (code, result slot);
-#           c: the slots of its free variables, which key its memo, or
-#           None in the root scope, where it runs once; writes the
-#           maximum of the body's result over the universe
+#           c: the slots of its free variables, which key its memo, when
+#           they are fewer than the variables of the scope holding it,
+#           or None, when it runs once per run of that scope with those
+#           values (at the root, once per assignment of the free
+#           variables); writes the maximum of the body's result over
+#           the universe
 # Slot 0 of a formula program holds the universe's positions.
 IMP, LOOK0, LOOK1, LOOK2, LOOKN, EXISTS = range(6)
 _UNIVERSE = 0
@@ -108,8 +111,8 @@ class Lanes:
         lanes where ``s > D``;
       * an ``Exists`` keeps a lane-wise maximum over the universe, the
         guards of ``best + G - value`` marking where ``best >= value``,
-        memoized by the positions of its free variables; it stops
-        early only when every lane holds ``D``;
+        memoized, where it has a key, by the positions of its free
+        variables; it stops early only when every lane holds ``D``;
       * ``passing`` marks the lanes below ``D`` by the guards of
         ``(Dp - V) + G - 1p``.
     Each is a few whole-int operations for the whole block.

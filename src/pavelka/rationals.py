@@ -17,15 +17,42 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# The most digits a rational's text may hold, counting an exponent's
+# magnitude as that many digits: ``1e999999`` would build a million-digit
+# integer before anything could refuse it.
+RATIONAL_DIGITS = 1000
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q``, a decimal with finite expansion, or an integer,
-    written as a string."""
+    """Parse ``p/q``, a decimal with finite expansion (an exponent such
+    as ``25e-2`` allowed), or an integer, written as a string.  A text
+    whose digits and exponent's magnitude add up to more than
+    ``RATIONAL_DIGITS`` is refused before any integer is built."""
     if not isinstance(text, str):
         raise ParseError(f"not a rational: {text!r} is not a string")
+    if _size(text) > RATIONAL_DIGITS:
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise ParseError(f"rational too large: {shown!r} has more than "
+                         f"{RATIONAL_DIGITS} digits, counting its exponent")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
+
+
+def _size(text: str) -> int:
+    """The digits of ``text`` before any exponent plus the exponent's
+    magnitude, or more than ``RATIONAL_DIGITS`` when the exponent is too
+    long to read; a text with no readable exponent, which ``Fraction``
+    refuses if it has one, counts its digits only."""
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(map(str.isdecimal, mantissa))
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if not exponent.isdecimal():
+        return size
+    if len(exponent) > len(str(RATIONAL_DIGITS)):
+        return RATIONAL_DIGITS + 1
+    return size + int(exponent)
 
 
 def format_rational(value: Fraction) -> str:

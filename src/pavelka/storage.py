@@ -36,13 +36,24 @@ from .syntax import (Signature, Theory, TypeSet, Vocabulary, parse_formula,
 def read_text(path: str) -> str:
     """The text of the file at ``path``, read as UTF-8 with universal
     newlines; a byte that is not UTF-8 is a ``ParseError`` naming the
-    path.  ``OSError`` (no such file, a directory) passes through."""
+    path, as is a path no file can have (``_open``).  ``OSError`` (no
+    such file, a directory) passes through."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with _open(path, "r") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path!r} is not UTF-8 text: {exc.reason} at "
                          f"byte {exc.start}") from None
+
+
+def _open(path: str, mode: str):
+    """``open(path, mode)`` as UTF-8 text, with a path holding a NUL
+    byte, which no file can have, refused as a ``ParseError`` naming
+    it."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except ValueError as exc:  # embedded null byte
+        raise ParseError(f"{path!r} is not a usable path: {exc}") from None
 
 
 def read_json(path: str):
@@ -412,5 +423,5 @@ def load_space(path: str):
 
 def write_json(path: str, payload) -> None:
     """Write ``payload`` to ``path`` as ``dump_json`` text."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with _open(path, "w") as handle:
         handle.write(dump_json(payload))

@@ -79,9 +79,9 @@ class Structure:
     over the lcm of that table's own denominators, and keeps it in
     ``_lowering`` unchanged for the structure's lifetime, along with
     what ``Evaluator.kept`` makes from the structure alone: programs
-    compiled from its vocabulary, links, and tables of its own values,
-    such as ``type_distance``'s profiles of the default record corpus
-    (``Evaluator.profiles``).
+    compiled from its vocabulary, links and their sentences' values, and
+    tables of its own values, such as ``type_distance``'s profiles of the
+    default record corpus (``Evaluator.profiles``).
     """
 
     __slots__ = ("universe", "metric", "predicates", "operations",

@@ -681,6 +681,62 @@ class TestThickenLimit:
         assert code == 0 and len(json.loads(out)["formulas"]) == 92
 
 
+class TestSizedArguments:
+    """Inputs too large to build are refused before anything is built,
+    with exit 2 and one ``error:`` line."""
+
+    def error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        return captured.err
+
+    def test_rational_past_the_digit_bound(self, files, tmp_path, capsys):
+        assert self.error(capsys, [
+            "certify", "--target", "halfx", "--n", "4", "--h", "1e999999",
+        ]) == ("error: rational too large: '1e999999' has more than 1000 "
+               "digits, counting its exponent\n")
+        data = json.loads(pathlib.Path(files["m2.json"]).read_text())
+        data["predicates"]["P"]["a"] = "1e99999"
+        path = tmp_path / "huge.json"
+        path.write_text(storage.dump_json(data))
+        assert self.error(capsys, [
+            "eval", "--struct", str(path), "--formula", "P(c)",
+        ]) == ("error: rational too large: '1e99999' has more than 1000 "
+               "digits, counting its exponent\n")
+        # a text of exactly 1000 digits is accepted
+        code, out = run(capsys, "thicken", "--types", files["sigma.json"],
+                        "--vocab", files["vocab.json"], "--delta",
+                        "0." + "0" * 998 + "1")
+        assert code == 0 and json.loads(out)["name"] == "s^1/1" + "0" * 999
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--struct", "m\0.json", "--formula", "1"],
+        ["gen-order", "--pred", "P", "--lt", "LT", "--out", "theta\0.json"],
+    ])
+    def test_nul_byte_in_a_path(self, capsys, argv):
+        path = argv[argv.index("--struct" if "--struct" in argv
+                               else "--out") + 1]
+        assert self.error(capsys, argv) == \
+            f"error: {path!r} is not a usable path: embedded null byte\n"
+
+    def test_scale_term_sized_before_it_is_built(self, capsys, monkeypatch):
+        def built(*args):
+            raise AssertionError("a term was built")
+        monkeypatch.setattr(pavelka.connectives, "_scaled_term", built)
+        for command in ("approx", "certify"):
+            assert self.error(capsys, [
+                command, "--target", "scale", "--p", "99999999999",
+            ]) == ("error: grid sweep too large: 129 points over "
+                   "200000000156 DAG nodes exceeds 25000000 node "
+                   "evaluations\n")
+        # with no halving there is no sweep: the node limit holds it
+        assert self.error(capsys, [
+            "approx", "--target", "scale", "--p", "99999999999", "--k", "0",
+        ]) == ("error: scale term too large: 199999999998 DAG nodes "
+               "exceeds 100000\n")
+
+
 class TestNegativeLipschitz:
     def test_refused_with_exit_two(self, capsys):
         # it would certify 1/16 against a grid maximum of 1/8

@@ -416,6 +416,30 @@ class TestScaleDyadic:
             got = cn.eval_term(term, (x,))
             assert abs(got - F(3, 4) * x) <= bound
 
+    def test_size_is_known_before_the_term(self):
+        for n in (1, 2, 3, 8):
+            for k in range(5):
+                for p in range(7):
+                    assert cn._scaled_size(p, k, n) == \
+                        cn.dag_size(cn._scaled_term(p, k, n)), (p, k, n)
+
+    def test_sized_before_it_is_built(self, monkeypatch):
+        # the sweep's limit for a halving term, the node limit otherwise
+        limit = cn.SCALE_NODE_LIMIT
+        assert cn._scaled_size(limit // 2, 0, 4) == limit
+        assert cn.dag_size(cn.scale_dyadic(limit // 2, 0, 4)[0]) == limit
+        monkeypatch.setattr(cn, "_scaled_term", None)
+        for args, message in (
+                ((limit // 2 + 1, 0, 4), "scale term too large: 100002 DAG "
+                 "nodes exceeds 100000"),
+                ((1, 10 ** 9, 1), "grid sweep too large: 9 points over "
+                 "7000000003 DAG nodes exceeds 25000000 node evaluations"),
+                ((2, 1, 560), "grid sweep too large: 4481 points over 5602 "
+                 "DAG nodes exceeds 25000000 node evaluations")):
+            with pytest.raises(FormulaError) as caught:
+                cn.scale_dyadic(*args)
+            assert str(caught.value) == message
+
 
 class TestApproxLattice:
     def test_identity_spec(self):

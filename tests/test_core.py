@@ -3,8 +3,10 @@ integer programs over one denominator, checked against the recursive
 reference in ``naive``, with its error texts and its lack of any state
 kept between calls."""
 
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -12,8 +14,8 @@ import pytest
 from pavelka import (And, Atom, CompleteTypeRecord, Const, EvaluationError,
                      Evaluator, Exists, Func, Implies, Not, Or, SearchSpace,
                      Structure, Theory, TypeSet, Var, Vocabulary,
-                     compile_formula, compile_formulas,
-                     default_record_corpus, evaluate, parse_formula,
+                     check_theory, compile_formula, compile_formulas,
+                     default_record_corpus, entails, evaluate, parse_formula,
                      search_model, type_distance)
 from pavelka import connectives, evaluator, omitting
 from pavelka.connectives import CConst, Proj
@@ -311,6 +313,69 @@ class TestNoGlobalState:
             connectives.grid_max_error(connectives.c_and(
                 Proj(1, 2), Proj(2, 2)), min, 2, F(1, n))
         assert module_containers() == before
+
+    def test_unkept_links_keep_no_value(self, m2):
+        # a fresh sentence, or a theory's sentence on an evaluator of
+        # its own (check_theory), is linked for that evaluator only
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        theory = Theory("t", (parse_formula("E x. P(x)", vocab),))
+        check_theory(m2, theory)
+        kept = dict(m2._lowering.programs)
+        for i in range(2000):
+            phi = parse_formula(f"E x. P(x) /\\ {i % 9}/9 -> P(c)", vocab)
+            assert evaluate(m2, phi) == naive_eval(m2, phi, {})
+            assert check_theory(m2, theory).satisfied
+        assert m2._lowering.programs == kept
+        # a kept link keeps its sentence's value, once
+        engine = Evaluator(m2)
+        engine.keep_links(theory.programs)
+        for _ in range(3):
+            assert engine.value(theory.programs[0]) == 1
+        assert len(m2._lowering.programs) == len(kept) + 2
+
+    def test_repeated_entails_keeps_nothing_new(self):
+        rng = random.Random(12)
+        vocab = Vocabulary({"P": 1, "R": 2}, {"c": 0})
+        family = [random_structure(rng, vocab, max_size=3) for _ in range(4)]
+        theory = Theory("t", (parse_formula("A x. d(x, x) <= 0", vocab),
+                              parse_formula("E x. P(x) >= 1/4", vocab)))
+
+        def query(i):
+            gamma = TypeSet("g", ("x", "y"), (
+                parse_formula(f"R(x, y) >= {i % 5}/4", vocab),))
+            sigma = TypeSet("s", ("x", "y"), (
+                parse_formula(f"E u. R(x, u) >= {i % 5}/4", vocab),))
+            return entails(family, theory, gamma, sigma)
+        assert query(0).holds  # every member is scanned
+        kept = [dict(m._lowering.programs) for m in family]
+        assert all(kept)
+        before = module_containers()
+        for i in range(300):
+            query(i)
+        for member, entries in zip(family, kept):
+            programs = member._lowering.programs
+            assert programs.keys() == entries.keys()
+            assert all(programs[key] is made for key, made in entries.items())
+        assert module_containers() == before
+
+    def test_kept_values_die_with_their_structure(self):
+        class Member(Structure):
+            __slots__ = ("__weakref__",)
+
+        rng = random.Random(13)
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        made = random_structure(rng, vocab, max_size=3)
+        member = Member(made.universe, made.metric, made.predicates, {},
+                        made.constants)
+        theory = Theory("t", (parse_formula("A x. d(x, x) <= 0", vocab),))
+        gamma = TypeSet("g", ("x",), (parse_formula("P(x)", vocab),))
+        assert entails([member], theory, gamma, gamma).holds
+        assert member._lowering.programs
+        ref = weakref.ref(member)
+        del member
+        gc.collect()
+        assert ref() is None
+        assert len(theory.programs) == 1  # the theory outlives it
 
 
 def code_length(program):

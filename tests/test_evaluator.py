@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pavelka import (And, Atom, Const, EvaluationError, Exists, Func, Geq,
-                     Implies, Leq, Not, Or, Structure, Theory, TypeSet, Var,
-                     Vocabulary, check_theory, entails, evaluate,
-                     generator_check, omits, parse_formula, realizes,
-                     satisfies, tarski_vaught_check)
+from pavelka import (And, Atom, CompleteTypeRecord, Const, EvaluationError,
+                     Exists, Forall, Func, Geq, Implies, Leq, Not, Or,
+                     Structure, Theory, TypeSet, Var, Vocabulary, check_theory,
+                     entails, evaluate, free_variables, generator_check, omits,
+                     parse_formula, realizes, satisfies, tarski_vaught_check,
+                     thicken, type_distance)
 from pavelka import evaluator
 from pavelka.errors import FormulaError
 from pavelka.evaluator import Evaluator, compile_formulas, models
@@ -19,7 +20,7 @@ from pavelka.syntax import children, postorder
 
 from genutil import random_formula, random_sentence, random_structure
 from naive import (naive_entails, naive_eval, naive_first_failure,
-                   naive_models, naive_omits_report)
+                   naive_models, naive_omits_report, naive_type_distance)
 
 VOCAB = Vocabulary({"P": 1}, {"c": 0})
 
@@ -637,3 +638,323 @@ class TestCompiledOnce:
                                for e in subset)]
                 assert report.failures == tuple(want)
                 assert report.passed == (not want)
+
+
+WIDE = ("x", "y", "z")  # ``z``: read by no formula of ``wide_case``
+
+
+def wide_case(rng):
+    """``scan_case``'s family and theory, the variable tuple of a type
+    over ``WIDE`` in some order, and a maker of threshold formulas over
+    ``NAMES`` that hold closed and partly free quantified subformulas."""
+    family, theory, formulas = scan_case(rng)
+    variables = rng.choice((WIDE, ("z", "x", "y"), ("x", "z", "y")))
+
+    def mixed(count):
+        made = []
+        for phi in formulas(count):
+            closed = rng.choice((
+                Forall("u", Atom("P", (Var("u"),))),
+                random_sentence(rng, SCAN_VOCAB, depth=2)))
+            partly = Exists("u", And(Atom("R", (Var(rng.choice(NAMES)),
+                                                Var("u"))),
+                                     Atom("P", (Var("u"),))))
+            made.append(rng.choice((
+                Geq(And(phi.body, closed), phi.bound),
+                Implies(closed, phi), Geq(Or(partly, phi.body), phi.bound),
+                Geq(And(partly, closed), phi.bound))))
+        return tuple(made)
+    return family, theory, variables, mixed
+
+
+def profile_table(m, variables, formulas):
+    """``Evaluator.profiles``' table by ``naive_eval``: each row of
+    values, as fractions, mapped to its tuples in canonical order."""
+    table = {}
+    for tup in itertools.product(m.universe, repeat=len(variables)):
+        env = dict(zip(variables, tup))
+        table.setdefault(tuple(naive_eval(m, phi, env) for phi in formulas),
+                         []).append(tup)
+    return table
+
+
+def exists_keys(program):
+    """The memo key (``c``) of each ``Exists`` instruction, scope by
+    scope, with the slots of free variables given by name."""
+    names = dict(zip(program.free_slots, program.free))
+    return [None if c is None else tuple(names[slot] for slot in c)
+            for code, _ in program.scopes
+            for op, _, _, _, c in code if op == evaluator.EXISTS]
+
+
+def counted_runs(monkeypatch):
+    """The scope code of every ``run``, in order, from now on."""
+    runs = []
+    run = evaluator.run
+
+    def counted(code, registers, denominator, memo):
+        runs.append(code)
+        return run(code, registers, denominator, memo)
+    monkeypatch.setattr(evaluator, "run", counted)
+    return runs
+
+
+def three():
+    """Three points at distance 1, with no ``R`` value at 1 and ``P``
+    below 1 at ``a`` and ``c``."""
+    return Structure(("a", "b", "c"), dict.fromkeys(
+        [("a", "b"), ("a", "c"), ("b", "c")], F(1)), {
+        "P": {("a",): F(1, 3), ("b",): F(1), ("c",): F(1, 2)},
+        "R": {pair: F(1 + i % 3, 4) for i, pair in enumerate(
+            itertools.product("abc", repeat=2))}}, {}, {})
+
+
+class TestEachValueOnce:
+    """A kept sentence is decided once per structure, a scan runs once
+    per assignment of the variables its program reads, and an
+    ``Exists`` keeps a memo only where its key can repeat; every report
+    and error stays what the tuple-by-tuple reference gives."""
+
+    def test_types_with_unread_variables_agree_with_naive(self):
+        rng = random.Random(41)
+        holds = fails = realized = satisfied = 0
+        for _ in range(60):
+            family, theory, variables, mixed = wide_case(rng)
+            gamma = TypeSet("g", variables, mixed(rng.randint(0, 2)))
+            sigma = TypeSet("s", variables, mixed(rng.randint(1, 2)))
+            result = entails(family, theory, gamma, sigma)
+            want = naive_entails(family, theory, gamma, sigma)
+            if want is None:
+                assert result.holds
+                holds += 1
+            else:
+                member, tup, phi, value = want
+                assert (result.holds, result.assignment, result.value) == \
+                    (False, tup, value)
+                assert result.structure is member and result.formula is phi
+                fails += 1
+            m = rng.choice(family)
+            report = omits(m, sigma)
+            witnesses, realizer = naive_omits_report(m, sigma)
+            assert (report.realizer, report.witnesses) == (realizer, witnesses)
+            for tup, (phi, _) in witnesses.items():
+                assert report.witnesses[tup][0] is phi
+            realized += realizer is not None
+            for tup in itertools.product(m.universe, repeat=3):
+                assert realizes(m, tup, sigma) == (naive_first_failure(
+                    m, variables, sigma.formulas, tup) is None)
+            report = generator_check(family, theory, gamma, sigma)
+            witness = next((
+                (m, tup) for m in naive_models(family, theory)
+                for tup in itertools.product(m.universe, repeat=3)
+                if naive_first_failure(m, variables, gamma.formulas,
+                                       tup) is None), None)
+            assert report.satisfied == (witness is not None)
+            if witness is not None:
+                satisfied += 1
+                assert report.witness[0] is witness[0]
+                assert report.witness[1] == witness[1]
+                assert report.entailment == result
+        assert holds >= 10 and fails >= 10
+        assert realized >= 10 and satisfied >= 10
+
+    def test_profiles_and_type_distance_agree_with_naive(self):
+        rng = random.Random(42)
+        connected = 0
+        for _ in range(40):
+            family, theory, variables, mixed = wide_case(rng)
+            formulas = mixed(rng.randint(1, 3))
+            m = rng.choice(family)
+            denominator, got = Evaluator(m).profiles(
+                compile_formulas(formulas), variables)
+            assert {tuple(F(v, denominator) for v in row): tuples
+                    for row, tuples in got.items()} == \
+                profile_table(m, variables, formulas)
+            corpus = TypeSet("c", variables, formulas)
+            p, q = (CompleteTypeRecord(member, tuple(
+                rng.choice(member.universe) for _ in variables))
+                for member in rng.sample(family, 2))
+            result = type_distance(family, theory, p, q, corpus)
+            want = naive_type_distance(family, theory, p, q, corpus)
+            assert (result.value, result.connected) == want
+            connected += result.connected
+        assert connected >= 10
+
+    def test_thickened_types_over_six_elements(self):
+        rng = random.Random(43)
+        realized = 0
+        for _ in range(12):
+            m = random_structure(rng, SCAN_VOCAB, max_size=1)
+            while len(m.universe) != 6:
+                m = random_structure(rng, SCAN_VOCAB, max_size=6)
+            _, _, formulas = scan_case(rng)
+            variables = NAMES[:rng.randint(1, 2)]
+            made = tuple(phi for phi in formulas(2)
+                         if set(free_variables(phi)) <= set(variables))
+            thick = thicken(TypeSet("s", variables, made),
+                            F(rng.randint(0, 2), 4))
+            report = omits(m, thick)
+            witnesses, realizer = naive_omits_report(m, thick)
+            assert (report.realizer, report.witnesses) == (realizer, witnesses)
+            realized += realizer is not None
+        assert 3 <= realized < 12
+
+    @pytest.mark.parametrize("variables", [WIDE, ("z", "y", "x"),
+                                           ("y", "x", "z")])
+    def test_bad_reads_name_the_same_elements(self, variables):
+        # R is read at two arguments, so a structure with a unary R has
+        # no entry for any pair; the scans raise at the first tuple
+        # reaching the read, whatever z is, naming its pair
+        vocab = Vocabulary({"P": 1, "R": 2, "Q": 1}, {})
+        full = three()
+        unary = Structure(full.universe, full.metric, {
+            "P": full.predicates["P"],
+            "R": {(e,): F(1, 2) for e in full.universe}}, {}, {})
+        first = parse_formula("(P(x) >= 1/2) /\\ (P(y) <= 1/2)", vocab)
+        tuples = list(itertools.product(unary.universe, repeat=3))
+        reached = next(t for t in tuples if naive_first_failure(
+            unary, variables, (first,), t) is None)
+        at = dict(zip(variables, reached))
+        assert (at["x"], at["y"]) == ("b", "a")
+        for text, pair in (("R(x, y)", (at["x"], at["y"])),
+                           ("E u. R(y, u)", (at["y"], "a")),
+                           ("A u. R(u, u)", ("a", "a"))):
+            bad = parse_formula(text, vocab)
+            message = f"predicate 'R' has no entry for {pair!r}"
+            typeset = TypeSet("t", variables, (first, bad))
+            for call in (lambda: omits(unary, typeset),
+                         lambda: realizes(unary, reached, typeset),
+                         lambda: entails([full, unary], Theory("e", ()),
+                                         typeset, typeset)):
+                with pytest.raises(EvaluationError) as caught:
+                    call()
+                assert str(caught.value) == message
+            # the profiles scan reads everything at the first tuple,
+            # where every variable is a
+            with pytest.raises(EvaluationError) as caught:
+                Evaluator(unary).profiles(compile_formulas((first, bad)),
+                                          variables)
+            assert str(caught.value) == \
+                "predicate 'R' has no entry for ('a', 'a')"
+        missing = TypeSet("t", variables,
+                          (first, parse_formula("E u. Q(u)", vocab)))
+        for call in (lambda: omits(full, missing),
+                     lambda: entails([full], Theory("e", ()), missing,
+                                     missing)):
+            with pytest.raises(EvaluationError) as caught:
+                call()
+            assert str(caught.value) == \
+                "predicate 'Q' missing from the structure"
+
+    def test_a_second_entails_decides_no_sentence(self, monkeypatch):
+        rng = random.Random(44)
+        family = [random_structure(rng, SCAN_VOCAB, max_size=3)
+                  for _ in range(6)]
+        theory = Theory("t", tuple(parse_formula(text, SCAN_VOCAB) for text in (
+            "A x. d(x, x) <= 0", "E x. P(x) >= 1/4",
+            "A x. A y. R(x, y) -> R(y, x) >= 1/2")))
+        models = naive_models(family, theory)
+        assert 0 < len(models) < len(family)
+        gamma = TypeSet("g", NAMES, (parse_formula("P(x) >= 1/2", SCAN_VOCAB),))
+        runs = counted_runs(monkeypatch)
+        for call in range(3):
+            runs.clear()
+            result = entails(family, theory, gamma, gamma)
+            assert result.holds
+            codes = {id(code) for m in family
+                     for program in theory.programs
+                     for code in (m._lowering.programs[program][0],
+                                  *(c for c, _ in program.scopes))}
+            decided = sum(id(code) in codes for code in runs)
+            assert (decided > 0) == (call == 0)
+            assert len(runs) > decided  # the types still run
+        # the answer is the structure's: a new theory decides again
+        runs.clear()
+        other = Theory("t", theory.sentences)
+        assert entails(family, other, gamma, gamma).holds
+        assert any(code is program.scopes[0][0] or code is
+                   m._lowering.programs[program][0]
+                   for code in runs for m in family
+                   for program in other.programs)
+
+    def test_closed_quantifier_runs_once_per_scan(self, monkeypatch):
+        # the body of A u. P(u), ~P(u), never reaches 1 in three(), so the
+        # quantifier reads every element, once per scan; the first
+        # formula holds everywhere, so every tuple reaches it
+        phi = parse_formula("R(x, y) -> A u. P(u)", SCAN_VOCAB)
+        typeset = (parse_formula("R(x, y) >= 1/4", SCAN_VOCAB), phi)
+        program = compile_formulas(typeset)
+        body = program.scopes[1][0]
+        assert exists_keys(program) == [()]
+        runs = counted_runs(monkeypatch)
+        m = three()
+        engine = Evaluator(m)
+        want = [naive_first_failure(m, NAMES, typeset, tup)
+                for tup in itertools.product(m.universe, repeat=2)]
+        assert [failure for _, failure in
+                engine.first_failures(program, NAMES)] == want
+        assert sum(code is body for code in runs) == 3
+        runs.clear()
+        _, got = engine.profiles(program, NAMES)
+        assert sum(map(len, got.values())) == 9
+        assert sum(code is body for code in runs) == 3
+        assert sum(code is program.scopes[0][0] for code in runs) == 9
+
+    def test_scan_runs_once_per_assignment_it_reads(self, monkeypatch):
+        program = compile_formulas((parse_formula("P(x) >= 1/2", SCAN_VOCAB),
+                                    parse_formula("R(x, x)", SCAN_VOCAB)))
+        runs = counted_runs(monkeypatch)
+        m = three()
+        engine = Evaluator(m)
+        got = list(engine.first_failures(program, WIDE))
+        assert [failure for _, failure in got] == [
+            naive_first_failure(m, WIDE, program.source, tup)
+            for tup, _ in got]
+        assert len(got) == 27
+        # x = a fails at the first formula, b and c run both stretches
+        assert len(runs) == 1 + 2 + 2
+        runs.clear()
+        _, profiles = engine.profiles(program, ("z", "x", "y"))
+        assert len(runs) == 3
+        assert {tuple(F(v, 12) for v in row): tuples
+                for row, tuples in profiles.items()} == \
+            profile_table(m, ("z", "x", "y"), program.source)
+
+    def test_memo_only_where_a_key_can_repeat(self, monkeypatch):
+        for text, keys in (
+                ("E y. R(x, y)", [None]),
+                ("P(x) /\\ E y. P(y)", [()]),
+                ("E x. E y. R(x, y)", [None, None]),
+                ("E x. (P(x) /\\ E y. R(y, y))", [None, ()]),
+                ("E z. E y. R(x, y)", [None, ("x",)]),
+                ("E y. E z. R(z, y) /\\ P(x)", [None, None])):
+            program = compile_formulas((parse_formula(text, SCAN_VOCAB),))
+            assert exists_keys(program) == keys, text
+        # the body of E z reads no z: its E y runs once per x
+        phi = parse_formula("E z. E y. R(x, y)", SCAN_VOCAB)
+        program = compile_formulas((phi,))
+        innermost = program.scopes[2][0]
+        runs = counted_runs(monkeypatch)
+        m = three()
+        engine = Evaluator(m)
+        assert [engine.value(program, {"x": e}) for e in m.universe] \
+            == [naive_eval(m, phi, {"x": e}) for e in m.universe]
+        assert sum(code is innermost for code in runs) == 9
+
+    def test_kept_link_keeps_only_a_sentence_value(self):
+        m = three()
+        sentence, open_ = (compile_formulas((parse_formula(text, SCAN_VOCAB),))
+                           for text in ("E x. P(x) -> R(x, x)",
+                                        "P(x) -> E y. R(x, y)"))
+        engine = Evaluator(m)
+        engine.keep_links([sentence, open_])
+        for _ in range(2):
+            for e in m.universe:
+                assert engine.value(open_, {"x": e}) == \
+                    naive_eval(m, open_.source[0], {"x": e})
+            with pytest.raises(EvaluationError):
+                engine.value(open_)
+            assert engine.value(sentence) == \
+                naive_eval(m, sentence.source[0], {})
+        assert list(m._lowering.programs) == [sentence, open_,
+                                              ("value", sentence)]

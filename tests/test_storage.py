@@ -24,6 +24,24 @@ class TestRationals:
             parse_rational(text)
         assert str(caught.value) == f"not a rational: {text!r}"
 
+    def test_digits_and_exponent_bounded(self):
+        # digits plus the exponent's magnitude: at most RATIONAL_DIGITS
+        assert parse_rational("25e-2") == F(1, 4)
+        assert parse_rational(" 1E+03 ") == 1000
+        assert parse_rational("1e999") == 10 ** 999
+        assert parse_rational("0." + "0" * 996 + "1e-2") == F(1, 10 ** 999)
+        assert parse_rational("1/" + "9" * 998) == F(1, 10 ** 998 - 1)
+        for text, shown in (
+                ("1e1000", "1e1000"), ("1e-999999", "1e-999999"),
+                ("-1E" + "9" * 5000, "-1E" + "9" * 34 + "..."),
+                ("9" * 1001, "9" * 37 + "..."),
+                ("2/" + "3" * 1000, "2/" + "3" * 35 + "...")):
+            with pytest.raises(ParseError) as caught:
+                parse_rational(text)
+            assert str(caught.value) == (
+                f"rational too large: {shown!r} has more than 1000 digits, "
+                f"counting its exponent")
+
 
 class TestStructureFiles:
     def test_round_trip(self, m2):
