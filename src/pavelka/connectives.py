@@ -244,9 +244,11 @@ def grid_axis(spacing: Fraction) -> list:
 SWEEP_LIMIT = 25_000_000
 
 
-# The most DAG nodes ``scale_dyadic`` builds for a term it does not
-# sweep (``p = 0`` or ``k = 0``), which no ``check_sweep`` bounds: about
-# 30 MB of nodes, built in about 0.1 s on the machine above.
+# The most DAG nodes ``scale_dyadic`` builds for any term, and
+# ``approx_lattice`` for each scaled summand: about 30 MB of nodes, built
+# in about 0.1 s on the machine above.  A term that is swept meets
+# ``check_sweep`` first, which bounds evaluations, not memory: at
+# ``n = 1`` it would pass a term of 25,000,000 / 9 nodes.
 SCALE_NODE_LIMIT = 100_000
 
 
@@ -390,9 +392,7 @@ def scale_dyadic(p: int, k: int, n: int):
     nodes = _scaled_size(p, k, n)
     if p and k:
         check_sweep(8 * n + 1, nodes)
-    elif nodes > SCALE_NODE_LIMIT:
-        raise FormulaError(f"scale term too large: {nodes} DAG nodes "
-                           f"exceeds {SCALE_NODE_LIMIT}")
+    _check_scale_nodes(nodes)
     term = _scaled_term(p, k, n)
     if p == 0 or k == 0:
         return term, ZERO
@@ -403,6 +403,12 @@ def scale_dyadic(p: int, k: int, n: int):
 
     bound = certify(term, target, 1, Fraction(1, 8 * n), ratio)
     return term, bound
+
+
+def _check_scale_nodes(nodes: int) -> None:
+    if nodes > SCALE_NODE_LIMIT:
+        raise FormulaError(f"scale term too large: {nodes} DAG nodes "
+                           f"exceeds {SCALE_NODE_LIMIT}")
 
 
 def _scaled_size(p: int, k: int, n: int) -> int:
@@ -440,9 +446,8 @@ class AffinePiece(Record):
     _fields = ("coefficients", "intercept")
 
     def __init__(self, coefficients: tuple, intercept: Fraction):
-        object.__setattr__(self, "coefficients",
-                           tuple(as_fraction(c) for c in coefficients))
-        object.__setattr__(self, "intercept", as_fraction(intercept))
+        super().__init__(tuple(as_fraction(c) for c in coefficients),
+                         as_fraction(intercept))
 
     def value(self, point) -> Fraction:
         raw = sum((c * x for c, x in zip(self.coefficients, point)),
@@ -465,8 +470,7 @@ class PLSpec(Record):
                 if len(piece.coefficients) != arity:
                     raise FormulaError(
                         f"piece arity {len(piece.coefficients)} != {arity}")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "groups", groups)
+        super().__init__(arity, groups)
 
     def value(self, point) -> Fraction:
         return max(min(piece.value(point) for piece in group)
@@ -546,8 +550,10 @@ def _realize_piece(piece: AffinePiece, arity: int, n: int):
 
 
 def _scale_term(magnitude: Fraction, n: int):
-    """Unary term for clamp((p/2^k) x) from a nonzero dyadic magnitude."""
+    """Unary term for clamp((p/2^k) x) from a nonzero dyadic magnitude,
+    held to ``SCALE_NODE_LIMIT`` before it is built."""
     k = magnitude.denominator.bit_length() - 1
+    _check_scale_nodes(_scaled_size(magnitude.numerator, k, n))
     return _scaled_term(magnitude.numerator, k, n), k == 0
 
 

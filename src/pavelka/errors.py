@@ -31,7 +31,8 @@ class StructureError(PavelkaError):
 
 
 class EvaluationError(PavelkaError):
-    """Evaluation cannot proceed: unassigned variable or missing symbol."""
+    """Evaluation cannot proceed (an unassigned variable or a missing
+    symbol), or its value has too many digits to print."""
 
 
 class RestrictionError(PavelkaError):

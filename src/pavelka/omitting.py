@@ -140,10 +140,7 @@ class OmegaCandidate(Record):
         if extra:
             raise FormulaError(
                 f"candidate formula uses stray variables {sorted(extra)}")
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "threshold", threshold)
+        super().__init__(variables, terms, formula, threshold)
 
 
 class GeneratorCandidate(Record):
@@ -152,7 +149,7 @@ class GeneratorCandidate(Record):
     _fields = ("formulas",)
 
     def __init__(self, formulas: tuple):
-        object.__setattr__(self, "formulas", tuple(formulas))
+        super().__init__(tuple(formulas))
 
 
 def substituted_type(sigma: TypeSet, variables: Sequence[str],
@@ -228,11 +225,8 @@ class SearchSpace(Record):
             raise FormulaError("max_size must be >= 1")
         if truth_denominator < 1 or metric_denominator < 1:
             raise FormulaError("grid denominators must be >= 1")
-        object.__setattr__(self, "vocabulary", vocabulary)
-        object.__setattr__(self, "max_size", max_size)
-        object.__setattr__(self, "truth_denominator", truth_denominator)
-        object.__setattr__(self, "metric_denominator", metric_denominator)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(vocabulary, max_size, truth_denominator,
+                         metric_denominator, seed)
 
     @functools.cached_property
     def _made(self) -> dict:
@@ -708,8 +702,7 @@ class CompleteTypeRecord(Record):
         for e in elements:
             if not structure.has_element(e):
                 raise FormulaError(f"record element {e!r} not in the universe")
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "elements", elements)
+        super().__init__(structure, elements)
 
 
 def default_record_corpus(vocabulary: Vocabulary, n: int,

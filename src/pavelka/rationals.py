@@ -9,9 +9,10 @@ lowest-terms strings (``format_rational``).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import EvaluationError, ParseError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,8 +57,16 @@ def _size(text: str) -> int:
 
 
 def format_rational(value: Fraction) -> str:
-    """Lowest-terms text form: ``p/q``, or ``p`` when the denominator is 1."""
-    return str(Fraction(value))
+    """Lowest-terms text form: ``p/q``, or ``p`` when the denominator is 1.
+    A value whose numerator or denominator has more digits than the
+    interpreter converts to text raises ``EvaluationError``."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise EvaluationError(
+            f"rational too large to print: its numerator or denominator "
+            f"has more than {sys.get_int_max_str_digits()} digits") from exc
 
 
 def dump_json(payload) -> str:

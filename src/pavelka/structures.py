@@ -343,7 +343,7 @@ class Renaming(Record):
             _check_symbol_name(new)
         if len(set(mapping.values())) != len(mapping):
             raise VocabularyError("renaming is not injective")
-        object.__setattr__(self, "mapping", mapping)
+        super().__init__(mapping)
 
     def check_total(self, vocabulary: Vocabulary) -> None:
         missing = vocabulary.symbols() - set(self.mapping)

@@ -74,8 +74,7 @@ class Vocabulary(Record):
         if overlap:
             raise VocabularyError(
                 f"predicate/operation name clash: {sorted(overlap)}")
-        object.__setattr__(self, "predicates", preds)
-        object.__setattr__(self, "operations", ops)
+        super().__init__(preds, ops)
 
     def constants(self) -> list[str]:
         return sorted(n for n, a in self.operations.items() if a == 0)
@@ -119,8 +118,7 @@ class Signature(Record):
             normalized[name] = tuple(clean)
         for name in eligible:
             normalized.setdefault(name, ())
-        object.__setattr__(self, "vocabulary", vocabulary)
-        object.__setattr__(self, "moduli", normalized)
+        super().__init__(vocabulary, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +203,12 @@ class Not(Formula):
 
 class Or(Formula):
     __slots__ = _fields = ("lhs", "rhs")
-
-    def __init__(self, lhs: Formula, rhs: Formula):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+    __init__ = Implies.__init__
 
 
 class And(Formula):
     __slots__ = _fields = ("lhs", "rhs")
-
-    def __init__(self, lhs: Formula, rhs: Formula):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+    __init__ = Implies.__init__
 
 
 class Leq(Formula):
@@ -232,21 +224,12 @@ class Leq(Formula):
 
 class Geq(Formula):
     __slots__ = _fields = ("body", "bound")
-
-    def __init__(self, body: Formula, bound: Fraction):
-        bound = as_fraction(bound)
-        if not in_unit_interval(bound):
-            raise FormulaError(f"bound outside [0,1]: {bound}")
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "bound", bound)
+    __init__ = Leq.__init__
 
 
 class Forall(Formula):
     __slots__ = _fields = ("var", "body")
-
-    def __init__(self, var: str, body: Formula):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "body", body)
+    __init__ = Exists.__init__
 
 
 class Theory(Record):
@@ -262,8 +245,7 @@ class Theory(Record):
                 raise FormulaError(
                     f"theory {name!r} contains a non-sentence "
                     f"(free variables {fv}): {render(phi)}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "sentences", sentences)
+        super().__init__(name, sentences)
 
     @cached_property
     def programs(self) -> tuple:
@@ -293,9 +275,7 @@ class TypeSet(Record):
                 raise FormulaError(
                     f"type {name!r} has formula with stray free "
                     f"variables {sorted(extra)}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "formulas", formulas)
+        super().__init__(name, variables, formulas)
 
 
 # ---------------------------------------------------------------------------

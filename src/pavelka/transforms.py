@@ -155,9 +155,7 @@ class OrderTheorySpec(Record):
                 raise VocabularyError(
                     f"order-theory names clash with the base vocabulary: "
                     f"{sorted(clash)}")
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "base", base)
+        super().__init__(predicate, order, base)
 
 
 def order_theory(spec: OrderTheorySpec) -> Theory:

@@ -736,6 +736,46 @@ class TestSizedArguments:
         ]) == ("error: scale term too large: 199999999998 DAG nodes "
                "exceeds 100000\n")
 
+    def test_halving_term_held_to_the_node_limit(self, capsys, monkeypatch):
+        # its sweep is under the sweep's limit: 9 points over 120008 nodes
+        def built(*args):
+            raise AssertionError("a term was built")
+        monkeypatch.setattr(pavelka.connectives, "_scaled_term", built)
+        assert self.error(capsys, [
+            "approx", "--target", "scale", "--n", "1", "--p", "60000",
+        ]) == "error: scale term too large: 120008 DAG nodes exceeds 100000\n"
+
+    def test_value_too_large_to_print(self, files, capsys):
+        # each constant has 1000 digits; the sum's denominator, their
+        # product, has about 5000
+        formula = f"1/{10 ** 998 + 1}"
+        for last in (3, 7, 9, 13):
+            formula = f"~({formula}) -> 1/{10 ** 998 + last}"
+        assert self.error(capsys, [
+            "eval", "--struct", files["m2.json"], "--formula", formula,
+        ]) == ("error: rational too large to print: its numerator or "
+               "denominator has more than 4300 digits\n")
+
+
+class TestUsageErrors:
+    """A usage error that argparse finds is the one exception to a single
+    ``error:`` line: a ``usage:`` block, then ``pavelka <cmd>: error:
+    ...``, with exit 2.  Only the first and last lines are pinned, since
+    argparse wraps the block by the Python version."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--formula", "P(c)"],
+        ["approx", "--target", "halfx", "--n", "four"],
+    ], ids=["missing-option", "non-integer"])
+    def test_usage_block_then_error_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        captured = capsys.readouterr()
+        assert caught.value.code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith(f"usage: pavelka {argv[0]}")
+        assert lines[-1].startswith(f"pavelka {argv[0]}: error: ")
+
 
 class TestNegativeLipschitz:
     def test_refused_with_exit_two(self, capsys):

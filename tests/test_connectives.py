@@ -440,6 +440,26 @@ class TestScaleDyadic:
                 cn.scale_dyadic(*args)
             assert str(caught.value) == message
 
+    def test_swept_term_held_to_the_node_limit(self, monkeypatch):
+        # 9 points over 120008 nodes pass the sweep's limit
+        def built(*args):
+            raise AssertionError("a term was built")
+        monkeypatch.setattr(cn, "_scaled_term", built)
+        with pytest.raises(FormulaError) as caught:
+            cn.scale_dyadic(60000, 1, 1)
+        assert str(caught.value) == \
+            "scale term too large: 120008 DAG nodes exceeds 100000"
+
+    def test_lattice_summands_held_to_the_node_limit(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a term was built")
+        monkeypatch.setattr(cn, "_scaled_term", built)
+        half = cn.PLSpec(1, ((cn.AffinePiece((F(1, 2),), F(0)),),))
+        with pytest.raises(FormulaError) as caught:
+            cn.approx_lattice(half, 10 ** 11)
+        assert str(caught.value) == \
+            "scale term too large: 1000000000000 DAG nodes exceeds 100000"
+
 
 class TestApproxLattice:
     def test_identity_spec(self):

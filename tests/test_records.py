@@ -6,9 +6,13 @@ Runs under pytest, or as a plain script (``PYTHONPATH=src python
 tests/test_records.py``) on an interpreter without pytest.
 """
 
+import importlib
+import inspect
+import pkgutil
 from dataclasses import field, make_dataclass
 from fractions import Fraction as F
 
+import pavelka
 from pavelka import connectives as cn
 from pavelka import evaluator as ev
 from pavelka import omitting as om
@@ -125,6 +129,32 @@ def test_the_table_lists_every_record_class():
              vars(value)}
     assert found == {cls for cls, *_ in TWINS}
     assert len(TWINS) == 39
+
+
+# The nodes built in bulk, which store their fields by hand: through
+# ``Record.__init__`` they measured slower (see ``records.py``).
+BULK = {sx.Var, sx.Func, sx.Atom, sx.Const, sx.Implies, sx.Exists, sx.Not,
+        sx.Leq, cn.Proj, cn.CConst, cn.CImplies}
+
+
+def test_only_bulk_built_nodes_store_fields_by_hand():
+    classes = {value for info in pkgutil.iter_modules(pavelka.__path__)
+               for value in vars(importlib.import_module(
+                   f"pavelka.{info.name}")).values()
+               if isinstance(value, type) and issubclass(value, Record)
+               and value.__module__ == f"pavelka.{info.name}"}
+    assert BULK < classes
+    bulk_inits = {cls.__init__ for cls in BULK}
+    by_hand = sorted(cls.__qualname__ for cls in classes - {Record}
+                     if "__init__" in vars(cls)
+                     and cls.__init__ not in bulk_inits
+                     and "object.__setattr__"
+                     in inspect.getsource(cls.__init__))
+    assert by_hand == []
+    # derived nodes of one layout bind a core node's constructor
+    assert sx.Or.__init__ is sx.And.__init__ is sx.Implies.__init__
+    assert sx.Forall.__init__ is sx.Exists.__init__
+    assert sx.Geq.__init__ is sx.Leq.__init__
 
 
 def test_fields_repr_and_hash_match_the_twin():

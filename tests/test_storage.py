@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from pavelka import ParseError, SearchSpace, Structure, Theory, TypeSet, Vocabulary
+from pavelka import (EvaluationError, ParseError, SearchSpace, Structure,
+                     Theory, TypeSet, Vocabulary)
 from pavelka import storage
-from pavelka.rationals import parse_rational
+from pavelka.rationals import format_rational, parse_rational
 from pavelka.syntax import Signature, parse_formula
 
 
@@ -41,6 +42,15 @@ class TestRationals:
             assert str(caught.value) == (
                 f"rational too large: {shown!r} has more than 1000 digits, "
                 f"counting its exponent")
+
+    def test_value_too_large_to_print(self):
+        assert format_rational(F(6, -4)) == "-3/2"
+        assert format_rational(F(1, 10 ** 4299)) == "1/1" + "0" * 4299
+        with pytest.raises(EvaluationError) as caught:
+            format_rational(F(1, 10 ** 4300))
+        assert str(caught.value) == ("rational too large to print: its "
+                                     "numerator or denominator has more "
+                                     "than 4300 digits")
 
 
 class TestStructureFiles:
