@@ -44,16 +44,16 @@ value below 1, and reports only that formula and value.  Type
 realization, omission and entailment are ``first_failures`` scans of
 one program per type, the Tarski-Vaught test is one ``profiles`` scan
 per formula, and a ``Theory`` keeps its compiled sentence programs for
-its lifetime; ``models`` links them once per structure, and each
-sentence's value is kept with the link.
+its lifetime, so ``models`` links and decides each once per structure.
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
 and nested tuples over universe positions.  ``_link`` is the linking
 rule for the evaluator's own lowered tables: it puts a program's
-constants and a structure's tables into registers over one ``D``.  An
-evaluator links each program it is given once, to its structure's
-tables; they are read-only, so each is lowered once, on first use, over
+constants and a structure's tables into registers over one ``D``.  A
+structure keeps each program's link, and a sentence's value, for as
+long as the program lives, and no longer (``_Lowering.links``).  Its
+tables are read-only, so each is lowered once, on first use, over
 the lcm of its own denominators, and kept on the structure, and a link
 over a larger ``D`` gets its own scaled copy and never replaces the kept
 one.  The model search writes the tables it walks into its checks'
@@ -69,15 +69,16 @@ of the assignment to its free variables, for one ``value`` call or one
 scan; any other runs once per run of its scope anyway, and builds no
 key.  A scan whose variables name more than its program reads runs the
 root once per assignment of what it reads (``Evaluator._scan``).  A
-sentence's value is kept with the structure when its link is
-(``Evaluator.value``), so a theory's sentences are decided once per
-member.  No state outlives a call at module level.
+sentence's value is kept with its link (``Evaluator.value``), so a
+theory's sentences are decided once per member.  No state outlives a
+call at module level.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -240,17 +241,21 @@ class _Lowering:
     table becomes n nested tuples over those positions, and the truth
     values of a predicate table become integers over the lcm of that
     table's own denominators.  A lowered table never changes: a link over
-    a multiple of its lcm reads a scaled copy of it.  ``programs`` keeps
-    what ``Evaluator.kept`` makes for the structure: programs, the links
-    ``Evaluator.keep_links`` keeps and the values of their sentences,
-    and the profiles ``type_distance`` scans with
-    ``Evaluator.profiles``."""
+    a multiple of its lcm reads a scaled copy of it.
 
-    __slots__ = ("index", "tables", "programs")
+    ``links`` holds each program's entry, ``[link, value]``, for as long
+    as the program lives: its link to the structure, and the value of a
+    program with no free variables once ``Evaluator.value`` has computed
+    it, else None.  ``programs`` keeps what ``Evaluator.kept`` makes for
+    the structure: ``type_distance``'s default-corpus programs and the
+    profiles it scans of them with ``Evaluator.profiles``."""
+
+    __slots__ = ("index", "tables", "links", "programs")
 
     def __init__(self, structure):
         self.index = {e: i for i, e in enumerate(structure.universe)}
         self.tables = {}  # (predicate?, name) -> _table's entry
+        self.links = weakref.WeakKeyDictionary()  # program -> [link, value]
         self.programs = {}  # key -> what ``Evaluator.kept`` made for it
 
 
@@ -277,8 +282,6 @@ def _table(structure, lowering: _Lowering, predicate: bool, name: str,
     width = len(next(iter(source)))
     if width == 1:
         values = [source[(a,)] for a in universe]
-    elif width == 2:
-        values = [source[(a, b)] for a in universe for b in universe]
     else:
         values = list(map(source.__getitem__,
                           itertools.product(universe, repeat=width)))
@@ -413,14 +416,15 @@ class Evaluator:
 
     ``value`` evaluates one formula under one assignment; ``profiles``
     and ``first_failures`` scan tuples, each with one program of several
-    formulas.  Each program passed to them is linked to the structure's
-    lowered tables once and the link kept for the evaluator's lifetime;
-    formulas passed instead are compiled and linked for that use only.
+    formulas.  A program is linked to the structure's lowered tables
+    once, and the link, with a sentence's value, is kept with the
+    structure for as long as the program lives (``_Lowering.links``),
+    for every evaluator of the structure; formulas passed instead are
+    compiled into a program that lives for that call only.
     """
 
     def __init__(self, structure):
         self.structure = structure
-        self._links = {}
         lowering = structure._lowering
         if lowering is None:
             lowering = structure._lowering = _Lowering(structure)
@@ -429,61 +433,45 @@ class Evaluator:
         self._table = functools.partial(_table, structure, lowering)
 
     def _linked(self, program, compile) -> tuple:
-        """``(program, link)`` for a program, linked once and the link
-        kept, or for formulas, compiled by ``compile`` and linked for
-        this use only."""
+        """``(program, entry)``: the program, or formulas compiled by
+        ``compile``, and its entry ``[link, value]`` in the structure's
+        store, linked on first use."""
         if not isinstance(program, Program):
             program = compile(program)
-            return program, _link(program, self._table,
-                                  self.structure.universe)
-        link = self._links.get(program)
-        if link is None:
-            link = self._links[program] = _link(program, self._table,
-                                                self.structure.universe)
-        return program, link
+        entry = self._lowering.links.get(program)
+        if entry is None:
+            entry = self._lowering.links[program] = [
+                _link(program, self._table, self.structure.universe), None]
+        return program, entry
 
     def kept(self, key, make):
         """``make()``, made once per ``key`` and kept with the
         structure's lowered tables for the structure's lifetime, unless
         it raises: for what depends on nothing but the structure and the
-        key, such as a program compiled from the structure's vocabulary
-        (``type_distance``'s default corpus), a link (``keep_links``),
-        a sentence's value over a kept link (``value``), or a table of
-        the structure's own values (``type_distance``'s profiles of the
-        default corpus, keyed by the record length and predicate
-        signature they were scanned for)."""
+        key, and is shared by records from any structure of one length
+        and predicate signature, so no one program's lifetime bounds it:
+        ``type_distance``'s default-corpus program and its profiles."""
         programs = self._lowering.programs
         made = programs.get(key)
         if made is None:
             made = programs[key] = make()
         return made
 
-    def keep_links(self, programs: Sequence[Program]) -> None:
-        """Link each program once per structure, not once per evaluator:
-        the link is kept with the structure's lowered tables, keyed by
-        the program, and every evaluator of the structure reuses it.  For
-        programs that outlive any one evaluator, such as a theory's
-        sentences (``Theory.programs``); ``value`` keeps a sentence's
-        value with its kept link, so what is kept grows with the kept
-        links only."""
-        for program in programs:
-            self._links[program] = self.kept(program, functools.partial(
-                _link, program, self._table, self.structure.universe))
-
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
         """The exact value of a formula, or of a program that
         ``compile_formula`` made, under the assignment.
 
-        A sentence's program whose link is kept with the structure
-        (``keep_links``) depends on nothing else, so its value is kept
-        there too (``kept``), unless it raises: a theory's sentences are
-        decided once per member, not once per query.  Any other program
-        keeps nothing."""
-        program, link = self._linked(formula, compile_formula)
-        if program.free or self._lowering.programs.get(program) is not link:
-            return self._value(program, link, assignment)
-        return self.kept(("value", program),
-                         lambda: self._value(program, link, None))
+        A program with no free variables depends on nothing but the
+        structure, so its value is kept in its entry (``_linked``) for as
+        long as the program lives, unless computing it raises: a
+        theory's sentences are decided once per member, not once per
+        query.  Any other program's value is computed each time."""
+        program, entry = self._linked(formula, compile_formula)
+        if program.free:
+            return self._value(program, entry[0], assignment)
+        if entry[1] is None:
+            entry[1] = self._value(program, entry[0], None)
+        return entry[1]
 
     def _value(self, program: Program, link: tuple,
                assignment: Optional[Assignment]) -> Fraction:
@@ -516,7 +504,7 @@ class Evaluator:
         agree on what it reads get one ``step()`` between them: its
         result is kept per scan, keyed by their positions."""
         variables = tuple(variables)
-        program, (code, _, registers, denominator) = self._linked(
+        program, ((code, _, registers, denominator), _) = self._linked(
             formulas, compile_formulas)
         for name in program.free:
             if name not in variables:
@@ -719,12 +707,11 @@ def _entailment(members: Iterable, names: tuple, premises: Program,
 def models(family: Sequence, theory: Theory):
     """``(member, engine)`` for each family member satisfying the
     theory, in order; the theory's sentences are compiled once for its
-    lifetime (``Theory.programs``) and linked once per member
-    (``Evaluator.keep_links``)."""
+    lifetime (``Theory.programs``), so each is linked to a member, and
+    decided there, once while the theory lives."""
     sentences = theory.programs
     for member in family:
         engine = Evaluator(member)
-        engine.keep_links(sentences)
         if all(engine.value(s) == ONE for s in sentences):
             yield member, engine
 

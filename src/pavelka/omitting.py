@@ -757,11 +757,12 @@ def type_distance(family: Sequence[Structure], theory: Theory,
     call.  The default corpus, ``default_record_corpus`` of ``p``'s
     vocabulary, depends on nothing but ``n`` and the predicate
     signature of ``p``'s structure: it is compiled once per structure
-    and ``n`` and linked once to each record's structure
-    (``Evaluator.keep_links``), and each model's profiles are scanned
-    once per ``n`` and signature, all kept with the structures' lowered
-    tables (``Evaluator.kept``), so records from any structure of that
-    signature share one scan of each model."""
+    and ``n`` and kept with that structure (``Evaluator.kept``), so,
+    as every program is, it is linked once to each structure for as
+    long as it lives, and each model's profiles are scanned once per
+    ``n`` and signature and kept with the model (``Evaluator.kept``),
+    so records from any structure of that signature share one scan of
+    each model."""
     n = len(p.elements)
     if len(q.elements) != n:
         raise FormulaError("records have different tuple lengths")
@@ -775,8 +776,6 @@ def type_distance(family: Sequence[Structure], theory: Theory,
 
         variables, program = engines[0].kept(("record corpus", n),
                                              compile_default)
-        for engine in engines:
-            engine.keep_links([program])
         key = ("record profiles", n, tuple(sorted(
             vocabulary.predicates.items())))
     else:

@@ -62,7 +62,8 @@ class Program:
     """
 
     __slots__ = ("source", "free", "free_slots", "slots", "scopes",
-                 "constants", "denominator", "symbols", "results")
+                 "constants", "denominator", "symbols", "results",
+                 "__weakref__")
 
     def __init__(self, source, free, free_slots, slots, scopes, constants,
                  symbols=(), results=None):

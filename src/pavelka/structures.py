@@ -77,11 +77,13 @@ class Structure:
     The metric, the symbol maps and every table are read-only mappings,
     so the evaluator lowers each table to integers once, on first use,
     over the lcm of that table's own denominators, and keeps it in
-    ``_lowering`` unchanged for the structure's lifetime, along with
-    what ``Evaluator.kept`` makes from the structure alone: programs
-    compiled from its vocabulary, links and their sentences' values, and
-    tables of its own values, such as ``type_distance``'s profiles of the
-    default record corpus (``Evaluator.profiles``).
+    ``_lowering`` unchanged for the structure's lifetime.  There, too,
+    each program linked to the structure keeps its link, and a
+    sentence's value, for as long as the program lives, and
+    ``Evaluator.kept`` keeps, for the structure's lifetime,
+    ``type_distance``'s default record corpus compiled from its
+    vocabulary and its profiles of that corpus
+    (``Evaluator.profiles``).
     """
 
     __slots__ = ("universe", "metric", "predicates", "operations",

@@ -314,24 +314,35 @@ class TestNoGlobalState:
                 Proj(1, 2), Proj(2, 2)), min, 2, F(1, n))
         assert module_containers() == before
 
-    def test_unkept_links_keep_no_value(self, m2):
-        # a fresh sentence, or a theory's sentence on an evaluator of
-        # its own (check_theory), is linked for that evaluator only
+    def test_unkept_links_keep_no_value(self, m2, monkeypatch):
+        # a fresh sentence's link and value die with its program; a live
+        # theory's sentence is linked once and decided once, on every
+        # evaluator of the structure (check_theory makes one per call)
         vocab = Vocabulary({"P": 1}, {"c": 0})
         theory = Theory("t", (parse_formula("E x. P(x)", vocab),))
+        (sentence,) = theory.programs
+        decided = []  # True for the theory's sentence, False for another
+        value = Evaluator._value
+
+        def counted(self, program, *args):
+            decided.append(program is sentence)
+            return value(self, program, *args)
+        monkeypatch.setattr(Evaluator, "_value", counted)
         check_theory(m2, theory)
+        assert decided == [True]
+        links = m2._lowering.links
+        entry = links[sentence]
+        assert list(links.items()) == [(sentence, entry)] and entry[1] == 1
         kept = dict(m2._lowering.programs)
         for i in range(2000):
             phi = parse_formula(f"E x. P(x) /\\ {i % 9}/9 -> P(c)", vocab)
             assert evaluate(m2, phi) == naive_eval(m2, phi, {})
             assert check_theory(m2, theory).satisfied
+        gc.collect()
         assert m2._lowering.programs == kept
-        # a kept link keeps its sentence's value, once
-        engine = Evaluator(m2)
-        engine.keep_links(theory.programs)
-        for _ in range(3):
-            assert engine.value(theory.programs[0]) == 1
-        assert len(m2._lowering.programs) == len(kept) + 2
+        assert list(links.items()) == [(sentence, entry)] and entry[1] == 1
+        assert decided.count(True) == 1
+        assert len(decided) == 2001  # each fresh sentence once
 
     def test_repeated_entails_keeps_nothing_new(self):
         rng = random.Random(12)
@@ -347,15 +358,21 @@ class TestNoGlobalState:
                 parse_formula(f"E u. R(x, u) >= {i % 5}/4", vocab),))
             return entails(family, theory, gamma, sigma)
         assert query(0).holds  # every member is scanned
-        kept = [dict(m._lowering.programs) for m in family]
-        assert all(kept)
+        # each member keeps the entries of the theory's sentences it
+        # decided, and nothing of the query's types
+        sentences = set(theory.programs)
+        kept = [dict(m._lowering.links) for m in family]
+        assert all(kept) and all(entries.keys() <= sentences
+                                 for entries in kept)
+        assert not any(m._lowering.programs for m in family)
         before = module_containers()
         for i in range(300):
             query(i)
         for member, entries in zip(family, kept):
-            programs = member._lowering.programs
-            assert programs.keys() == entries.keys()
-            assert all(programs[key] is made for key, made in entries.items())
+            links = member._lowering.links
+            assert set(links) == entries.keys()
+            assert all(links[key] is made for key, made in entries.items())
+            assert not member._lowering.programs
         assert module_containers() == before
 
     def test_kept_values_die_with_their_structure(self):
@@ -370,12 +387,49 @@ class TestNoGlobalState:
         theory = Theory("t", (parse_formula("A x. d(x, x) <= 0", vocab),))
         gamma = TypeSet("g", ("x",), (parse_formula("P(x)", vocab),))
         assert entails([member], theory, gamma, gamma).holds
-        assert member._lowering.programs
+        assert member._lowering.links[theory.programs[0]][1] == 1
         ref = weakref.ref(member)
         del member
         gc.collect()
         assert ref() is None
         assert len(theory.programs) == 1  # the theory outlives it
+
+    def test_fresh_programs_leave_the_store_as_it_was(self, m2):
+        # a link lives as long as its program: fresh formulas, entailments
+        # and omissions on one long-lived structure leave its store with
+        # the live theory's entry only
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        theory = Theory("t", (parse_formula("E x. P(x)", vocab),))
+        gamma = TypeSet("g", ("x",), (parse_formula("P(x) >= 1/2", vocab),))
+        assert entails([m2], theory, gamma, gamma).holds
+        gc.collect()
+        links = m2._lowering.links
+        assert list(links) == list(theory.programs)
+        for i in range(2000):
+            phi = parse_formula(f"E x. P(x) /\\ {i % 9}/9 -> P(c)", vocab)
+            assert evaluate(m2, phi) == naive_eval(m2, phi, {})
+            gamma = TypeSet("g", ("x",), (
+                parse_formula(f"P(x) >= {i % 4}/3", vocab),))
+            assert entails([m2], theory, gamma, gamma).holds
+            assert not omitting.omits(m2, gamma).omitted
+        gc.collect()
+        assert list(links) == list(theory.programs)
+
+    def test_an_entry_goes_with_its_program(self, m2):
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        sentence, open_ = (compile_formula(parse_formula(text, vocab))
+                           for text in ("E x. P(x) -> P(c)", "P(x) -> P(c)"))
+        engine = Evaluator(m2)
+        assert engine.value(sentence) == 1
+        assert engine.value(open_, {"x": "b"}) == F(1, 3)
+        links = m2._lowering.links
+        assert list(links) == [sentence, open_]
+        ref = weakref.ref(sentence)
+        del sentence
+        assert ref() is None  # nothing but its caller held it
+        assert list(links) == [open_]
+        del open_
+        assert not links
 
 
 def code_length(program):

@@ -857,14 +857,21 @@ class TestEachValueOnce:
         assert 0 < len(models) < len(family)
         gamma = TypeSet("g", NAMES, (parse_formula("P(x) >= 1/2", SCAN_VOCAB),))
         runs = counted_runs(monkeypatch)
+
+        def sentence_codes(theory):
+            """The code of every scope of the theory's sentences and of
+            each root a member links them to."""
+            entries = [m._lowering.links.get(program) for m in family
+                       for program in theory.programs]
+            return {id(code) for code in (
+                *(entry[0][0] for entry in entries if entry is not None),
+                *(c for program in theory.programs
+                  for c, _ in program.scopes))}
         for call in range(3):
             runs.clear()
             result = entails(family, theory, gamma, gamma)
             assert result.holds
-            codes = {id(code) for m in family
-                     for program in theory.programs
-                     for code in (m._lowering.programs[program][0],
-                                  *(c for c, _ in program.scopes))}
+            codes = sentence_codes(theory)
             decided = sum(id(code) in codes for code in runs)
             assert (decided > 0) == (call == 0)
             assert len(runs) > decided  # the types still run
@@ -872,10 +879,8 @@ class TestEachValueOnce:
         runs.clear()
         other = Theory("t", theory.sentences)
         assert entails(family, other, gamma, gamma).holds
-        assert any(code is program.scopes[0][0] or code is
-                   m._lowering.programs[program][0]
-                   for code in runs for m in family
-                   for program in other.programs)
+        codes = sentence_codes(other)
+        assert any(id(code) in codes for code in runs)
 
     def test_closed_quantifier_runs_once_per_scan(self, monkeypatch):
         # the body of A u. P(u), ~P(u), never reaches 1 in three(), so the
@@ -946,9 +951,7 @@ class TestEachValueOnce:
         sentence, open_ = (compile_formulas((parse_formula(text, SCAN_VOCAB),))
                            for text in ("E x. P(x) -> R(x, x)",
                                         "P(x) -> E y. R(x, y)"))
-        engine = Evaluator(m)
-        engine.keep_links([sentence, open_])
-        for _ in range(2):
+        for engine in (Evaluator(m), Evaluator(m)):
             for e in m.universe:
                 assert engine.value(open_, {"x": e}) == \
                     naive_eval(m, open_.source[0], {"x": e})
@@ -956,5 +959,52 @@ class TestEachValueOnce:
                 engine.value(open_)
             assert engine.value(sentence) == \
                 naive_eval(m, sentence.source[0], {})
-        assert list(m._lowering.programs) == [sentence, open_,
-                                              ("value", sentence)]
+        # one entry per program, for both evaluators; only the
+        # sentence's holds a value
+        links = m._lowering.links
+        assert list(links) == [open_, sentence]
+        assert links[open_][1] is None
+        assert links[sentence][1] == naive_eval(m, sentence.source[0], {})
+        assert not m._lowering.programs
+
+    def test_a_second_check_theory_decides_no_sentence(self, monkeypatch):
+        # check_theory makes an evaluator per call; the sentences' values
+        # are the structure's, kept while the theory lives
+        m = three()
+        theory = Theory("t", tuple(parse_formula(text, SCAN_VOCAB) for text in
+                                   ("E x. P(x)",
+                                    "A x. A y. R(x, y) -> R(y, x) >= 1/2",
+                                    "A x. P(x) -> R(x, x)")))
+        want = tuple((s, naive_eval(m, s, {})) for s in theory.sentences
+                     if naive_eval(m, s, {}) != 1)
+        assert want
+        runs = counted_runs(monkeypatch)
+        first = check_theory(m, theory)
+        assert runs and first.failing == want
+        runs.clear()
+        assert check_theory(m, theory) == first
+        assert runs == []
+        # a new theory of the same sentences is decided again
+        assert check_theory(m, Theory("t", theory.sentences)) == first
+        assert runs
+
+    def test_a_raising_sentence_keeps_no_value(self, monkeypatch):
+        # a sentence reading a symbol the structure lacks raises on
+        # every call; the sentence before it is decided once
+        m = three()
+        vocab = Vocabulary({"P": 1, "Q": 1}, {})
+        theory = Theory("t", (parse_formula("E x. P(x)", vocab),
+                              parse_formula("E x. P(x) -> Q(x)", vocab)))
+        runs = counted_runs(monkeypatch)
+        for call in range(3):
+            runs.clear()
+            with pytest.raises(EvaluationError) as caught:
+                check_theory(m, theory)
+            assert str(caught.value) == \
+                "predicate 'Q' missing from the structure"
+            # the first sentence's root and two elements of its body,
+            # then the raising sentence's root and its body at a
+            assert len(runs) == (5 if call == 0 else 2)
+        decided, raising = (m._lowering.links[s] for s in theory.programs)
+        assert decided[1] == 1 and raising[1] is None
+        assert runs[0] is raising[0][0]
