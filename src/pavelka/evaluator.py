@@ -18,10 +18,10 @@ body, each a flat list of instructions over numbered slots in
 postorder, so an operand that the formulas, or expansion of the derived
 connectives, share is computed once per scope.  The root scope computes
 every formula, in order, and ``Program.results`` lists the slot of
-each one's value; ``compile_formula`` is the one-formula case.
-``Evaluator.value`` takes a one-formula program or a formula, which it
-compiles on the spot; a caller that evaluates one formula many times
-compiles it once and passes the program.
+each one's value; ``compile_formula`` is the one-formula case, and
+the one place a formula's program is made and kept: a formula compiles
+on its first use and keeps its program for its lifetime.
+``Evaluator.value`` takes a formula or its program.
 
 The instruction set, ``Program`` and the packed kernel ``Lanes`` live
 in ``programs``.  The evaluator runs its programs at one point in its
@@ -43,8 +43,8 @@ code at a time, in order (``_stretches``), stops a tuple at the first
 value below 1, and reports only that formula and value.  Type
 realization, omission and entailment are ``first_failures`` scans of
 one program per type, the Tarski-Vaught test is one ``profiles`` scan
-per formula, and a ``Theory`` keeps its compiled sentence programs for
-its lifetime, so ``models`` links and decides each once per structure.
+per formula, and ``models`` links and decides each sentence of a theory
+once per structure while the sentence lives.
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
@@ -70,8 +70,8 @@ scan; any other runs once per run of its scope anyway, and builds no
 key.  A scan whose variables name more than its program reads runs the
 root once per assignment of what it reads (``Evaluator._scan``).  A
 sentence's value is kept with its link (``Evaluator.value``), so a
-theory's sentences are decided once per member.  No state outlives a
-call at module level.
+sentence is decided once per member while it lives.  No state outlives
+a call at module level.
 """
 
 from __future__ import annotations
@@ -103,11 +103,15 @@ _TERMS = (Var, Func)
 
 
 def compile_formula(formula: Formula) -> Program:
-    """Compile a formula once, to evaluate it many times: the
-    one-formula case of ``compile_formulas``, with the formula itself as
-    the program's source."""
-    program = compile_formulas((formula,))
-    program.source = formula
+    """The one-formula case of ``compile_formulas``, with the formula as
+    the program's source: made on the formula's first use and kept in
+    its ``_program`` slot for its lifetime, so equal formulas built
+    apart compile apart."""
+    program = getattr(formula, "_program", None)
+    if program is None:
+        program = compile_formulas((formula,))
+        program.source = formula
+        object.__setattr__(formula, "_program", program)
     return program
 
 
@@ -419,8 +423,9 @@ class Evaluator:
     formulas.  A program is linked to the structure's lowered tables
     once, and the link, with a sentence's value, is kept with the
     structure for as long as the program lives (``_Lowering.links``),
-    for every evaluator of the structure; formulas passed instead are
-    compiled into a program that lives for that call only.
+    for every evaluator of the structure.  A formula keeps its program
+    (``compile_formula``); formulas passed to a scan are compiled into
+    a program for that call only.
     """
 
     def __init__(self, structure):
@@ -458,8 +463,8 @@ class Evaluator:
         return made
 
     def value(self, formula: Formula, assignment: Optional[Assignment] = None) -> Fraction:
-        """The exact value of a formula, or of a program that
-        ``compile_formula`` made, under the assignment.
+        """The exact value of a formula, which keeps its program, or of
+        the program ``compile_formula`` made, under the assignment.
 
         A program with no free variables depends on nothing but the
         structure, so its value is kept in its entry (``_linked``) for as
@@ -649,12 +654,9 @@ class TheoryReport(Record):
 def check_theory(structure, theory: Theory) -> TheoryReport:
     """Evaluate every sentence; report each one with value < 1."""
     engine = Evaluator(structure)
-    failing = []
-    for program in theory.programs:
-        value = engine.value(program)
-        if value != ONE:
-            failing.append((program.source, value))
-    return TheoryReport(satisfied=not failing, failing=tuple(failing))
+    values = ((s, engine.value(s)) for s in theory.sentences)
+    failing = tuple((s, v) for s, v in values if v != ONE)
+    return TheoryReport(satisfied=not failing, failing=failing)
 
 
 class EntailmentResult(Record):
@@ -706,10 +708,10 @@ def _entailment(members: Iterable, names: tuple, premises: Program,
 
 def models(family: Sequence, theory: Theory):
     """``(member, engine)`` for each family member satisfying the
-    theory, in order; the theory's sentences are compiled once for its
-    lifetime (``Theory.programs``), so each is linked to a member, and
-    decided there, once while the theory lives."""
-    sentences = theory.programs
+    theory, in order; each sentence keeps its program
+    (``compile_formula``), so it is linked to a member, and decided
+    there, once while the sentence lives."""
+    sentences = theory.sentences
     for member in family:
         engine = Evaluator(member)
         if all(engine.value(s) == ONE for s in sentences):

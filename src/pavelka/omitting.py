@@ -234,8 +234,8 @@ class SearchSpace(Record):
         its levels and structure count per universe size, and the packed
         columns of a block of sibling tables per denominator and block
         (``_block``).  Each is made on first use (``_derived``) and kept
-        for the space's lifetime, as ``Theory.programs`` is, since the
-        space never changes."""
+        for the space's lifetime, as a formula keeps its program, since
+        the space never changes."""
         return {}
 
 

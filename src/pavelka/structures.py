@@ -79,7 +79,8 @@ class Structure:
     over the lcm of that table's own denominators, and keeps it in
     ``_lowering`` unchanged for the structure's lifetime.  There, too,
     each program linked to the structure keeps its link, and a
-    sentence's value, for as long as the program lives, and
+    sentence's value, for as long as the program lives (a formula's
+    program lives as long as the formula, which keeps it), and
     ``Evaluator.kept`` keeps, for the structure's lifetime,
     ``type_distance``'s default record corpus compiled from its
     vocabulary and its profiles of that corpus

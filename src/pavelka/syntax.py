@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import cached_property, partial
+from functools import partial
 from fractions import Fraction
 from itertools import chain
 from operator import attrgetter, is_
@@ -151,7 +151,9 @@ class Func(Term):
 
 
 class Formula(Record):
-    __slots__ = ()
+    # not a field, so ``==``, ``hash`` and ``repr`` never read it: the
+    # program ``evaluator.compile_formula`` keeps for the formula
+    __slots__ = ("_program",)
 
 
 class Atom(Formula):
@@ -246,14 +248,6 @@ class Theory(Record):
                     f"theory {name!r} contains a non-sentence "
                     f"(free variables {fv}): {render(phi)}")
         super().__init__(name, sentences)
-
-    @cached_property
-    def programs(self) -> tuple:
-        """The sentences compiled for the evaluator, in order: compiled
-        on first use and kept for the theory's lifetime, since the
-        theory never changes."""
-        from .evaluator import compile_formula  # the evaluator imports syntax
-        return tuple(map(compile_formula, self.sentences))
 
 
 class TypeSet(Record):

@@ -900,3 +900,141 @@ def test_golden_bytes(files, capsys, monkeypatch, case):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == \
         (case["exit"], case["stdout"], case["stderr"])
+
+
+def written(path: pathlib.Path, payload) -> str:
+    path.write_text(storage.dump_json(payload))
+    return str(path)
+
+
+def violations(report) -> list:
+    """A structure report's violations as the CLI prints them."""
+    return [{"kind": v.kind, "witness": [str(w) for w in v.witness],
+             "values": [str(x) for x in v.values]}
+            for v in report.violations]
+
+
+class TestPrintedArtifactsReadBack:
+    """What ``thicken``, ``combine``, ``reduct`` and ``restrict`` print,
+    another subcommand reads, with the verdicts and values the library
+    gives on its own result.  The library modules load in the tests, so
+    these come after the tests of what a subcommand loads by itself."""
+
+    VOCAB = Vocabulary({"P": 1, "R": 2}, {"f": 1, "c": 0})
+
+    def test_thicken_through_omits_and_realizes(self, capsys, tmp_path):
+        import itertools
+        import random
+
+        from genutil import random_structure
+        from pavelka.omitting import omits, realizes
+        from pavelka.rationals import format_rational
+        from pavelka.syntax import TypeSet, render
+        from pavelka.transforms import thicken
+        typeset = TypeSet("s", ("x", "y"), tuple(
+            parse_formula(text, self.VOCAB) for text in (
+                "R(x, y) >= 1/2", "P(x) -> P(f(y))",
+                "E z. ((d(x, z) <= 1/3) /\\ P(z))")))
+        typeset_path = written(tmp_path / "type.json",
+                               storage.typeset_to_dict(typeset))
+        vocab_path = written(tmp_path / "vocab.json",
+                             storage.vocabulary_to_dict(self.VOCAB))
+        rng = random.Random(61)
+        family = [random_structure(rng, self.VOCAB, max_size=3)
+                  for _ in range(6)]
+        paths = [written(tmp_path / f"m{k}.json",
+                         storage.structure_to_dict(m))
+                 for k, m in enumerate(family)]
+        verdicts = set()
+        for delta in ("0", "1/4", "2/3"):
+            code, out = run(capsys, "thicken", "--types", typeset_path,
+                            "--vocab", vocab_path, "--delta", delta)
+            assert code == 0
+            thick = thicken(typeset, F(delta))
+            thick_path = tmp_path / "thick.json"
+            thick_path.write_text(out)
+            assert storage.load_typeset(str(thick_path), self.VOCAB) == thick
+            for m, path in zip(family, paths):
+                report = omits(m, thick)
+                code, out = run(capsys, "omits", "--struct", path,
+                                "--type", str(thick_path))
+                want = {"omitted": report.omitted}
+                if report.omitted:
+                    want["witnesses"] = {
+                        ",".join(tup): {"formula": render(phi),
+                                        "value": format_rational(value)}
+                        for tup, (phi, value) in report.witnesses.items()}
+                else:
+                    want["realizer"] = list(report.realizer)
+                assert (code, json.loads(out)) == \
+                    (0 if report.omitted else 1, want)
+                verdicts.add(report.omitted)
+                for tup in itertools.product(m.universe, repeat=2):
+                    code, out = run(capsys, "realizes", "--struct", path,
+                                    "--type", str(thick_path),
+                                    "--tuple", ",".join(tup))
+                    assert code == (0 if realizes(m, tup, thick) else 1)
+        assert verdicts == {True, False}
+
+    def test_structures_through_validate_lipschitz_and_eval(self, capsys,
+                                                            tmp_path):
+        import random
+
+        from genutil import (random_sentence, random_structure,
+                             structure_with_guard)
+        from pavelka import structures, transforms
+        from pavelka.evaluator import evaluate
+        from pavelka.rationals import format_rational
+        from pavelka.syntax import Signature, render
+        signature = Signature(self.VOCAB, {"P": [(F(1, 4), F(1, 2))],
+                                           "R": [(F(1, 2), F(1, 3))],
+                                           "f": [(F(1, 2), F(1, 2))]})
+        sub = Vocabulary({"R": 2}, {"c": 0})
+        sub_path = written(tmp_path / "sub.json",
+                           storage.vocabulary_to_dict(sub))
+        rng = random.Random(62)
+        passed = set()
+        for k in range(6):
+            left, right = (random_structure(rng, self.VOCAB, max_size=4)
+                           for _ in range(2))
+            guarded = structure_with_guard(rng, self.VOCAB, "G")
+            left_path, right_path, guarded_path = (
+                written(tmp_path / f"{name}{k}.json",
+                        storage.structure_to_dict(m))
+                for name, m in (("left", left), ("right", right),
+                                ("guarded", guarded)))
+            cases = (
+                (("combine", "--left", left_path, "--right", right_path),
+                 structures.combine(left, right),
+                 structures.combined_signature(signature)),
+                (("reduct", "--struct", left_path, "--vocab", sub_path),
+                 structures.reduct(left, sub),
+                 structures.reduct_signature(signature, sub)),
+                (("restrict", "--struct", guarded_path, "--pred", "G"),
+                 transforms.restrict_to_predicate(guarded, "G"), signature))
+            for argv, made, made_signature in cases:
+                code, out = run(capsys, *argv)
+                assert code == 0
+                path = tmp_path / f"{argv[0]}{k}.json"
+                path.write_text(out)
+                assert storage.load_structure(str(path)) == made
+                sig_path = written(tmp_path / f"{argv[0]}{k}.sig.json",
+                                   storage.signature_to_dict(made_signature))
+                for report, argv in (
+                        (structures.validate_structure(made, made_signature),
+                         ("validate", "--sig", sig_path)),
+                        (structures.lipschitz_check(made), ("lipschitz",))):
+                    code, out = run(capsys, *argv, "--struct", str(path))
+                    assert (code, json.loads(out)) == (
+                        0 if report.passed else 1,
+                        {"pass": report.passed,
+                         "violations": violations(report)})
+                    passed.add(report.passed)
+                for _ in range(4):
+                    phi = random_sentence(rng, made.vocabulary(), depth=3,
+                                          quantifier_budget=2)
+                    code, out = run(capsys, "eval", "--struct", str(path),
+                                    "--formula", render(phi))
+                    assert (code, out) == \
+                        (0, f"{format_rational(evaluate(made, phi))}\n")
+        assert passed == {True, False}

@@ -320,7 +320,7 @@ class TestNoGlobalState:
         # evaluator of the structure (check_theory makes one per call)
         vocab = Vocabulary({"P": 1}, {"c": 0})
         theory = Theory("t", (parse_formula("E x. P(x)", vocab),))
-        (sentence,) = theory.programs
+        (sentence,) = map(compile_formula, theory.sentences)
         decided = []  # True for the theory's sentence, False for another
         value = Evaluator._value
 
@@ -338,6 +338,7 @@ class TestNoGlobalState:
             phi = parse_formula(f"E x. P(x) /\\ {i % 9}/9 -> P(c)", vocab)
             assert evaluate(m2, phi) == naive_eval(m2, phi, {})
             assert check_theory(m2, theory).satisfied
+        del phi  # it keeps its program
         gc.collect()
         assert m2._lowering.programs == kept
         assert list(links.items()) == [(sentence, entry)] and entry[1] == 1
@@ -360,7 +361,7 @@ class TestNoGlobalState:
         assert query(0).holds  # every member is scanned
         # each member keeps the entries of the theory's sentences it
         # decided, and nothing of the query's types
-        sentences = set(theory.programs)
+        sentences = set(map(compile_formula, theory.sentences))
         kept = [dict(m._lowering.links) for m in family]
         assert all(kept) and all(entries.keys() <= sentences
                                  for entries in kept)
@@ -387,12 +388,14 @@ class TestNoGlobalState:
         theory = Theory("t", (parse_formula("A x. d(x, x) <= 0", vocab),))
         gamma = TypeSet("g", ("x",), (parse_formula("P(x)", vocab),))
         assert entails([member], theory, gamma, gamma).holds
-        assert member._lowering.links[theory.programs[0]][1] == 1
+        (sentence,) = map(compile_formula, theory.sentences)
+        assert member._lowering.links[sentence][1] == 1
         ref = weakref.ref(member)
         del member
         gc.collect()
         assert ref() is None
-        assert len(theory.programs) == 1  # the theory outlives it
+        # the theory outlives it, and its sentence keeps its program
+        assert compile_formula(theory.sentences[0]) is sentence
 
     def test_fresh_programs_leave_the_store_as_it_was(self, m2):
         # a link lives as long as its program: fresh formulas, entailments
@@ -404,7 +407,8 @@ class TestNoGlobalState:
         assert entails([m2], theory, gamma, gamma).holds
         gc.collect()
         links = m2._lowering.links
-        assert list(links) == list(theory.programs)
+        sentences = list(map(compile_formula, theory.sentences))
+        assert list(links) == sentences
         for i in range(2000):
             phi = parse_formula(f"E x. P(x) /\\ {i % 9}/9 -> P(c)", vocab)
             assert evaluate(m2, phi) == naive_eval(m2, phi, {})
@@ -412,8 +416,9 @@ class TestNoGlobalState:
                 parse_formula(f"P(x) >= {i % 4}/3", vocab),))
             assert entails([m2], theory, gamma, gamma).holds
             assert not omitting.omits(m2, gamma).omitted
+        del phi  # it keeps its program
         gc.collect()
-        assert list(links) == list(theory.programs)
+        assert list(links) == sentences
 
     def test_an_entry_goes_with_its_program(self, m2):
         vocab = Vocabulary({"P": 1}, {"c": 0})
@@ -426,9 +431,11 @@ class TestNoGlobalState:
         assert list(links) == [sentence, open_]
         ref = weakref.ref(sentence)
         del sentence
+        gc.collect()  # it and its formula hold each other
         assert ref() is None  # nothing but its caller held it
         assert list(links) == [open_]
         del open_
+        gc.collect()
         assert not links
 
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 from math import prod
 
@@ -8,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pavelka import (And, Atom, CompleteTypeRecord, Const, EvaluationError,
-                     Exists, Forall, Func, Geq, Implies, Leq, Not, Or,
-                     Structure, Theory, TypeSet, Var, Vocabulary, check_theory,
-                     entails, evaluate, free_variables, generator_check, omits,
-                     parse_formula, realizes, satisfies, tarski_vaught_check,
+                     Exists, Forall, Formula, Func, Geq, Implies, Leq, Not,
+                     Or, SearchSpace, Structure, Theory, TypeSet, Var,
+                     Vocabulary, check_theory, entails, evaluate,
+                     free_variables, generator_check, omits, parse_formula,
+                     realizes, satisfies, search_model, tarski_vaught_check,
                      thicken, type_distance)
 from pavelka import evaluator
 from pavelka.errors import FormulaError
-from pavelka.evaluator import Evaluator, compile_formulas, models
+from pavelka.evaluator import (Evaluator, compile_formula, compile_formulas,
+                               models)
+from pavelka.records import parts
 from pavelka.syntax import children, postorder
 
 from genutil import random_formula, random_sentence, random_structure
@@ -536,23 +541,30 @@ class TestCompiledOnce:
     def test_theory_compiles_once_across_models_calls(self, monkeypatch):
         rng = random.Random(34)
         family = [random_structure(rng, VOCAB, max_size=3) for _ in range(6)]
-        theory = Theory("t", (parse_formula("E x. P(x) >= 1/2", VOCAB),
-                              parse_formula("P(c) -> 1/2", VOCAB)))
+        texts = ("E x. P(x) >= 1/2", "P(c) -> 1/2")
+        theory = Theory("t", tuple(parse_formula(t, VOCAB) for t in texts))
         compiled = []
-        compile_formula = evaluator.compile_formula
-        monkeypatch.setattr(evaluator, "compile_formula", lambda phi: (
-            compiled.append(phi), compile_formula(phi))[1])
+        make = evaluator.compile_formulas
+        monkeypatch.setattr(evaluator, "compile_formulas", lambda fs: (
+            compiled.append(tuple(fs)), make(fs))[1])
         want = naive_models(family, theory)
         assert 0 < len(want) < len(family)
         for _ in range(2):
             assert [m for m, _ in models(family, theory)] == want
         for m in family:
             assert check_theory(m, theory).satisfied == (m in want)
-        assert compiled == list(theory.sentences)
-        # a theory equal to it is another owner, compiled on its own
+        once = [(s,) for s in theory.sentences]
+        assert compiled == once
+        # each sentence keeps its program: a theory of the same
+        # sentences compiles nothing, one of sentences parsed afresh
+        # compiles them on their own
         assert [m for m, _ in models(family, Theory("t", theory.sentences))] \
             == want
-        assert compiled == list(theory.sentences) * 2
+        assert compiled == once
+        fresh = Theory("t", tuple(parse_formula(t, VOCAB) for t in texts))
+        assert [m for m, _ in models(family, fresh)] == want
+        assert compiled == once + [(s,) for s in fresh.sentences]
+        assert all(f is s for (f,), s in zip(compiled[2:], fresh.sentences))
 
     def test_generator_check_compiles_each_formula_once(self, monkeypatch):
         # phi is compiled once for its realizer scan and the entailment,
@@ -569,7 +581,8 @@ class TestCompiledOnce:
             family, theory, formulas = scan_case(rng)
             phi = TypeSet("phi", NAMES, formulas(rng.randint(1, 2)))
             sigma = TypeSet("s", NAMES, formulas(rng.randint(1, 2)))
-            theory.programs  # compiled once for the theory's lifetime
+            # each sentence keeps its program
+            list(map(evaluator.compile_formula, theory.sentences))
             compiled.clear()
             report = generator_check(family, theory, phi, sigma)
             if not report.satisfied:
@@ -589,7 +602,7 @@ class TestCompiledOnce:
         value = evaluator.Evaluator.value
 
         def counted(self, formula, assignment=None):
-            if formula in sentences:
+            if any(formula is s for s in sentences):
                 key = (id(self.structure), id(formula))
                 runs[key] = runs.get(key, 0) + 1
             return value(self, formula, assignment)
@@ -601,7 +614,7 @@ class TestCompiledOnce:
                 Geq(Exists("x", Atom("P", (Var("x"),))), F(1, 4)),))
             phi = TypeSet("phi", NAMES, formulas(rng.randint(1, 2)))
             sigma = TypeSet("s", NAMES, formulas(rng.randint(1, 2)))
-            sentences = theory.programs
+            sentences = theory.sentences
             runs.clear()
             report = generator_check(family, theory, phi, sigma)
             assert runs and set(runs.values()) == {1}
@@ -641,6 +654,81 @@ class TestCompiledOnce:
 
 
 WIDE = ("x", "y", "z")  # ``z``: read by no formula of ``wide_case``
+
+
+class TestFormulaKeepsItsProgram:
+    """A formula compiles on its first use and keeps its program for its
+    lifetime: every later evaluation, on any structure and through any
+    oracle, reuses it, and it is no field of the formula."""
+
+    def test_one_formula_compiles_once_everywhere(self, monkeypatch):
+        from pavelka import omitting
+        compiled = []
+        for module in (evaluator, omitting):
+            monkeypatch.setattr(module, "compile_formulas", lambda fs, make=(
+                module.compile_formulas): (compiled.append(tuple(fs)),
+                                           make(fs))[1])
+        phi = parse_formula("E x. P(x) >= 1/2", SCAN_VOCAB)
+        m = three()
+        other = Structure(("a", "b"), {("a", "b"): F(1)}, {
+            "P": {("a",): F(1, 4), ("b",): F(1, 3)}}, {}, {})
+        low = naive_eval(other, phi, {})
+        assert low < 1
+        assert [evaluate(s, phi) for s in (m, other, m)] == [1, low, 1]
+        theory = Theory("t", (phi,))
+        assert check_theory(m, theory).satisfied
+        assert check_theory(other, theory).failing == ((phi, low),)
+        assert [s for s, _ in models([other, m], theory)] == [m]
+        space = SearchSpace(Vocabulary({"P": 1}, {}), 2, 2, 1)
+        found = search_model(space, theory, [])
+        assert found.structure is not None
+        assert evaluate(found.structure, phi) == 1
+        assert len(compiled) == 1 and compiled[0][0] is phi
+        assert compile_formula(phi).source is phi and len(compiled) == 1
+
+    def test_equal_formulas_built_apart_compile_apart(self):
+        text = "E x. P(x) -> R(x, x)"
+        a, b = (parse_formula(text, SCAN_VOCAB) for _ in range(2))
+        assert a == b and a is not b
+        program = compile_formula(a)
+        assert compile_formula(b) is not program
+        assert compile_formula(a) is program and program.source is a
+        assert compile_formula(b).source is b
+        m = three()
+        assert evaluate(m, a) == evaluate(m, b) == naive_eval(m, a, {})
+        assert list(m._lowering.links) == [program, compile_formula(b)]
+
+    def test_a_compiled_formula_equals_its_uncompiled_twin(self):
+        text = "A x. E y. (R(x, y) /\\ ~P(y)) \\/ P(x) <= 1/3"
+        phi, twin = (parse_formula(text, SCAN_VOCAB) for _ in range(2))
+        before = hash(phi), repr(phi), parts(phi)
+        # every formula node keeps a program of its own
+        nodes = [node for node in postorder(phi) if isinstance(node, Formula)]
+        for node in nodes:
+            assert compile_formula(node).source is node
+        assert evaluate(three(), phi) == naive_eval(three(), phi, {})
+        assert phi == twin and twin == phi and not phi != twin
+        assert hash(phi) == hash(twin) == before[0]
+        assert repr(phi) == repr(twin) == before[1]
+        assert parts(phi) == parts(twin) == before[2]
+        assert {twin: "kept"}[phi] == "kept"
+        assert all(compile_formula(node) is node._program for node in nodes)
+        assert "_program" not in phi._fields
+        with pytest.raises(AttributeError):
+            phi._program = None
+
+    def test_a_dropped_formula_leaves_no_link(self):
+        m = three()
+        phi = parse_formula("E x. P(x) -> R(x, x)", SCAN_VOCAB)
+        assert evaluate(m, phi) == naive_eval(m, phi, {})
+        links = m._lowering.links
+        program = compile_formula(phi)
+        assert list(links) == [program] and links[program][1] is not None
+        ref = weakref.ref(program)
+        del phi, program
+        gc.collect()  # the formula and its program hold each other
+        assert ref() is None
+        assert not links
 
 
 def wide_case(rng):
@@ -850,9 +938,10 @@ class TestEachValueOnce:
         rng = random.Random(44)
         family = [random_structure(rng, SCAN_VOCAB, max_size=3)
                   for _ in range(6)]
-        theory = Theory("t", tuple(parse_formula(text, SCAN_VOCAB) for text in (
-            "A x. d(x, x) <= 0", "E x. P(x) >= 1/4",
-            "A x. A y. R(x, y) -> R(y, x) >= 1/2")))
+        texts = ("A x. d(x, x) <= 0", "E x. P(x) >= 1/4",
+                 "A x. A y. R(x, y) -> R(y, x) >= 1/2")
+        theory = Theory("t", tuple(parse_formula(text, SCAN_VOCAB)
+                                   for text in texts))
         models = naive_models(family, theory)
         assert 0 < len(models) < len(family)
         gamma = TypeSet("g", NAMES, (parse_formula("P(x) >= 1/2", SCAN_VOCAB),))
@@ -861,12 +950,12 @@ class TestEachValueOnce:
         def sentence_codes(theory):
             """The code of every scope of the theory's sentences and of
             each root a member links them to."""
+            programs = list(map(evaluator.compile_formula, theory.sentences))
             entries = [m._lowering.links.get(program) for m in family
-                       for program in theory.programs]
+                       for program in programs]
             return {id(code) for code in (
                 *(entry[0][0] for entry in entries if entry is not None),
-                *(c for program in theory.programs
-                  for c, _ in program.scopes))}
+                *(c for program in programs for c, _ in program.scopes))}
         for call in range(3):
             runs.clear()
             result = entails(family, theory, gamma, gamma)
@@ -875,9 +964,17 @@ class TestEachValueOnce:
             decided = sum(id(code) in codes for code in runs)
             assert (decided > 0) == (call == 0)
             assert len(runs) > decided  # the types still run
-        # the answer is the structure's: a new theory decides again
+        # the answer is the structure's, kept while each sentence lives:
+        # a new theory of the same sentences decides none again, one of
+        # sentences parsed afresh decides again
         runs.clear()
         other = Theory("t", theory.sentences)
+        assert entails(family, other, gamma, gamma).holds
+        codes = sentence_codes(other)
+        assert runs and not any(id(code) in codes for code in runs)
+        runs.clear()
+        other = Theory("t", tuple(parse_formula(text, SCAN_VOCAB)
+                                  for text in texts))
         assert entails(family, other, gamma, gamma).holds
         codes = sentence_codes(other)
         assert any(id(code) in codes for code in runs)
@@ -971,10 +1068,10 @@ class TestEachValueOnce:
         # check_theory makes an evaluator per call; the sentences' values
         # are the structure's, kept while the theory lives
         m = three()
-        theory = Theory("t", tuple(parse_formula(text, SCAN_VOCAB) for text in
-                                   ("E x. P(x)",
-                                    "A x. A y. R(x, y) -> R(y, x) >= 1/2",
-                                    "A x. P(x) -> R(x, x)")))
+        texts = ("E x. P(x)", "A x. A y. R(x, y) -> R(y, x) >= 1/2",
+                 "A x. P(x) -> R(x, x)")
+        theory = Theory("t", tuple(parse_formula(text, SCAN_VOCAB)
+                                   for text in texts))
         want = tuple((s, naive_eval(m, s, {})) for s in theory.sentences
                      if naive_eval(m, s, {}) != 1)
         assert want
@@ -984,8 +1081,12 @@ class TestEachValueOnce:
         runs.clear()
         assert check_theory(m, theory) == first
         assert runs == []
-        # a new theory of the same sentences is decided again
+        # a new theory of the same sentences is not decided again, one
+        # of sentences parsed afresh is
         assert check_theory(m, Theory("t", theory.sentences)) == first
+        assert runs == []
+        assert check_theory(m, Theory("t", tuple(
+            parse_formula(text, SCAN_VOCAB) for text in texts))) == first
         assert runs
 
     def test_a_raising_sentence_keeps_no_value(self, monkeypatch):
@@ -1005,6 +1106,7 @@ class TestEachValueOnce:
             # the first sentence's root and two elements of its body,
             # then the raising sentence's root and its body at a
             assert len(runs) == (5 if call == 0 else 2)
-        decided, raising = (m._lowering.links[s] for s in theory.programs)
+        decided, raising = (m._lowering.links[evaluator.compile_formula(s)]
+                            for s in theory.sentences)
         assert decided[1] == 1 and raising[1] is None
         assert runs[0] is raising[0][0]

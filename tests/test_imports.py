@@ -215,3 +215,50 @@ def test_programs_need_no_other_library_module():
     assert relative == []
     assert library_modules_after("import pavelka.programs") == str(
         ["pavelka", "pavelka.programs"])
+
+
+SYNTAX_CALLS = """
+from pavelka import syntax as sx
+vocab = sx.parse_vocabulary("pred P 1\\npred R 2\\nop f 1\\nconst c\\n")
+assert sx.parse_vocabulary(sx.render_vocabulary(vocab)) == vocab
+sx.Signature(vocab, {"P": [("1/4", "1/2")]})
+phi = sx.parse_formula("A x. E y. R(x, f(y)) \\\\/ ~P(c) >= 1/2", vocab)
+open_ = sx.parse_formula("(P(x) /\\\\ R(x, y)) <= 1/3", vocab)
+term = sx.parse_term("f(f(c))", vocab)
+core = sx.expand_abbreviations(phi)
+assert sx.is_core(core) and not sx.is_core(phi)
+assert sx.parse_formula(sx.render(phi), vocab) == phi
+assert sx.parse_term(sx.render_term(term), vocab) == term
+theory = sx.Theory("t", (phi, core))
+typeset = sx.TypeSet("s", ("x", "y"), (open_,))
+assert {theory: 1}[sx.Theory("t", (phi, core))] == 1 and repr(typeset)
+assert sx.free_variables(open_) == ("x", "y")
+assert sx.term_variables(term) == set()
+assert sx.all_variables(phi) == {"x", "y"}
+assert sx.formula_symbols(phi) == {"P", "R", "f", "c"}
+assert sx.children(open_) == (open_.body,)
+assert len(sx.postorder(phi)) > len(sx.children(phi))
+assert sx.rebuild(phi, lambda node: node) is phi
+assert sx.fresh_variable("x", {"x", "x1"}) == "x2"
+moved = sx.substitute(open_, {"x": term, "y": sx.Var("x")})
+assert sx.free_variables(moved) == ("x",)
+assert sx.formula_symbols(sx.rename_symbols(phi, {"P": "Q"})) == {
+    "Q", "R", "f", "c"}
+"""
+
+
+def test_syntax_loads_no_evaluator():
+    # formulas, theories and types are syntax: building them and using
+    # every public function of ``syntax`` loads no evaluator
+    tree = ast.parse((SRC / "syntax.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")}
+    assert {name for name in public if f"sx.{name}(" not in SYNTAX_CALLS} \
+        == set()
+    assert [node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "evaluator"] == []
+    assert library_modules_after(SYNTAX_CALLS) == str(
+        ["pavelka", "pavelka.errors", "pavelka.rationals", "pavelka.records",
+         "pavelka.syntax"])

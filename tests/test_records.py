@@ -230,11 +230,15 @@ def test_validation_errors():
 
 def test_theory_programs_are_compiled_once():
     theory = sx.Theory("t", [sx.Exists("x", P), HALF])
-    programs = theory.programs
-    assert len(programs) == 2 and theory.programs is programs
-    assert vars(theory)["programs"] is programs
-    assert raises(AttributeError, setattr, theory, "programs", ())
-    assert theory == sx.Theory("t", (sx.Exists("x", P), HALF))
+    programs = [ev.compile_formula(s) for s in theory.sentences]
+    assert all(ev.compile_formula(s) is program
+               for s, program in zip(theory.sentences, programs))
+    assert [program.source for program in programs] == list(theory.sentences)
+    assert raises(AttributeError, setattr, theory.sentences[1], "_program",
+                  None) == "cannot assign to field '_program'"
+    twin = sx.Theory("t", (sx.Exists("x", sx.Atom("P", (sx.Var("x"),))),
+                           sx.Const(F(1, 2))))
+    assert theory == twin and hash(theory) == hash(twin)
 
 
 def test_too_many_positional_values_raise():
