@@ -71,7 +71,9 @@ key.  A scan whose variables name more than its program reads runs the
 root once per assignment of what it reads (``Evaluator._scan``).  A
 sentence's value is kept with its link (``Evaluator.value``), so a
 sentence is decided once per member while it lives.  No state outlives
-a call at module level.
+a call at module level, and a call frees its working state on return:
+none of it waits for the cyclic GC.  A caller's formula and the program
+it keeps, which refer to each other, are the one cycle left.
 """
 
 from __future__ import annotations
@@ -123,7 +125,12 @@ def compile_formulas(formulas: Sequence[Formula]) -> Program:
     a node the expanded formulas share by identity is computed once.
     Expansion leaves a core node, such as an atom, as it is, so the
     formulas keep sharing it; a derived node they share is expanded once
-    per formula that holds it."""
+    per formula that holds it.
+
+    The working state, the slot maps, code lists and expansions, is
+    freed on return, not left for the cyclic GC.  The program keeps the
+    formulas as its source; only ``compile_formula`` makes a formula
+    keep its program in turn."""
     formulas = tuple(formulas)
     variables: dict[str, int] = {}  # every variable name -> its slot
     tables: dict[tuple, int] = {}  # (predicate?, name, arity) -> its slot
@@ -197,7 +204,13 @@ def compile_formulas(formulas: Sequence[Formula]) -> Program:
     # the expansions are held until the end, so no id in a slot map is
     # reused by a later node
     expanded = [expand_abbreviations(formula) for formula in formulas]
-    _, results, free = scope(expanded, None)
+    try:
+        _, results, free = scope(expanded, None)
+    finally:
+        # ``scope`` reaches itself through its closure cell: deleted, it
+        # and the slot maps and code lists it reaches go on return, not
+        # at the cyclic GC's next collection
+        del scope
     scopes.reverse()  # the root first, each body after its parent
     return Program(formulas, tuple(free),
                    tuple(map(variables.__getitem__, free)), next(fresh),

@@ -315,18 +315,16 @@ def _structure(universe: tuple, levels: list, prefix: list) -> Structure:
     return Structure(universe, prefix[0], **parts)
 
 
-def _sentence(check) -> Formula:
-    """A sentence as it is; a type ``p(x1..xk) = {f1..fm}`` as the
-    sentence ``E x1. ... E xk. f1 /\\ ... /\\ fm``.  In a finite structure
-    ``E`` is an attained max and ``/\\`` the minimum, so that sentence has
-    value 1 exactly when some tuple realizes the type; an empty type is
-    realized by every tuple, and becomes the constant 1."""
-    if not isinstance(check, TypeSet):
-        return check
-    if not check.formulas:
+def _closure(typeset: TypeSet) -> Formula:
+    """The sentence ``E x1. ... E xk. f1 /\\ ... /\\ fm`` of a type
+    ``p(x1..xk) = {f1..fm}``.  In a finite structure ``E`` is an
+    attained max and ``/\\`` the minimum, so that sentence has value 1
+    exactly when some tuple realizes the type; an empty type is realized
+    by every tuple, and becomes the constant 1."""
+    if not typeset.formulas:
         return Const(ONE)
-    sentence = functools.reduce(And, check.formulas)
-    for variable in reversed(check.variables):
+    sentence = functools.reduce(And, typeset.formulas)
+    for variable in reversed(typeset.variables):
         sentence = Exists(variable, sentence)
     return sentence
 
@@ -376,7 +374,9 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     The walk runs on lowered tables, as the evaluator does: truth values
     and distances are integers over one denominator, the lcm of both
     grids and of the checks' constants, and elements are positions.
-    Each check's program is compiled once per call and gets its
+    A sentence's program is the one it keeps (``compile_formula``); a
+    type's closure is made and compiled for the call and not kept, so
+    both go when the call ends.  Each check's program gets its
     registers once per universe size, over that denominator; choosing a
     table writes it into the registers of every check that reads it, so
     sibling tables share the whole prefix.  Every check is decided in
@@ -393,10 +393,16 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     structures yielded are as if each table were decided alone.  A
     ``Structure`` is built only for a structure yielded.  The grids,
     each universe size's levels, and the packed columns of a block's own
-    entries are made once per space and kept with it.
+    entries are made once per space and kept with it; the rest of the
+    walk's state is freed when the walk ends or is closed, not left for
+    the cyclic GC.
     """
-    compiled = [(compile_formula(_sentence(check)),
-                 not isinstance(check, TypeSet)) for check in checks]
+    # a type's closure is made for this call, so its program is too: kept
+    # in the closure (``compile_formula``), the two would hold each other
+    # until the cyclic GC's next collection
+    compiled = [(compile_formulas((_closure(check),)), False)
+                if isinstance(check, TypeSet)
+                else (compile_formula(check), True) for check in checks]
     _check_symbols(space, [program for program, _ in compiled])
     depth = {"d": 0}  # symbol -> its level
     depth.update((name, k) for k, (name, _, _, _) in
@@ -552,7 +558,14 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
                                         for p in digits]))
                 yield from below(k)
 
-    yield from descend(0)
+    try:
+        yield from descend(0)
+    finally:
+        # the walkers reach each other through their closure cells:
+        # deleted when the walk ends or is closed, they and the lanes,
+        # registers and tables they reach go then, not at the cyclic
+        # GC's next collection
+        del choose, below, descend, in_lanes
 
 
 def _trailing(base: int, entries: int) -> int:

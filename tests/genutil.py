@@ -1,6 +1,8 @@
 """Seeded random generators for structures, formulas, and connective
-terms, shared by the module tests and the acceptance suite."""
+terms, shared by the module tests and the acceptance suite, and
+``cyclic_garbage``, which counts what a call leaves for the cyclic GC."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -10,6 +12,21 @@ from pavelka.connectives import CConst, CImplies, Proj, c_and, c_oplus, c_or
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+
+
+def cyclic_garbage(call):
+    """What ``gc.collect()`` finds after a run of ``call``: it runs once
+    to make what it keeps, then, after a collection, again with the
+    cyclic GC off, so that nothing it leaves is freed before the count.
+    The GC is back on before this returns, whatever ``call`` raises."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+    finally:
+        gc.enable()
+    return gc.collect()
 
 
 def random_rational(rng, max_denominator=12):

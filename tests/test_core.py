@@ -20,9 +20,10 @@ from pavelka import (And, Atom, CompleteTypeRecord, Const, EvaluationError,
 from pavelka import connectives, evaluator, omitting
 from pavelka.connectives import CConst, Proj
 from pavelka.errors import FormulaError
+from pavelka.transforms import thicken
 
-from genutil import (random_dag, random_formula, random_rational,
-                     random_structure)
+from genutil import (cyclic_garbage, random_dag, random_formula,
+                     random_rational, random_structure)
 from naive import naive_connective, naive_eval
 
 VOCAB = Vocabulary({"P": 1, "R": 2, "S": 3, "Z": 0}, {"c": 0, "f": 1, "g": 2})
@@ -437,6 +438,116 @@ class TestNoGlobalState:
         del open_
         gc.collect()
         assert not links
+
+
+def held_calls():
+    """name -> a call on the compile, query or search paths, over inputs
+    its closure holds: each formula is parsed once, so a sentence keeps
+    the program made on its first use (``compile_formula``)."""
+    rng = random.Random(35)
+    vocab = Vocabulary({"P": 1, "R": 2}, {"c": 0})
+
+    def parse(*texts):
+        return tuple(parse_formula(text, vocab) for text in texts)
+    family = [random_structure(rng, vocab, max_size=3) for _ in range(4)]
+    m = family[0]
+    theory = Theory("t", parse("A x. d(x, x) <= 0", "E x. P(x) >= 1/4"))
+    nested = parse("E x. E y. R(x, y) /\\ P(x) -> P(c)",
+                   "A x. E y. (d(x, y) >= 1/2) -> R(x, y)")
+    gamma = TypeSet("g", ("x",), parse("P(x) >= 1/2"))
+    sigma = TypeSet("s", ("x",), parse("E y. R(x, y) >= 1/2"))
+    records = [CompleteTypeRecord(member, (member.universe[-1],))
+               for member in family]
+    given = TypeSet("given", ("v1",), parse("P(v1) -> 1/2",
+                                            "E x. R(v1, x)"))
+    space_vocab = Vocabulary({"P": 1}, {"c": 0})
+    space = SearchSpace(space_vocab, 2, 2, 2)
+
+    def problem(sentences, *types):
+        return (Theory("t", tuple(parse_formula(text, space_vocab)
+                                  for text in sentences)),
+                [TypeSet(f"p{k}", ("x",), tuple(
+                    parse_formula(text, space_vocab) for text in texts))
+                 for k, texts in enumerate(types)])
+    found, found_omitting, exhausted, exhausted_omitting = (
+        problem(["P(c)"]), problem(["P(c)"], ["P(x)", "d(x, c) >= 1"]),
+        problem(["0"]), problem(["E x. P(x)"], ["P(x)"]))
+    checks = [*found_omitting[0].sentences, *found_omitting[1]]
+
+    def first_then_close():
+        walk = omitting.enumerate_structures(space, checks)
+        next(walk)
+        walk.close()
+    term = connectives.half_approx(3)
+    return {
+        "compile_formulas": lambda: compile_formulas(nested),
+        "value": lambda: [Evaluator(m).value(s) for s in nested],
+        "value_open": lambda: Evaluator(m).value(sigma.formulas[0],
+                                                 {"x": m.universe[0]}),
+        "check_theory": lambda: check_theory(m, theory),
+        "entails": lambda: entails(family, theory, gamma, sigma),
+        "omits": lambda: omitting.omits(m, sigma),
+        "realizes": lambda: omitting.realizes(m, m.universe[:1], gamma),
+        "generator_check": lambda: omitting.generator_check(
+            family, theory, gamma, sigma),
+        "type_distance": lambda: type_distance(family, theory, *records[:2]),
+        "type_distance_given": lambda: type_distance(
+            family, theory, *records[1:3], given),
+        "tarski_vaught_check": lambda: evaluator.tarski_vaught_check(
+            m, m.universe[:1], (gamma.formulas[0], sigma.formulas[0]),
+            (F(1, 4), F(1, 2))),
+        "search_found": lambda: search_model(space, *found),
+        "search_found_omitting": lambda: search_model(space, *found_omitting),
+        "search_exhausted": lambda: search_model(space, *exhausted),
+        "search_exhausted_omitting": lambda: search_model(
+            space, *exhausted_omitting),
+        "enumerate_to_the_end": lambda: list(
+            omitting.enumerate_structures(space, checks)),
+        "enumerate_first_then_close": first_then_close,
+        "thicken": lambda: thicken(sigma, F(1, 2)),
+        "certify": lambda: connectives.certify(term, lambda p: p[0] / 2, 1,
+                                               F(1, 12), F(1, 2)),
+        "eval_term": lambda: connectives.eval_term(term, (F(1, 3),)),
+    }
+
+
+class TestNoCyclicGarbage:
+    """A call frees its working state on return: run again on the inputs
+    it held the first time, it leaves nothing that only the cyclic GC
+    could free (``genutil.cyclic_garbage``).  The one cycle left, a
+    caller's formula and the program it keeps, is made on the first
+    run and held by the test."""
+
+    @pytest.mark.parametrize("name", list(held_calls()))
+    def test_leaves_nothing_for_the_cyclic_gc(self, name):
+        assert cyclic_garbage(held_calls()[name]) == 0
+
+    def test_the_searches_find_and_exhaust(self):
+        # the search calls above reach both ends of the walk
+        calls = held_calls()
+        for name, exhausted in (("search_found", False),
+                                ("search_found_omitting", False),
+                                ("search_exhausted", True),
+                                ("search_exhausted_omitting", True)):
+            assert calls[name]().exhausted is exhausted
+        assert len(calls["enumerate_to_the_end"]()) > 1
+
+    def test_a_cycle_left_is_counted(self):
+        def call():
+            cycle = []
+            cycle.append(cycle)
+        assert cyclic_garbage(call) == 1
+
+    def test_the_gc_is_back_on_after_a_raise(self):
+        runs = []
+
+        def call():
+            runs.append(None)
+            if len(runs) == 2:
+                raise ValueError("the second run")
+        with pytest.raises(ValueError):
+            cyclic_garbage(call)
+        assert gc.isenabled()
 
 
 def code_length(program):
