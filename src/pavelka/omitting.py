@@ -196,6 +196,12 @@ def omega_principal_check(family: Sequence[Structure], theory: Theory,
 # Canonical model search
 
 
+# The largest grid denominator of a search space: such a grid and its
+# lowering take about 0.1 s on a 2-CPU x86-64 machine under Python 3.11;
+# 10 ** 8 truth values ran out of a 1.5 GB address space building it.
+GRID_LIMIT = 100_000
+
+
 class SearchSpace(Record):
     """Finite enumeration space: universe sizes 1..max_size, predicate
     values on {0, 1/g, ..., 1}, distances on {1/m, ..., 1}.
@@ -204,7 +210,9 @@ class SearchSpace(Record):
     so that "first model" is well defined.  It is kept for file-format
     compatibility: ``storage.space_to_dict`` writes it and
     ``storage.space_from_dict`` reads it back.  The sizes and the seed
-    must be ints, not bools, as in a search-space file.
+    must be ints, not bools, as in a search-space file, and each grid
+    denominator at most ``GRID_LIMIT``.  A space is a plain value: what a
+    search derives from it lives for the call, and nothing is kept.
     """
 
     _fields = ("vocabulary", "max_size", "truth_denominator",
@@ -225,18 +233,13 @@ class SearchSpace(Record):
             raise FormulaError("max_size must be >= 1")
         if truth_denominator < 1 or metric_denominator < 1:
             raise FormulaError("grid denominators must be >= 1")
+        for name, value in (("truth_denominator", truth_denominator),
+                            ("metric_denominator", metric_denominator)):
+            if value > GRID_LIMIT:
+                raise FormulaError(f"search space field {name!r} is "
+                                   f"{value}, above the limit {GRID_LIMIT}")
         super().__init__(vocabulary, max_size, truth_denominator,
                          metric_denominator, seed)
-
-    @functools.cached_property
-    def _made(self) -> dict:
-        """What the search derives from the space, by key: its grids,
-        its levels and structure count per universe size, and the packed
-        columns of a block of sibling tables per denominator and block
-        (``_block``).  Each is made on first use (``_derived``) and kept
-        for the space's lifetime, as a formula keeps its program, since
-        the space never changes."""
-        return {}
 
 
 class SearchOutcome(Record):
@@ -264,23 +267,18 @@ def _metrics(size: int, distances: Sequence):
             yield table
 
 
-def _derived(space: SearchSpace, key, make):
-    """``make()``, made once per ``key`` and kept with the space."""
-    kept = space._made
-    made = kept.get(key)
-    if made is None:
-        made = kept[key] = make()
-    return made
-
-
 def _universe(size: int) -> tuple:
     return tuple(f"e{i}" for i in range(1, size + 1))
 
 
 def _metric_values(space: SearchSpace) -> list:
-    return _derived(space, "distances", lambda: [
-        Fraction(i, space.metric_denominator)
-        for i in range(1, space.metric_denominator + 1)])
+    return [Fraction(i, space.metric_denominator)
+            for i in range(1, space.metric_denominator + 1)]
+
+
+def _truth_values(space: SearchSpace) -> list:
+    return [Fraction(i, space.truth_denominator)
+            for i in range(space.truth_denominator + 1)]
 
 
 def _levels(space: SearchSpace, size: int) -> list:
@@ -288,22 +286,16 @@ def _levels(space: SearchSpace, size: int) -> list:
     symbol: predicates sorted by name, then operations, then constants,
     each as ``(name, kind, argument tuples, values)``.  A level's tables
     are ``product(values, repeat=len(argument tuples))``, the first
-    argument tuple most significant.  Made once per space and size."""
-    def make():
-        vocab, universe = space.vocabulary, _universe(size)
-        truth_values = _derived(space, "truth values", lambda: [
-            Fraction(i, space.truth_denominator)
-            for i in range(space.truth_denominator + 1)])
-        return ([(n, "predicates",
-                  tuple(itertools.product(universe,
-                                          repeat=vocab.predicates[n])),
-                  truth_values) for n in sorted(vocab.predicates)]
-                + [(n, "operations",
-                    tuple(itertools.product(universe, repeat=a)), universe)
-                   for n, a in sorted(vocab.operations.items()) if a > 0]
-                + [(n, "constants", ((),), universe)
-                   for n in vocab.constants()])
-    return _derived(space, ("levels", size), make)
+    argument tuple most significant.  Made per call and kept by none."""
+    vocab, universe = space.vocabulary, _universe(size)
+    truth_values = _truth_values(space)
+    return ([(n, "predicates",
+              tuple(itertools.product(universe, repeat=vocab.predicates[n])),
+              truth_values) for n in sorted(vocab.predicates)]
+            + [(n, "operations",
+                tuple(itertools.product(universe, repeat=a)), universe)
+               for n, a in sorted(vocab.operations.items()) if a > 0]
+            + [(n, "constants", ((),), universe) for n in vocab.constants()])
 
 
 def _structure(universe: tuple, levels: list, prefix: list) -> Structure:
@@ -329,12 +321,11 @@ def _closure(typeset: TypeSet) -> Formula:
     return sentence
 
 
-def _check_symbols(space: SearchSpace, programs: Sequence) -> None:
-    """Evaluate every program, in order, in the first structure of the
-    space on one element.  Every node gets evaluated there, so a symbol
-    outside the vocabulary or used at another arity raises the
-    evaluator's ``EvaluationError`` before the walk starts."""
-    levels = _levels(space, 1)
+def _check_symbols(levels: list, programs: Sequence) -> None:
+    """Evaluate every program, in order, in the first structure of a
+    space on one element, whose levels are ``levels``.  Every node gets
+    evaluated there, so a symbol outside the vocabulary or used at another
+    arity raises the evaluator's ``EvaluationError`` before the walk."""
     engine = Evaluator(_structure(_universe(1), levels, [{}] + [
         dict.fromkeys(slots, values[0]) for _, _, slots, values in levels]))
     for program in programs:
@@ -391,11 +382,13 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     indexes by is the same in every lane.  The passing lanes are taken
     in lane order, and only they are chosen, so the order and the
     structures yielded are as if each table were decided alone.  A
-    ``Structure`` is built only for a structure yielded.  The grids,
-    each universe size's levels, and the packed columns of a block's own
-    entries are made once per space and kept with it; the rest of the
-    walk's state is freed when the walk ends or is closed, not left for
-    the cyclic GC.
+    ``Structure`` is built only for a structure yielded.  The space is a
+    plain value: what the walk derives lives for the call, made once in
+    it (the levels on one element for the symbol check, the depths and
+    the first size; the lowered grids and each check's ``Lanes`` per
+    lane count for every size; a level's block columns for each of its
+    blocks on one size), and is freed when the walk ends or is closed,
+    not left for the cyclic GC.
     """
     # a type's closure is made for this call, so its program is too: kept
     # in the closure (``compile_formula``), the two would hold each other
@@ -403,18 +396,27 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
     compiled = [(compile_formulas((_closure(check),)), False)
                 if isinstance(check, TypeSet)
                 else (compile_formula(check), True) for check in checks]
-    _check_symbols(space, [program for program, _ in compiled])
+    levels = _levels(space, 1)
+    _check_symbols(levels, [program for program, _ in compiled])
     depth = {"d": 0}  # symbol -> its level
     depth.update((name, k) for k, (name, _, _, _) in
-                 enumerate(_levels(space, 1), start=1))
+                 enumerate(levels, start=1))
     at_level: list = [[] for _ in depth]
     for program, sentence in compiled:
         at_level[max((depth[name] for _, name, _, _ in program.symbols),
                      default=0)].append((program, sentence))
     denominator = lcm(space.truth_denominator, space.metric_denominator,
                       *(program.denominator for program, _ in compiled))
+    # the metric and truth grids lowered, with each lowered value's value
+    grids = []
+    for values in (_metric_values(space), _truth_values(space)):
+        lowered = [v.numerator * (denominator // v.denominator)
+                   for v in values]
+        grids.append((lowered, dict(zip(lowered, values)).__getitem__))
+    made: dict = {}  # (program, lane count) -> its Lanes
     for size in range(1, space.max_size + 1):
-        yield from _walk(space, size, depth, at_level, denominator)
+        yield from _walk(size, levels if size == 1 else _levels(space, size),
+                         depth, at_level, denominator, grids, made)
 
 
 # The most sibling tables one block decides at once: a predicate level
@@ -430,42 +432,36 @@ def enumerate_structures(space: SearchSpace, checks: Sequence = ()):
 _LANES = 6561
 
 
-def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
-          denominator: int):
-    """The structures on ``size`` elements that pass the checks of
-    ``at_level``, in canonical order, walked in lowered tables over
-    ``denominator``."""
+def _walk(size: int, levels: list, depth: dict, at_level: list,
+          denominator: int, grids: list, made: dict):
+    """The structures on ``size`` elements, with levels ``levels``, that
+    pass the checks of ``at_level``, in canonical order, walked in tables
+    lowered over ``denominator`` with ``grids``; ``made`` keeps each
+    check's ``Lanes`` by program and lane count for every size."""
     universe = _universe(size)
-    levels = _levels(space, size)
-
-    def lowered(values):
-        return [v.numerator * (denominator // v.denominator) for v in values]
-
+    (distances, distance), (truth, value) = grids
     # per level: the keys of its entries, its width, its tables as
     # entry tuples in canonical order, the lowered table of an entry
     # tuple, and the grid value or element of a lowered entry
-    distances = _metric_values(space)
     walk = [(list(itertools.combinations(universe, 2)), 2,
-             functools.partial(_metrics, size, lowered(distances)),
-             functools.partial(_matrix, size=size),
-             dict(zip(lowered(distances), distances)).__getitem__)]
-    for _, kind, slots, values in levels:
-        entries = lowered(values) if kind == "predicates" else range(size)
+             functools.partial(_metrics, size, distances),
+             functools.partial(_matrix, size=size), distance)]
+    for _, kind, slots, _ in levels:
+        entries, decode = (truth, value) if kind == "predicates" \
+            else (range(size), universe.__getitem__)
         width = len(slots[0])
         walk.append((
             slots, width,
             functools.partial(itertools.product, entries, repeat=len(slots)),
-            functools.partial(nested, width=width, n=size),
-            dict(zip(entries, values)).__getitem__))
+            functools.partial(nested, width=width, n=size), decode))
 
     # a predicate level with checks decides them in lanes, a block of
     # its tables at a time (``in_lanes``); the other levels, one table
     # at a time, in one lane
-    laned = {}  # level -> (its lowered values, the trailing entries)
+    laned = {}  # level -> its trailing entries, then its block's columns
     for k, checks in enumerate(at_level):
         if checks and k and levels[k - 1][1] == "predicates":
-            _, _, slots, values = levels[k - 1]
-            laned[k] = lowered(values), _trailing(len(values), len(slots))
+            laned[k] = _trailing(len(truth), len(levels[k - 1][2]))
     # level -> (registers, slot, ones) of each check that reads it: ones
     # is 1 for a check decided in one lane, and the packed ones for a
     # check of a later level decided in lanes
@@ -474,11 +470,14 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
     # ``own`` the slot that gets each block in a check decided in lanes
     deciders: list = [[] for _ in walk]
     for k, checks in enumerate(at_level):
-        count = len(laned[k][0]) ** laned[k][1] if k in laned else 1
+        count = len(truth) ** laned[k] if k in laned else 1
         for program, sentence in checks:
             # ``_check_symbols`` has read every symbol at its arity, and
             # the walk writes a table into the registers before it is read
-            lanes = Lanes(program, denominator, count)
+            lanes = made.get((program, count))
+            if lanes is None:
+                lanes = made[program, count] = Lanes(program, denominator,
+                                                     count)
             registers, own = lanes.registers(size), None
             for _, name, _, slot in program.symbols:
                 if k in laned and depth[name] == k:
@@ -486,6 +485,8 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
                 else:
                     sinks[depth[name]].append((registers, slot, lanes.ones))
             deciders[k].append((lanes, registers, own, sentence))
+    for k, trailing in laned.items():
+        laned[k] = trailing, *_block(truth, trailing, deciders[k][0][0])
     chosen = [None] * len(walk)
     last = len(walk) - 1
 
@@ -537,12 +538,11 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
         in canonical order, and its passing lanes are chosen in lane
         order."""
         keys, width = walk[k][:2]
-        values, trailing = laned[k]
-        base = len(values)
+        trailing, columns, uniform = laned[k]
+        base = len(truth)
         first = deciders[k][0][0]
-        columns, uniform = _block(space, values, trailing, first)
         digits = [base ** j for j in reversed(range(trailing))]
-        for lead in itertools.product(values, repeat=len(keys) - trailing):
+        for lead in itertools.product(truth, repeat=len(keys) - trailing):
             block = nested([uniform[v] for v in lead] + columns, width, size)
             mask = -1
             for lanes, registers, slot, sentence in deciders[k]:
@@ -554,7 +554,7 @@ def _walk(space: SearchSpace, size: int, depth: dict, at_level: list,
                 low = mask & -mask
                 mask ^= low
                 t = low.bit_length() // first.width - 1
-                choose(k, lead + tuple([values[t // p % base]
+                choose(k, lead + tuple([truth[t // p % base]
                                         for p in digits]))
                 yield from below(k)
 
@@ -578,25 +578,21 @@ def _trailing(base: int, entries: int) -> int:
     return r
 
 
-def _block(space: SearchSpace, values: list, trailing: int,
-           lanes: Lanes) -> tuple:
+def _block(values: list, trailing: int, lanes: Lanes) -> tuple:
     """``(columns, uniform)`` for blocks of ``len(values) ** trailing``
     lanes, packed as ``lanes`` packs: column ``j`` holds in lane ``t``
     the value of the ``j``-th of the ``trailing`` digits of ``t`` in base
     ``len(values)``, the first most significant, and ``uniform`` maps
-    each value to its packing in every lane.  The grid of ``values`` is
-    the space's truth grid lowered over ``lanes.denominator``, so both
-    are made once per space, denominator and block."""
-    def make():
-        base = len(values)
-        cells = [v.to_bytes(lanes.width // 8, "little") for v in values]
-        # column j repeats each value for base ** (trailing - 1 - j)
-        # lanes, and that period base ** j times
-        columns = [int.from_bytes(b"".join([
-            cell * base ** (trailing - 1 - j) for cell in cells])
-            * base ** j, "little") for j in range(trailing)]
-        return columns, {v: v * lanes.ones for v in values}
-    return _derived(space, ("block", lanes.denominator, trailing), make)
+    each value to its packing in every lane.  The walk makes them once
+    per laned level and size, for every block of that level."""
+    base = len(values)
+    cells = [v.to_bytes(lanes.width // 8, "little") for v in values]
+    # column j repeats each value for base ** (trailing - 1 - j) lanes,
+    # and that period base ** j times
+    columns = [int.from_bytes(b"".join([
+        cell * base ** (trailing - 1 - j) for cell in cells]) * base ** j,
+        "little") for j in range(trailing)]
+    return columns, {v: v * lanes.ones for v in values}
 
 
 def _matrix(table: tuple, size: int) -> tuple:
@@ -609,21 +605,22 @@ def _matrix(table: tuple, size: int) -> tuple:
 
 
 def _count(space: SearchSpace, size: int) -> int:
-    """The number of structures of the space on ``size`` elements, made
-    once per space and size."""
-    def make():
-        count = sum(1 for _ in _metrics(size, _metric_values(space)))
-        for _, _, slots, values in _levels(space, size):
-            count *= len(values) ** len(slots)
-        return count
-    return _derived(space, ("count", size), make)
+    """The number of structures of the space on ``size`` elements, per
+    call: its metric tables, times ``(T+1) ** (size ** a)`` per predicate
+    and ``size ** (size ** a)`` per operation (a constant has ``a = 0``)."""
+    count = sum(1 for _ in _metrics(size, _metric_values(space)))
+    for arity in space.vocabulary.predicates.values():
+        count *= (space.truth_denominator + 1) ** (size ** arity)
+    for arity in space.vocabulary.operations.values():
+        count *= size ** (size ** arity)
+    return count
 
 
 def _index(space: SearchSpace, structure: Structure) -> int:
     """The 1-based canonical index of a structure of the space: the
     structures on fewer elements come first, then its tables are the
     digits of one mixed-radix number, the metric table most
-    significant."""
+    significant.  The levels of its size are built for the call."""
     universe = structure.universe
     metric = tuple(map(structure.metric.__getitem__,
                        itertools.combinations(universe, 2)))

@@ -1,5 +1,6 @@
 """Seeded random generators for structures, formulas, and connective
-terms, shared by the module tests and the acceptance suite, and
+terms, shared by the module tests and the acceptance suite;
+``permuted``, which relabels a structure's elements; and
 ``cyclic_garbage``, which counts what a call leaves for the cyclic GC."""
 
 import gc
@@ -27,6 +28,25 @@ def cyclic_garbage(call):
     finally:
         gc.enable()
     return gc.collect()
+
+
+def permuted(structure, order):
+    """The isomorphic copy of ``structure`` on the same universe under
+    the relabelling ``structure.universe[i] -> order[i]``, ``order`` a
+    permutation of the universe: the metric, predicate, operation and
+    constant tables are carried along it."""
+    image = dict(zip(structure.universe, order))
+
+    def carried(table, value=lambda out: out):
+        return {tuple(map(image.__getitem__, args)): value(out)
+                for args, out in table.items()}
+    return Structure(
+        structure.universe, carried(structure.metric),
+        {name: carried(table) for name, table in structure.predicates.items()},
+        {name: carried(table, image.__getitem__)
+         for name, table in structure.operations.items()},
+        {name: image[element]
+         for name, element in structure.constants.items()})
 
 
 def random_rational(rng, max_denominator=12):

@@ -341,6 +341,12 @@ class TestMalformedInputExitsTwo:
          "grid denominators must be >= 1"),
         (lambda files, path: ["omit", "--space", path,
                               "--theory", files["loose.json"]],
+         {"vocabulary": {"predicates": {"P": 1}}, "max_size": 1,
+          "truth_denominator": 100000000, "metric_denominator": 1},
+         "search space field 'truth_denominator' is 100000000, above the "
+         "limit 100000"),
+        (lambda files, path: ["omit", "--space", path,
+                              "--theory", files["loose.json"]],
          [1], "search space must be a JSON object"),
         (lambda files, path: ["entails", "--family", path,
                               "--theory", files["box.json"],
@@ -357,7 +363,7 @@ class TestMalformedInputExitsTwo:
             "principal-candidate-list", "approx-spec-list",
             "approx-spec-group-object", "approx-spec-arity-list",
             "omit-space-max-size-zero", "omit-space-denominator-zero",
-            "omit-space-list", "entails-family-object"])
+            "omit-space-grid-past-the-limit", "omit-space-list", "entails-family-object"])
     def test_exits_two(self, files, tmp_path, capsys, argv, payload,
                        message):
         path = str(tmp_path / "bad.json")

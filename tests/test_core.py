@@ -237,6 +237,39 @@ class TestNoGlobalState:
                 "t", (parse_formula(f"P(c) -> {i % 3}/2", vocab),)), [])
         assert module_containers() == before
 
+    def test_a_search_leaves_its_space_as_it_found_it(self):
+        # a space is a plain value: what a search derives lives for the
+        # call, so a second search on it starts from nothing again
+        vocab = Vocabulary({"P": 1}, {"c": 0})
+        space = SearchSpace(vocab, 2, 2, 2)
+        state = dict(vars(space))
+
+        def problem(sentences, *types):
+            return (Theory("t", tuple(parse_formula(text, vocab)
+                                      for text in sentences)),
+                    [TypeSet(f"p{k}", ("x",), tuple(
+                        parse_formula(text, vocab) for text in texts))
+                     for k, texts in enumerate(types)])
+        problems = (problem(["P(c)"]),
+                    problem(["P(c)"], ["P(x)", "d(x, c) >= 1"]),
+                    problem(["0"]), problem(["E x. P(x)"], ["P(x)"]))
+        for (theory, types), exhausted in zip(problems, (False, False,
+                                                         True, True)):
+            outcome = search_model(space, theory, types)
+            assert outcome.exhausted is exhausted
+            assert vars(space) == state
+            assert search_model(space, theory, types) == outcome
+        theory, types = problems[1]
+        checks = [*theory.sentences, *types]
+        structures = list(omitting.enumerate_structures(space, checks))
+        assert len(structures) > 1 and vars(space) == state
+        walk = omitting.enumerate_structures(space, checks)
+        assert next(walk) == structures[0]
+        walk.close()
+        assert vars(space) == state
+        assert omitting._index(space, structures[-1]) > 1
+        assert vars(space) == state
+
     def test_given_record_corpora_keep_nothing(self):
         # a given corpus is compiled and scanned per call: the members
         # keep the theory's links and the default corpus's profiles only

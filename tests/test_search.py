@@ -22,7 +22,7 @@ from pavelka import (Atom, Const, EvaluationError, Exists, Forall, Func, Geq,
 from pavelka.errors import FormulaError
 from pavelka.omitting import _index, enumerate_structures
 
-from genutil import random_atom, random_formula, random_sentence
+from genutil import permuted, random_atom, random_formula, random_sentence
 from naive import naive_omits, naive_satisfies, naive_search
 
 # (vocabulary, max size, truth grids, metric grids): each space has at
@@ -130,6 +130,34 @@ class TestAgainstFullScan:
                 skipped += examined > 1
         assert found >= 100 and exhausted >= 100 and skipped >= 40
         assert off_grid >= 10
+
+    def test_found_models_are_least_of_their_class(self):
+        # the corpus above, with no oracle search: every relabelling of
+        # a model found keeps its verdicts, so the model, the first in
+        # canonical order, is the least of its isomorphism class
+        rng = random.Random(20260)
+        models = moved = 0
+        for _ in range(240):
+            space, theory, types = random_problem(rng)
+            if not all(on_grid(phi, space.truth_denominator)
+                       for t in types for phi in t.formulas):
+                continue
+            found = search_model(space, theory, types).structure
+            if found is None:
+                continue
+
+            def verdicts(structure):
+                return ([naive_satisfies(structure, phi)
+                         for phi in theory.sentences],
+                        [naive_omits(structure, t) for t in types])
+            least, want = _index(space, found), verdicts(found)
+            for order in itertools.permutations(found.universe):
+                copy = permuted(found, order)
+                assert least <= _index(space, copy)
+                assert verdicts(copy) == want
+                moved += copy != found
+            models += 1
+        assert models >= 100 and moved >= 10
 
     @pytest.mark.parametrize("spaces", [WIDE_SPACES[i:i + 1] for i in
                                         range(len(WIDE_SPACES))],
@@ -645,3 +673,15 @@ class TestSpaceFields:
     def test_integers_accepted(self):
         space = SearchSpace(Vocabulary({"P": 1}, {}), 2, 2, 2, seed=-3)
         assert search_model(space, Theory("t", ()), []).examined == 1
+
+    @pytest.mark.parametrize("field", FIELDS[1:3])
+    def test_grids_past_the_limit_refused(self, field):
+        # before any grid is made: the limit's grid would take 0.1 s
+        fields = dict.fromkeys(self.FIELDS, 2)
+        fields[field] = omitting.GRID_LIMIT
+        SearchSpace(Vocabulary({"P": 1}, {}), **fields)
+        fields[field] += 1
+        with pytest.raises(FormulaError) as caught:
+            SearchSpace(Vocabulary({"P": 1}, {}), **fields)
+        assert str(caught.value) == (f"search space field {field!r} is "
+                                     f"100001, above the limit 100000")
