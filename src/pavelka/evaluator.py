@@ -16,11 +16,12 @@ unbounded, so a large ``D`` costs speed, never exactness.
 formulas split into quantifier scopes, the root and each ``Exists``
 body, each a flat list of instructions over numbered slots in
 postorder, so an operand that the formulas, or expansion of the derived
-connectives, share is computed once per scope.  The root scope computes
-every formula, in order, and ``Program.results`` lists the slot of
-each one's value; ``compile_formula`` is the one-formula case, and
-the one place a formula's program is made and kept: a formula compiles
-on its first use and keeps its program for its lifetime.
+connectives, share is computed once per scope, in one loop over an
+explicit stack.  The root scope computes every formula, in order, and
+``Program.results`` lists the slot of each one's value;
+``compile_formula`` is the one-formula case, and the one place a
+formula's program is made and kept: a formula compiles on its first
+use and keeps its program for its lifetime.
 ``Evaluator.value`` takes a formula or its program.
 
 The instruction set, ``Program`` and the packed kernel ``Lanes`` live
@@ -41,10 +42,12 @@ the profiles ``type_distance`` compares records by.
 ``Evaluator.first_failures`` runs one formula's stretch of the root
 code at a time, in order (``_stretches``), stops a tuple at the first
 value below 1, and reports only that formula and value.  Type
-realization, omission and entailment are ``first_failures`` scans of
-one program per type, the Tarski-Vaught test is one ``profiles`` scan
-per formula, and ``models`` links and decides each sentence of a theory
-once per structure while the sentence lives.
+realization and omission are ``first_failures`` scans of one program
+per type; entailment is one per model, of one program of the premises
+and then the conclusions, where a tuple's first failing formula's
+position tells which it fails.  The Tarski-Vaught test is one
+``profiles`` scan per formula, and ``models`` links and decides each
+sentence of a theory once per structure while the sentence lives.
 
 A lowered table is ``(width, lcm, values)``: its arity, the
 denominator its truth values are integers over (1 for an operation),
@@ -89,9 +92,9 @@ from .errors import EvaluationError, FormulaError
 from .programs import (EXISTS, IMP, LOOK0, LOOK1, LOOK2, LOOKN, _UNIVERSE,
                        Program)
 from .rationals import ZERO, ONE
-from .records import Record, postorder
+from .records import Record
 from .syntax import (Atom, Const, Exists, Formula, Func, Implies, Theory, Var,
-                     children, expand_abbreviations, free_variables)
+                     expand_abbreviations, free_variables)
 
 # An assignment is a plain mapping from free-variable names to element ids.
 Assignment = Mapping[str, str]
@@ -150,44 +153,63 @@ def compile_formulas(formulas: Sequence[Formula]) -> Program:
         keys).  ``bound`` is the variable an ``Exists`` body binds, or
         None at the root."""
         code, slot_of, free, quantifiers = [], {}, {}, []
-        for node in _scope_nodes(roots):
-            if id(node) in slot_of:  # shared with an earlier root
-                continue
-            kind = type(node)
-            if kind is Var:
-                free[node.name] = None
-                slot_of[id(node)] = slot_for(variables, node.name)
-                continue
-            slot = slot_of[id(node)] = next(fresh)
-            if kind is Implies:
-                _check_formula(node.lhs)
-                _check_formula(node.rhs)
-                code.append((IMP, slot, slot_of[id(node.lhs)],
-                             slot_of[id(node.rhs)], None))
-            elif kind is Const:
-                constants.append((slot, node.value))
-            elif kind is Atom or kind is Func:
-                for arg in node.args:
-                    if not isinstance(arg, _TERMS):
-                        raise FormulaError(
-                            f"evaluator got a non-core node: {arg!r}")
-                args = tuple([slot_of[id(t)] for t in node.args])
-                table = slot_for(tables, (kind is Atom, node.pred if kind
-                                          is Atom else node.name, len(args)))
-                if len(args) > 2:
-                    code.append((LOOKN, slot, table, args, None))
+        for root in roots:
+            _check_formula(root)
+            # as ``syntax.free_variables`` walks; a node shared with an
+            # earlier root is done, and an ``Exists`` body is a scope
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                if id(node) in slot_of:
+                    stack.pop()
+                    continue
+                kind = type(node)
+                if kind is Implies:
+                    lhs = slot_of.get(id(node.lhs))
+                    rhs = slot_of.get(id(node.rhs))
+                    if lhs is None or rhs is None:
+                        stack += (node.rhs, node.lhs)
+                        continue
+                    _check_formula(node.lhs)
+                    _check_formula(node.rhs)
+                    slot = slot_of[id(node)] = next(fresh)
+                    code.append((IMP, slot, lhs, rhs, None))
+                elif kind is Atom or kind is Func:
+                    args = tuple([slot_of.get(id(t)) for t in node.args])
+                    if None in args:
+                        stack += reversed(node.args)
+                        continue
+                    for arg in node.args:
+                        if not isinstance(arg, _TERMS):
+                            raise FormulaError(
+                                f"evaluator got a non-core node: {arg!r}")
+                    slot = slot_of[id(node)] = next(fresh)
+                    table = slot_for(tables, (
+                        kind is Atom, node.pred if kind is Atom
+                        else node.name, len(args)))
+                    if len(args) > 2:
+                        code.append((LOOKN, slot, table, args, None))
+                    else:
+                        b, c = (*args, None, None)[:2]
+                        code.append((LOOK0 + len(args), slot, table, b, c))
+                elif kind is Var:
+                    free[node.name] = None
+                    slot_of[id(node)] = slot_for(variables, node.name)
+                elif kind is Const:
+                    slot = slot_of[id(node)] = next(fresh)
+                    constants.append((slot, node.value))
+                elif kind is Exists:
+                    slot = slot_of[id(node)] = next(fresh)
+                    var = slot_for(variables, node.var)
+                    body, _, inner = scope((node.body,), node.var)
+                    inner.pop(node.var, None)
+                    free.update(inner)
+                    quantifiers.append(len(code))
+                    code.append((EXISTS, slot, var, body, inner))
                 else:
-                    b, c = (*args, None, None)[:2]
-                    code.append((LOOK0 + len(args), slot, table, b, c))
-            elif kind is Exists:
-                var = slot_for(variables, node.var)
-                body, _, inner = scope((node.body,), node.var)
-                inner.pop(node.var, None)
-                free.update(inner)
-                quantifiers.append(len(code))
-                code.append((EXISTS, slot, var, body, inner))
-            else:
-                raise FormulaError(f"evaluator got a non-core node: {node!r}")
+                    raise FormulaError(
+                        f"evaluator got a non-core node: {node!r}")
+                stack.pop()
         # the scope runs once per assignment of its variables, its free
         # ones and the variable it binds; an ``Exists`` reading fewer can
         # meet one assignment of its own again, and keys its memo by it
@@ -223,20 +245,6 @@ def _check_formula(node) -> None:
     """Refuse a term where a formula is expected."""
     if isinstance(node, _TERMS):
         raise FormulaError(f"evaluator got a non-core node: {node!r}")
-
-
-def _scope_nodes(roots) -> Iterable:
-    """Each root, refused if it is a term, then the nodes of its scope
-    in postorder."""
-    for root in roots:
-        _check_formula(root)
-        yield from postorder(root, _scope_children)
-
-
-def _scope_children(node) -> tuple:
-    """Children within one quantifier scope: an ``Exists`` body is a
-    scope of its own."""
-    return () if isinstance(node, Exists) else children(node)
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +601,25 @@ class Evaluator:
         unassigned one raises before an element outside the universe,
         which ``value`` would report first.  Each distinct value
         reported is made a ``Fraction`` once per scan."""
+        for tup, failure in self._failures(formulas, variables, tuples):
+            yield tup, failure and failure[1:]
+
+    def _failures(self, formulas, variables: Sequence[str],
+                  tuples: Optional[Iterable] = None):
+        """``first_failures``, each failure ``(position, formula,
+        value)``: the formula's position in the program comes first."""
         program, code, registers, denominator, results = self._scan(
             formulas, variables, tuples)
-        stretches, memo = _stretches(program, code), {}
-        fractions = _Fractions(denominator)
+        stretches = [(position, *stretch) for position, stretch
+                     in enumerate(_stretches(program, code))]
+        memo, fractions = {}, _Fractions(denominator)
 
         def failure():
-            for stretch, result, formula in stretches:
+            for position, stretch, result, formula in stretches:
                 run(stretch, registers, denominator, memo)
                 value = registers[result]
                 if value != denominator:
-                    return formula, fractions[value]
+                    return position, formula, fractions[value]
             return None
         yield from results(failure)
 
@@ -691,32 +707,38 @@ def entails(family: Sequence, theory: Theory, gamma, sigma) -> EntailmentResult:
     share their variable tuple.  A false verdict returns the first
     counterexample in canonical order.
 
-    Each model is two chained scans of one program per type: the
-    premises' scan passes on the tuples realizing ``gamma``, one at a
-    time, and the conclusions run on those tuples only, so every formula
-    runs where, and in the order, a tuple-by-tuple check would run it.
+    The premises and then the conclusions are compiled into one program,
+    and each model is one scan of it (``_decide_entailment``), so every
+    formula runs where, and in the order, a tuple-by-tuple check would
+    run it.
     """
+    return _decide_entailment(family, theory, gamma, sigma)[1]
+
+
+def _decide_entailment(family: Sequence, theory: Theory, gamma,
+                       sigma) -> tuple:
+    """``(witness, result)``: ``entails``'s result, and the first
+    ``(member, tuple)`` realizing ``gamma``, at or before the
+    counterexample, or None.  A tuple whose first failing formula is a
+    premise, by its position in the program, does not realize
+    ``gamma``; one whose first failing formula is a conclusion is the
+    counterexample."""
     if tuple(gamma.variables) != tuple(sigma.variables):
         raise FormulaError(
             f"variable tuples differ: {gamma.variables} vs {sigma.variables}")
-    return _entailment(models(family, theory), tuple(gamma.variables),
-                       compile_formulas(gamma.formulas),
-                       compile_formulas(sigma.formulas))
-
-
-def _entailment(members: Iterable, names: tuple, premises: Program,
-                conclusions: Program) -> EntailmentResult:
-    """``entails`` over the programs of the premises and conclusions in
-    the variables ``names``, read from the ``(member, engine)`` pairs."""
-    for member, engine in members:
-        realizing = (tup for tup, failure
-                     in engine.first_failures(premises, names)
-                     if failure is None)
-        for tup, failure in engine.first_failures(conclusions, names,
-                                                  realizing):
+    names, premises = tuple(gamma.variables), len(gamma.formulas)
+    program = compile_formulas((*gamma.formulas, *sigma.formulas))
+    witness = None
+    for member, engine in models(family, theory):
+        for tup, failure in engine._failures(program, names):
+            if failure is not None and failure[0] < premises:
+                continue
+            if witness is None:
+                witness = member, tup
             if failure is not None:
-                return EntailmentResult(False, member, tup, *failure)
-    return EntailmentResult(True)
+                return witness, EntailmentResult(False, member, tup,
+                                                 *failure[1:])
+    return witness, EntailmentResult(True)
 
 
 def models(family: Sequence, theory: Theory):

@@ -18,8 +18,9 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FormulaError, ResolutionError
-from .evaluator import (Evaluator, _entailment, _scaled, compile_formula,
-                        compile_formulas, entails, models, nested)
+from .evaluator import (Evaluator, _decide_entailment, _scaled,
+                        compile_formula, compile_formulas, entails, models,
+                        nested)
 from .programs import Lanes
 from .rationals import ZERO, ONE, as_fraction
 from .records import Record
@@ -54,25 +55,12 @@ def omits(structure: Structure, typeset: TypeSet) -> OmitsReport:
     """True iff no tuple realizes the type; the report carries, per
     tuple, a member formula with value < 1, or else the first realizer."""
     witnesses = {}
-    realizer = _first_realizer(Evaluator(structure), typeset.variables,
-                               typeset.formulas, witnesses)
-    if realizer is not None:
-        return OmitsReport(False, {}, realizer=realizer)
-    return OmitsReport(True, witnesses)
-
-
-def _first_realizer(engine: Evaluator, variables: Sequence, formulas,
-                    witnesses: Optional[dict] = None) -> Optional[tuple]:
-    """The canonically first tuple realizing the type of ``variables``
-    and ``formulas``, its program or its formulas, or None; each tuple
-    scanned before it gets its first member of value < 1 recorded in
-    ``witnesses`` when that is given."""
-    for tup, failure in engine.first_failures(formulas, variables):
+    for tup, failure in Evaluator(structure).first_failures(
+            typeset.formulas, typeset.variables):
         if failure is None:
-            return tup
-        if witnesses is not None:
-            witnesses[tup] = failure
-    return None
+            return OmitsReport(False, {}, realizer=tup)
+        witnesses[tup] = failure
+    return OmitsReport(True, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -93,25 +81,15 @@ def generator_check(family: Sequence[Structure], theory: Theory,
                     phi: TypeSet, sigma: TypeSet) -> GeneratorReport:
     """Family-relative generator test: (i) some family model of the
     theory realizes ``phi``, and (ii) within the family, theory models'
-    realizations of ``phi`` all realize ``sigma``.  One pass over the
-    theory's models decides both: (ii) reads on from the model of the
-    first realizer, since the models before it realize nothing."""
-    if tuple(phi.variables) != tuple(sigma.variables):
-        raise FormulaError(
-            f"variable tuples differ: {phi.variables} vs {sigma.variables}")
-    program = compile_formulas(phi.formulas)
-    members = models(family, theory)
-    for member, engine in members:
-        tup = _first_realizer(engine, phi.variables, program)
-        if tup is not None:
-            break
-    else:
+    realizations of ``phi`` all realize ``sigma``.  One scan per theory
+    model decides both (``evaluator._decide_entailment``): the first
+    tuple realizing ``phi`` is the witness, and the first of those that
+    fails ``sigma`` the counterexample."""
+    witness, result = _decide_entailment(family, theory, phi, sigma)
+    if witness is None:
         return GeneratorReport(False, satisfied=False)
-    result = _entailment(itertools.chain([(member, engine)], members),
-                         tuple(phi.variables), program,
-                         compile_formulas(sigma.formulas))
-    return GeneratorReport(result.holds, satisfied=True,
-                           witness=(member, tup), entailment=result)
+    return GeneratorReport(result.holds, satisfied=True, witness=witness,
+                           entailment=result)
 
 
 class OmegaCandidate(Record):

@@ -29,7 +29,6 @@ import re
 from collections import Counter
 from functools import partial
 from fractions import Fraction
-from itertools import chain
 from operator import attrgetter, is_
 from typing import Mapping
 
@@ -279,7 +278,8 @@ class TypeSet(Record):
 # share repeated operands.  Every walk is a pass over ``postorder``, which
 # lists each distinct node once by identity, with results keyed by
 # ``id(node)``; a walk therefore costs time linear in the DAG size and no
-# recursion depth.
+# recursion depth.  The hot walks, ``free_variables``, expansion and the
+# evaluator's scope pass, each loop over an explicit stack of their own.
 
 
 _CHILDREN = {
@@ -288,6 +288,7 @@ _CHILDREN = {
     **dict.fromkeys((Implies, Or, And), attrgetter("lhs", "rhs")),
     **dict.fromkeys((Not, Leq, Geq, Exists, Forall), lambda node: (node.body,)),
 }
+_BODIES = (Not, Leq, Geq, Exists, Forall)
 
 
 def children(node) -> tuple:
@@ -334,17 +335,54 @@ def rebuild(root, rewrite):
 
 
 def free_variables(formula: Formula) -> tuple:
-    """Free variables in order of first occurrence (left-to-right)."""
+    """Free variables in order of first occurrence (left-to-right).
+
+    A node stays on the stack, under its children that are not done,
+    until they are; a variable argument needs no visit of its own."""
     free: dict[int, tuple] = {}
-    for node in postorder(formula):
-        if isinstance(node, Var):
+    stack = [formula]
+    while stack:
+        node = stack[-1]
+        if id(node) in free:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Implies or kind is Or or kind is And:
+            lhs, rhs = free.get(id(node.lhs)), free.get(id(node.rhs))
+            if lhs is None or rhs is None:
+                stack += (node.rhs, node.lhs)
+                continue
+            names = lhs if not rhs or rhs == lhs else rhs if not lhs \
+                else tuple(dict.fromkeys(lhs + rhs))
+        elif kind is Atom or kind is Func:
+            names, waiting = [], []
+            for arg in node.args:
+                if type(arg) is Var:
+                    names.append(arg.name)
+                    continue
+                part = free.get(id(arg))
+                if part is None:
+                    waiting.append(arg)
+                else:
+                    names += part
+            if waiting:
+                stack += reversed(waiting)
+                continue
+            names = tuple(dict.fromkeys(names))
+        elif kind in _BODIES:
+            names = free.get(id(node.body))
+            if names is None:
+                stack.append(node.body)
+                continue
+            if (kind is Exists or kind is Forall) and node.var in names:
+                names = tuple([name for name in names if name != node.var])
+        elif kind is Var:
             names = (node.name,)
+        elif kind is Const:
+            names = ()
         else:
-            parts = [free[id(kid)] for kid in children(node)]
-            names = parts[0] if len(parts) == 1 else \
-                tuple(dict.fromkeys(chain.from_iterable(parts)))
-            if isinstance(node, (Exists, Forall)) and node.var in names:
-                names = tuple(name for name in names if name != node.var)
+            raise FormulaError(f"not a formula node: {node!r}")
+        stack.pop()
         free[id(node)] = names
     return free[id(formula)]
 
@@ -388,28 +426,53 @@ def expand_abbreviations(formula: Formula) -> Formula:
 
     Idempotent; core subformulas are reused unchanged, shared nodes
     stay shared, and the expansions of Or/And deliberately share their
-    duplicated operand so that evaluation can memoize it.
+    duplicated operand so that evaluation can memoize it.  The walk
+    stops at atoms and terms, since a term holds no derived node.
     """
     zero = Const(ZERO)
-
-    def core(node):
-        if isinstance(node, _CORE_NODES):
-            return node
-        if isinstance(node, Not):
-            return Implies(node.body, zero)
-        if isinstance(node, Or):
-            return Implies(Implies(node.lhs, node.rhs), node.rhs)
-        if isinstance(node, And):
-            nl = Implies(node.lhs, zero)
-            nr = Implies(node.rhs, zero)
-            return Implies(Implies(Implies(nl, nr), nr), zero)
-        if isinstance(node, Leq):
-            return Implies(node.body, Const(node.bound))
-        if isinstance(node, Geq):
-            return Implies(Const(node.bound), node.body)
-        return Implies(Exists(node.var, Implies(node.body, zero)), zero)
-
-    return rebuild(formula, core)
+    done: dict[int, Formula] = {}
+    stack = [formula]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Implies or kind is Or or kind is And:
+            lhs, rhs = done.get(id(node.lhs)), done.get(id(node.rhs))
+            if lhs is None or rhs is None:
+                stack += (node.rhs, node.lhs)
+                continue
+            if kind is Implies:
+                new = node if lhs is node.lhs and rhs is node.rhs \
+                    else Implies(lhs, rhs)
+            elif kind is Or:
+                new = Implies(Implies(lhs, rhs), rhs)
+            else:
+                lhs, rhs = Implies(lhs, zero), Implies(rhs, zero)
+                new = Implies(Implies(Implies(lhs, rhs), rhs), zero)
+        elif kind in _BODIES:
+            body = done.get(id(node.body))
+            if body is None:
+                stack.append(node.body)
+                continue
+            if kind is Exists:
+                new = node if body is node.body else Exists(node.var, body)
+            elif kind is Not:
+                new = Implies(body, zero)
+            elif kind is Leq:
+                new = Implies(body, Const(node.bound))
+            elif kind is Geq:
+                new = Implies(Const(node.bound), body)
+            else:
+                new = Implies(Exists(node.var, Implies(body, zero)), zero)
+        elif kind in _CORE_NODES:
+            new = node
+        else:
+            raise FormulaError(f"not a formula node: {node!r}")
+        stack.pop()
+        done[id(node)] = new
+    return done[id(formula)]
 
 
 def fresh_variable(base: str, used) -> str:

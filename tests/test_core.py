@@ -15,7 +15,8 @@ from pavelka import (And, Atom, CompleteTypeRecord, Const, EvaluationError,
                      Evaluator, Exists, Func, Implies, Not, Or, SearchSpace,
                      Structure, Theory, TypeSet, Var, Vocabulary,
                      check_theory, compile_formula, compile_formulas,
-                     default_record_corpus, entails, evaluate, parse_formula,
+                     default_record_corpus, entails, evaluate,
+                     expand_abbreviations, free_variables, parse_formula,
                      search_model, type_distance)
 from pavelka import connectives, evaluator, omitting
 from pavelka.connectives import CConst, Proj
@@ -209,6 +210,26 @@ class TestErrorTexts:
         self.check(m2, Not(Const(F(1))),
                    "evaluator got a non-core node: Not(body=Const(value="
                    "Fraction(1, 1)))")
+
+    def test_non_core_argument(self, m2):
+        # expansion stops at atoms, so an atom's arguments reach the
+        # scope pass as given: a derived node there is refused as it
+        # stands, no longer as its expansion, and what is no node at
+        # all by the evaluator, no longer by expansion
+        self.check(m2, Atom("P", (Not(Const(F(1))),)),
+                   "evaluator got a non-core node: Not(body=Const(value="
+                   "Fraction(1, 1)))")
+        self.check(m2, Atom("P", (Func("f", ("x",)),)),
+                   "evaluator got a non-core node: 'x'")
+
+    def test_not_a_formula_node(self):
+        # the walks over one stack refuse what is no node, as the
+        # passes over ``postorder`` did
+        phi = Implies(Atom("P", (Var("x"),)), "junk")
+        for walk in (expand_abbreviations, free_variables):
+            with pytest.raises(FormulaError) as caught:
+                walk(phi)
+            assert str(caught.value) == "not a formula node: 'junk'"
 
 
 def module_containers():

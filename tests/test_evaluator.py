@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import random
@@ -424,6 +425,157 @@ class TestTupleScans:
         assert result.assignment == ("a",) and result.value == F(1, 2)
 
 
+def check_both(family, theory, gamma, sigma):
+    """Check ``entails`` and ``generator_check`` against ``naive``;
+    returns the naive counterexample, or None, and the naive witness,
+    the first tuple realizing ``gamma`` in a model, or None."""
+    want = naive_entails(family, theory, gamma, sigma)
+    witness = next((
+        (m, tup) for m in naive_models(family, theory)
+        for tup in itertools.product(m.universe, repeat=len(NAMES))
+        if naive_first_failure(m, NAMES, gamma.formulas, tup) is None),
+        None)
+    report = generator_check(family, theory, gamma, sigma)
+    for result in (entails(family, theory, gamma, sigma),
+                   report.entailment):
+        if result is None:  # no witness: generator_check stops there
+            assert witness is None
+            continue
+        assert result.holds == (want is None)
+        if want is not None:
+            member, tup, formula, value = want
+            assert result.structure is member and result.assignment == tup
+            assert result.formula is formula and result.value == value
+    assert report.satisfied == (witness is not None)
+    assert report.generates == (witness is not None and want is None)
+    if witness is not None:
+        assert report.witness[0] is witness[0]
+        assert report.witness[1] == witness[1]
+    return want, witness
+
+
+class TestOneScan:
+    """``entails`` and ``generator_check`` compile the premises and then
+    the conclusions into one program and scan each theory model once:
+    a tuple's first failing formula is a premise or a conclusion by its
+    position in that program, never by ``==`` or by identity."""
+
+    def test_shapes_one_scan_must_tell_apart(self):
+        rng = random.Random(37)
+        seen = {}
+        for i in range(160):
+            shape = ("shared", "equal", "empty", "weaker")[i % 4]
+            family, theory, formulas = scan_case(rng)
+            gamma = formulas(rng.randint(1, 2))
+            extra = formulas(1 if shape == "shared" else rng.randint(0, 1))
+            if shape == "shared":  # sigma holds gamma's own objects
+                sigma = (*extra, rng.choice(gamma))
+            elif shape == "equal":  # equal formulas built apart
+                sigma = (*extra, *[Geq(g.body, g.bound) for g in gamma])
+                assert sigma[len(extra):] == gamma
+            elif shape == "empty":  # every tuple realizes gamma
+                gamma, sigma = (), extra or formulas(1)
+            else:  # sigma fails only where gamma fails
+                sigma = tuple(Geq(g.body, g.bound * rng.randint(0, 2) / 2)
+                              for g in gamma)
+            want, witness = check_both(family, theory,
+                                       TypeSet("g", NAMES, gamma),
+                                       TypeSet("s", NAMES, sigma))
+            if shape == "weaker" or (shape != "empty" and not extra):
+                assert want is None
+            if shape == "empty" and witness is not None:
+                first = next(iter(naive_models(family, theory)))
+                assert witness[0] is first
+                assert witness[1] == (first.universe[0],) * len(NAMES)
+            outcome = "none" if witness is None else \
+                "holds" if want is None else \
+                "same" if want[0] is witness[0] else "later"
+            seen[shape, outcome] = seen.get((shape, outcome), 0) + 1
+        for shape in ("shared", "equal", "empty"):
+            assert seen.get((shape, "holds"), 0) >= 3
+            assert seen.get((shape, "same"), 0) >= 3
+        assert seen.get(("weaker", "holds"), 0) >= 20
+
+    def test_witness_and_counterexample_in_one_model(self):
+        # the first tuple realizing phi passes sigma, a later one in the
+        # same model fails it: one scan reports both
+        vocab = Vocabulary({"P": 1, "Q": 1}, {})
+        m = Structure(("a", "b", "c"), {("a", "b"): F(1), ("a", "c"): F(1),
+                                        ("b", "c"): F(1)},
+                      {"P": {("a",): F(0), ("b",): F(1), ("c",): F(1)},
+                       "Q": {("a",): F(1), ("b",): F(1), ("c",): F(1, 4)}},
+                      {}, {})
+        phi = TypeSet("phi", ("x",), (parse_formula("P(x)", vocab),))
+        sigma = TypeSet("s", ("x",), (parse_formula("Q(x)", vocab),))
+        report = generator_check([m], Theory("t", ()), phi, sigma)
+        assert report.satisfied and not report.generates
+        assert report.witness == (m, ("b",))
+        counter = report.entailment
+        assert counter.structure is m and counter.assignment == ("c",)
+        assert counter.formula is sigma.formulas[0]
+        assert counter.value == F(1, 4)
+
+    def test_one_compile_and_one_link_per_model_scanned(self, monkeypatch):
+        rng = random.Random(38)
+        compiled, linked = [], []
+        make, link = evaluator.compile_formulas, evaluator._link
+        monkeypatch.setattr(evaluator, "compile_formulas", lambda fs: (
+            compiled.append(tuple(fs)), make(fs))[1])
+        monkeypatch.setattr(evaluator, "_link", lambda program, *rest: (
+            linked.append(program), link(program, *rest))[1])
+        stopped = 0
+        for _ in range(60):
+            family, theory, formulas = scan_case(rng)
+            gamma = TypeSet("g", NAMES, formulas(rng.randint(0, 2)))
+            sigma = TypeSet("s", NAMES, formulas(rng.randint(1, 2)))
+            # each sentence is compiled, linked and decided here, once
+            members = [m for m, _ in models(family, theory)]
+            want = naive_entails(family, theory, gamma, sigma)
+            scanned = len(members) if want is None else 1 + next(
+                i for i, m in enumerate(members) if m is want[0])
+            stopped += scanned < len(members)
+            for check in (entails, generator_check):
+                compiled.clear()
+                linked.clear()
+                check(family, theory, gamma, sigma)
+                assert compiled == [gamma.formulas + sigma.formulas]
+                assert len(linked) == scanned
+                assert all(p.source == compiled[0] for p in linked)
+        assert stopped >= 5
+
+    def test_sigma_compiles_where_no_model_realizes_phi(self, m2):
+        # sigma is compiled with phi before any model is read, so its
+        # error now comes first: before the theory's, and where phi has
+        # no realizer, which made generator_check return unsatisfied
+        vocab = Vocabulary({"P": 1, "Q": 1}, {})
+        phi = TypeSet("phi", ("x",), (Const(F(0)),))
+        sigma = TypeSet("s", ("x",), (Implies(Var("x"), Const(F(1))),))
+        lacking = Theory("t", (parse_formula("E x. Q(x)", vocab),))
+        for theory in (Theory("t", ()), lacking):
+            for check in (entails, generator_check):
+                with pytest.raises(FormulaError) as caught:
+                    check([m2], theory, phi, sigma)
+                assert str(caught.value) == \
+                    "evaluator got a non-core node: Var(name='x')"
+
+    def test_first_error_over_both_types(self, m2):
+        # types that skip ``TypeSet``'s checks: the one program expands
+        # every formula before its scope pass, and checks the premises'
+        # free variables before the conclusions', for both oracles
+        Types = collections.namedtuple("Types", "variables formulas")
+        for gamma, sigma, message in (
+                ((Implies(Var("x"), Const(F(1))),),
+                 (Implies(Atom("P", (Var("x"),)), "junk"),),
+                 "not a formula node: 'junk'"),
+                ((Atom("P", (Var("u"),)),), (Atom("P", (Var("v"),)),),
+                 "unassigned free variable 'u'")):
+            for check in (entails, generator_check):
+                with pytest.raises((EvaluationError, FormulaError)) as caught:
+                    check([m2], Theory("t", ()), Types(("x",), gamma),
+                          Types(("x",), sigma))
+                assert str(caught.value) == message
+
+
 def root_nodes(formula):
     """The formula nodes of a formula's root scope, in postorder: every
     node but the terms and those inside an ``Exists`` body."""
@@ -567,8 +719,8 @@ class TestCompiledOnce:
         assert all(f is s for (f,), s in zip(compiled[2:], fresh.sentences))
 
     def test_generator_check_compiles_each_formula_once(self, monkeypatch):
-        # phi is compiled once for its realizer scan and the entailment,
-        # and sigma once, only after a realizer of phi is found
+        # phi and then sigma are compiled once, into the one program
+        # that each theory model's scan runs, found realizer or not
         from pavelka import omitting
         rng = random.Random(35)
         compiled = []
@@ -585,11 +737,10 @@ class TestCompiledOnce:
             list(map(evaluator.compile_formula, theory.sentences))
             compiled.clear()
             report = generator_check(family, theory, phi, sigma)
+            assert compiled == [phi.formulas + sigma.formulas]
             if not report.satisfied:
-                assert compiled == [phi.formulas]
                 continue
             satisfied += 1
-            assert compiled == [phi.formulas, sigma.formulas]
             assert report.entailment == entails(family, theory, phi, sigma)
         assert satisfied >= 10
 

@@ -17,6 +17,7 @@ from pavelka.omitting import (GeneratorReport, MetricPrincipalReport,
                               OmegaPrincipalReport, OmitsReport,
                               enumerate_structures, substituted_type)
 
+from genutil import random_formula, random_sentence, random_structure
 from naive import naive_eval, naive_omits
 
 VOCAB = Vocabulary({"P": 1}, {"c": 0})
@@ -127,6 +128,49 @@ class TestGeneratorCheck:
         assert report.satisfied
         counter = report.entailment
         assert counter.structure is half and counter.value == F(1, 2)
+
+
+class TestPrincipalTypesAreNotOmitted:
+    """The easy half of the omitting types theorem, on finite data: a
+    type generated over a family is realized in every theory model of
+    the family that realizes the generator.  The model search and the
+    principality oracle check each other, with no third implementation."""
+
+    def test_a_model_omitting_sigma_refutes_what_it_realizes(self):
+        vocab = Vocabulary({"P": 1, "Q": 1}, {"c": 0})
+        space = SearchSpace(vocab, 2, 2, 2)
+        rng = random.Random(11)
+
+        def formulas(count):
+            return tuple(random_formula(rng, vocab, ["x"], rng.randint(0, 2),
+                                        1, 2) for _ in range(count))
+        refused = accepted = only_last = 0
+        for _ in range(400):
+            theory = Theory("t", tuple(
+                random_sentence(rng, vocab, rng.randint(1, 2), 1, 2)
+                for _ in range(rng.randint(0, 1))))
+            sigma = TypeSet("s", ("x",), formulas(rng.randint(1, 2)))
+            omitter = search_model(space, theory, [sigma]).structure
+            if omitter is None:
+                continue
+            # last, so a check that reads fewer models misses it
+            family = [random_structure(rng, vocab, max_size=3,
+                                       max_denominator=2)
+                      for _ in range(3)] + [omitter]
+            for k in range(4):
+                extra = formulas(rng.randint(1, 2))
+                phi = TypeSet("phi", ("x",),
+                              extra if k % 2 else sigma.formulas + extra)
+                report = generator_check(family, theory, phi, sigma)
+                if not omits(omitter, phi):
+                    assert not report.generates
+                    refused += 1
+                    only_last += generator_check(family[:-1], theory, phi,
+                                                 sigma).generates
+                if report.generates:
+                    assert not omits(report.witness[0], sigma)
+                    accepted += 1
+        assert refused >= 100 and accepted >= 100 and only_last >= 5
 
 
 class TestOmegaPrincipal:

@@ -3,14 +3,16 @@ terms, no recursion limit on deep ones, and agreement of every ported
 walk, the renderers included, with the recursive reference walks in
 ``naive``."""
 
+import functools
 import random
 import sys
 from fractions import Fraction as F
 
-from pavelka import (Atom, Exists, Func, Implies, Not, Or, Var, Vocabulary,
-                     evaluate, expand_abbreviations, free_variables,
-                     parse_formula, parse_term, render, render_term,
-                     rename_symbols, substitute)
+from pavelka import (And, Atom, Const, Exists, Forall, Func, Geq, Implies,
+                     Leq, Not, Or, Structure, Var, Vocabulary, evaluate,
+                     expand_abbreviations, free_variables, parse_formula,
+                     parse_term, render, render_term, rename_symbols,
+                     substitute)
 from pavelka.connectives import (CImplies, Proj, apply_connective, c_or,
                                  dag_size, eval_term, half_approx,
                                  render_connective, rendered_size,
@@ -218,3 +220,76 @@ class TestDifferential:
             renamed += bool(all_variables(moved) - all_variables(phi)
                             - introduced)
         assert renamed > 0
+
+
+# The bounded-exhaustive corpus: every formula of at most 4 formula
+# nodes over these 8 leaves, each atom one node with its arguments, and
+# the 10 node kinds, a comparison's bound and a binder's variable drawn
+# from 1/2 and from x and y.
+HALF = F(1, 2)
+LEAVES = (Const(F(0)), Const(HALF), Const(F(1)), Atom("P", (Var("x"),)),
+          Atom("P", (Var("y"),)), Atom("R", (Var("x"), Var("y"))),
+          Atom("R", (Var("y"), Var("x"))), Atom("d", (Var("x"), Var("y"))))
+
+
+@functools.cache
+def exhaustive(size):
+    """Every formula of exactly ``size`` nodes, in a fixed order; the
+    operands of larger ones are these very objects, so ``Or(p, p)``
+    shares its operand."""
+    if size == 1:
+        return LEAVES
+    out = []
+    for body in exhaustive(size - 1):
+        out += [Not(body), Leq(body, HALF), Geq(body, HALF)]
+        out += [kind(var, body) for kind in (Exists, Forall) for var in "xy"]
+    for left in range(1, size - 1):
+        for lhs in exhaustive(left):
+            for rhs in exhaustive(size - 1 - left):
+                out += [Implies(lhs, rhs), Or(lhs, rhs), And(lhs, rhs)]
+    return tuple(out)
+
+
+def small_structures():
+    """A fixed set of structures of 1 and 2 elements over ``P``, ``R``
+    and the metric, their values on the grid {0, 1/2, 1}."""
+    rng = random.Random(20)
+    grid = (F(0), HALF, F(1))
+    out = []
+    for size in (1, 1, 1, 2, 2, 2, 2, 2):
+        universe = ("a", "b")[:size]
+        out.append(Structure(
+            universe, {("a", "b"): rng.choice(grid[1:])} if size > 1 else {},
+            {"P": {(e,): rng.choice(grid) for e in universe},
+             "R": {(e, f): rng.choice(grid)
+                   for e in universe for f in universe}}, {}, {}))
+    return out
+
+
+class TestBoundedExhaustive:
+    """Each walk that is one loop over an explicit stack agrees with its
+    recursive reference on every formula up to a size."""
+
+    def test_corpus_counts(self):
+        assert [len(exhaustive(n)) for n in (1, 2, 3, 4)] == \
+            [8, 56, 584, 6776]
+
+    def test_expand_and_free_variables(self):
+        for size in (1, 2, 3, 4):
+            for phi in exhaustive(size):
+                core = expand_abbreviations(phi)
+                assert naive_is_core(core)
+                assert expand_abbreviations(core) is core
+                assert core == naive_expand(phi)
+                assert list(free_variables(phi)) == naive_free_variables(phi)
+
+    def test_closures_evaluate_as_naive(self):
+        structures = small_structures()
+        for size in (1, 2, 3):
+            for phi in exhaustive(size):
+                for kind in (Exists, Forall):
+                    closure = phi
+                    for var in reversed(free_variables(phi)):
+                        closure = kind(var, closure)
+                    for m in structures:
+                        assert evaluate(m, closure) == naive_eval(m, closure)
